@@ -18,6 +18,22 @@ reached through nonzero multiples of 2*pi (torus periodicity).
 An independent ground-truth oracle evaluates the character as the
 multiplicity-weighted sum over all weights (Freudenthal recursion); it is
 valid at every torus point and anchors the test suite.
+
+All three exact sums (regular, singular, oracle) share one integer
+exponent kernel, `_exponent_map`.  Its input is a stack of rational
+vectors v_i held as one integer array over a common denominator, a
+rational vector x and integer coefficients c_i.  It scales G x to integers
+too, computes every exponent (v_i|x) mod 2 as one integer matvec reduced
+mod 2*D (D the product of the two denominators), and sums the
+coefficients of equal exponents with `np.unique`.  The result is the
+exact {exponent: coefficient} map, so resonant cancellations give exact
+zeros.  The regular path feeds it the integer orbit W*h (from the Weyl
+group's int8 stack) paired with eta and the signs of W; the singular path
+the coset representatives applied to h0, paired with eta, since
+(b^{-1} eta|h0) = (eta|b h0), with sgn(b) * subdim_b; the oracle the
+weights paired with h and their multiplicities.  Magnitudes are bounded
+before each product, and the same code runs on int64 or, past 2**62, on
+Python ints (`exactlin.int_matvec`).
 """
 
 from __future__ import annotations
@@ -27,10 +43,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from . import exactlin
 from .errors import CapacityError, DomainError, SingularPointError, SnapError
-from .exactlin import Vec, vadd, vscale, vsub, vzero
-from .rootsys import EPS_SNAP, RootSystem
+from .exactlin import (
+    Vec, common_denominator, int_dtype, int_matvec, vadd, vscale, vsub, vsum, vzero,
+)
+from .rootsys import EPS_SNAP, DegenerateSplit, RootSystem
 from .torus import TorusPoint, exact_point
 from .utils import fold_angle, pairwise_sum, sin_half_angle, sin_half_pi, unit_phase
 from .weylgroup import (
@@ -93,15 +113,53 @@ def dim_irrep(rs: RootSystem, lam) -> int:
 
 
 # ---------------------------------------------------------------------------
+# The exact exponent kernel
+# ---------------------------------------------------------------------------
+
+
+def _exponent_map(rows: np.ndarray, den: int, gx: Vec, coeffs: np.ndarray) -> dict:
+    """Exact {(v_i|x) mod 2: sum of coeffs[i]} over the vectors v_i = rows[i] / den.
+
+    `rows` is an integer (N, n) array and `gx` the rational vector G x, so
+    (v_i|x) is the plain dot product of v_i with it.  Keys are Fractions in
+    [0, 2), inserted in increasing order; values are Python ints.
+    """
+    y, y_den = common_denominator(gx)
+    d = den * y_den
+    exps, where = np.unique(int_matvec(rows, y, 2 * d), return_inverse=True)
+    bound = int(np.abs(coeffs).max(initial=0)) * len(coeffs)
+    sums = np.zeros(len(exps), dtype=int_dtype(bound))
+    np.add.at(sums, where, coeffs.astype(sums.dtype))
+    return {Fraction(e, d): c for e, c in zip(exps.tolist(), sums.tolist())}
+
+
+def _phase_sum(collected: dict) -> complex:
+    """Deterministic sum of c * e^{i pi q} over a map from `_exponent_map`."""
+    return pairwise_sum([c * unit_phase(q) for q, c in collected.items() if c != 0])
+
+
+# ---------------------------------------------------------------------------
 # Regular points
 # ---------------------------------------------------------------------------
 
 
+def _dominant(rs: RootSystem, lam) -> Vec:
+    lam = rs.validate_weight(lam)
+    if not rs.is_dominant_integral(lam):
+        raise DomainError(f"{lam} is not dominant integral for {rs.spec.name}")
+    return lam
+
+
 @lru_cache(maxsize=64)
 def _exact_orbit(rs: RootSystem, coords: tuple):
-    """[(sign_w, w(coords))] over the Weyl group, in enumeration order."""
+    """(O, D, signs): O[i] = D * w_i(coords) as an integer (|W|, n) array.
+
+    Rows and signs are in enumeration order.
+    """
     group = cached_weyl_group(rs)
-    return tuple((w.sign, w.apply(coords)) for w in group.elements)
+    h, den = common_denominator(coords)
+    n = rs.ambient_dim
+    return int_matvec(group.stack.reshape(-1, n), h).reshape(-1, n), den, group.signs
 
 
 def char_regular(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
@@ -112,10 +170,8 @@ def char_regular(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
     large weights suffer no phase drift.  Singular points are refused with
     a pointer to char_singular.
     """
-    lam = rs.validate_weight(lam)
+    lam = _dominant(rs, lam)
     rs.validate_point(h)
-    if not rs.is_dominant_integral(lam):
-        raise DomainError(f"{lam} is not dominant integral for {rs.spec.name}")
     split = rs.degenerate_split(h)
     if split.deg:
         raise SingularPointError(
@@ -129,19 +185,15 @@ def char_regular(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
 
 
 def _char_regular_exact(rs: RootSystem, eta: Vec, h: TorusPoint) -> CharacterValue:
-    orbit = _exact_orbit(rs, h.coords)
-    collected: dict[Fraction, int] = {}
-    for sign, wc in orbit:
-        q = rs.inner(eta, wc) % 2
-        collected[q] = collected.get(q, 0) + sign
-    terms = [c * unit_phase(q) for q, c in sorted(collected.items()) if c != 0]
-    num = pairwise_sum(terms)
-    den = 1 + 0j
+    orbit, den, signs = _exact_orbit(rs, h.coords)
+    collected = _exponent_map(orbit, den, rs.gram_vec(eta), signs)
+    num = _phase_sum(collected)
+    weyl_den = 1 + 0j
     for a in rs.positive_roots:
-        den *= 2j * sin_half_pi(rs.pairing_coeff(a, h))
-    value = num / den
+        weyl_den *= 2j * sin_half_pi(rs.pairing_coeff(a, h))
+    value = num / weyl_den
     terms_abs = sum(abs(c) for c in collected.values())
-    condition = terms_abs / abs(den) * _MACHINE_EPS
+    condition = terms_abs / abs(weyl_den) * _MACHINE_EPS
     return CharacterValue(value, condition)
 
 
@@ -179,8 +231,6 @@ def _char_regular_float(rs: RootSystem, eta: Vec, h: TorusPoint) -> CharacterVal
 
 
 def is_near_singular(rs: RootSystem, h: TorusPoint) -> bool:
-    if h.exact:
-        return bool(rs.degenerate_split(h).deg)
     return bool(rs.degenerate_split(h).deg)
 
 
@@ -231,89 +281,122 @@ def snap_to_exact(rs: RootSystem, h: TorusPoint) -> TorusPoint:
 
 
 class _SingularEvaluator:
-    """Cached per-(rs, h0) data for the assembled singular character."""
+    """Cached per-(rs, h0) data for the assembled singular character.
 
-    def __init__(self, rs: RootSystem, h0: TorusPoint, transversal=None):
+    The coset sum runs over b^{-1} eta for the representatives b.  Since W
+    preserves the form, (b^{-1} eta|x) = (eta|b x), so the representatives
+    are applied once, to h0 and to each degenerate root, as integer stacks;
+    each weight then costs integer matvecs only.
+    """
+
+    def __init__(self, rs: RootSystem, split: DegenerateSplit, transversal=None):
         self.rs = rs
-        self.h0 = h0
-        self.split = rs.degenerate_split(h0)
+        self.h0 = h0 = split.torus_point
+        self.split = split
         group = cached_weyl_group(rs)
-        w0 = stabilizer(rs, group, h0, mode="closure")
+        w0 = stabilizer(rs, group, h0, mode="closure", split=split)
         self.w0 = w0
         self.transversal: CosetTransversal = transversal or coset_transversal(group, w0)
-        self.rho_deg = vscale(Fraction(1, 2), _vsum(self.split.deg, rs.ambient_dim))
-        self.deg_denoms = [rs.inner(self.rho_deg, a) for a in self.split.deg]
+        n = rs.ambient_dim
+        rho_deg = vscale(Fraction(1, 2), vsum(split.deg, n))
         # (-1)^{sum k_a}: degenerate pairings may sit at nonzero multiples of 2*pi
-        k_total = sum(int(rs.pairing_coeff(a, h0) / 2) for a in self.split.deg)
+        k_total = sum(int(rs.pairing_coeff(a, h0) / 2) for a in split.deg)
         self.eps = -1 if k_total % 2 else 1
         pref = 1 + 0j
-        for a in self.split.ndeg:
+        for a in split.ndeg:
             pref *= 2j * sin_half_pi(rs.pairing_coeff(a, h0))
         self.prefactor = pref
-        self.b_inverses = [b.inverse() for b in self.transversal]
-        self.b_signs = [b.sign for b in self.transversal]
+        reps = np.array([b.matrix for b in self.transversal], dtype=np.int8).reshape(-1, n)
+        self.b_signs = np.array([b.sign for b in self.transversal], dtype=np.int64)
+        h, self.h0_den = common_denominator(h0.coords)
+        self.b_h0 = int_matvec(reps, h).reshape(-1, n)
+        # subdim_b = prod_a (eta|b a) / (rho_deg|a) = scale * prod_a (y . b_deg[a]) / d^k
+        # for G eta = y / d, with b_deg[a] = b a scaled to integers.
+        self.b_deg = []
+        scale = Fraction(1)
+        for a in split.deg:
+            a_int, a_den = common_denominator(a)
+            self.b_deg.append(int_matvec(reps, a_int).reshape(-1, n))
+            scale /= a_den * rs.inner(rho_deg, a)
+        self.scale = scale
+
+    def exponents(self, lam: Vec) -> tuple[dict, float]:
+        """The coset sum's exact {exponent: coefficient} map, and sum |subdim_b|."""
+        geta = self.rs.gram_vec(vadd(lam, self.rs.weyl_vector))
+        y, y_den = common_denominator(geta)
+        pairings = [int_matvec(rows, y) for rows in self.b_deg]
+        denom = self.scale.denominator * y_den ** len(pairings)
+        bound = abs(self.scale.numerator)
+        for p in pairings:
+            bound *= max(int(np.abs(p).max()), 1)
+        dtype = int_dtype(max(bound, denom))
+        sub = np.full(len(self.b_signs), self.scale.numerator, dtype=dtype)
+        for p in pairings:
+            sub = sub * p.astype(dtype)
+        if (sub % denom).any():
+            raise AssertionError("effective dimension is not an integer")
+        sub //= denom
+        abs_sum = 0.0  # summed in coset order, as the condition has always been
+        for s in sub.tolist():
+            abs_sum += abs(float(s))
+        # Exact integer coefficients per reduced phase, so resonant
+        # cancellations across cosets produce exact zeros, not float dust.
+        return _exponent_map(self.b_h0, self.h0_den, geta, self.b_signs * sub), abs_sum
 
     def evaluate(self, lam: Vec) -> CharacterValue:
-        rs = self.rs
-        eta = vadd(lam, rs.weyl_vector)
-        # Collect exact integer coefficients per reduced phase so resonant
-        # cancellations across cosets produce exact zeros, not float dust.
-        collected: dict[Fraction, int] = {}
-        abs_sum = 0.0
-        for b_inv, sgn in zip(self.b_inverses, self.b_signs):
-            nu = b_inv.apply(eta)
-            sub = Fraction(1)
-            for a, dnm in zip(self.split.deg, self.deg_denoms):
-                sub *= rs.inner(nu, a) / dnm
-            if sub.denominator != 1:
-                raise AssertionError("effective dimension is not an integer")
-            q = rs.inner(nu, self.h0.coords) % 2
-            collected[q] = collected.get(q, 0) + sgn * int(sub)
-            abs_sum += abs(float(sub))
-        terms = [c * unit_phase(q) for q, c in sorted(collected.items()) if c != 0]
-        num = pairwise_sum(terms)
-        value = self.eps * num / self.prefactor
+        collected, abs_sum = self.exponents(lam)
+        value = self.eps * _phase_sum(collected) / self.prefactor
         condition = abs_sum / abs(self.prefactor) * _MACHINE_EPS
         return CharacterValue(value, condition)
 
 
 @lru_cache(maxsize=256)
-def _cached_evaluator(rs: RootSystem, h0: TorusPoint) -> _SingularEvaluator:
-    return _SingularEvaluator(rs, h0)
+def _cached_evaluator(rs: RootSystem, split: DegenerateSplit) -> _SingularEvaluator:
+    return _SingularEvaluator(rs, split)
 
 
 def char_singular(
-    rs: RootSystem, lam, h0: TorusPoint, transversal: CosetTransversal | None = None
+    rs: RootSystem,
+    lam,
+    h0: TorusPoint,
+    transversal: CosetTransversal | None = None,
+    *,
+    split: DegenerateSplit | None = None,
 ) -> CharacterValue:
     """Exact character at a singular torus point via stabilizer factorization.
 
     Reduces to char_regular when no root is degenerate and to the
     dimension when h0 = 0.  Floating h0 goes through the snap pipeline
-    first and fails loudly if it cannot be rationalized.
+    first and fails loudly if it cannot be rationalized.  `split` is
+    `rs.degenerate_split(h0)` when the caller has it (exact h0 only).
     """
-    lam = rs.validate_weight(lam)
-    if not rs.is_dominant_integral(lam):
-        raise DomainError(f"{lam} is not dominant integral for {rs.spec.name}")
+    lam = _dominant(rs, lam)
     if not h0.exact:
         h0 = snap_to_exact(rs, h0)
     rs.validate_point(h0)
-    split = rs.degenerate_split(h0)
+    if split is None:
+        split = rs.degenerate_split(h0)
     if not split.deg:
         return _char_regular_exact(rs, vadd(lam, rs.weyl_vector), h0)
     if transversal is not None:
-        return _SingularEvaluator(rs, h0, transversal).evaluate(lam)
-    return _cached_evaluator(rs, h0).evaluate(lam)
+        return _SingularEvaluator(rs, split, transversal).evaluate(lam)
+    return _cached_evaluator(rs, split).evaluate(lam)
 
 
 def character(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
-    """Evaluate the character at any torus point, dispatching on degeneracy."""
-    if h.exact:
-        if rs.degenerate_split(h).deg:
-            return char_singular(rs, lam, h)
-        return char_regular(rs, lam, h)
-    if is_near_singular(rs, h):
-        return char_singular(rs, lam, snap_to_exact(rs, h))
-    return char_regular(rs, lam, h)
+    """Evaluate the character at any torus point, dispatching on degeneracy.
+
+    The degenerate split of an exact (or snapped) point is computed once
+    and handed down.
+    """
+    if not h.exact:
+        if not is_near_singular(rs, h):
+            return char_regular(rs, lam, h)
+        h = snap_to_exact(rs, h)
+    split = rs.degenerate_split(h)
+    if split.deg:
+        return char_singular(rs, lam, h, split=split)
+    return _char_regular_exact(rs, vadd(_dominant(rs, lam), rs.weyl_vector), h)
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +450,6 @@ class EffectiveSubsystem:
             (2 * self.parent.inner(lam, b) / self.parent.inner(b, b)).denominator == 1
             for b in self.simple_roots
         )
-
-
-def _vsum(vectors, dim) -> Vec:
-    out = vzero(dim)
-    for v in vectors:
-        out = vadd(out, v)
-    return out
 
 
 def _classify_component(rs: RootSystem, positive, simple) -> tuple[str, int, int]:
@@ -467,14 +543,14 @@ def effective_subsystem(rs: RootSystem, image_roots) -> EffectiveSubsystem:
             r for r in comp
             if not any(vsub(r, s) in cset for s in comp if s != r)
         )
-        rho = vscale(Fraction(1, 2), _vsum(comp, rs.ambient_dim))
+        rho = vscale(Fraction(1, 2), vsum(comp, rs.ambient_dim))
         fam, rank, order = _classify_component(rs, comp, simple)
         components.append(
             SubsystemComponent(fam, rank, tuple(comp), simple, rho, order)
         )
     components.sort(key=lambda c: (-len(c.positive_roots), c.positive_roots))
     all_simple = tuple(s for c in components for s in c.simple_roots)
-    rho = vscale(Fraction(1, 2), _vsum(roots, rs.ambient_dim))
+    rho = vscale(Fraction(1, 2), vsum(roots, rs.ambient_dim))
     return EffectiveSubsystem(rs, tuple(sorted(roots)), all_simple, rho, tuple(components))
 
 
@@ -595,10 +671,14 @@ def _multiplicities_cached(rs: RootSystem, lam: Vec, cap: int) -> dict:
 
 def weight_multiplicities(rs: RootSystem, lam, cap: int = ORACLE_DIM_CAP) -> dict:
     """Weight -> multiplicity map of the irrep, by Freudenthal recursion."""
-    lam = rs.validate_weight(lam)
-    if not rs.is_dominant_integral(lam):
-        raise DomainError(f"{lam} is not dominant integral for {rs.spec.name}")
-    return dict(_multiplicities_cached(rs, lam, cap))
+    return dict(_multiplicities_cached(rs, _dominant(rs, lam), cap))
+
+
+def _weight_exponents(rs: RootSystem, mults: dict, h: TorusPoint) -> dict:
+    """The oracle's exact {(mu|h) mod 2: summed multiplicity} map."""
+    weights, den = common_denominator(x for mu in mults for x in mu)
+    rows = np.array(weights).reshape(len(mults), rs.ambient_dim)
+    return _exponent_map(rows, den, rs.gram_vec(h.coords), np.array(list(mults.values())))
 
 
 def char_weightsum_oracle(
@@ -611,18 +691,12 @@ def char_weightsum_oracle(
     lam = rs.validate_weight(lam)
     rs.validate_point(h)
     mults = weight_multiplicities(rs, lam, cap)
-    items = sorted(mults.items())
     if h.exact:
-        collected: dict[Fraction, int] = {}
-        for mu, m in items:
-            q = rs.inner(mu, h.coords) % 2
-            collected[q] = collected.get(q, 0) + m
-        terms = [m * unit_phase(q) for q, m in sorted(collected.items())]
-        value = pairwise_sum(terms)
+        value = _phase_sum(_weight_exponents(rs, mults, h))
     else:
         gram_f = rs.gram
         terms = []
-        for mu, m in items:
+        for mu, m in sorted(mults.items()):
             if rs._gram_is_identity:
                 p = sum(float(x) * y for x, y in zip(mu, h.coords))
             else:

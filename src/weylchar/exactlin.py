@@ -1,15 +1,25 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, and integer stacks over numpy.
 
 Small dense systems only (rank <= 8 ambient spaces), so plain Gaussian
-elimination with `fractions.Fraction` entries is entirely adequate.
+elimination with `fractions.Fraction` entries is entirely adequate.  Bulk
+work (a vector against every element of a Weyl group) runs on integer
+numpy arrays instead: rationals are scaled over one common denominator,
+and a bound check picks int64 when no intermediate can overflow it, or
+object arrays of Python ints otherwise, for the same code.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 Vec = tuple[Fraction, ...]
+
+#: Integer work whose magnitudes stay below this runs in int64.
+INT64_SAFE = 2**62
 
 
 def vec(values) -> Vec:
@@ -31,6 +41,13 @@ def vscale(c, x: Vec) -> Vec:
 
 def vzero(n: int) -> Vec:
     return (Fraction(0),) * n
+
+
+def vsum(vectors, dim: int) -> Vec:
+    out = vzero(dim)
+    for v in vectors:
+        out = vadd(out, v)
+    return out
 
 
 def dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
@@ -99,3 +116,34 @@ def in_integer_span(basis: Sequence[Vec], gram, v: Vec) -> bool:
     if coeffs is None:
         return False
     return all(c.denominator == 1 for c in coeffs)
+
+
+def common_denominator(v) -> tuple[list[int], int]:
+    """Integers n_i and the least D > 0 with v_i = n_i / D."""
+    v = [Fraction(x) for x in v]
+    d = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (d // x.denominator) for x in v], d
+
+
+def int_dtype(bound: int):
+    """int64 when every magnitude is below `bound` < 2**62, else object (Python ints)."""
+    return np.int64 if bound < INT64_SAFE else object
+
+
+def int_matvec(rows: np.ndarray, y: Sequence[int], modulus: int | None = None) -> np.ndarray:
+    """rows @ y over the integers, exactly, optionally reduced mod `modulus`.
+
+    `rows` is an integer (N, n) array.  The result is int64 when the
+    largest row 1-norm times max|y|, and the modulus, are below 2**62, and
+    an object array of Python ints otherwise.  Columns are accumulated one
+    at a time, so an int8 `rows` is never copied whole.
+    """
+    y = [int(c) for c in y]
+    row_l1 = int(np.abs(rows).sum(axis=1).max()) if len(rows) else 0
+    bound = max(row_l1, 1) * max(map(abs, y), default=0)
+    dtype = int_dtype(max(bound, modulus or 0))
+    out = np.zeros(len(rows), dtype=dtype)
+    for j, c in enumerate(y):
+        if c:
+            out += rows[:, j].astype(dtype) * c
+    return out if modulus is None else out % modulus

@@ -15,9 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from . import exactlin
 from .errors import ConfigError, DomainError, StructureError
-from .exactlin import Vec, dot, mat_vec, vadd, vscale, vsub, vzero
+from .exactlin import (
+    Vec, common_denominator, dot, int_matvec, mat_vec, vadd, vscale, vsub, vsum, vzero,
+)
 from .torus import TorusPoint
 from .utils import fold_angle
 
@@ -98,8 +102,12 @@ class RootSystem:
         self.positive_roots = tuple(positive_roots)
         self.gram = tuple(tuple(Fraction(g) for g in row) for row in gram)
         self.ambient_dim = len(self.simple_roots[0])
+        n = self.ambient_dim
+        self._gram_is_identity = all(
+            self.gram[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n)
+        )
         self.rank = spec.rank
-        self.weyl_vector = vscale(Fraction(1, 2), _vec_sum(self.positive_roots, self.ambient_dim))
+        self.weyl_vector = vscale(Fraction(1, 2), vsum(self.positive_roots, self.ambient_dim))
         self.cartan_matrix = tuple(
             tuple(int(2 * self.inner(a, b) / self.inner(b, b)) for b in self.simple_roots)
             for a in self.simple_roots
@@ -115,6 +123,11 @@ class RootSystem:
             if coeffs is None or any(c.denominator != 1 or c < 0 for c in coeffs):
                 raise AssertionError("positive root not a nonnegative integer combination")
             self.root_coeffs[r] = tuple(int(c) for c in coeffs)
+        # Rows G*alpha over one denominator: (alpha|h) = (rows @ h) / den.
+        forms, self._pos_forms_den = common_denominator(
+            x for a in self.positive_roots for x in self.gram_vec(a)
+        )
+        self._pos_forms = np.array(forms, dtype=np.int64).reshape(-1, n)
         self._check_invariants()
 
     # -- construction-time checks -------------------------------------------------
@@ -150,10 +163,11 @@ class RootSystem:
             return dot(x, y)
         return dot(x, mat_vec(self.gram, y))
 
-    @property
-    def _gram_is_identity(self) -> bool:
-        n = self.ambient_dim
-        return all(self.gram[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
+    def gram_vec(self, y) -> Vec:
+        """G y, so that (x|y) is the plain dot product of x with it."""
+        if self._gram_is_identity:
+            return tuple(y)
+        return mat_vec(self.gram, y)
 
     def norm2(self, x) -> Fraction:
         return self.inner(x, x)
@@ -260,16 +274,17 @@ class RootSystem:
     def degenerate_split(self, h0: TorusPoint) -> DegenerateSplit:
         """Split positive roots by whether (alpha|h0) lies in 2*pi*Z.
 
-        Exact points split exactly; floating points use the snap tolerance.
+        Exact points split exactly, by one integer matvec of the scaled
+        positive roots against the scaled point; floating points use the
+        snap tolerance.
         """
         self.validate_point(h0)
         deg, ndeg = [], []
         if h0.exact:
-            for a in self.positive_roots:
-                if self.pairing_coeff(a, h0) % 2 == 0:
-                    deg.append(a)
-                else:
-                    ndeg.append(a)
+            h, den = common_denominator(h0.coords)
+            pairing = int_matvec(self._pos_forms, h, 2 * self._pos_forms_den * den)
+            for a, p in zip(self.positive_roots, pairing.tolist()):
+                (ndeg if p else deg).append(a)
         else:
             rad = h0.coords
             for a in self.positive_roots:
@@ -371,13 +386,6 @@ class RootSystem:
 
     def __eq__(self, other):
         return isinstance(other, RootSystem) and self.spec == other.spec
-
-
-def _vec_sum(vectors, dim) -> Vec:
-    out = vzero(dim)
-    for v in vectors:
-        out = vadd(out, v)
-    return out
 
 
 def _det(m) -> Fraction:

@@ -26,16 +26,17 @@ def pairwise_sum(values):
 
 def unit_phase(q: Fraction) -> complex:
     """e^{i*pi*q} for exact rational q, reduced mod 2 before trigonometry."""
-    q = q % 2
-    if q == 0:
+    num, den = q.numerator, q.denominator
+    r = num % (2 * den)  # q mod 2 == r / den
+    if r == 0:
         return 1 + 0j
-    if q == 1:
+    if r == den:
         return -1 + 0j
-    if 2 * q == 1:
+    if 2 * r == den:
         return 1j
-    if 2 * q == 3:
+    if 2 * r == 3 * den:
         return -1j
-    return cmath.exp(1j * math.pi * float(q))
+    return cmath.exp(1j * math.pi * (r / den))
 
 
 def sin_half_pi(q: Fraction) -> float:

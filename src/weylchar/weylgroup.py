@@ -1,11 +1,16 @@
 """Finite reflection groups: enumeration, signs, stabilizers, transversals.
 
-Elements are stored as integer matrices acting on the ambient space (all
-Weyl elements are integral in the ambient bases used by `rootsys`), with
-the sign cached as the parity of the generator word.  Enumeration is
-breadth-first by word length with ties broken lexicographically by the
-generator word, which makes element order, and everything derived from
-it, fully deterministic.
+Elements are integer matrices acting on the ambient space (all Weyl
+elements are integral in the ambient bases used by `rootsys`).  A group is
+stored twice over: as a stacked `(|W|, n, n)` int8 array with a sign
+vector, which bulk integer work (`charcalc`'s exponent kernel) reads
+directly, and as `WeylElement`s carrying tuple matrices, signs and
+generator words.  Both come from one breadth-first closure routine,
+`_closure`, which multiplies a whole BFS level by every generator at once
+and dedupes on the int8 bytes; the same bytes key the group's element
+index.  Enumeration is breadth-first by word length with ties broken
+lexicographically by the generator word, which makes element order, and
+everything derived from it, fully deterministic.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 from .exactlin import Vec, vsub
-from .rootsys import RootSystem, weyl_order
+from .rootsys import DegenerateSplit, RootSystem, weyl_order
 from .torus import TorusPoint
 
 #: Default cap on enumerated group order; admits E7, refuses E8.
@@ -89,12 +94,12 @@ def reflection(rs: RootSystem, alpha) -> WeylElement:
         raise DomainError(f"{alpha} is not a root of {rs.spec.name}")
     n = rs.ambient_dim
     nn = rs.norm2(alpha)
+    coroot_form = [2 * g / nn for g in rs.gram_vec(alpha)]  # x -> 2(x|a)/(a|a)
     rows = []
     for k in range(n):
         row = []
         for j in range(n):
-            ej = tuple(Fraction(1) if t == j else Fraction(0) for t in range(n))
-            val = (Fraction(1) if k == j else Fraction(0)) - 2 * rs.inner(ej, alpha) / nn * alpha[k]
+            val = (Fraction(1) if k == j else Fraction(0)) - coroot_form[j] * alpha[k]
             if val.denominator != 1:
                 raise AssertionError("reflection matrix not integral")
             row.append(int(val))
@@ -112,15 +117,70 @@ def reflect(rs: RootSystem, alpha, x) -> Vec:
     return vsub(x, tuple(c * a for a in alpha))
 
 
-class WeylGroup:
-    """Fully enumerated reflection group of a root system."""
+def _key(matrix) -> bytes:
+    """Index key of an element: the bytes of its int8 matrix."""
+    return np.asarray(matrix, dtype=np.int8).tobytes()
 
-    def __init__(self, rs: RootSystem, elements, generators):
+
+def _closure(gens: np.ndarray, capacity: int):
+    """Breadth-first closure of the identity under right multiplication by gens.
+
+    `gens` is a `(g, n, n)` int8 stack.  Each BFS level is multiplied by
+    every generator in one batched matmul (level-major, generator-minor,
+    which is the order a one-element-at-a-time BFS visits), and products
+    are deduplicated on their int8 bytes.  int8 products wrap mod 256, so
+    they are exact while every entry of the closure fits in int8, which
+    holds for the Weyl groups of every root system here.  Returns the
+    `(N, n, n)` stack, and per element its index key, parent index and
+    generator index (-1 for the identity).
+    """
+    n = gens.shape[1]
+    step = n * n
+    stack = np.empty((max(capacity, 1), n, n), dtype=np.int8)
+    stack[0] = np.eye(n, dtype=np.int8)
+    index = {stack[0].tobytes(): 0}
+    parent, letter = [-1], [-1]
+    lo, count = 0, 1
+    while lo < count:
+        prods = (stack[lo:count, None] @ gens[None]).reshape(-1, n, n)
+        buf = prods.tobytes()
+        new = []
+        for j in range(len(prods)):
+            key = buf[j * step:(j + 1) * step]
+            if key not in index:
+                index[key] = count + len(new)
+                new.append(j)
+        if count + len(new) > len(stack):
+            grown = np.empty((2 * (count + len(new)), n, n), dtype=np.int8)
+            grown[:count] = stack[:count]
+            stack = grown
+        stack[count:count + len(new)] = prods[new]
+        parent.extend(lo + j // len(gens) for j in new)
+        letter.extend(j % len(gens) for j in new)
+        lo, count = count, count + len(new)
+    return stack[:count], index, parent, letter
+
+
+class WeylGroup:
+    """Fully enumerated reflection group of a root system.
+
+    `stack[i]` is the int8 matrix and `signs[i]` the sign of `elements[i]`.
+    """
+
+    def __init__(self, rs: RootSystem, stack, signs, words, generators, index):
         self.rs = rs
-        self.elements = elements
+        self.stack = stack
+        self.signs = signs
         self.generators = generators
-        self.order = len(elements)
-        self._index = {e.matrix: i for i, e in enumerate(elements)}
+        self.order = len(stack)
+        self._index = index
+        rows = {}  # one tuple per distinct row, shared across elements
+        self.elements = []
+        for lo in range(0, self.order, 4096):  # bounded list temporaries
+            for m, s, w in zip(stack[lo:lo + 4096].tolist(),
+                               signs[lo:lo + 4096].tolist(), words[lo:lo + 4096]):
+                m = list(map(tuple, m))
+                self.elements.append(WeylElement(tuple(map(rows.setdefault, m, m)), s, w))
 
     @property
     def identity(self) -> WeylElement:
@@ -128,22 +188,26 @@ class WeylGroup:
 
     def index_of(self, w: WeylElement) -> int:
         try:
-            return self._index[w.matrix]
+            return self._index[_key(w.matrix)]
+        except KeyError:
+            raise DomainError("element does not belong to this Weyl group") from None
+
+    def indices_of(self, stack: np.ndarray) -> list[int]:
+        """Group indices of a stack of int8 matrices (DomainError if any is outside)."""
+        buf, step = stack.tobytes(), stack[0].size if len(stack) else 0
+        try:
+            return [self._index[buf[i * step:(i + 1) * step]] for i in range(len(stack))]
         except KeyError:
             raise DomainError("element does not belong to this Weyl group") from None
 
     def __contains__(self, w: WeylElement) -> bool:
-        return w.matrix in self._index
+        return _key(w.matrix) in self._index
 
     def __iter__(self):
         return iter(self.elements)
 
     def __len__(self):
         return self.order
-
-    def orbit_exact(self, coords) -> list[Vec]:
-        """Images w(coords) for every element, in enumeration order."""
-        return [w.apply(coords) for w in self.elements]
 
 
 def generate_weyl_group(rs: RootSystem, cap: int | None = None) -> WeylGroup:
@@ -162,36 +226,19 @@ def generate_weyl_group(rs: RootSystem, cap: int | None = None) -> WeylGroup:
             cap=cap,
         )
     gens = [reflection(rs, a) for a in rs.simple_roots]
-    gen_mats = [np.array(g.matrix, dtype=np.int64) for g in gens]
-    dim = rs.ambient_dim
-
-    mats = [np.eye(dim, dtype=np.int64)]
-    words = [()]
-    signs = [1]
-    seen = {mats[0].tobytes(): 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for idx in frontier:
-            base = mats[idx]
-            for gi, gm in enumerate(gen_mats):
-                prod = base @ gm  # right-multiply: word grows on the right
-                key = prod.tobytes()
-                if key not in seen:
-                    seen[key] = len(mats)
-                    mats.append(prod)
-                    words.append(words[idx] + (gi,))
-                    signs.append(-signs[idx])
-                    nxt.append(len(mats) - 1)
-        frontier = nxt
-    if len(mats) != expected:
+    stack, index, parent, letter = _closure(
+        np.array([g.matrix for g in gens], dtype=np.int8), expected
+    )
+    if len(stack) != expected:
         raise AssertionError(
-            f"enumerated {len(mats)} elements for {rs.spec.name}, expected {expected}"
+            f"enumerated {len(stack)} elements for {rs.spec.name}, expected {expected}"
         )
-    elements = [
-        WeylElement(_to_tuple(m), s, w) for m, s, w in zip(mats, signs, words)
-    ]
-    return WeylGroup(rs, elements, gens)
+    words = [()]
+    for p, g in zip(parent[1:], letter[1:]):
+        words.append(words[p] + (g,))
+    # Every generator is a reflection, so the sign is the parity of the word.
+    signs = np.array([1 - 2 * (len(w) % 2) for w in words], dtype=np.int8)
+    return WeylGroup(rs, stack, signs, words, gens, index)
 
 
 @dataclass(frozen=True)
@@ -234,34 +281,13 @@ def fixes_torus_point(rs: RootSystem, w: WeylElement, h0: TorusPoint) -> bool:
     return rs.in_coroot_lattice(half)
 
 
-def _closure_of(rs: RootSystem, seeds, dim) -> list[WeylElement]:
-    mats = [np.eye(dim, dtype=np.int64)]
-    words = [()]
-    signs = [1]
-    seen = {mats[0].tobytes(): 0}
-    seed_mats = [np.array(s.matrix, dtype=np.int64) for s in seeds]
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for idx in frontier:
-            for sm, sw in zip(seed_mats, seeds):
-                prod = mats[idx] @ sm
-                key = prod.tobytes()
-                if key not in seen:
-                    seen[key] = len(mats)
-                    mats.append(prod)
-                    words.append(words[idx])
-                    signs.append(-signs[idx])
-                    nxt.append(len(mats) - 1)
-        frontier = nxt
-    return [WeylElement(_to_tuple(m), s, ()) for m, s in zip(mats, signs)]
-
-
 def stabilizer(
     rs: RootSystem,
     group: WeylGroup,
     h0: TorusPoint,
     mode: str = "auto",
+    *,
+    split: DegenerateSplit | None = None,
 ) -> Stabilizer:
     """Stabilizer of an exact torus point inside an enumerated Weyl group.
 
@@ -269,21 +295,23 @@ def stabilizer(
     from the reflections in degenerate roots; "auto" picks "filtered" up to
     order 1e5 and "closure" beyond; "crosscheck" runs both and asserts they
     agree (intended for alcove points, where the identification is a
-    theorem).
+    theorem).  `split` is `rs.degenerate_split(h0)` when the caller has it.
     """
     rs.validate_point(h0)
     if not h0.exact:
         raise DomainError("stabilizer requires an exact torus point")
-    split = rs.degenerate_split(h0)
+    if split is None:
+        split = rs.degenerate_split(h0)
     gen_refl = tuple(reflection(rs, a) for a in split.deg)
+    n = rs.ambient_dim
 
     def filtered():
         return tuple(w for w in group.elements if fixes_torus_point(rs, w, h0))
 
     def closure():
-        elems = _closure_of(rs, gen_refl, rs.ambient_dim)
-        idx = sorted(group.index_of(e) for e in elems)
-        return tuple(group.elements[i] for i in idx)
+        gens = np.array([g.matrix for g in gen_refl], dtype=np.int8).reshape(-1, n, n)
+        stack = _closure(gens, 16)[0]
+        return tuple(group.elements[i] for i in sorted(group.indices_of(stack)))
 
     if mode == "auto":
         mode = "filtered" if group.order <= FILTER_THRESHOLD else "closure"
@@ -322,23 +350,21 @@ class CosetTransversal:
 def coset_transversal(group: WeylGroup, w0: Stabilizer | list) -> CosetTransversal:
     """One representative per left coset of W0, each minimal in BFS order."""
     members = list(w0.elements if isinstance(w0, Stabilizer) else w0)
-    member_idx = set()
-    for s in members:
-        member_idx.add(group.index_of(s))
+    sub = np.array([s.matrix for s in members], dtype=np.int8)
+    group.indices_of(sub)  # W0 must lie inside W
     if group.order % len(members) != 0:
         raise DomainError("W0 is not a subgroup: order does not divide |W|")
-    sub_mats = [np.array(s.matrix, dtype=np.int64) for s in members]
     assigned = bytearray(group.order)
     reps = []
     for i, w in enumerate(group.elements):
         if assigned[i]:
             continue
         reps.append(w)
-        wm = np.array(w.matrix, dtype=np.int64)
-        for sm in sub_mats:
-            j = group._index.get(_to_tuple(wm @ sm))
-            if j is None:
-                raise DomainError("W0 is not closed inside W")
+        try:
+            coset = group.indices_of(group.stack[i] @ sub)
+        except DomainError:
+            raise DomainError("W0 is not closed inside W") from None
+        for j in coset:
             assigned[j] = 1
     if len(reps) * len(members) != group.order:
         raise AssertionError("transversal does not partition the group")
