@@ -51,8 +51,11 @@ from .exactlin import (
     Vec, common_denominator, int_dtype, int_matvec, vadd, vscale, vsub, vsum, vzero,
 )
 from .rootsys import EPS_SNAP, DegenerateSplit, RootSystem
-from .torus import TorusPoint, exact_point
-from .utils import fold_angle, pairwise_sum, sin_half_angle, sin_half_pi, unit_phase
+from .torus import TorusPoint, exact_point, float_point
+from .utils import (
+    as_complex, cmul, cquot, fold_angle, ordered_dot, pairwise_sum, sin_half_angle,
+    sin_half_pi, unit_phase,
+)
 from .weylgroup import (
     CosetTransversal,
     WeylElement,
@@ -69,6 +72,10 @@ ORACLE_DIM_CAP = 100_000
 
 #: Denominator bound for rationalizing snapped floating points.
 SNAP_MAX_DENOMINATOR = 10**6
+
+#: Entries (point x Weyl element x coordinate) per block of the float Weyl
+#: sum; bounds its working arrays at a few MB whatever the stack size.
+FLOAT_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -181,7 +188,9 @@ def char_regular(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
     eta = vadd(lam, rs.weyl_vector)
     if h.exact:
         return _char_regular_exact(rs, eta, h)
-    return _char_regular_float(rs, eta, h)
+    points = np.array([h.coords])
+    cv = _char_regular_float(rs, eta, points, rs.float_pairings(points))
+    return CharacterValue(complex(cv.value[0]), float(cv.condition[0]))
 
 
 def _char_regular_exact(rs: RootSystem, eta: Vec, h: TorusPoint) -> CharacterValue:
@@ -197,31 +206,39 @@ def _char_regular_exact(rs: RootSystem, eta: Vec, h: TorusPoint) -> CharacterVal
     return CharacterValue(value, condition)
 
 
-def _char_regular_float(rs: RootSystem, eta: Vec, h: TorusPoint) -> CharacterValue:
+def _char_regular_float(
+    rs: RootSystem, eta: Vec, points: np.ndarray, pairings: np.ndarray
+) -> CharacterValue:
+    """Weyl character formula at a stack of regular floating points.
+
+    `points` is an (N, n) array of radians and `pairings` its
+    `rs.float_pairings`, which give the Weyl denominator.  Returns a
+    CharacterValue of (N,) arrays.  The W*h products and the phases are
+    summed coordinate by coordinate (`ordered_dot`), the signed terms by
+    `pairwise_sum` over W in enumeration order, and complex products and
+    the quotient follow Python's arithmetic, so each row has the bits of a
+    per-point loop over W, whatever the stack around it.
+    """
     group = cached_weyl_group(rs)
-    eta_f = tuple(float(x) for x in eta)
-    gram_f = [[float(g) for g in row] for row in rs.gram]
+    eta_f = [float(x) for x in eta]
     if rs._gram_is_identity:
         geta = eta_f
     else:
-        geta = tuple(sum(gram_f[i][j] * eta_f[j] for j in range(len(eta_f)))
-                     for i in range(len(eta_f)))
-    terms = []
-    for w in group.elements:
-        wc = tuple(sum(m * x for m, x in zip(row, h.coords)) for row in w.matrix)
-        phase = fold_angle(sum(a * b for a, b in zip(geta, wc)))
-        terms.append(w.sign * complex(math.cos(phase), math.sin(phase)))
-    num = pairwise_sum(terms)
-    den = 1 + 0j
-    for a in rs.positive_roots:
-        if rs._gram_is_identity:
-            p = sum(float(x) * y for x, y in zip(a, h.coords))
-        else:
-            ga = exactlin.mat_vec(rs.gram, a)
-            p = sum(float(x) * y for x, y in zip(ga, h.coords))
-        den *= 2j * sin_half_angle(p)
-    value = num / den
-    condition = len(terms) / abs(den) * _MACHINE_EPS
+        geta = ordered_dot([[float(g) for g in row] for row in rs.gram], eta_f)
+    mats = group.stack.astype(float)
+    signs = group.signs.astype(float)
+    block = max(1, FLOAT_BLOCK // (group.order * rs.ambient_dim))
+    num = np.empty(len(points), dtype=complex)
+    for lo in range(0, len(points), block):
+        wh = ordered_dot(mats, points[lo:lo + block, None, None, :])  # (b, |W|, n)
+        phase = fold_angle(ordered_dot(geta, wh))
+        terms = cmul(signs, as_complex(np.cos(phase), np.sin(phase)))
+        num[lo:lo + block] = pairwise_sum(terms.T)
+    den = np.ones(len(points), dtype=complex)
+    for p in pairings.T:
+        den = cmul(den, cmul(2j, sin_half_angle(p)))
+    value = cquot(num, den)
+    condition = group.order / np.hypot(den.real, den.imag) * _MACHINE_EPS
     return CharacterValue(value, condition)
 
 
@@ -234,14 +251,16 @@ def is_near_singular(rs: RootSystem, h: TorusPoint) -> bool:
     return bool(rs.degenerate_split(h).deg)
 
 
-def snap_to_exact(rs: RootSystem, h: TorusPoint) -> TorusPoint:
+def snap_to_exact(rs: RootSystem, h: TorusPoint, *, near=None) -> TorusPoint:
     """Rationalize a floating point onto its singular stratum, or fail loudly.
 
     Coordinates are reconstructed as rationals with denominator at most
     1e6 (type A reconstructs the last coordinate from the sum-zero
     constraint).  The snap succeeds only if the reconstruction moves every
     coordinate by less than the snap tolerance and turns every
-    near-degenerate pairing into an exact one.
+    near-degenerate pairing into an exact one.  `near` flags, per positive
+    root, whether its pairing with h is within the snap tolerance of
+    2*pi*Z, when the caller has it.
     """
     if h.exact:
         return h
@@ -262,12 +281,10 @@ def snap_to_exact(rs: RootSystem, h: TorusPoint) -> TorusPoint:
                 f"<= {SNAP_MAX_DENOMINATOR}"
             )
     snapped = exact_point(coeffs)
-    for a in rs.positive_roots:
-        if rs._gram_is_identity:
-            p = sum(float(x) * y for x, y in zip(a, rad))
-        else:
-            p = sum(float(x) * y for x, y in zip(exactlin.mat_vec(rs.gram, a), rad))
-        if abs(fold_angle(p)) < EPS_SNAP and rs.pairing_coeff(a, snapped) % 2 != 0:
+    if near is None:
+        near = np.abs(fold_angle(rs.float_pairings([rad])[0])) < EPS_SNAP
+    for a, d in zip(rs.positive_roots, near.tolist()):
+        if d and rs.pairing_coeff(a, snapped) % 2 != 0:
             raise SnapError(
                 f"cannot rationalize {h}: near-degenerate root {a} does not "
                 "land exactly on the stratum after reconstruction"
@@ -383,16 +400,45 @@ def char_singular(
     return _cached_evaluator(rs, split).evaluate(lam)
 
 
-def character(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
+def character(rs: RootSystem, lam, h) -> CharacterValue:
     """Evaluate the character at any torus point, dispatching on degeneracy.
 
-    The degenerate split of an exact (or snapped) point is computed once
-    and handed down.
+    `h` is a TorusPoint, or a stack of floating points as an (N, n) array
+    of radians; a stack gives a CharacterValue of (N,) arrays whose row i
+    is character(rs, lam, float_point(h[i])).  A floating point is regular
+    unless some root pairing lies within EPS_SNAP of 2*pi*Z: the regular
+    rows share one `_char_regular_float` call, and the others are snapped
+    onto their stratum and evaluated exactly, once per distinct snapped
+    point.  The degenerate split of an exact (or snapped) point is
+    computed once and handed down.
     """
-    if not h.exact:
-        if not is_near_singular(rs, h):
-            return char_regular(rs, lam, h)
-        h = snap_to_exact(rs, h)
+    single = isinstance(h, TorusPoint)
+    if single:
+        if h.exact:
+            return _char_exact(rs, lam, h)
+        rs.validate_point(h)
+    points = np.array([h.coords]) if single else np.asarray(h, dtype=float)
+    pairings = rs.float_pairings(points)
+    near_roots = np.abs(fold_angle(pairings)) < EPS_SNAP
+    near = near_roots.any(axis=1)
+    value = np.empty(len(points), dtype=complex)
+    condition = np.empty(len(points))
+    if not near.all():
+        eta = vadd(_dominant(rs, lam), rs.weyl_vector)
+        cv = _char_regular_float(rs, eta, points[~near], pairings[~near])
+        value[~near], condition[~near] = cv.value, cv.condition
+    snapped = {}
+    for i in np.flatnonzero(near).tolist():
+        h0 = snap_to_exact(rs, float_point(points[i]), near=near_roots[i])
+        if h0 not in snapped:
+            snapped[h0] = _char_exact(rs, lam, h0)
+        value[i], condition[i] = snapped[h0].value, snapped[h0].condition
+    if single:
+        return CharacterValue(complex(value[0]), float(condition[0]))
+    return CharacterValue(value, condition)
+
+
+def _char_exact(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
     split = rs.degenerate_split(h)
     if split.deg:
         return char_singular(rs, lam, h, split=split)
@@ -694,15 +740,10 @@ def char_weightsum_oracle(
     if h.exact:
         value = _phase_sum(_weight_exponents(rs, mults, h))
     else:
-        gram_f = rs.gram
-        terms = []
-        for mu, m in sorted(mults.items()):
-            if rs._gram_is_identity:
-                p = sum(float(x) * y for x, y in zip(mu, h.coords))
-            else:
-                p = sum(float(x) * y for x, y in zip(exactlin.mat_vec(gram_f, mu), h.coords))
-            p = fold_angle(p)
-            terms.append(m * complex(math.cos(p), math.sin(p)))
+        items = sorted(mults.items())
+        forms = [[float(x) for x in rs.gram_vec(mu)] for mu, _ in items]
+        phase = fold_angle(ordered_dot(forms, h.coords))
+        terms = cmul([m for _, m in items], as_complex(np.cos(phase), np.sin(phase)))
         value = pairwise_sum(terms)
     dim = sum(mults.values())
     return CharacterValue(value, dim * _MACHINE_EPS)

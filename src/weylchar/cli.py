@@ -26,6 +26,23 @@ from .weylgroup import generate_weyl_group
 
 _PI_ENTRY = re.compile(r"^([+-]?)(\d+)?(?:/(\d+))?\*?pi(?:/(\d+))?$")
 
+#: Options each subcommand cannot run without (spectral's --l sets --weight).
+_REQUIRED = {
+    "dim": ("weight",),
+    "char": ("weight", "point"),
+    "sweep": ("point",),
+    "certificate": ("weight", "point"),
+    "spectral": ("weight",),
+}
+
+
+def _fraction(text: str, field: str) -> Fraction:
+    """An exact rational from text, or a ConfigError naming the option."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"cannot parse {field} entry {text!r}", field=field) from None
+
 
 def parse_group(text: str) -> list[RootSystem]:
     """Parse "A2" or a product like "A1xA1" into root-system factors."""
@@ -45,13 +62,15 @@ def parse_point_entry(text: str):
     if m:
         sign, num, den1, den2 = m.groups()
         if den1 and den2:
-            raise ConfigError(f"malformed pi entry {text!r}")
+            raise ConfigError(f"malformed pi entry {text!r}", field="point")
+        if int(den1 or den2 or 1) == 0:
+            raise ConfigError(f"zero denominator in pi entry {text!r}", field="point")
         val = Fraction(int(num) if num else 1, int(den1 or den2 or 1))
         return -val if sign == "-" else val
     try:
         return float(text)
     except ValueError:
-        raise ConfigError(f"cannot parse torus coordinate {text!r}") from None
+        raise ConfigError(f"cannot parse torus coordinate {text!r}", field="point") from None
 
 
 def parse_point(text: str, ambient_dim: int) -> TorusPoint:
@@ -90,7 +109,7 @@ def parse_weight(text: str, factors: list[RootSystem], basis: str):
             )
         pos = 0
         for rs in factors:
-            coeffs = [Fraction(e) for e in entries[pos: pos + rs.rank]]
+            coeffs = [_fraction(e, "weight") for e in entries[pos: pos + rs.rank]]
             pos += rs.rank
             out.append(rs.weight_from_fundamental(coeffs))
     elif basis == "ambient":
@@ -100,7 +119,8 @@ def parse_weight(text: str, factors: list[RootSystem], basis: str):
             )
         pos = 0
         for rs in factors:
-            out.append(tuple(Fraction(e) for e in entries[pos: pos + rs.ambient_dim]))
+            out.append(tuple(_fraction(e, "weight")
+                             for e in entries[pos: pos + rs.ambient_dim]))
             pos += rs.ambient_dim
     else:
         raise ConfigError(f"unknown weight basis {basis!r}")
@@ -307,6 +327,10 @@ def _run_spectral(cfg: RunConfig, factors, weights):
 def run(cfg: RunConfig) -> dict:
     """Execute a resolved configuration and return the output document."""
     factors = parse_group(cfg.group)
+    for name in _REQUIRED.get(cfg.subcommand, ()):
+        if cfg.options.get(name) is None:
+            flag = "--weight or --l" if cfg.subcommand == "spectral" else f"--{name}"
+            raise ConfigError(f"{cfg.subcommand} needs {flag}", field=name)
     weights = points = None
     if "weight" in cfg.options and cfg.options["weight"] is not None:
         weights = parse_weight(cfg.options["weight"], factors,
@@ -431,14 +455,17 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(args.subcommand, args.group, opts)
     if cfg.subcommand == "sweep":
         if opts.get("schedule"):
-            cfg.options["schedule"] = [int(k) for k in str(opts["schedule"]).split(",")]
+            ks = [_fraction(k, "schedule") for k in str(opts["schedule"]).split(",")]
+            if any(k.denominator != 1 for k in ks):
+                raise ConfigError("--schedule takes whole numbers", field="schedule")
+            cfg.options["schedule"] = [int(k) for k in ks]
         else:
             cfg.options["schedule"] = list(range(1, opts.get("kmax", 20) + 1))
     if cfg.subcommand == "spectral":
         if opts.get("l") is not None:
-            two_l = Fraction(str(opts["l"])) * 2
+            two_l = _fraction(str(opts["l"]), "l") * 2
             if two_l.denominator != 1:
-                raise ConfigError("--l must be a half-integer")
+                raise ConfigError("--l must be a half-integer", field="l")
             cfg.options["weight"] = str(int(two_l))
         if opts.get("sample") is not None and opts.get("seed") is None:
             raise ConfigError("sampling requires --seed for reproducibility")

@@ -11,9 +11,16 @@ class WeylcharError(Exception):
 
 
 class ConfigError(WeylcharError):
-    """Invalid configuration: unknown family, rank out of bounds, bad flags."""
+    """Invalid configuration: unknown family, rank out of bounds, bad flags.
+
+    `field` names the offending option (e.g. "weight"), when there is one.
+    """
 
     exit_code = 2
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class CapacityError(WeylcharError):

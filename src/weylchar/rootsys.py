@@ -23,7 +23,7 @@ from .exactlin import (
     Vec, common_denominator, dot, int_matvec, mat_vec, vadd, vscale, vsub, vsum, vzero,
 )
 from .torus import TorusPoint
-from .utils import fold_angle
+from .utils import fold_angle, ordered_dot
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -94,12 +94,17 @@ class DegenerateSplit:
 
 
 class RootSystem:
-    """Immutable root-system data plus exact geometry helpers."""
+    """Immutable root-system data plus exact geometry helpers.
+
+    Positive roots are kept in increasing height, ties broken by their
+    coordinates.  Heights and `root_coeffs` come from one exact solve, for
+    the fundamental coweights w_i, (w_i|a_j) = delta_ij: the coefficient of
+    the simple root a_i in a root r is (w_i|r).
+    """
 
     def __init__(self, spec: RootSystemSpec, simple_roots, positive_roots, gram):
         self.spec = spec
         self.simple_roots = tuple(simple_roots)
-        self.positive_roots = tuple(positive_roots)
         self.gram = tuple(tuple(Fraction(g) for g in row) for row in gram)
         self.ambient_dim = len(self.simple_roots[0])
         n = self.ambient_dim
@@ -107,6 +112,14 @@ class RootSystem:
             self.gram[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n)
         )
         self.rank = spec.rank
+        self._coweights = _coweights(self.simple_roots, self.gram)
+        self._fundamental_weights = tuple(
+            vscale(self.norm2(a) / 2, w) for a, w in zip(self.simple_roots, self._coweights)
+        )
+        # Coefficients of each positive root over the simple roots.
+        coeffs = {r: self._simple_coefficients(r) for r in positive_roots}
+        self.positive_roots = tuple(sorted(positive_roots, key=lambda r: (sum(coeffs[r]), r)))
+        self.root_coeffs = {r: coeffs[r] for r in self.positive_roots}
         self.weyl_vector = vscale(Fraction(1, 2), vsum(self.positive_roots, self.ambient_dim))
         self.cartan_matrix = tuple(
             tuple(int(2 * self.inner(a, b) / self.inner(b, b)) for b in self.simple_roots)
@@ -116,19 +129,26 @@ class RootSystem:
             tuple(-x for x in r) for r in self.positive_roots
         )
         self._pos_set = frozenset(self.positive_roots)
-        # Coefficients of each positive root over the simple roots.
-        self.root_coeffs = {}
-        for r in self.positive_roots:
-            coeffs = exactlin.span_coefficients(self.simple_roots, self.gram, r)
-            if coeffs is None or any(c.denominator != 1 or c < 0 for c in coeffs):
-                raise AssertionError("positive root not a nonnegative integer combination")
-            self.root_coeffs[r] = tuple(int(c) for c in coeffs)
         # Rows G*alpha over one denominator: (alpha|h) = (rows @ h) / den.
         forms, self._pos_forms_den = common_denominator(
             x for a in self.positive_roots for x in self.gram_vec(a)
         )
         self._pos_forms = np.array(forms, dtype=np.int64).reshape(-1, n)
+        # The same rows in floats, for floating points: (alpha|h) = rows . h.
+        self._pos_forms_float = np.array(
+            [[float(x) for x in self.gram_vec(a)] for a in self.positive_roots]
+        )
         self._check_invariants()
+
+    def _simple_coefficients(self, r) -> tuple[int, ...]:
+        """Nonnegative integer coefficients of a positive root over the simple roots."""
+        coeffs = [self.inner(w, r) for w in self._coweights]
+        recon = vzero(self.ambient_dim)
+        for c, a in zip(coeffs, self.simple_roots):
+            recon = vadd(recon, vscale(c, a))
+        if recon != tuple(r) or any(c.denominator != 1 or c < 0 for c in coeffs):
+            raise AssertionError("positive root not a nonnegative integer combination")
+        return tuple(int(c) for c in coeffs)
 
     # -- construction-time checks -------------------------------------------------
 
@@ -217,33 +237,11 @@ class RootSystem:
 
     def fundamental_weights(self) -> tuple[Vec, ...]:
         """omega_i in span(simple roots) with 2(omega_i|a_j)/(a_j|a_j) = delta_ij."""
-        return self._fundamental_dual(coweight=False)
+        return self._fundamental_weights
 
     def fundamental_coweights(self) -> tuple[Vec, ...]:
         """w_i in span(simple roots) with (w_i|a_j) = delta_ij."""
-        return self._fundamental_dual(coweight=True)
-
-    @lru_cache(maxsize=None)
-    def _fundamental_dual(self, coweight: bool) -> tuple[Vec, ...]:
-        out = []
-        basis = self.simple_roots
-        k = len(basis)
-        gb = [mat_vec(self.gram, b) for b in basis]
-        a = [[dot(gb[i], basis[j]) for j in range(k)] for i in range(k)]
-        for i in range(k):
-            if coweight:
-                rhs = [Fraction(1) if j == i else Fraction(0) for j in range(k)]
-            else:
-                rhs = [
-                    self.inner(basis[i], basis[i]) / 2 if j == i else Fraction(0)
-                    for j in range(k)
-                ]
-            x = exactlin.solve(a, rhs)
-            v = vzero(self.ambient_dim)
-            for c, b in zip(x, basis):
-                v = vadd(v, vscale(c, b))
-            out.append(v)
-        return tuple(out)
+        return self._coweights
 
     def weight_from_fundamental(self, coeffs) -> Vec:
         """Ambient weight Sum a_i omega_i from fundamental coordinates."""
@@ -286,14 +284,25 @@ class RootSystem:
             for a, p in zip(self.positive_roots, pairing.tolist()):
                 (ndeg if p else deg).append(a)
         else:
-            rad = h0.coords
-            for a in self.positive_roots:
-                if self._gram_is_identity:
-                    p = sum(float(x) * y for x, y in zip(a, rad))
-                else:
-                    p = sum(float(x) * y for x, y in zip(mat_vec(self.gram, a), rad))
-                (deg if abs(fold_angle(p)) < EPS_SNAP else ndeg).append(a)
+            near = np.abs(fold_angle(self.float_pairings([h0.coords])[0])) < EPS_SNAP
+            for a, d in zip(self.positive_roots, near.tolist()):
+                (deg if d else ndeg).append(a)
         return DegenerateSplit(h0, tuple(deg), tuple(ndeg))
+
+    def float_pairings(self, points) -> np.ndarray:
+        """(alpha|h) for every floating point h (rows of radians) and positive root alpha.
+
+        Returns an (N, #positive roots) array.  Each pairing is the float
+        sum of float(G alpha)_j * h_j, added in coordinate order.
+        """
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.ambient_dim:
+            raise DomainError(
+                f"torus points need {self.ambient_dim} coordinates"
+            )
+        if not np.isfinite(points).all():
+            raise DomainError("floating torus points need finite coordinates")
+        return ordered_dot(self._pos_forms_float, points[:, None, :])
 
     # -- Dynkin combinatorics -------------------------------------------------------
 
@@ -504,6 +513,21 @@ def _exceptional_data(spec: RootSystemSpec):
     return simple, positive, gram
 
 
+def _coweights(simple, gram) -> tuple[Vec, ...]:
+    """w_i in span(simple) with (w_i|a_j) = delta_ij, by one exact Gram solve each."""
+    k = len(simple)
+    gb = [mat_vec(gram, b) for b in simple]
+    a = [[dot(gb[i], simple[j]) for j in range(k)] for i in range(k)]
+    out = []
+    for i in range(k):
+        x = exactlin.solve(a, [Fraction(int(j == i)) for j in range(k)])
+        v = vzero(len(simple[0]))
+        for c, b in zip(x, simple):
+            v = vadd(v, vscale(c, b))
+        out.append(v)
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def _build_cached(family: str, rank: int) -> RootSystem:
     spec = RootSystemSpec(family, rank)
@@ -511,13 +535,7 @@ def _build_cached(family: str, rank: int) -> RootSystem:
         simple, positive, gram = _classical_data(spec)
     else:
         simple, positive, gram = _exceptional_data(spec)
-    positive = sorted(positive, key=lambda r: (_height_key(simple, gram, r), r))
     return RootSystem(spec, simple, positive, gram)
-
-
-def _height_key(simple, gram, r):
-    coeffs = exactlin.span_coefficients(tuple(simple), tuple(tuple(x) for x in gram), r)
-    return sum(coeffs)
 
 
 def build_root_system(spec: RootSystemSpec | str, rank: int | None = None) -> RootSystem:
@@ -534,25 +552,3 @@ def build_root_system(spec: RootSystemSpec | str, rank: int | None = None) -> Ro
         else:
             spec = RootSystemSpec(spec.upper(), rank)
     return _build_cached(spec.family, spec.rank)
-
-
-# Module-level operation surface (thin wrappers over the methods).
-
-def inner(rs: RootSystem, x, y) -> Fraction:
-    return rs.inner(x, y)
-
-
-def is_integral_weight(rs: RootSystem, lam) -> bool:
-    return rs.is_integral_weight(lam)
-
-
-def degenerate_split(rs: RootSystem, h0: TorusPoint) -> DegenerateSplit:
-    return rs.degenerate_split(h0)
-
-
-def dynkin_path(rs: RootSystem, i: int, j: int) -> list[int]:
-    return rs.dynkin_path(i, j)
-
-
-def chain_sum_root(rs: RootSystem, chain) -> Vec:
-    return rs.chain_sum_root(chain)

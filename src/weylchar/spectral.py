@@ -10,7 +10,6 @@ the Kesten-McKay law supported on [-2 sqrt(s-1)/s, 2 sqrt(s-1)/s].
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -21,11 +20,18 @@ import numpy as np
 from .charcalc import character, dim_irrep
 from .errors import CapacityError, DomainError
 from .rootsys import RootSystem
-from .torus import TorusPoint, float_point
-from .utils import pairwise_sum
+from .torus import float_point
+from .utils import cquot, ordered_dot, pairwise_sum
 
 #: moment_exact enumerates at most this many words; beyond it, sample.
 WORD_CAP = 10**6
+
+#: Words evaluated per stack: bounds the working memory of a moment at a few
+#: MB (products, eigenphases, Weyl sums), however many words it sums.
+WORD_CHUNK = 4096
+
+#: Word products are re-unitarized (polar factor) after every this many letters.
+UNITARIZE_EVERY = 16
 
 _UNITARY_TOL = 1e-10
 
@@ -125,34 +131,45 @@ def catalog_su2_free_pair() -> GeneratorSet:
 # ---------------------------------------------------------------------------
 
 
-def conjugacy_phases(g) -> TorusPoint:
-    """Eigenphases of a special-unitary matrix as a floating torus point.
+def _sorted_desc(rows: np.ndarray) -> np.ndarray:
+    """Each row sorted descending, equal entries kept in order (like sorted(reverse=True))."""
+    return np.take_along_axis(rows, np.argsort(-rows, axis=1, kind="stable"), axis=1)
+
+
+def conjugacy_phases(g):
+    """Eigenphases of special-unitary matrices as floating torus points.
 
     Phases are taken in (-pi, pi], then whole multiples of 2*pi are moved
     between branches so the sum vanishes (det g = 1 makes the total an
     exact multiple of 2*pi); finally a common shift removes the float
     residue.  Sorted descending, the result is a Cartan representative of
     the conjugacy class.
+
+    One (n, n) matrix gives a TorusPoint.  An (N, n, n) stack gives an
+    (N, n) array of radians whose row i has the bits of
+    conjugacy_phases(g[i]); every matrix must pass the unitarity and
+    determinant checks, or DomainError is raised.
     """
     g = np.asarray(g, dtype=complex)
-    n = g.shape[0]
-    if np.abs(g @ g.conj().T - np.eye(n)).max() > _UNITARY_TOL:
+    stack = g[None] if g.ndim == 2 else g
+    n = stack.shape[-1]
+    gram = stack @ stack.conj().swapaxes(-1, -2)
+    if (np.abs(gram - np.eye(n)).max(axis=(-2, -1)) > _UNITARY_TOL).any():
         raise DomainError("conjugacy_phases needs a unitary matrix")
-    if abs(np.linalg.det(g) - 1) > _UNITARY_TOL:
+    if (np.abs(np.linalg.det(stack) - 1) > _UNITARY_TOL).any():
         raise DomainError("conjugacy_phases needs determinant 1")
-    phases = sorted(np.angle(np.linalg.eigvals(g)), reverse=True)
-    k = round(sum(phases) / (2 * math.pi))
+    phases = _sorted_desc(np.angle(np.linalg.eigvals(stack)))
+    ones = np.ones(n)
+    k = np.rint(ordered_dot(phases, ones) / (2 * math.pi)).astype(np.int64)
     # Move 2*pi quanta at the extremes; a *common* shift would multiply g by
     # a central element and change the character.
-    for _ in range(abs(k)):
-        if k > 0:
-            phases[0] -= 2 * math.pi
-        else:
-            phases[-1] += 2 * math.pi
-        phases.sort(reverse=True)
-    residue = sum(phases) / n
-    out = tuple(sorted((p - residue for p in phases), reverse=True))
-    return float_point(out)
+    for step in range(int(np.abs(k).max(initial=0))):
+        phases[(k > step), 0] -= 2 * math.pi
+        phases[(k < -step), -1] += 2 * math.pi
+        phases = _sorted_desc(phases)
+    residue = ordered_dot(phases, ones) / n
+    out = _sorted_desc(phases - residue[:, None])
+    return float_point(out[0]) if g.ndim == 2 else out
 
 
 # ---------------------------------------------------------------------------
@@ -160,20 +177,61 @@ def conjugacy_phases(g) -> TorusPoint:
 # ---------------------------------------------------------------------------
 
 
-def _char_ratio(rs: RootSystem, lam, word_matrix, dim: int) -> complex:
-    h = conjugacy_phases(word_matrix)
-    return character(rs, lam, h).value / dim
+def _unitarize(stack: np.ndarray) -> np.ndarray:
+    """The polar (unitary) factor of every matrix of a stack.
+
+    Long products drift off the unitary group; re-unitarizing keeps phase
+    extraction accurate.
+    """
+    u, _, vh = np.linalg.svd(stack)
+    return u @ vh
 
 
-def _word_matrix(gens: GeneratorSet, word) -> np.ndarray:
-    out = np.eye(gens.dim, dtype=complex)
-    for i, idx in enumerate(word):
-        out = out @ gens.elements[idx]
-        if (i + 1) % 16 == 0:
-            # polar re-unitarization keeps phase extraction accurate
-            u, _, vh = np.linalg.svd(out)
-            out = u @ vh
-    return out
+def _extend(gens: np.ndarray, stack: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Append letters start..stop-1 to every word of a stack, all s choices each.
+
+    Row r of the input becomes rows r*s^k .. (r+1)*s^k - 1 of the output,
+    so words stay in lexicographic order.  Products are taken one letter
+    at a time, P_k = P_{k-1} @ g, re-unitarized after every
+    UNITARIZE_EVERY-th letter, the same matmul sequence as a word built
+    on its own.
+    """
+    n = stack.shape[-1]
+    for i in range(start, stop):
+        stack = (stack[:, None] @ gens[None]).reshape(-1, n, n)
+        if (i + 1) % UNITARIZE_EVERY == 0:
+            stack = _unitarize(stack)
+    return stack
+
+
+def _word_blocks(gens: GeneratorSet, m: int):
+    """Products of all s^m words of length m, in lexicographic order.
+
+    Yields stacks of at most max(WORD_CHUNK, s) words.  Each word shares
+    the products of its prefixes with its neighbours: the head letters are
+    walked depth first, one product per prefix, and the last t letters
+    (s^t <= WORD_CHUNK) are expanded as one stack per head.
+    """
+    mats = np.stack(gens.elements)
+    s = gens.size
+    t = 1
+    while t < m and s ** (t + 1) <= WORD_CHUNK:
+        t += 1
+    head = m - t
+
+    def walk(prefix, depth):
+        if depth == head:
+            yield _extend(mats, prefix, head, m)
+            return
+        for j in range(s):
+            yield from walk(_extend(mats[j:j + 1], prefix, depth, depth + 1), depth + 1)
+
+    yield from walk(np.eye(gens.dim, dtype=complex)[None], 0)
+
+
+def _char_ratios(rs: RootSystem, lam, words: np.ndarray, dim: int) -> np.ndarray:
+    """chi_lambda(w) / dim for a stack of word products, as Python divides."""
+    return cquot(character(rs, lam, conjugacy_phases(words)).value, dim)
 
 
 def moment_exact(rs: RootSystem, lam, gens: GeneratorSet, m: int) -> float:
@@ -191,10 +249,8 @@ def moment_exact(rs: RootSystem, lam, gens: GeneratorSet, m: int) -> float:
             cap=WORD_CAP,
         )
     d = dim_irrep(rs, lam)
-    terms = [
-        _char_ratio(rs, lam, _word_matrix(gens, word), d)
-        for word in itertools.product(range(gens.size), repeat=m)
-    ]
+    terms = np.concatenate([_char_ratios(rs, lam, block, d)
+                            for block in _word_blocks(gens, m)])
     total = pairwise_sum(terms) / n_words
     if gens.symmetric and abs(total.imag) >= 1e-8:
         raise AssertionError(
@@ -210,6 +266,8 @@ def moment_sampled(
 
     The stream is a counter-based Philox generator, so results are
     reproducible from the seed alone regardless of execution order.
+    Words are multiplied WORD_CHUNK at a time, letter by letter, with the
+    same re-unitarization as moment_exact.
     """
     lam = rs.validate_weight(lam)
     if n_samples < 100:
@@ -219,9 +277,17 @@ def moment_sampled(
     d = dim_irrep(rs, lam)
     rng = np.random.Generator(np.random.Philox(seed))
     words = rng.integers(0, gens.size, size=(n_samples, m))
-    vals = [
-        _char_ratio(rs, lam, _word_matrix(gens, word), d).real for word in words
-    ]
+    mats = np.stack(gens.elements)
+    ratios = []
+    for lo in range(0, n_samples, WORD_CHUNK):
+        chunk = words[lo:lo + WORD_CHUNK]
+        stack = np.repeat(np.eye(gens.dim, dtype=complex)[None], len(chunk), axis=0)
+        for i in range(m):
+            stack = stack @ mats[chunk[:, i]]
+            if (i + 1) % UNITARIZE_EVERY == 0:
+                stack = _unitarize(stack)
+        ratios.append(_char_ratios(rs, lam, stack, d))
+    vals = np.concatenate(ratios).real.tolist()
     mean = pairwise_sum(vals) / n_samples
     var = pairwise_sum([(v - mean) ** 2 for v in vals]) / (n_samples - 1)
     return mean, math.sqrt(var / n_samples)

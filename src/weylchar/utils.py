@@ -1,4 +1,13 @@
-"""Shared numeric helpers: deterministic reductions and phase evaluation."""
+"""Shared numeric helpers: deterministic reductions and phase evaluation.
+
+The float helpers work elementwise on numpy arrays (or scalars) and
+reproduce, bit for bit, the Python expressions the per-point code has
+always evaluated: `ordered_dot` sums left to right from 0.0 like the
+builtin `sum` of CPython 3.11 (3.12 compensates float sums), `remainder`
+is CPython's `math.remainder`, and `cmul` and `cquot` are CPython's
+complex product and quotient written out in real arithmetic (numpy's own
+complex `*` and `/` round differently).
+"""
 
 from __future__ import annotations
 
@@ -6,22 +15,72 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
+
 
 def pairwise_sum(values):
-    """Deterministic pairwise (tree) reduction of a sequence of numbers.
+    """Deterministic pairwise (tree) reduction along the first axis.
 
     The reduction order depends only on the input order, never on chunking
-    or thread count, so repeated runs are bit-identical.
+    or thread count, so repeated runs are bit-identical.  A sequence of
+    numbers sums to a Python number; an (N, ...) array sums along its
+    first axis, elementwise over the others, with the same tree.
     """
-    vals = list(values)
-    if not vals:
+    vals = np.asarray(values)
+    if len(vals) == 0:
         return 0.0
     while len(vals) > 1:
-        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
+        pairs = vals[0:len(vals) - 1:2] + vals[1::2]
+        vals = np.concatenate([pairs, vals[-1:]]) if len(vals) % 2 else pairs
+    return vals[0] if vals.ndim > 1 else vals.tolist()[0]
+
+
+def ordered_dot(a, b) -> np.ndarray:
+    """sum(x * y for x, y in zip(a, b)) over the last axis, elementwise.
+
+    Leading axes broadcast.  The terms are added left to right starting
+    from 0.0, the order of the builtin `sum`, never by BLAS.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = 0.0 + a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        out = out + a[..., j] * b[..., j]
+    return out
+
+
+def as_complex(re, im) -> np.ndarray:
+    """The complex array re + i*im, built without any arithmetic."""
+    re, im = np.broadcast_arrays(re, im)
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def cmul(a, b) -> np.ndarray:
+    """Elementwise a * b with Python's complex product (reals are x + 0j)."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return as_complex(a.real * b.real - a.imag * b.imag,
+                      a.real * b.imag + a.imag * b.real)
+
+
+def cquot(a, b) -> np.ndarray:
+    """Elementwise a / b with Python's complex quotient (Smith's algorithm).
+
+    Raises ZeroDivisionError if any divisor is zero, as Python does.
+    """
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    if ((br == 0) & (bi == 0)).any():
+        raise ZeroDivisionError("complex division by zero")
+    by_real = np.abs(br) >= np.abs(bi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(by_real, bi / br, br / bi)
+        denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+        re = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
+        im = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
+    return as_complex(re, im)
 
 
 def unit_phase(q: Fraction) -> complex:
@@ -45,15 +104,23 @@ def sin_half_pi(q: Fraction) -> float:
     return math.sin(math.pi * float(q) / 2)
 
 
-def fold_angle(x: float) -> float:
-    """Fold a float angle into (-pi, pi]."""
-    r = math.remainder(x, 2 * math.pi)
-    # math.remainder returns values in [-pi, pi]; move -pi to +pi
-    if r <= -math.pi:
-        r += 2 * math.pi
-    return r
+def remainder(x, y: float) -> np.ndarray:
+    """math.remainder(x, y) elementwise: CPython's exact fmod-based algorithm."""
+    x = np.asarray(x, dtype=float)
+    absx, absy = np.abs(x), abs(y)
+    m = np.fmod(absx, absy)
+    c = absy - m
+    tie = m - 2.0 * np.fmod(0.5 * (absx - m), absy)  # the even multiple on a tie
+    return np.copysign(1.0, x) * np.where(m < c, m, np.where(m > c, -c, tie))
 
 
-def sin_half_angle(x: float) -> float:
-    """sin(x/2) with x reduced mod 4*pi first (the half-angle period)."""
-    return math.sin(math.remainder(x, 4 * math.pi) / 2)
+def fold_angle(x) -> np.ndarray:
+    """Fold float angles into (-pi, pi], elementwise."""
+    r = remainder(x, 2 * math.pi)
+    # remainder returns values in [-pi, pi]; move -pi to +pi
+    return np.where(r <= -math.pi, r + 2 * math.pi, r)
+
+
+def sin_half_angle(x) -> np.ndarray:
+    """sin(x/2) with x reduced mod 4*pi first (the half-angle period), elementwise."""
+    return np.sin(remainder(x, 4 * math.pi) / 2)

@@ -2,15 +2,17 @@
 
 Elements are integer matrices acting on the ambient space (all Weyl
 elements are integral in the ambient bases used by `rootsys`).  A group is
-stored twice over: as a stacked `(|W|, n, n)` int8 array with a sign
-vector, which bulk integer work (`charcalc`'s exponent kernel) reads
-directly, and as `WeylElement`s carrying tuple matrices, signs and
-generator words.  Both come from one breadth-first closure routine,
-`_closure`, which multiplies a whole BFS level by every generator at once
-and dedupes on the int8 bytes; the same bytes key the group's element
-index.  Enumeration is breadth-first by word length with ties broken
-lexicographically by the generator word, which makes element order, and
-everything derived from it, fully deterministic.
+stored as a stacked `(|W|, n, n)` int8 array with a sign vector, which
+bulk work (`charcalc`'s exponent kernel and float Weyl sum) reads
+directly.  `WeylElement`s, carrying tuple matrices, signs and generator
+words, are built from it only on demand: one at a time by `element(i)`,
+or all at once on the first use of `elements`.  The stack comes from one
+breadth-first closure routine, `_closure`, which multiplies a whole BFS
+level by every generator at once and dedupes on the int8 bytes; the same
+bytes key the group's element index.  Enumeration is breadth-first by
+word length with ties broken lexicographically by the generator word,
+which makes element order, and everything derived from it, fully
+deterministic.
 """
 
 from __future__ import annotations
@@ -131,15 +133,16 @@ def _closure(gens: np.ndarray, capacity: int):
     are deduplicated on their int8 bytes.  int8 products wrap mod 256, so
     they are exact while every entry of the closure fits in int8, which
     holds for the Weyl groups of every root system here.  Returns the
-    `(N, n, n)` stack, and per element its index key, parent index and
-    generator index (-1 for the identity).
+    `(N, n, n)` stack, the index of its elements by key, per element its
+    parent index and generator index (-1 for the identity), and the sizes
+    of the BFS levels (level k holds the elements of word length k).
     """
     n = gens.shape[1]
     step = n * n
     stack = np.empty((max(capacity, 1), n, n), dtype=np.int8)
     stack[0] = np.eye(n, dtype=np.int8)
     index = {stack[0].tobytes(): 0}
-    parent, letter = [-1], [-1]
+    parent, letter, levels = [-1], [-1], [1]
     lo, count = 0, 1
     while lo < count:
         prods = (stack[lo:count, None] @ gens[None]).reshape(-1, n, n)
@@ -157,34 +160,52 @@ def _closure(gens: np.ndarray, capacity: int):
         stack[count:count + len(new)] = prods[new]
         parent.extend(lo + j // len(gens) for j in new)
         letter.extend(j % len(gens) for j in new)
+        levels.append(len(new))
         lo, count = count, count + len(new)
-    return stack[:count], index, parent, letter
+    return stack[:count], index, parent, letter, levels[:-1]
 
 
 class WeylGroup:
     """Fully enumerated reflection group of a root system.
 
-    `stack[i]` is the int8 matrix and `signs[i]` the sign of `elements[i]`.
+    `stack[i]` is the int8 matrix and `signs[i]` the sign of element i, in
+    enumeration order.  Element i is reached from element `parent[i]` by
+    the simple reflection `letter[i]`, which gives its word.
     """
 
-    def __init__(self, rs: RootSystem, stack, signs, words, generators, index):
+    def __init__(self, rs: RootSystem, stack, signs, parent, letter, generators, index):
         self.rs = rs
         self.stack = stack
         self.signs = signs
         self.generators = generators
         self.order = len(stack)
+        self._parent = parent
+        self._letter = letter
         self._index = index
-        rows = {}  # one tuple per distinct row, shared across elements
-        self.elements = []
-        for lo in range(0, self.order, 4096):  # bounded list temporaries
-            for m, s, w in zip(stack[lo:lo + 4096].tolist(),
-                               signs[lo:lo + 4096].tolist(), words[lo:lo + 4096]):
-                m = list(map(tuple, m))
-                self.elements.append(WeylElement(tuple(map(rows.setdefault, m, m)), s, w))
+        self._built = {}  # element index -> WeylElement, built on demand
+        self._rows = {}  # one tuple per distinct matrix row, shared across elements
+        self._elements = None
+
+    def element(self, i: int) -> WeylElement:
+        """Element i, built (with its ancestors along its word) on first request."""
+        w = self._built.get(i)
+        if w is None:
+            word = self.element(self._parent[i]).word + (self._letter[i],) if i else ()
+            m = list(map(tuple, self.stack[i].tolist()))
+            w = WeylElement(tuple(map(self._rows.setdefault, m, m)), int(self.signs[i]), word)
+            self._built[i] = w
+        return w
+
+    @property
+    def elements(self) -> list:
+        """Every element in enumeration order, built on first use."""
+        if self._elements is None:
+            self._elements = [self.element(i) for i in range(self.order)]
+        return self._elements
 
     @property
     def identity(self) -> WeylElement:
-        return self.elements[0]
+        return self.element(0)
 
     def index_of(self, w: WeylElement) -> int:
         try:
@@ -226,19 +247,17 @@ def generate_weyl_group(rs: RootSystem, cap: int | None = None) -> WeylGroup:
             cap=cap,
         )
     gens = [reflection(rs, a) for a in rs.simple_roots]
-    stack, index, parent, letter = _closure(
+    stack, index, parent, letter, levels = _closure(
         np.array([g.matrix for g in gens], dtype=np.int8), expected
     )
     if len(stack) != expected:
         raise AssertionError(
             f"enumerated {len(stack)} elements for {rs.spec.name}, expected {expected}"
         )
-    words = [()]
-    for p, g in zip(parent[1:], letter[1:]):
-        words.append(words[p] + (g,))
-    # Every generator is a reflection, so the sign is the parity of the word.
-    signs = np.array([1 - 2 * (len(w) % 2) for w in words], dtype=np.int8)
-    return WeylGroup(rs, stack, signs, words, gens, index)
+    # Every generator is a reflection, so the sign is the parity of the word
+    # length, which is the BFS level.
+    signs = np.repeat(np.array([1, -1] * len(levels), dtype=np.int8)[:len(levels)], levels)
+    return WeylGroup(rs, stack, signs, parent, letter, gens, index)
 
 
 @dataclass(frozen=True)
@@ -311,7 +330,7 @@ def stabilizer(
     def closure():
         gens = np.array([g.matrix for g in gen_refl], dtype=np.int8).reshape(-1, n, n)
         stack = _closure(gens, 16)[0]
-        return tuple(group.elements[i] for i in sorted(group.indices_of(stack)))
+        return tuple(group.element(i) for i in sorted(group.indices_of(stack)))
 
     if mode == "auto":
         mode = "filtered" if group.order <= FILTER_THRESHOLD else "closure"
@@ -356,10 +375,10 @@ def coset_transversal(group: WeylGroup, w0: Stabilizer | list) -> CosetTransvers
         raise DomainError("W0 is not a subgroup: order does not divide |W|")
     assigned = bytearray(group.order)
     reps = []
-    for i, w in enumerate(group.elements):
+    for i in range(group.order):
         if assigned[i]:
             continue
-        reps.append(w)
+        reps.append(group.element(i))
         try:
             coset = group.indices_of(group.stack[i] @ sub)
         except DomainError:

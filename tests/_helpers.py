@@ -7,15 +7,24 @@ from weylchar.charcalc import dim_irrep
 from weylchar.torus import exact_point
 
 
-def random_dominant_weight(rs, rng, max_dim=5000, max_coeff=6):
-    """Seeded random dominant integral weight with dim below max_dim."""
-    while True:
+def random_dominant_weight(rs, rng, max_dim=5000, max_coeff=6, max_draws=10_000):
+    """Seeded random dominant integral weight with dim below max_dim.
+
+    Raises ValueError after max_draws draws without one, instead of
+    looping forever (dimensions grow like products of the coordinates, so
+    large groups with a large max_coeff rarely land under max_dim).
+    """
+    for _ in range(max_draws):
         coeffs = [rng.randint(0, max_coeff) for _ in range(rs.rank)]
         if all(c == 0 for c in coeffs):
             continue
         lam = rs.weight_from_fundamental(coeffs)
         if dim_irrep(rs, lam) <= max_dim:
             return lam
+    raise ValueError(
+        f"no nonzero dominant weight of {rs.spec.name} with dim <= {max_dim} "
+        f"in {max_draws} draws of coordinates up to {max_coeff}"
+    )
 
 
 def random_regular_exact_point(rs, rng, denoms=(7, 11, 13, 17, 19, 23)):

@@ -1,0 +1,209 @@
+"""Stacked spectral evaluation: word products, eigenphases and float characters.
+
+The stacked kernels must reproduce the per-word computation bit for bit.
+The pinned `repr`s below were recorded from the per-word implementation
+(one product chain, one `eigvals` and one loop over W per word), so they
+also guard the order of every float operation.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from weylchar import build_root_system, spectral
+from weylchar.charcalc import character, dim_irrep
+from weylchar.cli import main as cli_main
+from weylchar.errors import DomainError, SnapError
+from weylchar.torus import float_point
+
+A1 = build_root_system("A1")
+A2 = build_root_system("A2")
+LAM1 = A1.weight_from_fundamental((20,))
+LAM2 = A2.weight_from_fundamental((2, 1))
+
+
+def _a2_set(seed):
+    haar = spectral.haar_generator_set(3, 2, seed)
+    inverses = tuple(g.conj().T for g in haar.elements)
+    return spectral.generator_set(haar.elements + inverses, symmetric=True)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=complex).view(np.uint64)
+
+
+def _product(gens, word):
+    """One word's product, letter by letter from the identity (the reference chain)."""
+    out = np.eye(gens.dim, dtype=complex)
+    for i, idx in enumerate(word):
+        out = out @ gens.elements[idx]
+        if (i + 1) % spectral.UNITARIZE_EVERY == 0:
+            u, _, vh = np.linalg.svd(out)
+            out = u @ vh
+    return out
+
+
+# ---------------------------------------------------------------------------
+# values pinned from the per-word implementation
+# ---------------------------------------------------------------------------
+
+A1_EXACT = ["1.0", "-0.0024286621741537273", "0.27250482532901776", "0.006372763127392699",
+            "0.1247698623318555", "0.0026853498764941256", "0.07600883394477212"]
+
+#: character() at floating points: (group, fundamental weight, point) -> repr of
+#: (value, condition), or the exception class for points that cannot be snapped.
+FLOAT_CHARACTERS = {
+    ("A1", (20,), (0.7, -0.7)): ("(1.312827710101177+0j)", "3.4467325148603936e-16"),
+    ("A1", (20,), (2.9, -2.9)): ("(-3.9102472730984834-0j)", "9.280887250740696e-16"),
+    ("A1", (20,), (0.2500000003, -0.2500000003)):
+        ("(-3.4717895856615817-0j)", "8.97498186097007e-16"),
+    ("A1", (20,), (1e-11, -1e-11)): ("(21+0j)", "4.6629367034256575e-15"),
+    ("A1", (3,), (math.pi / 2, -math.pi / 2)): ("0j", "2.220446049250313e-16"),
+    ("A2", (2, 1), (0.3, 0.5, -0.8)):
+        ("(7.270165648509128+0.6024784639854983j)", "5.2734459805271615e-15"),
+    ("A2", (2, 1), (-0.4, 0.1, 0.3)):
+        ("(12.558342936553581+0.0770861591798474j)", "1.9663200191741115e-14"),
+    ("A2", (2, 1), (0.6283185311179587, 0.6283185307179586, -1.2566370618359173)):
+        ("(1.663118960624632+1.4858412054516439j)", "8.481349206281966e-16"),
+    ("A2", (0, 3), (1.0471975511965976, 1.0471975511865976, -2.0943951023831953)):
+        ("(-2-0j)", "5.551115123125783e-16"),
+    ("A2", (0, 3), (2.0, -1.0, -1.0)): SnapError,
+    ("B2", (1, 2), (1.3, -0.45)): ("(9.042854150065393-0j)", "2.5981898805816924e-15"),
+    ("B2", (1, 2), (1.0471975511975977, 0.6283185307179586)):
+        ("(12.708203932478433+0j)", "4.6505625816811335e-15"),
+    ("G2", (1, 1), (1.9, -0.25)): ("(-2.1753171811633023+0j)", "2.162328615987746e-15"),
+    ("C3", (1, 0, 1), (0.2, 0.9, -1.4)): ("(9.964260281963915+0j)", "8.279862056635933e-15"),
+    ("F4", (0, 0, 0, 1), (1.3, 0.2, -0.7, 0.45)):
+        ("(15.358928674021175+2.557846657573654e-12j)", "4.911065582541416e-10"),
+    ("E6", (1, 0, 0, 0, 0, 0), (0.61, -0.23, 0.37, 0.91, 1.7, -0.4)):
+        ("(12.194925338906506-0.021741494151914592j)", "1.1114049628792705e-07"),
+}
+
+
+@pytest.mark.parametrize("chunk", [spectral.WORD_CHUNK, 16])
+def test_moment_exact_pinned_a1(monkeypatch, chunk):
+    monkeypatch.setattr(spectral, "WORD_CHUNK", chunk)
+    gens = spectral.catalog_su2_free_pair()
+    got = [repr(spectral.moment_exact(A1, LAM1, gens, m)) for m in range(7)]
+    assert got == A1_EXACT
+
+
+def test_moment_exact_pinned_a2():
+    assert repr(spectral.moment_exact(A2, LAM2, _a2_set(1234), 4)) == "0.1061996051766678"
+
+
+def test_moment_sampled_pinned_across_reunitarization():
+    # m = 17 crosses the re-unitarization after letter 16.
+    got = spectral.moment_sampled(A2, LAM2, _a2_set(1234), 17, 256, 99)
+    assert repr(got) == "(0.0014995132046144925, 0.002483763470899381)"
+    got = spectral.moment_sampled(A1, LAM1, spectral.catalog_su2_free_pair(), 17, 256, 5)
+    assert repr(got) == "(-0.002384697655624866, 0.0023512565303157817)"
+
+
+@pytest.mark.parametrize("key", list(FLOAT_CHARACTERS), ids=lambda k: f"{k[0]}{k[1]}")
+def test_float_character_pinned(key):
+    name, weight, point = key
+    rs = build_root_system(name)
+    lam = rs.weight_from_fundamental(weight)
+    want = FLOAT_CHARACTERS[key]
+    if isinstance(want, type):
+        with pytest.raises(want):
+            character(rs, lam, float_point(point))
+        return
+    cv = character(rs, lam, float_point(point))
+    assert (repr(cv.value), repr(cv.condition)) == want
+
+
+def test_spectral_cli_documents_pinned(capsys):
+    cases = {
+        ("spectral", "--group", "A1", "--l", "20"): (
+            ["1.0", "-0.022511476987514628", "0.23863192628515312", "-0.019379065977175505",
+             "0.10368880019891988", "-0.012587455707841236", "0.051049893862402065"],
+            "0.8524945279415942"),
+        ("spectral", "--group", "A1", "--l", "3", "--moments", "3", "--sample", "400",
+         "--seed", "11"): (
+            ["1.0", "-0.180341524364848", "0.2765488281273716", "-0.15192977441156935"],
+            "0.8945827491937212"),
+    }
+    import json
+
+    for argv, (moments, norm) in cases.items():
+        assert cli_main(list(argv)) == 0
+        doc = json.loads(capsys.readouterr().out)["result"]
+        assert [repr(row["moment"]) for row in doc["moments"]] == moments
+        assert repr(doc["norm_estimate"]) == norm
+
+
+# ---------------------------------------------------------------------------
+# a stack of N equals N stacks of one
+# ---------------------------------------------------------------------------
+
+
+def _all_words(gens, m):
+    return list(itertools.product(range(gens.size), repeat=m))
+
+
+def test_word_blocks_are_lexicographic_chains(monkeypatch):
+    monkeypatch.setattr(spectral, "WORD_CHUNK", 8)  # 4^3 words over several blocks
+    gens = spectral.catalog_su2_free_pair()
+    blocks = list(spectral._word_blocks(gens, 3))
+    assert len(blocks) > 1 and all(len(b) <= 8 for b in blocks)
+    stacked = np.concatenate(blocks)
+    singles = np.stack([_product(gens, w) for w in _all_words(gens, 3)])
+    assert (_bits(stacked) == _bits(singles)).all()
+
+
+def test_conjugacy_phases_stack_equals_rows():
+    gens = _a2_set(7)
+    words = _all_words(gens, 4)  # includes identity-reducing words like (0, 2, 0, 2)
+    mats = np.stack([_product(gens, w) for w in words])
+    stacked = spectral.conjugacy_phases(mats)
+    assert stacked.shape == (len(words), 3)
+    for row, g in zip(stacked, mats):
+        single = spectral.conjugacy_phases(g)
+        assert row.tolist() == list(single.coords)
+        assert np.array_equal(row.view(np.uint64), np.array(single.coords).view(np.uint64))
+
+
+def test_float_character_stack_equals_rows():
+    gens = spectral.catalog_su2_free_pair()
+    words = _all_words(gens, 4)
+    phases = spectral.conjugacy_phases(np.stack([_product(gens, w) for w in words]))
+    stacked = character(A1, LAM1, phases)
+    singles = [character(A1, LAM1, float_point(row)) for row in phases]
+    assert (_bits(stacked.value) == _bits([cv.value for cv in singles])).all()
+    assert stacked.condition.tolist() == [cv.condition for cv in singles]
+    # identity-reducing words are snapped onto h = 0, where chi = dim
+    snapped = stacked.value == dim_irrep(A1, LAM1)
+    assert 0 < snapped.sum() < len(words)
+
+
+def test_moment_over_many_chunks_equals_per_word_sum(monkeypatch):
+    monkeypatch.setattr(spectral, "WORD_CHUNK", 64)
+    gens = _a2_set(3)
+    m, d = 4, dim_irrep(A2, LAM2)
+    ratios = [character(A2, LAM2, spectral.conjugacy_phases(_product(gens, w))).value / d
+              for w in _all_words(gens, m)]
+    from weylchar.utils import pairwise_sum
+
+    want = (pairwise_sum(ratios) / len(ratios)).real
+    assert spectral.moment_exact(A2, LAM2, gens, m) == want
+
+
+def test_non_unitary_matrix_anywhere_in_a_stack_raises():
+    gens = spectral.catalog_su2_free_pair()
+    mats = np.stack([_product(gens, w) for w in _all_words(gens, 3)])
+    for bad_row, bad in ((0, 2.0 * np.eye(2)), (37, np.diag([1j, 1j]))):
+        broken = mats.copy()
+        broken[bad_row] = bad
+        with pytest.raises(DomainError):
+            spectral.conjugacy_phases(broken)
+
+
+def test_character_stack_checks_its_shape_and_values():
+    with pytest.raises(DomainError):
+        character(A2, LAM2, np.zeros((4, 2)))
+    with pytest.raises(DomainError):
+        character(A2, LAM2, np.array([[0.3, math.inf, -0.3]]))

@@ -264,3 +264,35 @@ def test_cap_weyl_env_override(capsys, monkeypatch):
     code, doc = run_json(capsys, "weyl", "--group", "A2", "--enumerate")
     assert code == 3
     monkeypatch.delenv("WEYLCHAR_CAP_WEYL")
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["char", "--group", "A2", "--point", "pi/5:pi/5:-2pi/5"], "weight"),
+    (["char", "--group", "A2", "--weight", "1,1"], "point"),
+    (["sweep", "--group", "A2", "--weight", "1,1"], "point"),
+    (["certificate", "--group", "A2", "--point", "pi/5:pi/5:-2pi/5"], "weight"),
+    (["dim", "--group", "A2"], "weight"),
+    (["spectral", "--group", "A1"], "weight"),
+    (["dim", "--group", "A2", "--weight", "1,x"], "weight"),
+    (["dim", "--group", "A2", "--weight", "1/0,1,2"], "weight"),
+    (["char", "--group", "A2", "--weight", "1,1", "--point", "pi/0:pi:pi"], "point"),
+    (["spectral", "--group", "A1", "--l", "x"], "l"),
+    (["sweep", "--group", "A2", "--point", "pi/5:pi/5:-2pi/5", "--schedule", "1,x"],
+     "schedule"),
+])
+def test_missing_or_malformed_options_give_typed_errors(capsys, argv, field):
+    jsonschema = pytest.importorskip("jsonschema")
+    from pathlib import Path
+
+    schema_dir = Path(__file__).resolve().parents[1] / "docs" / "schemas"
+    code, doc = run_json(capsys, *argv)
+    assert code == 2
+    assert doc["error"]["code"] == "ConfigError"
+    assert doc["error"]["field"] == field
+    jsonschema.validate(doc, json.loads((schema_dir / "error.schema.json").read_text()))
+
+
+def test_non_finite_float_point_is_a_domain_error(capsys):
+    code, doc = run_json(capsys, "char", "--group", "A2", "--weight", "1,1",
+                         "--point", "inf:0:0")
+    assert code == 4 and doc["error"]["code"] == "DomainError"

@@ -7,7 +7,7 @@ import pytest
 
 from weylchar import build_root_system, exact_point
 from weylchar.errors import ConfigError, DomainError, StructureError
-from weylchar.exactlin import vadd
+from weylchar.exactlin import span_coefficients, vadd
 from weylchar.rootsys import RootSystemSpec, positive_root_count
 from weylchar.weylgroup import reflect, reflection
 
@@ -232,3 +232,24 @@ def test_highest_root_values():
     assert build_root_system("A2").highest_root == (F(1), F(0), F(-1))
     assert build_root_system("G2").highest_root == (F(2), F(3))
     assert build_root_system("B2").highest_root == (F(1), F(1))
+
+
+ORDER_SPECS = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(2, 9)]
+    + ["E6", "E7", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", ORDER_SPECS)
+def test_positive_root_order_and_coefficients_match_normal_equations(name):
+    # The reference: coefficients by one normal-equation solve per root, and
+    # positive roots sorted by (height, coordinates).
+    rs = build_root_system(name)
+    coeffs = {r: span_coefficients(rs.simple_roots, rs.gram, r) for r in rs.positive_roots}
+    assert list(rs.positive_roots) == sorted(rs.positive_roots,
+                                             key=lambda r: (sum(coeffs[r]), r))
+    assert rs.root_coeffs == {r: tuple(int(c) for c in coeffs[r]) for r in rs.positive_roots}
+    for w, a in zip(rs.fundamental_coweights(), rs.simple_roots):
+        assert [rs.inner(w, b) for b in rs.simple_roots] == [
+            int(b == a) for b in rs.simple_roots]

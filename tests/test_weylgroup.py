@@ -237,3 +237,15 @@ def test_stabilizer_requires_exact_point():
 
     with pytest.raises(DomainError):
         stabilizer(rs, group, float_point([0.1, 0.1, -0.2]))
+
+
+def test_elements_are_built_lazily_and_match_the_full_list():
+    group = generate_weyl_group(build_root_system("B3"))
+    assert group._elements is None
+    singles = [group.element(i) for i in range(group.order)]
+    assert group._elements is None  # one at a time builds no list
+    assert group.identity.is_identity and group.identity.word == ()
+    full = group.elements
+    assert [(w.matrix, w.sign, w.word) for w in singles] == [
+        (w.matrix, w.sign, w.word) for w in full]
+    assert group.signs.tolist() == [(-1) ** len(w.word) for w in full]
