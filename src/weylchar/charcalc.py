@@ -22,18 +22,35 @@ valid at every torus point and anchors the test suite.
 All three exact sums (regular, singular, oracle) share one integer
 exponent kernel, `_exponent_map`.  Its input is a stack of rational
 vectors v_i held as one integer array over a common denominator, a
-rational vector x and integer coefficients c_i.  It scales G x to integers
-too, computes every exponent (v_i|x) mod 2 as one integer matvec reduced
-mod 2*D (D the product of the two denominators), and sums the
-coefficients of equal exponents with `np.unique`.  The result is the
-exact {exponent: coefficient} map, so resonant cancellations give exact
-zeros.  The regular path feeds it the integer orbit W*h (from the Weyl
-group's int8 stack) paired with eta and the signs of W; the singular path
+rational vector x given by its integer form G x = y / y_den
+(`RootSystem.int_form`) and integer coefficients c_i.  It computes every
+exponent (v_i|x) mod 2 as one integer matvec reduced mod 2*D (D the
+product of the two denominators), and sums the coefficients of equal
+exponents with `np.unique`.  The result is the exact {r: coefficient} map
+with exponents r / D, so resonant cancellations give exact zeros.  The
+regular path feeds it the integer orbit W*h (from the Weyl group's int8
+stack) paired with eta and the signs of W; the singular path
 the coset representatives applied to h0, paired with eta, since
 (b^{-1} eta|h0) = (eta|b h0), with sgn(b) * subdim_b; the oracle the
 weights paired with h and their multiplicities.  Magnitudes are bounded
 before each product, and the same code runs on int64 or, past 2**62, on
 Python ints (`exactlin.int_matvec`).
+
+The front end around the kernel is fraction-free too: every per-call
+quantity at an exact point is an integer product over data that `rootsys`
+and `weylgroup` build once per root system.  The degenerate split keeps
+the integer pairings (alpha|h0) = pi * p / D of all positive roots, which
+give the Weyl denominator and the singular prefactor as
+sin(pi * ((p mod 4D) / D) / 2), and eps as a parity; dominance checks are
+one matvec of the simple coroot rows (`RootSystem.dynkin_labels`); the
+stabilizer closes rows of the group's int8 stack of positive-root
+reflections; the coset transversal is one positivity test over the whole
+stack (`weylgroup.coset_transversal`); and each phase e^{i pi r / D} is
+taken from the kernel's integers (`utils.unit_phase`).  The oracle keeps
+its integer weight rows per irrep (`_weight_rows`), beside the
+multiplicities.  Only the Freudenthal recursion, cached per weight, runs
+in Fractions.  Int division r / D is correctly rounded, so every float
+equals the one the Fraction form of the same rational gave.
 """
 
 from __future__ import annotations
@@ -103,17 +120,17 @@ def cached_weyl_group(rs: RootSystem, cap: int | None = None) -> WeylGroup:
 
 
 def dim_irrep(rs: RootSystem, lam) -> int:
-    """Exact dimension of the irrep with highest weight lam (Weyl formula)."""
+    """Exact dimension of the irrep with highest weight lam (Weyl formula).
+
+    prod_a (lam + rho|a) / (rho|a) over the positive roots, on the
+    root system's integer pairings.
+    """
     lam = rs.validate_weight(lam)
     if not rs.is_dominant_integral(lam):
         raise DomainError(f"{lam} is not a dominant integral weight for {rs.spec.name}")
-    eta = vadd(lam, rs.weyl_vector)
-    num = Fraction(1)
-    den = Fraction(1)
-    for a in rs.positive_roots:
-        num *= rs.inner(eta, a)
-        den *= rs.inner(rs.weyl_vector, a)
-    d = num / den
+    eta, eta_den = rs.root_pairings(vadd(lam, rs.weyl_vector))
+    rho, rho_den = rs.root_pairings(rs.weyl_vector)
+    d = Fraction(math.prod(eta) * rho_den ** len(eta), math.prod(rho) * eta_den ** len(eta))
     if d.denominator != 1 or d <= 0:
         raise AssertionError(f"dimension formula gave non-positive-integer {d}")
     return int(d)
@@ -124,25 +141,27 @@ def dim_irrep(rs: RootSystem, lam) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _exponent_map(rows: np.ndarray, den: int, gx: Vec, coeffs: np.ndarray) -> dict:
-    """Exact {(v_i|x) mod 2: sum of coeffs[i]} over the vectors v_i = rows[i] / den.
+def _exponent_map(
+    rows: np.ndarray, den: int, y: list[int], y_den: int, coeffs: np.ndarray
+) -> tuple[dict, int]:
+    """Exact {r: sum of coeffs[i]} with (v_i|x) = r / D mod 2, and D.
 
-    `rows` is an integer (N, n) array and `gx` the rational vector G x, so
-    (v_i|x) is the plain dot product of v_i with it.  Keys are Fractions in
-    [0, 2), inserted in increasing order; values are Python ints.
+    The vectors are v_i = rows[i] / den for an integer (N, n) array `rows`,
+    and x is given by its integer form G x = y / y_den (`RootSystem.int_form`),
+    so (v_i|x) = (rows[i] . y) / D with D = den * y_den.  Keys r are Python
+    ints in [0, 2D), inserted in increasing order; values are Python ints.
     """
-    y, y_den = common_denominator(gx)
     d = den * y_den
     exps, where = np.unique(int_matvec(rows, y, 2 * d), return_inverse=True)
     bound = int(np.abs(coeffs).max(initial=0)) * len(coeffs)
     sums = np.zeros(len(exps), dtype=int_dtype(bound))
     np.add.at(sums, where, coeffs.astype(sums.dtype))
-    return {Fraction(e, d): c for e, c in zip(exps.tolist(), sums.tolist())}
+    return dict(zip(exps.tolist(), sums.tolist())), d
 
 
-def _phase_sum(collected: dict) -> complex:
-    """Deterministic sum of c * e^{i pi q} over a map from `_exponent_map`."""
-    return pairwise_sum([c * unit_phase(q) for q, c in collected.items() if c != 0])
+def _phase_sum(collected: dict, d: int) -> complex:
+    """Deterministic sum of c * e^{i pi r / d} over a map from `_exponent_map`."""
+    return pairwise_sum([c * unit_phase(r, d) for r, c in collected.items() if c != 0])
 
 
 # ---------------------------------------------------------------------------
@@ -187,21 +206,25 @@ def char_regular(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
         )
     eta = vadd(lam, rs.weyl_vector)
     if h.exact:
-        return _char_regular_exact(rs, eta, h)
+        return _char_regular_exact(rs, eta, split)
     points = np.array([h.coords])
     cv = _char_regular_float(rs, eta, points, rs.float_pairings(points))
     return CharacterValue(complex(cv.value[0]), float(cv.condition[0]))
 
 
-def _char_regular_exact(rs: RootSystem, eta: Vec, h: TorusPoint) -> CharacterValue:
-    orbit, den, signs = _exact_orbit(rs, h.coords)
-    collected = _exponent_map(orbit, den, rs.gram_vec(eta), signs)
-    num = _phase_sum(collected)
+def _char_regular_exact(rs: RootSystem, eta: Vec, split: DegenerateSplit) -> CharacterValue:
+    """The Weyl formula at the exact regular point of `split`, for eta = lam + rho.
+
+    The Weyl denominator comes from the split's integer root pairings.
+    """
+    orbit, den, signs = _exact_orbit(rs, split.torus_point.coords)
+    collected, d = _exponent_map(orbit, den, *rs.int_form(eta), signs)
+    num = _phase_sum(collected, d)
     weyl_den = 1 + 0j
-    for a in rs.positive_roots:
-        weyl_den *= 2j * sin_half_pi(rs.pairing_coeff(a, h))
+    for p in split.pairings:
+        weyl_den *= 2j * sin_half_pi(p, split.den)
     value = num / weyl_den
-    terms_abs = sum(abs(c) for c in collected.values())
+    terms_abs = sum(map(abs, collected.values()))
     condition = terms_abs / abs(weyl_den) * _MACHINE_EPS
     return CharacterValue(value, condition)
 
@@ -282,9 +305,10 @@ def snap_to_exact(rs: RootSystem, h: TorusPoint, *, near=None) -> TorusPoint:
             )
     snapped = exact_point(coeffs)
     if near is None:
-        near = np.abs(fold_angle(rs.float_pairings([rad])[0])) < EPS_SNAP
-    for a, d in zip(rs.positive_roots, near.tolist()):
-        if d and rs.pairing_coeff(a, snapped) % 2 != 0:
+        near = rs.near_walls([rad])[0]
+    pairings, den = rs.root_pairings(snapped.coords)
+    for a, d, p in zip(rs.positive_roots, near.tolist(), pairings):
+        if d and p % (2 * den):
             raise SnapError(
                 f"cannot rationalize {h}: near-degenerate root {a} does not "
                 "land exactly on the stratum after reconstruction"
@@ -303,7 +327,9 @@ class _SingularEvaluator:
     The coset sum runs over b^{-1} eta for the representatives b.  Since W
     preserves the form, (b^{-1} eta|x) = (eta|b x), so the representatives
     are applied once, to h0 and to each degenerate root, as integer stacks;
-    each weight then costs integer matvecs only.
+    each weight then costs integer matvecs only.  Everything else comes
+    from the split's integer root pairings and the root system's integer
+    root rows, with no rational arithmetic.
     """
 
     def __init__(self, rs: RootSystem, split: DegenerateSplit, transversal=None):
@@ -315,32 +341,33 @@ class _SingularEvaluator:
         self.w0 = w0
         self.transversal: CosetTransversal = transversal or coset_transversal(group, w0)
         n = rs.ambient_dim
-        rho_deg = vscale(Fraction(1, 2), vsum(split.deg, n))
+        deg = list(split.deg_index)
+        two_d = 2 * split.den
         # (-1)^{sum k_a}: degenerate pairings may sit at nonzero multiples of 2*pi
-        k_total = sum(int(rs.pairing_coeff(a, h0) / 2) for a in split.deg)
+        k_total = sum(split.pairings[i] // two_d for i in deg)
         self.eps = -1 if k_total % 2 else 1
         pref = 1 + 0j
-        for a in split.ndeg:
-            pref *= 2j * sin_half_pi(rs.pairing_coeff(a, h0))
+        for p in split.pairings:
+            if p % two_d:
+                pref *= 2j * sin_half_pi(p, split.den)
         self.prefactor = pref
-        reps = np.array([b.matrix for b in self.transversal], dtype=np.int8).reshape(-1, n)
-        self.b_signs = np.array([b.sign for b in self.transversal], dtype=np.int64)
+        idx = list(self.transversal.indices)
+        reps = self.transversal.group.stack[idx].reshape(-1, n)
+        self.b_signs = self.transversal.group.signs[idx].astype(np.int64)
         h, self.h0_den = common_denominator(h0.coords)
         self.b_h0 = int_matvec(reps, h).reshape(-1, n)
         # subdim_b = prod_a (eta|b a) / (rho_deg|a) = scale * prod_a (y . b_deg[a]) / d^k
-        # for G eta = y / d, with b_deg[a] = b a scaled to integers.
-        self.b_deg = []
-        scale = Fraction(1)
-        for a in split.deg:
-            a_int, a_den = common_denominator(a)
-            self.b_deg.append(int_matvec(reps, a_int).reshape(-1, n))
-            scale /= a_den * rs.inner(rho_deg, a)
-        self.scale = scale
+        # for G eta = y / d, with b_deg[a] = b a on the integer root rows.  On
+        # those rows (G a) . b = F R (a|b), so 2 (rho_deg|a) = s_a / (F R) with
+        # s_a the row sums below, and the R of the root rows cancels.
+        roots = rs._pos_rows[deg]
+        self.b_deg = [int_matvec(reps, a).reshape(-1, n) for a in roots.tolist()]
+        s = (rs._pos_forms[deg] @ roots.T).sum(axis=1)
+        self.scale = Fraction((2 * rs._pos_forms_den) ** len(deg), math.prod(s.tolist()))
 
-    def exponents(self, lam: Vec) -> tuple[dict, float]:
-        """The coset sum's exact {exponent: coefficient} map, and sum |subdim_b|."""
-        geta = self.rs.gram_vec(vadd(lam, self.rs.weyl_vector))
-        y, y_den = common_denominator(geta)
+    def exponents(self, lam: Vec) -> tuple[dict, int, float]:
+        """The coset sum's exact map and denominator (`_exponent_map`), and sum |subdim_b|."""
+        y, y_den = self.rs.int_form(vadd(lam, self.rs.weyl_vector))
         pairings = [int_matvec(rows, y) for rows in self.b_deg]
         denom = self.scale.denominator * y_den ** len(pairings)
         bound = abs(self.scale.numerator)
@@ -358,11 +385,12 @@ class _SingularEvaluator:
             abs_sum += abs(float(s))
         # Exact integer coefficients per reduced phase, so resonant
         # cancellations across cosets produce exact zeros, not float dust.
-        return _exponent_map(self.b_h0, self.h0_den, geta, self.b_signs * sub), abs_sum
+        collected, d = _exponent_map(self.b_h0, self.h0_den, y, y_den, self.b_signs * sub)
+        return collected, d, abs_sum
 
     def evaluate(self, lam: Vec) -> CharacterValue:
-        collected, abs_sum = self.exponents(lam)
-        value = self.eps * _phase_sum(collected) / self.prefactor
+        collected, d, abs_sum = self.exponents(lam)
+        value = self.eps * _phase_sum(collected, d) / self.prefactor
         condition = abs_sum / abs(self.prefactor) * _MACHINE_EPS
         return CharacterValue(value, condition)
 
@@ -394,7 +422,7 @@ def char_singular(
     if split is None:
         split = rs.degenerate_split(h0)
     if not split.deg:
-        return _char_regular_exact(rs, vadd(lam, rs.weyl_vector), h0)
+        return _char_regular_exact(rs, vadd(lam, rs.weyl_vector), split)
     if transversal is not None:
         return _SingularEvaluator(rs, split, transversal).evaluate(lam)
     return _cached_evaluator(rs, split).evaluate(lam)
@@ -442,7 +470,7 @@ def _char_exact(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
     split = rs.degenerate_split(h)
     if split.deg:
         return char_singular(rs, lam, h, split=split)
-    return _char_regular_exact(rs, vadd(_dominant(rs, lam), rs.weyl_vector), h)
+    return _char_regular_exact(rs, vadd(_dominant(rs, lam), rs.weyl_vector), split)
 
 
 # ---------------------------------------------------------------------------
@@ -651,10 +679,17 @@ def _multiplicities_cached(rs: RootSystem, lam: Vec, cap: int) -> dict:
     eta = vadd(lam, rho)
     pos = rs.positive_roots
     pos_coeff = [rs.root_coeffs[a] for a in pos]
-    lam_dot = [rs.inner(lam, a) for a in pos]
-    aj_dot = [[rs.inner(simple[j], a) for j in range(rank)] for a in pos]
-    eta_dot_simple = [rs.inner(eta, s) for s in simple]
-    gram_alpha = [[rs.inner(simple[i], simple[j]) for j in range(rank)] for i in range(rank)]
+
+    def pairings(v):  # (v|a) for every positive root a, as Fractions
+        p, d = rs.root_pairings(v)
+        return [Fraction(x, d) for x in p]
+
+    lam_dot = pairings(lam)
+    simple_dot = [pairings(s) for s in simple]
+    aj_dot = [[simple_dot[j][i] for j in range(rank)] for i in range(len(pos))]
+    eta_dot = pairings(eta)
+    eta_dot_simple = [eta_dot[i] for i in rs._simple_index]
+    gram_alpha = [[simple_dot[j][i] for j in range(rank)] for i in rs._simple_index]
 
     def denom(c):
         # ||lam+rho||^2 - ||mu+rho||^2 for mu = lam - sum c_j alpha_j
@@ -720,11 +755,23 @@ def weight_multiplicities(rs: RootSystem, lam, cap: int = ORACLE_DIM_CAP) -> dic
     return dict(_multiplicities_cached(rs, _dominant(rs, lam), cap))
 
 
-def _weight_exponents(rs: RootSystem, mults: dict, h: TorusPoint) -> dict:
-    """The oracle's exact {(mu|h) mod 2: summed multiplicity} map."""
+@lru_cache(maxsize=128)
+def _weight_rows(rs: RootSystem, lam: Vec, cap: int):
+    """(rows, D, mults, dim): the weights of the irrep as an integer array over D.
+
+    rows[i] / D is the i-th weight of `_multiplicities_cached` and mults[i]
+    its multiplicity, so the oracle rescales nothing per call.
+    """
+    mults = _multiplicities_cached(rs, lam, cap)
     weights, den = common_denominator(x for mu in mults for x in mu)
     rows = np.array(weights).reshape(len(mults), rs.ambient_dim)
-    return _exponent_map(rows, den, rs.gram_vec(h.coords), np.array(list(mults.values())))
+    return rows, den, np.array(list(mults.values())), sum(mults.values())
+
+
+def _weight_exponents(rs: RootSystem, lam: Vec, h: TorusPoint, cap: int = ORACLE_DIM_CAP):
+    """The oracle's exact {r: summed multiplicity} map with (mu|h) = pi r / D, and D."""
+    rows, den, mults, _ = _weight_rows(rs, lam, cap)
+    return _exponent_map(rows, den, *rs.int_form(h.coords), mults)
 
 
 def char_weightsum_oracle(
@@ -736,14 +783,16 @@ def char_weightsum_oracle(
     """
     lam = rs.validate_weight(lam)
     rs.validate_point(h)
-    mults = weight_multiplicities(rs, lam, cap)
+    lam = _dominant(rs, lam)
     if h.exact:
-        value = _phase_sum(_weight_exponents(rs, mults, h))
+        value = _phase_sum(*_weight_exponents(rs, lam, h, cap))
+        dim = _weight_rows(rs, lam, cap)[3]
     else:
+        mults = _multiplicities_cached(rs, lam, cap)
         items = sorted(mults.items())
         forms = [[float(x) for x in rs.gram_vec(mu)] for mu, _ in items]
         phase = fold_angle(ordered_dot(forms, h.coords))
         terms = cmul([m for _, m in items], as_complex(np.cos(phase), np.sin(phase)))
         value = pairwise_sum(terms)
-    dim = sum(mults.values())
+        dim = sum(mults.values())
     return CharacterValue(value, dim * _MACHINE_EPS)

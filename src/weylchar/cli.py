@@ -73,19 +73,27 @@ def parse_point_entry(text: str):
         raise ConfigError(f"cannot parse torus coordinate {text!r}", field="point") from None
 
 
-def parse_point(text: str, ambient_dim: int) -> TorusPoint:
-    """Colon-separated coordinates; any decimal makes the point floating."""
+def parse_point(text: str, rs: RootSystem) -> TorusPoint:
+    """Colon-separated coordinates; any decimal makes the point floating.
+
+    For A1 (SU(2)) a single theta is shorthand for the point (theta/2, -theta/2).
+    """
     entries = [parse_point_entry(e) for e in text.split(":") if e.strip()]
-    if ambient_dim == 2 and len(entries) == 1:
-        # SU(2) convenience: a single theta is the point dual to it
+    if rs.ambient_dim == 2 and len(entries) == 1:
+        if rs.spec.name != "A1":
+            raise ConfigError(
+                f"a single angle is the SU(2) shorthand, for A1 only; {rs.spec.name} "
+                "needs 2 coordinates",
+                field="point",
+            )
         theta = entries[0]
         entries = [theta / 2, -theta / 2] if isinstance(theta, Fraction) else [
             theta / 2.0,
             -theta / 2.0,
         ]
-    if len(entries) != ambient_dim:
+    if len(entries) != rs.ambient_dim:
         raise ConfigError(
-            f"point has {len(entries)} coordinates; ambient space needs {ambient_dim}"
+            f"point has {len(entries)} coordinates; ambient space needs {rs.ambient_dim}"
         )
     if all(isinstance(e, Fraction) for e in entries):
         return exact_point(entries)
@@ -198,11 +206,17 @@ def _run_char(cfg: RunConfig, factors, weights, points):
     total_dim = 1
     deg_count = 0
     for rs, lam, h in zip(factors, weights, points):
-        cv = charcalc.character(rs, lam, h)
+        if not h.exact:
+            near = rs.near_walls([h.coords])[0]
+            if near.any():  # what character() evaluates: the snapped exact point
+                h = charcalc.snap_to_exact(rs, h, near=near)
+        if h.exact:
+            split = rs.degenerate_split(h)
+            cv = charcalc.char_singular(rs, lam, h, split=split)
+            deg_count += len(split.deg)
+        else:
+            cv = charcalc.character(rs, lam, h)
         d = charcalc.dim_irrep(rs, lam)
-        split = rs.degenerate_split(h if h.exact else charcalc.snap_to_exact(rs, h)
-                                    if charcalc.is_near_singular(rs, h) else h)
-        deg_count += len(split.deg)
         condition = abs(value) * cv.condition + abs(cv.value) * condition
         value *= cv.value
         total_dim *= d
@@ -339,7 +353,7 @@ def run(cfg: RunConfig) -> dict:
         texts = cfg.options["point"].split(";")
         if len(texts) == 1 and len(factors) > 1:
             raise ConfigError("product groups need one point per factor, ';'-separated")
-        points = [parse_point(t, rs.ambient_dim) for t, rs in zip(texts, factors)]
+        points = [parse_point(t, rs) for t, rs in zip(texts, factors)]
         if len(points) != len(factors):
             raise ConfigError("need one torus point per group factor")
 

@@ -76,38 +76,36 @@ def solve(a, b) -> list[Fraction]:
     return [m[i][n] for i in range(n)]
 
 
-def span_coefficients(basis: Sequence[Vec], gram, v: Vec) -> list[Fraction] | None:
-    """Coefficients of v in `basis`, or None if v lies outside the span.
+def _normal_solve(basis: Sequence[Vec], gram, v: Vec) -> tuple[list[Fraction], Vec]:
+    """The least-squares coefficients x of v in `basis`, and sum_i x_i basis_i.
 
-    `gram` is the ambient bilinear form; the normal equations
-    (B^T G B) x = B^T G v are solved exactly and the candidate verified.
+    Solves the normal equations (B^T G B) x = B^T G v exactly, G the
+    ambient bilinear form, so the combination is the orthogonal projection
+    of v onto span(basis).
     """
     k = len(basis)
     gv = [mat_vec(gram, b) for b in basis]
     a = [[dot(gv[i], basis[j]) for j in range(k)] for i in range(k)]
-    rhs = [dot(gv[i], v) for i in range(k)]
-    x = solve(a, rhs)
-    recon = vzero(len(v))
+    x = solve(a, [dot(gv[i], v) for i in range(k)])
+    out = vzero(len(v))
     for c, b in zip(x, basis):
-        recon = vadd(recon, vscale(c, b))
-    if recon != tuple(v):
-        return None
-    return x
+        out = vadd(out, vscale(c, b))
+    return x, out
+
+
+def span_coefficients(basis: Sequence[Vec], gram, v: Vec) -> list[Fraction] | None:
+    """Coefficients of v in `basis`, or None if v lies outside the span.
+
+    `gram` is the ambient bilinear form; the normal equations are solved
+    exactly and the candidate verified.
+    """
+    x, recon = _normal_solve(basis, gram, v)
+    return x if recon == tuple(v) else None
 
 
 def project_onto_span(basis: Sequence[Vec], gram, v: Vec) -> Vec:
     """Orthogonal projection of v onto span(basis) w.r.t. the gram form."""
-    k = len(basis)
-    if k == 0:
-        return vzero(len(v))
-    gv = [mat_vec(gram, b) for b in basis]
-    a = [[dot(gv[i], basis[j]) for j in range(k)] for i in range(k)]
-    rhs = [dot(gv[i], v) for i in range(k)]
-    x = solve(a, rhs)
-    out = vzero(len(v))
-    for c, b in zip(x, basis):
-        out = vadd(out, vscale(c, b))
-    return out
+    return _normal_solve(basis, gram, v)[1]
 
 
 def in_integer_span(basis: Sequence[Vec], gram, v: Vec) -> bool:

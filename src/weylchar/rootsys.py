@@ -11,7 +11,7 @@ of pairings enter any downstream formula, so the normalization is free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -86,11 +86,24 @@ def weyl_order(spec: RootSystemSpec) -> int:
 
 @dataclass(frozen=True)
 class DegenerateSplit:
-    """Positive roots split by (alpha|h0) = 0 mod 2*pi versus not."""
+    """Positive roots split by (alpha|h0) = 0 mod 2*pi versus not.
+
+    For an exact point, (alpha_i|h0) = pi * pairings[i] / den for the i-th
+    positive root in `RootSystem.positive_roots` order; a floating point
+    carries no pairings.  The hash is the point's: the rest is a function
+    of it.
+    """
 
     torus_point: TorusPoint
-    deg: tuple[Vec, ...]
-    ndeg: tuple[Vec, ...]
+    deg: tuple[Vec, ...] = field(hash=False)
+    ndeg: tuple[Vec, ...] = field(hash=False)
+    pairings: tuple[int, ...] | None = field(default=None, hash=False)
+    den: int = field(default=1, hash=False)
+
+    @property
+    def deg_index(self) -> tuple[int, ...]:
+        """Positions of the degenerate roots in `positive_roots` (exact points)."""
+        return tuple(i for i, p in enumerate(self.pairings) if p % (2 * self.den) == 0)
 
 
 class RootSystem:
@@ -129,11 +142,25 @@ class RootSystem:
             tuple(-x for x in r) for r in self.positive_roots
         )
         self._pos_set = frozenset(self.positive_roots)
-        # Rows G*alpha over one denominator: (alpha|h) = (rows @ h) / den.
+        self._simple_index = [self.positive_roots.index(a) for a in self.simple_roots]
+        # Integer forms, each over one denominator, so that per-call pairings
+        # are integer products: the positive roots themselves (alpha =
+        # rows / den), their rows G*alpha ((alpha|h) = (rows @ h) / den), the
+        # simple coroot rows 2 G a / (a|a) (Dynkin labels) and G itself.
+        roots, self._pos_rows_den = common_denominator(
+            x for a in self.positive_roots for x in a
+        )
+        self._pos_rows = np.array(roots, dtype=np.int64).reshape(-1, n)
         forms, self._pos_forms_den = common_denominator(
             x for a in self.positive_roots for x in self.gram_vec(a)
         )
         self._pos_forms = np.array(forms, dtype=np.int64).reshape(-1, n)
+        coroots, self._coroot_den = common_denominator(
+            x for a in self.simple_roots for x in vscale(2 / self.norm2(a), self.gram_vec(a))
+        )
+        self._coroot_forms = np.array(coroots, dtype=np.int64).reshape(-1, n)
+        gram_int, self._gram_den = common_denominator(x for row in self.gram for x in row)
+        self._gram_int = tuple(tuple(gram_int[i * n:(i + 1) * n]) for i in range(n))
         # The same rows in floats, for floating points: (alpha|h) = rows . h.
         self._pos_forms_float = np.array(
             [[float(x) for x in self.gram_vec(a)] for a in self.positive_roots]
@@ -202,21 +229,29 @@ class RootSystem:
     def highest_root(self) -> Vec:
         return max(self.positive_roots, key=lambda r: (sum(self.root_coeffs[r]), r))
 
+    def dynkin_labels(self, lam) -> tuple[list[int], int]:
+        """Integers k_i and D > 0 with 2(lam|a_i)/(a_i|a_i) = k_i / D, simple a_i."""
+        v, den = common_denominator(lam)
+        if len(v) != self.ambient_dim:
+            raise DomainError(f"dimension mismatch: expected {self.ambient_dim}-vectors")
+        return int_matvec(self._coroot_forms, v).tolist(), den * self._coroot_den
+
     def is_integral_weight(self, lam) -> bool:
         """The lattice condition 2(lam|alpha)/(alpha|alpha) in Z, simple alphas."""
-        lam = tuple(Fraction(x) for x in lam)
-        return all(
-            (2 * self.inner(lam, a) / self.inner(a, a)).denominator == 1
-            for a in self.simple_roots
-        )
+        labels, den = self.dynkin_labels(lam)
+        return all(k % den == 0 for k in labels)
 
     def is_dominant_integral(self, lam) -> bool:
-        lam = tuple(Fraction(x) for x in lam)
-        for a in self.simple_roots:
-            q = 2 * self.inner(lam, a) / self.inner(a, a)
-            if q.denominator != 1 or q < 0:
-                return False
-        return True
+        labels, den = self.dynkin_labels(lam)
+        return all(k >= 0 and k % den == 0 for k in labels)
+
+    def int_form(self, v) -> tuple[list[int], int]:
+        """Integers y_j and D > 0 with (x|v) = sum_j x_j y_j / D for every x: G v scaled."""
+        v, den = common_denominator(v)
+        if self._gram_is_identity:
+            return v, den
+        return [sum(g * x for g, x in zip(row, v)) for row in self._gram_int], \
+            den * self._gram_den
 
     def validate_weight(self, lam) -> Vec:
         lam = tuple(Fraction(x) for x in lam)
@@ -269,25 +304,36 @@ class RootSystem:
             raise DomainError("exact pairing requires an exact torus point")
         return self.inner(tuple(Fraction(x) for x in mu), h.coords)
 
+    def root_pairings(self, v) -> tuple[list[int], int]:
+        """Integers p_i and D > 0 with (alpha_i|v) = p_i / D for the positive roots.
+
+        One integer matvec of the scaled positive roots against the scaled
+        rational vector v, in `positive_roots` order.
+        """
+        v, den = common_denominator(v)
+        return int_matvec(self._pos_forms, v).tolist(), self._pos_forms_den * den
+
     def degenerate_split(self, h0: TorusPoint) -> DegenerateSplit:
         """Split positive roots by whether (alpha|h0) lies in 2*pi*Z.
 
-        Exact points split exactly, by one integer matvec of the scaled
-        positive roots against the scaled point; floating points use the
-        snap tolerance.
+        Exact points split exactly, on their integer pairings, which the
+        split keeps; floating points use the snap tolerance.
         """
         self.validate_point(h0)
         deg, ndeg = [], []
         if h0.exact:
-            h, den = common_denominator(h0.coords)
-            pairing = int_matvec(self._pos_forms, h, 2 * self._pos_forms_den * den)
-            for a, p in zip(self.positive_roots, pairing.tolist()):
-                (ndeg if p else deg).append(a)
-        else:
-            near = np.abs(fold_angle(self.float_pairings([h0.coords])[0])) < EPS_SNAP
-            for a, d in zip(self.positive_roots, near.tolist()):
-                (deg if d else ndeg).append(a)
+            pairings, den = self.root_pairings(h0.coords)
+            for a, p in zip(self.positive_roots, pairings):
+                (ndeg if p % (2 * den) else deg).append(a)
+            return DegenerateSplit(h0, tuple(deg), tuple(ndeg), tuple(pairings), den)
+        for a, d in zip(self.positive_roots, self.near_walls([h0.coords])[0].tolist()):
+            (deg if d else ndeg).append(a)
         return DegenerateSplit(h0, tuple(deg), tuple(ndeg))
+
+    def near_walls(self, points) -> np.ndarray:
+        """Per floating point (rows of radians) and positive root alpha: whether
+        (alpha|h) lies within the snap tolerance of 2*pi*Z."""
+        return np.abs(fold_angle(self.float_pairings(points))) < EPS_SNAP
 
     def float_pairings(self, points) -> np.ndarray:
         """(alpha|h) for every floating point h (rows of radians) and positive root alpha.

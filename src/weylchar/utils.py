@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -83,10 +82,13 @@ def cquot(a, b) -> np.ndarray:
     return as_complex(re, im)
 
 
-def unit_phase(q: Fraction) -> complex:
-    """e^{i*pi*q} for exact rational q, reduced mod 2 before trigonometry."""
-    num, den = q.numerator, q.denominator
-    r = num % (2 * den)  # q mod 2 == r / den
+def unit_phase(num: int, den: int) -> complex:
+    """e^{i*pi*num/den} for integers num and den > 0, reduced mod 2 before trigonometry.
+
+    num/den is correctly rounded int division, so the phase depends only
+    on the rational, not on how it is scaled.
+    """
+    r = num % (2 * den)  # num/den mod 2 == r / den
     if r == 0:
         return 1 + 0j
     if r == den:
@@ -98,10 +100,9 @@ def unit_phase(q: Fraction) -> complex:
     return cmath.exp(1j * math.pi * (r / den))
 
 
-def sin_half_pi(q: Fraction) -> float:
-    """sin(pi*q/2) for exact rational q, reduced mod 4 first."""
-    q = q % 4
-    return math.sin(math.pi * float(q) / 2)
+def sin_half_pi(num: int, den: int) -> float:
+    """sin(pi*q/2) for q = num/den with integers num and den > 0, reduced mod 4 first."""
+    return math.sin(math.pi * ((num % (4 * den)) / den) / 2)
 
 
 def remainder(x, y: float) -> np.ndarray:

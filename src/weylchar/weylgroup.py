@@ -12,7 +12,10 @@ level by every generator at once and dedupes on the int8 bytes; the same
 bytes key the group's element index.  Enumeration is breadth-first by
 word length with ties broken lexicographically by the generator word,
 which makes element order, and everything derived from it, fully
-deterministic.
+deterministic.  The reflections in all positive roots are an int8 stack
+built with the group (`WeylGroup.reflections`); stabilizers and coset
+transversals are tuples of element indices into the stack, computed
+without rational arithmetic.
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ DEFAULT_WEYL_CAP = 3_000_000
 #: Below this order the stabilizer is found by exhaustive fixed-point
 #: filtering; above it by closure of the degenerate-root reflections.
 FILTER_THRESHOLD = 100_000
+
+#: Elements per block of the coset transversal's positivity test; bounds
+#: its int64 working arrays at a few MB whatever the group order.
+TRANSVERSAL_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -165,19 +172,38 @@ def _closure(gens: np.ndarray, capacity: int):
     return stack[:count], index, parent, letter, levels[:-1]
 
 
+def _reflection_stack(rs: RootSystem) -> np.ndarray:
+    """The reflections in every positive root as a `(#positive, n, n)` int8 stack.
+
+    In `rs.positive_roots` order.  s_a = I - 2 a (G a)^T / (a|a), on the
+    root system's integer rows of the roots and of G a (their scales
+    cancel), with the integrality of every entry checked.
+    """
+    rows, forms = rs._pos_rows, rs._pos_forms
+    norms = (rows * forms).sum(axis=1)[:, None, None]
+    outer = 2 * rows[:, :, None] * forms[:, None, :]
+    if (outer % norms).any():
+        raise AssertionError("reflection matrix not integral")
+    mats = np.eye(rs.ambient_dim, dtype=np.int64) - outer // norms
+    if np.abs(mats).max() > 127:
+        raise AssertionError("reflection matrix does not fit int8")
+    return mats.astype(np.int8)
+
+
 class WeylGroup:
     """Fully enumerated reflection group of a root system.
 
     `stack[i]` is the int8 matrix and `signs[i]` the sign of element i, in
     enumeration order.  Element i is reached from element `parent[i]` by
     the simple reflection `letter[i]`, which gives its word.
+    `reflections[j]` is the reflection in the j-th positive root.
     """
 
-    def __init__(self, rs: RootSystem, stack, signs, parent, letter, generators, index):
+    def __init__(self, rs: RootSystem, stack, signs, parent, letter, reflections, index):
         self.rs = rs
         self.stack = stack
         self.signs = signs
-        self.generators = generators
+        self.reflections = reflections
         self.order = len(stack)
         self._parent = parent
         self._letter = letter
@@ -246,10 +272,8 @@ def generate_weyl_group(rs: RootSystem, cap: int | None = None) -> WeylGroup:
             required=expected,
             cap=cap,
         )
-    gens = [reflection(rs, a) for a in rs.simple_roots]
-    stack, index, parent, letter, levels = _closure(
-        np.array([g.matrix for g in gens], dtype=np.int8), expected
-    )
+    reflections = _reflection_stack(rs)
+    stack, index, parent, letter, levels = _closure(reflections[rs._simple_index], expected)
     if len(stack) != expected:
         raise AssertionError(
             f"enumerated {len(stack)} elements for {rs.spec.name}, expected {expected}"
@@ -257,27 +281,33 @@ def generate_weyl_group(rs: RootSystem, cap: int | None = None) -> WeylGroup:
     # Every generator is a reflection, so the sign is the parity of the word
     # length, which is the BFS level.
     signs = np.repeat(np.array([1, -1] * len(levels), dtype=np.int8)[:len(levels)], levels)
-    return WeylGroup(rs, stack, signs, parent, letter, gens, index)
+    return WeylGroup(rs, stack, signs, parent, letter, reflections, index)
 
 
 @dataclass(frozen=True)
 class Stabilizer:
     """Subgroup of W fixing a torus point (coordinates mod the period lattice).
 
-    `mode` records how the elements were obtained: "filtered" (exhaustive
-    fixed-point scan, ground truth) or "closure" (generated by reflections
-    in the degenerate roots; coincides with the filtered group for points
-    in the closed fundamental alcove).
+    `indices` are its elements' indices into the parent group, increasing,
+    and `roots` the positions in `positive_roots` of the degenerate roots,
+    whose reflections generate it.  `mode` records how the elements were
+    obtained: "filtered" (exhaustive fixed-point scan, ground truth) or
+    "closure" (generated by reflections in the degenerate roots; coincides
+    with the filtered group for points in the closed fundamental alcove).
     """
 
     parent: WeylGroup
-    elements: tuple
-    generating_reflections: tuple
+    indices: tuple
+    roots: tuple
     mode: str
 
     @property
+    def elements(self) -> tuple:
+        return tuple(self.parent.element(i) for i in self.indices)
+
+    @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.indices)
 
     def __iter__(self):
         return iter(self.elements)
@@ -311,80 +341,89 @@ def stabilizer(
     """Stabilizer of an exact torus point inside an enumerated Weyl group.
 
     mode "filtered" scans all of W for fixed points; "closure" generates
-    from the reflections in degenerate roots; "auto" picks "filtered" up to
-    order 1e5 and "closure" beyond; "crosscheck" runs both and asserts they
-    agree (intended for alcove points, where the identification is a
-    theorem).  `split` is `rs.degenerate_split(h0)` when the caller has it.
+    from the reflections in degenerate roots (rows of `group.reflections`,
+    so no rational arithmetic); "auto" picks "filtered" up to order 1e5
+    and "closure" beyond; "crosscheck" runs both and asserts they agree
+    (intended for alcove points, where the identification is a theorem).
+    `split` is `rs.degenerate_split(h0)` when the caller has it.
     """
     rs.validate_point(h0)
     if not h0.exact:
         raise DomainError("stabilizer requires an exact torus point")
     if split is None:
         split = rs.degenerate_split(h0)
-    gen_refl = tuple(reflection(rs, a) for a in split.deg)
-    n = rs.ambient_dim
 
     def filtered():
-        return tuple(w for w in group.elements if fixes_torus_point(rs, w, h0))
+        return tuple(i for i, w in enumerate(group.elements) if fixes_torus_point(rs, w, h0))
 
     def closure():
-        gens = np.array([g.matrix for g in gen_refl], dtype=np.int8).reshape(-1, n, n)
-        stack = _closure(gens, 16)[0]
-        return tuple(group.element(i) for i in sorted(group.indices_of(stack)))
+        stack = _closure(group.reflections[list(split.deg_index)], 16)[0]
+        return tuple(sorted(group.indices_of(stack)))
 
     if mode == "auto":
         mode = "filtered" if group.order <= FILTER_THRESHOLD else "closure"
     if mode == "filtered":
-        elements = filtered()
+        indices = filtered()
     elif mode == "closure":
-        elements = closure()
+        indices = closure()
     elif mode == "crosscheck":
-        a, b = filtered(), closure()
-        if [w.matrix for w in a] != [w.matrix for w in b]:
+        indices = filtered()
+        if indices != closure():
             raise AssertionError(
                 "point stabilizer differs from degenerate-reflection closure "
                 "(point outside the fundamental alcove?)"
             )
-        elements, mode = a, "crosscheck"
     else:
         raise DomainError(f"unknown stabilizer mode {mode!r}")
-    if group.order % len(elements) != 0:
+    if group.order % len(indices) != 0:
         raise AssertionError("stabilizer order does not divide the group order")
-    return Stabilizer(group, elements, gen_refl, mode)
+    return Stabilizer(group, indices, split.deg_index, mode)
 
 
 @dataclass(frozen=True)
 class CosetTransversal:
-    """Minimal-word representatives of the left cosets b*W0, in BFS order."""
+    """Representatives of the left cosets b*W0, as indices into `group`.
 
-    reps: tuple
+    `coset_transversal` gives each coset's first element in enumeration
+    order; any other choice of representatives is a valid transversal too.
+    """
+
+    group: WeylGroup
+    indices: tuple
+
+    @property
+    def reps(self) -> tuple:
+        return tuple(self.group.element(i) for i in self.indices)
 
     def __iter__(self):
         return iter(self.reps)
 
     def __len__(self):
-        return len(self.reps)
+        return len(self.indices)
 
 
-def coset_transversal(group: WeylGroup, w0: Stabilizer | list) -> CosetTransversal:
-    """One representative per left coset of W0, each minimal in BFS order."""
-    members = list(w0.elements if isinstance(w0, Stabilizer) else w0)
-    sub = np.array([s.matrix for s in members], dtype=np.int8)
-    group.indices_of(sub)  # W0 must lie inside W
-    if group.order % len(members) != 0:
-        raise DomainError("W0 is not a subgroup: order does not divide |W|")
-    assigned = bytearray(group.order)
+def coset_transversal(group: WeylGroup, w0: Stabilizer) -> CosetTransversal:
+    """One representative per left coset of W0, each minimal in BFS order.
+
+    W0 is the reflection subgroup generated by its degenerate roots, whose
+    positive system is those roots.  Each coset b*W0 then holds exactly one
+    element of minimal length, the one mapping every degenerate root to a
+    positive root (Dyer, "Reflection subgroups of Coxeter systems", J.
+    Algebra 135, 1990), and enumeration order is by length first, so that
+    element is the coset's first.  A root beta is positive iff
+    (beta|rho) > 0, and (w a|rho) = (a|w^-1 rho) = a . (w^T G rho), so the
+    test is one integer product over the whole stack.
+    """
+    rs = group.rs
+    rho, _ = rs.int_form(rs.weyl_vector)
+    roots = rs._pos_rows[list(w0.roots)].T
     reps = []
-    for i in range(group.order):
-        if assigned[i]:
-            continue
-        reps.append(group.element(i))
-        try:
-            coset = group.indices_of(group.stack[i] @ sub)
-        except DomainError:
-            raise DomainError("W0 is not closed inside W") from None
-        for j in coset:
-            assigned[j] = 1
-    if len(reps) * len(members) != group.order:
+    for lo in range(0, group.order, TRANSVERSAL_BLOCK):
+        block = group.stack[lo:lo + TRANSVERSAL_BLOCK]
+        w_rho = np.zeros((len(block), rs.ambient_dim), dtype=np.int64)
+        for k, c in enumerate(rho):  # w^T G rho, one row of w at a time
+            w_rho += block[:, k, :].astype(np.int64) * c
+        reps.extend((lo + np.flatnonzero((w_rho @ roots > 0).all(axis=1))).tolist())
+    if len(reps) * w0.order != group.order:
         raise AssertionError("transversal does not partition the group")
-    return CosetTransversal(tuple(reps))
+    return CosetTransversal(group, tuple(reps))

@@ -219,7 +219,8 @@ def test_transversal_independence():
     lam = random_dominant_weight(rs, rng, max_dim=2000)
     d = dim_irrep(rs, lam)
     a = char_singular(rs, lam, h0).value
-    b = char_singular(rs, lam, h0, transversal=CosetTransversal(tuple(twisted))).value
+    twisted = CosetTransversal(group, tuple(group.index_of(b) for b in twisted))
+    b = char_singular(rs, lam, h0, transversal=twisted).value
     assert abs(a - b) < 1e-12 * d
 
 

@@ -48,19 +48,24 @@ def test_parse_point_entries():
 
 
 def test_parse_point_exactness_rules():
-    h = parse_point("pi/5:pi/5:-2pi/5", 3)
+    a2 = build_root_system("A2")
+    h = parse_point("pi/5:pi/5:-2pi/5", a2)
     assert h.exact and h.coords == (F(1, 5), F(1, 5), F(-2, 5))
-    h = parse_point("1.0:1.0:-2.0", 3)
+    h = parse_point("1.0:1.0:-2.0", a2)
     assert not h.exact
     # mixed entries degrade to floating, converted to radians
-    h = parse_point("pi/5:0.62831853:-1.2566370", 3)
+    h = parse_point("pi/5:0.62831853:-1.2566370", a2)
     assert not h.exact
     assert abs(h.coords[0] - math.pi / 5) < 1e-12
 
 
 def test_parse_point_su2_theta_shorthand():
-    h = parse_point("pi", 2)
+    h = parse_point("pi", build_root_system("A1"))
     assert h.exact and h.coords == (F(1, 2), F(-1, 2))
+    for name in ("B2", "C2", "D2", "G2"):
+        with pytest.raises(ConfigError) as info:
+            parse_point("pi", build_root_system(name))
+        assert info.value.field == "point"
 
 
 def test_parse_weight_fundamental_and_ambient():
@@ -279,6 +284,9 @@ def test_cap_weyl_env_override(capsys, monkeypatch):
     (["spectral", "--group", "A1", "--l", "x"], "l"),
     (["sweep", "--group", "A2", "--point", "pi/5:pi/5:-2pi/5", "--schedule", "1,x"],
      "schedule"),
+    # a single angle is the SU(2) shorthand: A1 only, not every 2-dim ambient space
+    (["char", "--group", "B2", "--weight", "1,1", "--point", "pi"], "point"),
+    (["char", "--group", "G2", "--weight", "1,0", "--point", "pi/3"], "point"),
 ])
 def test_missing_or_malformed_options_give_typed_errors(capsys, argv, field):
     jsonschema = pytest.importorskip("jsonschema")
@@ -290,6 +298,35 @@ def test_missing_or_malformed_options_give_typed_errors(capsys, argv, field):
     assert doc["error"]["code"] == "ConfigError"
     assert doc["error"]["field"] == field
     jsonschema.validate(doc, json.loads((schema_dir / "error.schema.json").read_text()))
+
+
+def test_near_wall_char_snaps_once_and_splits_once(capsys, monkeypatch):
+    # A near-wall floating point is snapped once onto its stratum, and that
+    # exact point's one split gives both the value and the degenerate count.
+    from weylchar import charcalc, rootsys
+    from weylchar.torus import float_point
+
+    calls = {"snap": 0, "split": 0}
+    snap, split = charcalc.snap_to_exact, rootsys.RootSystem.degenerate_split
+
+    def counting_snap(*args, **kwargs):
+        calls["snap"] += 1
+        return snap(*args, **kwargs)
+
+    def counting_split(self, h0):
+        calls["split"] += 1
+        return split(self, h0)
+
+    monkeypatch.setattr(charcalc, "snap_to_exact", counting_snap)
+    monkeypatch.setattr(rootsys.RootSystem, "degenerate_split", counting_split)
+    code, doc = run_json(capsys, "char", "--group", "A2", "--weight", "3,2",
+                         "--point", "0.3:0.3:-0.6")
+    assert code == 0 and doc["result"]["degenerate_roots"] == 1
+    assert calls == {"snap": 1, "split": 1}
+    rs = build_root_system("A2")
+    cv = charcalc.character(rs, rs.weight_from_fundamental((3, 2)),
+                            float_point([0.3, 0.3, -0.6]))
+    assert doc["result"]["value"] == {"re": cv.value.real, "im": cv.value.imag}
 
 
 def test_non_finite_float_point_is_a_domain_error(capsys):

@@ -3,7 +3,8 @@
 Every exact character sum (regular, singular, oracle) goes through one
 integer kernel, `charcalc._exponent_map`.  These tests hold it to plain
 Fraction references written out here, one per caller, and hold the
-batched int8 enumeration to a one-element-at-a-time BFS.
+batched int8 enumeration to a one-element-at-a-time BFS.  The kernel's
+integer map {r: c} over its denominator D is compared as {r/D: c}.
 """
 
 from fractions import Fraction as F
@@ -38,6 +39,11 @@ E6_SAMPLE = 1500
 def _weight(rs, rng, max_dim):
     # E6 dimensions grow fast: draw from 0/1 fundamental coordinates there.
     return random_dominant_weight(rs, rng, max_dim=max_dim, max_coeff=1 if rs.rank == 6 else 6)
+
+
+def _fractions(collected, d):
+    """An `_exponent_map` result as the {exponent / pi mod 2: coefficient} map."""
+    return {F(r, d): c for r, c in collected.items()}
 
 
 def _reference_regular(rs, eta, h, elements):
@@ -95,7 +101,7 @@ def test_regular_map_matches_fraction_reference(name):
         eta = vadd(lam, rs.weyl_vector)
         h = random_regular_exact_point(rs, rng)
         orbit, den, signs = _exact_orbit(rs, h.coords)
-        got = _exponent_map(orbit[idx], den, rs.gram_vec(eta), signs[idx])
+        got = _fractions(*_exponent_map(orbit[idx], den, *rs.int_form(eta), signs[idx]))
         want = _reference_regular(rs, eta, h, [group.elements[i] for i in idx])
         assert got == want
         assert list(got) == sorted(got)  # keys come in increasing order
@@ -110,9 +116,9 @@ def test_singular_map_matches_fraction_reference(name):
         ev = _SingularEvaluator(rs, split)
         for _ in range(2):
             lam = _weight(rs, rng, 3000)
-            got, got_abs = ev.exponents(lam)
+            collected, d, got_abs = ev.exponents(lam)
             want, want_abs = _reference_singular(rs, split, ev.transversal, lam)
-            assert got == want and got_abs == want_abs
+            assert _fractions(collected, d) == want and got_abs == want_abs
 
 
 @pytest.mark.parametrize("name", ["B4", "F4", "E6"])
@@ -122,7 +128,7 @@ def test_oracle_map_matches_fraction_reference(name):
     lam = _weight(rs, rng, 400)
     mults = weight_multiplicities(rs, lam)
     for h in [random_regular_exact_point(rs, rng)] + _singular_points(rs, rng, 1):
-        assert _weight_exponents(rs, mults, h) == _reference_oracle(rs, mults, h)
+        assert _fractions(*_weight_exponents(rs, lam, h)) == _reference_oracle(rs, mults, h)
 
 
 def test_int_matvec_switches_to_python_ints_past_int64():
@@ -150,16 +156,19 @@ def test_huge_denominators_take_the_python_int_path():
     assert not rs.degenerate_split(h).deg
     orbit, den, signs = _exact_orbit(rs, h.coords)
     assert 2 * den > 2**62
-    assert _exponent_map(orbit, den, rs.gram_vec(eta), signs) == \
+    assert _fractions(*_exponent_map(orbit, den, *rs.int_form(eta), signs)) == \
         _reference_regular(rs, eta, h, group.elements)
     h0 = exact_point([x, x, y, z])  # e1 - e2 degenerate
     split = rs.degenerate_split(h0)
     assert split.deg
     ev = _SingularEvaluator(rs, split)
-    assert ev.exponents(lam) == _reference_singular(rs, split, ev.transversal, lam)
+    collected, d, abs_sum = ev.exponents(lam)
+    assert (_fractions(collected, d), abs_sum) == \
+        _reference_singular(rs, split, ev.transversal, lam)
     mults = weight_multiplicities(rs, lam)
     for point in (h, h0):
-        assert _weight_exponents(rs, mults, point) == _reference_oracle(rs, mults, point)
+        assert _fractions(*_weight_exponents(rs, lam, point)) == \
+            _reference_oracle(rs, mults, point)
         got, want = character(rs, lam, point), char_weightsum_oracle(rs, lam, point)
         assert got.condition < 1e-9
         assert abs(got.value - want.value) <= 1e-9 * dim_irrep(rs, lam)
