@@ -23,9 +23,9 @@ from .torus import TorusPoint, exact_point
 
 @dataclass(frozen=True)
 class WeightPath:
-    """A schedule of dominant weights, either k*base or an explicit list."""
+    """A schedule of dominant weights k*base along a ray."""
 
-    base: Vec | None
+    base: Vec
     schedule: tuple
 
     @classmethod
@@ -38,29 +38,15 @@ class WeightPath:
             raise DomainError("ray schedule entries must be positive integers")
         return cls(lam0, ks)
 
-    @classmethod
-    def explicit(cls, rs: RootSystem, weights) -> "WeightPath":
-        ws = tuple(rs.validate_weight(w) for w in weights)
-        for w in ws:
-            if not rs.is_dominant_integral(w):
-                raise DomainError("every explicit weight must be dominant integral")
-        return cls(None, ws)
-
-    def weights(self) -> list[tuple[int | None, Vec]]:
-        if self.base is None:
-            return [(None, w) for w in self.schedule]
+    def weights(self) -> list[tuple[int, Vec]]:
         return [(k, vscale(k, self.base)) for k in self.schedule]
-
-    @property
-    def is_ray(self) -> bool:
-        return self.base is not None
 
 
 @dataclass(frozen=True)
 class DecayReport:
     """Sweep output: (weight, dim, |chi|/dim) rows plus fitted summaries."""
 
-    entries: tuple  # (k-or-None, weight, dim, ratio)
+    entries: tuple  # (k, weight, dim, ratio)
     fitted_slope: float | None
     bound_constant: float | None
     identity_stratum: bool = False
@@ -109,7 +95,7 @@ def normalized_char_sweep(
         rows.append((k, lam, d, ratio))
     rows.sort(key=lambda r: r[2])
     report = DecayReport(tuple(rows), None, None, identity_stratum)
-    if identity_stratum or not path.is_ray or len(rows) < 5:
+    if identity_stratum or len(rows) < 5:
         return report
     slope = _fit_slope(rows)
     bound = _fit_bound(rows, path)
@@ -123,7 +109,7 @@ def _fit_slope(rows) -> float:
     Weyl-vector shift makes k*lambda0 pairings affine in k with unit
     offset at lambda0 = rho, and small-k transients pollute the head.
     """
-    tail = [r for r in rows if r[0] is not None][len(rows) // 2:]
+    tail = rows[len(rows) // 2:]
     pts = [(math.log(k + 1), math.log(ratio)) for k, _, _, ratio in tail if ratio > 0]
     if len(pts) < 2:
         return float("nan")
@@ -150,7 +136,7 @@ def decay_exponent(report: DecayReport) -> float:
     if len(report.entries) < 5:
         raise DomainError("decay exponent needs at least 5 sweep entries")
     if report.fitted_slope is None:
-        raise DomainError("report carries no slope (identity stratum or explicit path)")
+        raise DomainError("report carries no slope (identity stratum or counterexample)")
     return report.fitted_slope
 
 
@@ -252,18 +238,12 @@ def nonsimple_counterexample(
     rs_list[carrier].validate_point(g)
     if g.is_zero():
         raise DomainError("carrier element must be nontrivial")
-    if g_parts is None:
-        g_parts = [None] * len(rs_list)
-        g_parts[carrier] = g
-    else:
-        g_parts = list(g_parts)
-        g_parts[carrier] = g
+    g_parts = list(g_parts) if g_parts is not None else [None] * len(rs_list)
+    g_parts[carrier] = g
 
     rows = []
     for k in range(1, k_max + 1):
-        ratio_num = Fraction(1)  # exact when every factor evaluates exactly
-        ratio_float = 1.0
-        exact = True
+        ratio = 1.0  # factors at the identity or in the trivial irrep give exactly 1
         dims = 1
         lam_concat = []
         for idx, rs in enumerate(rs_list):
@@ -275,21 +255,8 @@ def nonsimple_counterexample(
             d = dim_irrep(rs, lam)
             dims *= d
             gi = g_parts[idx]
-            if gi is None:
-                # character of any irrep at the identity is exactly its dimension
-                chi_exact = Fraction(d)
-                ratio_num *= chi_exact / d
-            elif all(x == 0 for x in lam):
-                # trivial representation: character is exactly 1 everywhere
-                ratio_num *= Fraction(1)
-            else:
-                exact = False
-                cv = character(rs, lam, gi)
-                ratio_float *= abs(cv.value) / d
-        if exact:
-            ratio = float(ratio_num)
-        else:
-            ratio = float(ratio_num) * ratio_float
+            if gi is not None and any(x != 0 for x in lam):
+                ratio *= abs(character(rs, lam, gi).value) / d
         rows.append((k, tuple(lam_concat), dims, ratio))
     rows.sort(key=lambda r: r[2])
     return DecayReport(tuple(rows), None, None, False)

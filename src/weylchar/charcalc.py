@@ -67,7 +67,7 @@ from .errors import CapacityError, DomainError, SingularPointError, SnapError
 from .exactlin import (
     Vec, common_denominator, int_dtype, int_matvec, vadd, vscale, vsub, vsum, vzero,
 )
-from .rootsys import EPS_SNAP, DegenerateSplit, RootSystem
+from .rootsys import EPS_SNAP, DegenerateSplit, RootSystem, RootSystemSpec, weyl_order
 from .torus import TorusPoint, exact_point, float_point
 from .utils import (
     as_complex, cmul, cquot, fold_angle, ordered_dot, pairwise_sum, sin_half_angle,
@@ -176,7 +176,8 @@ def _dominant(rs: RootSystem, lam) -> Vec:
     return lam
 
 
-@lru_cache(maxsize=64)
+# One entry: a sweep at one point still hits it; 64 distinct E7 orbits held ~10 GB.
+@lru_cache(maxsize=1)
 def _exact_orbit(rs: RootSystem, coords: tuple):
     """(O, D, signs): O[i] = D * w_i(coords) as an integer (|W|, n) array.
 
@@ -270,10 +271,6 @@ def _char_regular_float(
 # ---------------------------------------------------------------------------
 
 
-def is_near_singular(rs: RootSystem, h: TorusPoint) -> bool:
-    return bool(rs.degenerate_split(h).deg)
-
-
 def snap_to_exact(rs: RootSystem, h: TorusPoint, *, near=None) -> TorusPoint:
     """Rationalize a floating point onto its singular stratum, or fail loudly.
 
@@ -337,8 +334,7 @@ class _SingularEvaluator:
         self.h0 = h0 = split.torus_point
         self.split = split
         group = cached_weyl_group(rs)
-        w0 = stabilizer(rs, group, h0, mode="closure", split=split)
-        self.w0 = w0
+        w0 = stabilizer(rs, group, h0, split=split)
         self.transversal: CosetTransversal = transversal or coset_transversal(group, w0)
         n = rs.ambient_dim
         deg = list(split.deg_index)
@@ -437,13 +433,13 @@ def character(rs: RootSystem, lam, h) -> CharacterValue:
     unless some root pairing lies within EPS_SNAP of 2*pi*Z: the regular
     rows share one `_char_regular_float` call, and the others are snapped
     onto their stratum and evaluated exactly, once per distinct snapped
-    point.  The degenerate split of an exact (or snapped) point is
-    computed once and handed down.
+    point.  An exact (or snapped) point goes to `char_singular`, which
+    computes its degenerate split once and also serves regular points.
     """
     single = isinstance(h, TorusPoint)
     if single:
         if h.exact:
-            return _char_exact(rs, lam, h)
+            return char_singular(rs, lam, h)
         rs.validate_point(h)
     points = np.array([h.coords]) if single else np.asarray(h, dtype=float)
     pairings = rs.float_pairings(points)
@@ -459,18 +455,11 @@ def character(rs: RootSystem, lam, h) -> CharacterValue:
     for i in np.flatnonzero(near).tolist():
         h0 = snap_to_exact(rs, float_point(points[i]), near=near_roots[i])
         if h0 not in snapped:
-            snapped[h0] = _char_exact(rs, lam, h0)
+            snapped[h0] = char_singular(rs, lam, h0)
         value[i], condition[i] = snapped[h0].value, snapped[h0].condition
     if single:
         return CharacterValue(complex(value[0]), float(condition[0]))
     return CharacterValue(value, condition)
-
-
-def _char_exact(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
-    split = rs.degenerate_split(h)
-    if split.deg:
-        return char_singular(rs, lam, h, split=split)
-    return _char_regular_exact(rs, vadd(_dominant(rs, lam), rs.weyl_vector), split)
 
 
 # ---------------------------------------------------------------------------
@@ -556,16 +545,7 @@ def _classify_component(rs: RootSystem, positive, simple) -> tuple[str, int, int
                 fam = "C"
             else:
                 raise AssertionError(f"unclassifiable two-length component r={r} c={c}")
-    orders = {
-        "A": math.factorial(r + 1),
-        "B": 2**r * math.factorial(r),
-        "C": 2**r * math.factorial(r),
-        "D": 2 ** (r - 1) * math.factorial(r),
-        "E": {6: 51840, 7: 2903040, 8: 696729600}.get(r, 0),
-        "F": 1152,
-        "G": 12,
-    }
-    return fam, r, orders[fam]
+    return fam, r, weyl_order(RootSystemSpec(fam, r))
 
 
 def effective_subsystem(rs: RootSystem, image_roots) -> EffectiveSubsystem:

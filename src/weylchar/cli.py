@@ -151,12 +151,6 @@ def _fmt_fraction_vec(v):
     return [str(Fraction(x)) for x in v]
 
 
-def _point_str(h: TorusPoint) -> dict:
-    if h.exact:
-        return {"exact": True, "coords_pi": [str(c) for c in h.coords]}
-    return {"exact": False, "coords_radians": list(h.coords)}
-
-
 # ---------------------------------------------------------------------------
 # Subcommand implementations: each returns (result_dict, csv_rows)
 # ---------------------------------------------------------------------------
@@ -260,7 +254,7 @@ def _run_sweep(cfg: RunConfig, factors, weights, points):
     if cfg.options.get("plot_data"):
         result["plot_data"] = [
             [math.log(e["k"]), math.log(e["ratio_abs"])]
-            for e in entries if e["k"] and e["ratio_abs"] > 0
+            for e in entries if e["ratio_abs"] > 0
         ]
     rows = [["k", "dim", "ratio_abs", "bound"]]
     for e in entries:

@@ -22,10 +22,6 @@ Vec = tuple[Fraction, ...]
 INT64_SAFE = 2**62
 
 
-def vec(values) -> Vec:
-    return tuple(Fraction(v) for v in values)
-
-
 def vadd(x: Vec, y: Vec) -> Vec:
     return tuple(a + b for a, b in zip(x, y, strict=True))
 

@@ -334,27 +334,6 @@ def km_density(s: int):
     return f
 
 
-@dataclass(frozen=True)
-class KestenMcKayLaw:
-    """The limiting spectral law for s uniform generators."""
-
-    s: int
-
-    def __post_init__(self):
-        if self.s < 2:
-            raise DomainError("Kesten-McKay law needs s >= 2")
-
-    @property
-    def support_radius(self) -> float:
-        return delta_opt(self.s)
-
-    def moment(self, m: int) -> Fraction:
-        return km_moment(self.s, m)
-
-    def density(self):
-        return km_density(self.s)
-
-
 def delta_opt(s: int) -> float:
     """Universal spectral-radius floor 2 sqrt(s-1)/s for s generators."""
     if s < 2:

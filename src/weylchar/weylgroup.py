@@ -16,6 +16,14 @@ deterministic.  The reflections in all positive roots are an int8 stack
 built with the group (`WeylGroup.reflections`); stabilizers and coset
 transversals are tuples of element indices into the stack, computed
 without rational arithmetic.
+
+The stabilizer of a torus point is always the closure of the reflections
+in its degenerate roots.  That is exact at every point, not only in the
+fundamental alcove: in a simply connected compact group the centralizer
+of a torus element is connected (Steinberg, "Torsion in reductive
+groups", Adv. Math. 15, 1975), so its Weyl group, the point's stabilizer
+in W, is generated by the reflections in the roots alpha with
+(alpha|h0) in 2*pi*Z.
 """
 
 from __future__ import annotations
@@ -33,10 +41,6 @@ from .torus import TorusPoint
 
 #: Default cap on enumerated group order; admits E7, refuses E8.
 DEFAULT_WEYL_CAP = 3_000_000
-
-#: Below this order the stabilizer is found by exhaustive fixed-point
-#: filtering; above it by closure of the degenerate-root reflections.
-FILTER_THRESHOLD = 100_000
 
 #: Elements per block of the coset transversal's positivity test; bounds
 #: its int64 working arrays at a few MB whatever the group order.
@@ -88,10 +92,6 @@ class WeylElement:
 
 def _to_tuple(arr) -> tuple:
     return tuple(tuple(int(x) for x in row) for row in arr)
-
-
-def identity_element(dim: int) -> WeylElement:
-    return WeylElement(_to_tuple(np.eye(dim, dtype=np.int64)), 1, ())
 
 
 def reflection(rs: RootSystem, alpha) -> WeylElement:
@@ -247,9 +247,6 @@ class WeylGroup:
         except KeyError:
             raise DomainError("element does not belong to this Weyl group") from None
 
-    def __contains__(self, w: WeylElement) -> bool:
-        return _key(w.matrix) in self._index
-
     def __iter__(self):
         return iter(self.elements)
 
@@ -290,16 +287,13 @@ class Stabilizer:
 
     `indices` are its elements' indices into the parent group, increasing,
     and `roots` the positions in `positive_roots` of the degenerate roots,
-    whose reflections generate it.  `mode` records how the elements were
-    obtained: "filtered" (exhaustive fixed-point scan, ground truth) or
-    "closure" (generated by reflections in the degenerate roots; coincides
-    with the filtered group for points in the closed fundamental alcove).
+    whose reflections generate it at every point of a simply connected
+    group (Steinberg, Adv. Math. 15, 1975).
     """
 
     parent: WeylGroup
     indices: tuple
     roots: tuple
-    mode: str
 
     @property
     def elements(self) -> tuple:
@@ -334,50 +328,26 @@ def stabilizer(
     rs: RootSystem,
     group: WeylGroup,
     h0: TorusPoint,
-    mode: str = "auto",
     *,
     split: DegenerateSplit | None = None,
 ) -> Stabilizer:
     """Stabilizer of an exact torus point inside an enumerated Weyl group.
 
-    mode "filtered" scans all of W for fixed points; "closure" generates
-    from the reflections in degenerate roots (rows of `group.reflections`,
-    so no rational arithmetic); "auto" picks "filtered" up to order 1e5
-    and "closure" beyond; "crosscheck" runs both and asserts they agree
-    (intended for alcove points, where the identification is a theorem).
-    `split` is `rs.degenerate_split(h0)` when the caller has it.
+    The closure of the reflections in the degenerate roots (rows of
+    `group.reflections`, so no rational arithmetic), which is the whole
+    stabilizer at every point by Steinberg's theorem.  `split` is
+    `rs.degenerate_split(h0)` when the caller has it.
     """
     rs.validate_point(h0)
     if not h0.exact:
         raise DomainError("stabilizer requires an exact torus point")
     if split is None:
         split = rs.degenerate_split(h0)
-
-    def filtered():
-        return tuple(i for i, w in enumerate(group.elements) if fixes_torus_point(rs, w, h0))
-
-    def closure():
-        stack = _closure(group.reflections[list(split.deg_index)], 16)[0]
-        return tuple(sorted(group.indices_of(stack)))
-
-    if mode == "auto":
-        mode = "filtered" if group.order <= FILTER_THRESHOLD else "closure"
-    if mode == "filtered":
-        indices = filtered()
-    elif mode == "closure":
-        indices = closure()
-    elif mode == "crosscheck":
-        indices = filtered()
-        if indices != closure():
-            raise AssertionError(
-                "point stabilizer differs from degenerate-reflection closure "
-                "(point outside the fundamental alcove?)"
-            )
-    else:
-        raise DomainError(f"unknown stabilizer mode {mode!r}")
+    stack = _closure(group.reflections[list(split.deg_index)], 16)[0]
+    indices = tuple(sorted(group.indices_of(stack)))
     if group.order % len(indices) != 0:
         raise AssertionError("stabilizer order does not divide the group order")
-    return Stabilizer(group, indices, split.deg_index, mode)
+    return Stabilizer(group, indices, split.deg_index)
 
 
 @dataclass(frozen=True)

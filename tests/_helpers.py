@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from weylchar.charcalc import dim_irrep
 from weylchar.torus import exact_point
+from weylchar.weylgroup import fixes_torus_point
 
 
 def random_dominant_weight(rs, rng, max_dim=5000, max_coeff=6, max_draws=10_000):
@@ -41,6 +42,15 @@ def random_regular_exact_point(rs, rng, denoms=(7, 11, 13, 17, 19, 23)):
 
 def random_rational_vector(rng, dim, denom=12):
     return tuple(Fraction(rng.randint(-denom, denom), denom) for _ in range(dim))
+
+
+def scan_stabilizer(rs, group, h0):
+    """Indices of the elements of `group` fixing h0, by an exhaustive scan.
+
+    The reference for `weylgroup.stabilizer`, which closes the degenerate
+    reflections instead: one exact fixed-point test per element of W.
+    """
+    return tuple(i for i, w in enumerate(group.elements) if fixes_torus_point(rs, w, h0))
 
 
 def rng_for(name: str) -> random.Random:

@@ -110,12 +110,15 @@ def test_km_moments_small_cases():
     assert km_moment(4, 4) == F(7, 64)
     for m in (1, 3, 5, 7, 11):
         assert km_moment(4, m) == 0
+    with pytest.raises(DomainError):
+        km_moment(1, 2)
 
 
 def test_km_moments_match_density_quadrature():
     s = 4
     f = km_density(s)
     r = delta_opt(s)
+    assert f(0.0) > 0 and f(1.0) == 0.0
     for m in range(0, 13):
         want = float(km_moment(s, m))
         got, err = integrate.quad(lambda x: x**m * f(x), -r, r, limit=200)
@@ -139,17 +142,6 @@ def test_km_hankel_matrix_is_psd():
     )
     eigs = np.linalg.eigvalsh(h)
     assert eigs.min() > -1e-12
-
-
-def test_km_law_type():
-    from weylchar.spectral import KestenMcKayLaw
-
-    law = KestenMcKayLaw(4)
-    assert law.support_radius == delta_opt(4)
-    assert law.moment(4) == F(7, 64)
-    assert law.density()(0.0) > 0 and law.density()(1.0) == 0.0
-    with pytest.raises(DomainError):
-        KestenMcKayLaw(1)
 
 
 def test_delta_opt_values_and_monotonicity():

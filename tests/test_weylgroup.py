@@ -8,6 +8,7 @@ import pytest
 from weylchar import build_root_system, exact_point
 from weylchar.charcalc import effective_subsystem
 from weylchar.errors import CapacityError, DomainError
+from weylchar.exactlin import vscale, vsum
 from weylchar.asymptotics import alcove_stratum_points
 from weylchar.weylgroup import (
     coset_transversal,
@@ -19,7 +20,7 @@ from weylchar.weylgroup import (
 )
 from weylchar.rootsys import weyl_order
 
-from _helpers import random_rational_vector, rng_for
+from _helpers import random_rational_vector, rng_for, scan_stabilizer
 
 
 @pytest.mark.parametrize(
@@ -127,7 +128,8 @@ def test_stabilizer_su3_paper_example():
     rs = build_root_system("A2")
     group = generate_weyl_group(rs)
     h0 = exact_point([F(1, 5), F(1, 5), F(-2, 5)])
-    w0 = stabilizer(rs, group, h0, mode="crosscheck")
+    w0 = stabilizer(rs, group, h0)
+    assert w0.indices == scan_stabilizer(rs, group, h0)
     assert w0.order == 2
     s1 = reflection(rs, rs.simple_roots[0])
     assert {w.matrix for w in w0.elements} == {group.identity.matrix, s1.matrix}
@@ -137,14 +139,18 @@ def test_stabilizer_regular_point_is_trivial():
     rs = build_root_system("A2")
     group = generate_weyl_group(rs)
     h = exact_point([F(1, 7), F(2, 7), F(-3, 7)])
-    assert stabilizer(rs, group, h, mode="crosscheck").order == 1
+    w0 = stabilizer(rs, group, h)
+    assert w0.indices == scan_stabilizer(rs, group, h)
+    assert w0.order == 1
 
 
 def test_stabilizer_su5_stratum_is_s3_x_s2():
     rs = build_root_system("A4")
     group = generate_weyl_group(rs)
     h = exact_point([F(1, 7), F(1, 7), F(1, 7), F(-3, 14), F(-3, 14)])
-    assert stabilizer(rs, group, h, mode="crosscheck").order == 12
+    w0 = stabilizer(rs, group, h)
+    assert w0.indices == scan_stabilizer(rs, group, h)
+    assert w0.order == 12
 
 
 @pytest.mark.parametrize(
@@ -154,13 +160,35 @@ def test_stabilizer_matches_component_weyl_orders_on_all_strata(name):
     rs = build_root_system(name)
     group = generate_weyl_group(rs)
     for st in alcove_stratum_points(rs):
-        w0 = stabilizer(rs, group, st.point, mode="crosscheck")
+        w0 = stabilizer(rs, group, st.point)
+        assert w0.indices == scan_stabilizer(rs, group, st.point)
         split = rs.degenerate_split(st.point)
         sub = effective_subsystem(rs, split.deg)
         expected = 1
         for comp in sub.components:
             expected *= comp.weyl_order
         assert w0.order == expected
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C3", "G2"])
+def test_closure_stabilizer_equals_scan_off_the_alcove(name):
+    # The closure is the stabilizer at every point of a simply connected
+    # group (Steinberg), not only in the alcove: check it at Weyl images of
+    # every stratum and at random points sum c_i alpha_i with denominators <= 6.
+    rs = build_root_system(name)
+    group = generate_weyl_group(rs)
+    rng = rng_for(f"stabilizer-off-alcove-{name}")
+    points = [
+        group.element(rng.randrange(1, group.order)).apply_point(st.point)
+        for st in alcove_stratum_points(rs) for _ in range(3)
+    ]
+    for _ in range(30):
+        coeffs = [F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(rs.rank)]
+        points.append(exact_point(vsum(
+            (vscale(c, a) for c, a in zip(coeffs, rs.simple_roots)), rs.ambient_dim
+        )))
+    for h in points:
+        assert stabilizer(rs, group, h).indices == scan_stabilizer(rs, group, h)
 
 
 def test_every_stabilizer_element_fixes_point():
@@ -212,7 +240,7 @@ def test_conjugated_stabilizer_is_reflection_group_of_image_roots():
         strata = [s for s in alcove_stratum_points(rs) if not s.central][:3]
         for st in strata:
             split = rs.degenerate_split(st.point)
-            w0 = stabilizer(rs, group, st.point, mode="closure")
+            w0 = stabilizer(rs, group, st.point)
             trans = coset_transversal(group, w0)
             for b in trans.reps[:4]:
                 b_inv = b.inverse()
