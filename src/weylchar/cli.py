@@ -18,13 +18,19 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import asymptotics, charcalc, spectral
 from .errors import ConfigError, WeylcharError
-from .rootsys import RootSystem, build_root_system, weyl_order
+from .rootsys import RootSystem, build_root_system, check_weyl_cap, weyl_order
 from .torus import TorusPoint, exact_point, float_point
-from .weylgroup import generate_weyl_group
+
+# Each child process runs one subcommand, so the modules only some of them
+# need (charcalc, asymptotics, spectral, weylgroup) are imported inside the
+# `_run_*` functions that use them: a `roots` run never loads them.
 
 _PI_ENTRY = re.compile(r"^([+-]?)(\d+)?(?:/(\d+))?\*?pi(?:/(\d+))?$")
+
+#: Subcommands that enumerate the Weyl group of every factor (`weyl` only
+#: with --enumerate); --cap-weyl refuses them before any work.
+_ENUMERATES_W = ("char", "sweep", "spectral")
 
 #: Options each subcommand cannot run without (spectral's --l sets --weight).
 _REQUIRED = {
@@ -175,6 +181,8 @@ def _run_weyl(cfg: RunConfig, factors):
     order = weyl_order(rs.spec)
     result = {"order": order, "rank": rs.rank, "generators": rs.rank}
     if cfg.options.get("enumerate"):
+        from .weylgroup import generate_weyl_group
+
         group = generate_weyl_group(rs, cfg.options.get("cap_weyl"))
         result["enumerated"] = group.order
     rows = [["order", "rank"], [order, rs.rank]]
@@ -182,6 +190,8 @@ def _run_weyl(cfg: RunConfig, factors):
 
 
 def _run_dim(cfg: RunConfig, factors, weights):
+    from . import charcalc
+
     total = 1
     per = []
     for rs, lam in zip(factors, weights):
@@ -195,6 +205,8 @@ def _run_dim(cfg: RunConfig, factors, weights):
 
 
 def _run_char(cfg: RunConfig, factors, weights, points):
+    from . import charcalc
+
     value = 1 + 0j
     condition = 0.0
     total_dim = 1
@@ -227,6 +239,8 @@ def _run_char(cfg: RunConfig, factors, weights, points):
 
 
 def _run_sweep(cfg: RunConfig, factors, weights, points):
+    from . import asymptotics
+
     ks = cfg.options["schedule"]
     if cfg.options.get("counterexample"):
         carrier = cfg.options.get("carrier", 0)
@@ -265,6 +279,8 @@ def _run_sweep(cfg: RunConfig, factors, weights, points):
 def _run_certificate(cfg: RunConfig, factors, weights, points):
     if len(factors) != 1:
         raise ConfigError("certificates are defined for a single simple group")
+    from . import asymptotics
+
     rs = factors[0]
     split = rs.degenerate_split(points[0])
     cert = asymptotics.divergence_certificate(rs, split, weights[0])
@@ -284,6 +300,8 @@ def _run_certificate(cfg: RunConfig, factors, weights, points):
 def _run_spectral(cfg: RunConfig, factors, weights):
     if len(factors) != 1:
         raise ConfigError("spectral takes a single simple group")
+    from . import spectral
+
     rs = factors[0]
     gens_src = cfg.options.get("gens", "catalog")
     if gens_src == "catalog":
@@ -352,6 +370,10 @@ def run(cfg: RunConfig) -> dict:
             raise ConfigError("need one torus point per group factor")
 
     sub = cfg.subcommand
+    cap = cfg.options.get("cap_weyl")
+    if cap is not None and (sub in _ENUMERATES_W or cfg.options.get("enumerate")):
+        for rs in factors:
+            check_weyl_cap(rs.spec, cap)
     if sub == "roots":
         result, rows = _run_roots(cfg, factors)
     elif sub == "weyl":
@@ -406,9 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", default="json", choices=("json", "csv", "table"))
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--threads", type=int, default=1,
-                        help="worker hint; never changes output bytes")
+                        help="reserved: accepted and ignored; runs are single-threaded")
         sp.add_argument("--cap-weyl", type=int, default=None,
-                        help="override the Weyl-group order cap")
+                        help="refuse (exit 3) a group whose Weyl group order exceeds "
+                             "this, in every subcommand that enumerates it")
         if weight:
             sp.add_argument("--weight", default=None,
                             help="fundamental coords '1,1' or ambient rationals")
@@ -451,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    # --threads is an execution hint, deliberately absent from the resolved
-    # config: documents must be byte-identical across thread counts.
+    # --threads is reserved (accepted and ignored), deliberately absent from
+    # the resolved config: documents must be byte-identical across its values.
     opts = {}
     for key in ("format", "seed", "cap_weyl", "weight", "weight_basis",
                 "point", "kmax", "schedule", "counterexample", "carrier",

@@ -112,6 +112,29 @@ def in_integer_span(basis: Sequence[Vec], gram, v: Vec) -> bool:
     return all(c.denominator == 1 for c in coeffs)
 
 
+def adjugate(m) -> tuple[list[list[int]], int]:
+    """adj(m) and det(m) of a positive definite integer matrix, fraction-free.
+
+    Bareiss's elimination run Gauss-Jordan style on [m | I]: every
+    division by the previous pivot is exact, the pivots are the leading
+    principal minors, and the last step leaves det(m) I | adj(m).  A
+    pivot that is not positive means m is not positive definite.
+    """
+    k = len(m)
+    rows = [[int(x) for x in r] + [int(i == j) for j in range(k)] for i, r in enumerate(m)]
+    prev = 1
+    for p in range(k):
+        piv = rows[p][p]
+        if piv <= 0:
+            raise AssertionError("matrix is not positive definite")
+        for i in range(k):
+            if i != p:
+                f = rows[i][p]
+                rows[i] = [(piv * x - f * y) // prev for x, y in zip(rows[i], rows[p])]
+        prev = piv
+    return [r[k:] for r in rows], prev
+
+
 def common_denominator(v) -> tuple[list[int], int]:
     """Integers n_i and the least D > 0 with v_i = n_i / D."""
     v = [Fraction(x) for x in v]

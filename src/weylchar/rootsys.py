@@ -6,6 +6,9 @@ with the Euclidean form.  Exceptional families are realized in the basis
 of their own simple roots; the bilinear form is then the symmetrized
 Cartan form normalized so long roots have squared length 2.  Only ratios
 of pairings enter any downstream formula, so the normalization is free.
+Roots have integer coordinates in both kinds of basis, so a root system
+is built from integer rows with integer matrix products; its public data
+are exact tuples of Fractions.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import exactlin
-from .errors import ConfigError, DomainError, StructureError
+from .errors import CapacityError, ConfigError, DomainError, StructureError
 from .exactlin import (
-    Vec, common_denominator, dot, int_matvec, mat_vec, vadd, vscale, vsub, vsum, vzero,
+    Vec, adjugate, common_denominator, dot, int_matvec, mat_vec, vadd, vscale, vzero,
 )
 from .torus import TorusPoint
 from .utils import fold_angle, ordered_dot
@@ -84,6 +87,18 @@ def weyl_order(spec: RootSystemSpec) -> int:
             ("E", 7): 2903040, ("E", 8): 696729600}[(spec.family, n)]
 
 
+def check_weyl_cap(spec: RootSystemSpec, cap: int) -> int:
+    """|W| from the classification, or CapacityError if it exceeds the cap."""
+    order = weyl_order(spec)
+    if order > cap:
+        raise CapacityError(
+            f"Weyl group of {spec.name} has order {order}, above the cap {cap}",
+            required=order,
+            cap=cap,
+        )
+    return order
+
+
 @dataclass(frozen=True)
 class DegenerateSplit:
     """Positive roots split by (alpha|h0) = 0 mod 2*pi versus not.
@@ -109,94 +124,86 @@ class DegenerateSplit:
 class RootSystem:
     """Immutable root-system data plus exact geometry helpers.
 
+    Construction runs on integer rows: the positive roots, their forms
+    G*alpha, the simple coroot forms and G, each over one denominator.
+    Everything else is integer matrix products over those rows, and the
+    public attributes are tuples of Fractions rebuilt from them.
+
     Positive roots are kept in increasing height, ties broken by their
-    coordinates.  Heights and `root_coeffs` come from one exact solve, for
-    the fundamental coweights w_i, (w_i|a_j) = delta_ij: the coefficient of
-    the simple root a_i in a root r is (w_i|r).
+    coordinates.  Heights and `root_coeffs` come from the fundamental
+    coweights w_i, (w_i|a_j) = delta_ij: the coefficient of the simple
+    root a_i in a root r is (w_i|r).
     """
 
     def __init__(self, spec: RootSystemSpec, simple_roots, positive_roots, gram):
+        """`simple_roots` and `positive_roots` (in any order) are integer rows,
+        `gram` the rational matrix of the form on the ambient space."""
         self.spec = spec
-        self.simple_roots = tuple(simple_roots)
-        self.gram = tuple(tuple(Fraction(g) for g in row) for row in gram)
-        self.ambient_dim = len(self.simple_roots[0])
-        n = self.ambient_dim
-        self._gram_is_identity = all(
-            self.gram[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n)
-        )
         self.rank = spec.rank
-        self._coweights = _coweights(self.simple_roots, self.gram)
-        self._fundamental_weights = tuple(
-            vscale(self.norm2(a) / 2, w) for a, w in zip(self.simple_roots, self._coweights)
-        )
-        # Coefficients of each positive root over the simple roots.
-        coeffs = {r: self._simple_coefficients(r) for r in positive_roots}
-        self.positive_roots = tuple(sorted(positive_roots, key=lambda r: (sum(coeffs[r]), r)))
-        self.root_coeffs = {r: coeffs[r] for r in self.positive_roots}
-        self.weyl_vector = vscale(Fraction(1, 2), vsum(self.positive_roots, self.ambient_dim))
-        self.cartan_matrix = tuple(
-            tuple(int(2 * self.inner(a, b) / self.inner(b, b)) for b in self.simple_roots)
-            for a in self.simple_roots
-        )
-        self._root_set = frozenset(self.positive_roots) | frozenset(
-            tuple(-x for x in r) for r in self.positive_roots
-        )
-        self._pos_set = frozenset(self.positive_roots)
-        self._simple_index = [self.positive_roots.index(a) for a in self.simple_roots]
-        # Integer forms, each over one denominator, so that per-call pairings
-        # are integer products: the positive roots themselves (alpha =
-        # rows / den), their rows G*alpha ((alpha|h) = (rows @ h) / den), the
-        # simple coroot rows 2 G a / (a|a) (Dynkin labels) and G itself.
-        roots, self._pos_rows_den = common_denominator(
-            x for a in self.positive_roots for x in a
-        )
-        self._pos_rows = np.array(roots, dtype=np.int64).reshape(-1, n)
-        forms, self._pos_forms_den = common_denominator(
-            x for a in self.positive_roots for x in self.gram_vec(a)
-        )
-        self._pos_forms = np.array(forms, dtype=np.int64).reshape(-1, n)
-        coroots, self._coroot_den = common_denominator(
-            x for a in self.simple_roots for x in vscale(2 / self.norm2(a), self.gram_vec(a))
-        )
-        self._coroot_forms = np.array(coroots, dtype=np.int64).reshape(-1, n)
+        simple = np.array(simple_roots, dtype=np.int64)
+        pos = np.array(positive_roots, dtype=np.int64)
+        self.ambient_dim = n = simple.shape[1]
+        self.gram = tuple(tuple(Fraction(g) for g in row) for row in gram)
         gram_int, self._gram_den = common_denominator(x for row in self.gram for x in row)
-        self._gram_int = tuple(tuple(gram_int[i * n:(i + 1) * n]) for i in range(n))
-        # The same rows in floats, for floating points: (alpha|h) = rows . h.
-        self._pos_forms_float = np.array(
-            [[float(x) for x in self.gram_vec(a)] for a in self.positive_roots]
-        )
-        self._check_invariants()
-
-    def _simple_coefficients(self, r) -> tuple[int, ...]:
-        """Nonnegative integer coefficients of a positive root over the simple roots."""
-        coeffs = [self.inner(w, r) for w in self._coweights]
-        recon = vzero(self.ambient_dim)
-        for c, a in zip(coeffs, self.simple_roots):
-            recon = vadd(recon, vscale(c, a))
-        if recon != tuple(r) or any(c.denominator != 1 or c < 0 for c in coeffs):
+        g = np.array(gram_int, dtype=np.int64).reshape(n, n)
+        self._gram_int = tuple(map(tuple, g.tolist()))
+        self._gram_is_identity = bool(self._gram_den == 1 and (g == np.eye(n)).all())
+        # a = S g S^T is the form on the simple roots S times the gram's
+        # denominator d, so the coweights are d a^-1 S = d adj(a) S / det(a),
+        # and the simple coroot forms 2 G a_i / (a_i|a_i) = 2 (S g)_i / a_ii.
+        sg = simple @ g
+        a = sg @ simple.T
+        norms = np.diag(a)
+        adj, det = adjugate(a.tolist())
+        cow, cow_den = _over_least_den(self._gram_den * np.array(adj) @ simple, det)
+        self._coroot_forms, self._coroot_den = _over_least_den(2 * sg, norms)
+        # Integer forms of the positive roots, (alpha|h) = (rows @ h) / den,
+        # and the coefficients (w_i|alpha) over the simple roots.
+        forms, forms_den = _over_least_den(pos @ g, self._gram_den)
+        coeffs, rem = np.divmod(forms @ cow.T, forms_den * cow_den)
+        if rem.any() or (coeffs < 0).any() or (coeffs @ simple != pos).any():
             raise AssertionError("positive root not a nonnegative integer combination")
-        return tuple(int(c) for c in coeffs)
+        heights, rows = coeffs.sum(axis=1).tolist(), pos.tolist()
+        order = sorted(range(len(rows)), key=lambda i: (heights[i], rows[i]))
+        self._pos_rows, self._pos_forms, self._pos_forms_den = pos[order], forms[order], forms_den
+        # The same forms in floats, for floating points: (alpha|h) = rows . h.
+        # Division of two exact floats rounds correctly, like float(Fraction).
+        self._pos_forms_float = self._pos_forms / forms_den
+
+        self.simple_roots = tuple(_fraction_rows(simple))
+        self.positive_roots = tuple(_fraction_rows(self._pos_rows))
+        self.root_coeffs = dict(zip(self.positive_roots, map(tuple, coeffs[order].tolist())))
+        self.weyl_vector = _fraction_rows([self._pos_rows.sum(axis=0)], 2)[0]
+        self.cartan_matrix = tuple(map(tuple, (2 * a // norms).tolist()))
+        self._coweights = tuple(_fraction_rows(cow, cow_den))
+        self._fundamental_weights = tuple(_fraction_rows(
+            *_over_least_den(cow * norms[:, None], 2 * self._gram_den * cow_den)
+        ))
+        self._pos_set = frozenset(self.positive_roots)
+        self._root_set = self._pos_set | frozenset(_fraction_rows(-self._pos_rows))
+        index = dict(zip(map(tuple, self._pos_rows.tolist()), range(len(rows))))
+        self._simple_index = [index[r] for r in map(tuple, simple.tolist())]
+        self._check_invariants(g, a)
 
     # -- construction-time checks -------------------------------------------------
 
-    def _check_invariants(self):
+    def _check_invariants(self, g: np.ndarray, a: np.ndarray):
+        """Checks on the integer gram g and the simple-root form a = S g S^T."""
         if len(self.positive_roots) != positive_root_count(self.spec):
             raise AssertionError(
                 f"{self.spec.name}: got {len(self.positive_roots)} positive roots, "
                 f"expected {positive_root_count(self.spec)}"
             )
-        n = self.ambient_dim
-        for i in range(n):
-            for j in range(n):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise AssertionError("gram form is not symmetric")
-        # positive definiteness via leading principal minors, exactly
-        for k in range(1, n + 1):
-            if _det([row[:k] for row in self.gram[:k]]) <= 0:
-                raise AssertionError("gram form is not positive definite")
-        for a in self.simple_roots:
-            if 2 * self.inner(self.weyl_vector, a) != self.inner(a, a):
-                raise AssertionError("Weyl vector pairing with a simple root is not 1")
+        if (g != g.T).any():
+            raise AssertionError("gram form is not symmetric")
+        adjugate(g.tolist())  # positive definite: its leading minors are positive
+        norms = np.diag(a)
+        if (2 * a % norms).any():
+            raise AssertionError("Cartan matrix is not integral")
+        # 2 (rho|a) = (a|a) for every simple a, with 2 rho the sum of the positive roots
+        rho2 = self._pos_rows.sum(axis=0)
+        if (rho2 @ g @ self._pos_rows[self._simple_index].T != norms).any():
+            raise AssertionError("Weyl vector pairing with a simple root is not 1")
 
     # -- exact geometry -----------------------------------------------------------
 
@@ -443,74 +450,44 @@ class RootSystem:
         return isinstance(other, RootSystem) and self.spec == other.spec
 
 
-def _det(m) -> Fraction:
-    n = len(m)
-    m = [[Fraction(x) for x in row] for row in m]
-    out = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            out = -out
-        out *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return out
+def _over_least_den(rows, dens) -> tuple[np.ndarray, int]:
+    """Integer rows r_i / d_i (d_i > 0) over their least common denominator.
+
+    Returns (R, D) with R_i = r_i * D / d_i: the numerators and the
+    denominator that `exactlin.common_denominator` gives for the entries.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    dens = np.broadcast_to(np.asarray(dens, dtype=np.int64), (len(rows),))
+    g = np.gcd.reduce(np.column_stack([dens, rows]), axis=1)
+    reduced = dens // g
+    den = math.lcm(*reduced.tolist())
+    return rows // g[:, None] * (den // reduced)[:, None], den
 
 
-def _unit(n, i, value=1) -> Vec:
-    v = [Fraction(0)] * n
-    v[i] = Fraction(value)
-    return tuple(v)
-
-
-def _identity_gram(n):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+def _fraction_rows(rows, den: int = 1) -> list[Vec]:
+    """Integer rows over a denominator as tuples of Fractions."""
+    rows = np.asarray(rows).tolist()
+    value = {x: Fraction(x, den) for x in set().union(*rows)}
+    return [tuple(map(value.__getitem__, r)) for r in rows]
 
 
 def _classical_data(spec: RootSystemSpec):
+    """Simple and positive roots of A..D as integer rows, and the identity gram."""
     fam, n = spec.family, spec.rank
+    dim = n + 1 if fam == "A" else n
+    e = np.eye(dim, dtype=np.int64)
+    i, j = np.triu_indices(dim, 1)
+    chain = e[:-1] - e[1:]
     if fam == "A":
-        dim = n + 1
-        simple = [vsub(_unit(dim, i), _unit(dim, i + 1)) for i in range(n)]
-        positive = [
-            vsub(_unit(dim, i), _unit(dim, j))
-            for i in range(dim)
-            for j in range(i + 1, dim)
-        ]
-        return simple, positive, _identity_gram(dim)
-    dim = n
-    e = lambda i: _unit(dim, i)
-    if fam == "B":
-        simple = [vsub(e(i), e(i + 1)) for i in range(n - 1)] + [e(n - 1)]
-        positive = (
-            [vsub(e(i), e(j)) for i in range(n) for j in range(i + 1, n)]
-            + [vadd(e(i), e(j)) for i in range(n) for j in range(i + 1, n)]
-            + [e(i) for i in range(n)]
-        )
-    elif fam == "C":
-        simple = [vsub(e(i), e(i + 1)) for i in range(n - 1)] + [vscale(2, e(n - 1))]
-        positive = (
-            [vsub(e(i), e(j)) for i in range(n) for j in range(i + 1, n)]
-            + [vadd(e(i), e(j)) for i in range(n) for j in range(i + 1, n)]
-            + [vscale(2, e(i)) for i in range(n)]
-        )
-    elif fam == "D":
-        simple = [vsub(e(i), e(i + 1)) for i in range(n - 1)] + [vadd(e(n - 2), e(n - 1))]
-        positive = [vsub(e(i), e(j)) for i in range(n) for j in range(i + 1, n)] + [
-            vadd(e(i), e(j)) for i in range(n) for j in range(i + 1, n)
-        ]
-    else:  # pragma: no cover
-        raise AssertionError(fam)
-    return simple, positive, _identity_gram(dim)
+        return chain, e[i] - e[j], e.tolist()
+    # the last simple root, and the roots other than e_i -+ e_j: none for D
+    last, short = {"B": (e[-1], e), "C": (2 * e[-1], 2 * e), "D": (e[-2] + e[-1], e[:0])}[fam]
+    simple = np.vstack([chain[:n - 1], last])
+    return simple, np.vstack([e[i] - e[j], e[i] + e[j], short]), e.tolist()
 
 
 def _exceptional_data(spec: RootSystemSpec):
+    """E, F and G in the basis of their simple roots, with integer root rows."""
     fam, n = spec.family, spec.rank
     cartan = _EXCEPTIONAL_CARTAN.get((fam, n)) or _e_series_cartan(n)
     # Symmetrize: (a_i|a_j) = d_j * C_ij with d_i = |a_i|^2 / 2; propagate the
@@ -528,50 +505,29 @@ def _exceptional_data(spec: RootSystemSpec):
     top = max(d)
     d = [x / top for x in d]
     gram = [[d[j] * cartan[i][j] for j in range(n)] for i in range(n)]
-    simple = [_unit(n, i) for i in range(n)]
+    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
-    # Positive-root closure from the simple roots, processed by height, using
-    # the root-string bound q = p - <beta, alpha_i^vee>.
-    def pairing(beta, i):
-        # 2(beta|a_i)/(a_i|a_i) from integer coefficients and the Cartan matrix
-        return sum(int(beta[j]) * cartan[j][i] for j in range(n))
-
-    roots = {tuple(s) for s in simple}
-    by_height = {1: sorted(roots)}
-    h = 1
-    while by_height.get(h):
-        for beta in by_height[h]:
+    # Positive-root closure from the simple roots, one height at a time, using
+    # the root-string bound q = p - <beta, alpha_i^vee> on integer coefficients.
+    roots = set(simple)
+    level = simple
+    while level:
+        nxt = []
+        for beta in level:
             for i in range(n):
                 p = 0
-                probe = vsub(beta, simple[i])
+                probe = list(beta)
+                probe[i] -= 1
                 while tuple(probe) in roots:
                     p += 1
-                    probe = vsub(probe, simple[i])
-                if p - pairing(beta, i) >= 1:
-                    new = vadd(beta, simple[i])
+                    probe[i] -= 1
+                if p - sum(b * cartan[j][i] for j, b in enumerate(beta)) >= 1:
+                    new = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
                     if new not in roots:
                         roots.add(new)
-                        by_height.setdefault(h + 1, []).append(new)
-        h += 1
-        if h in by_height:
-            by_height[h] = sorted(by_height[h])
-    positive = sorted(roots, key=lambda r: (sum(r), r))
-    return simple, positive, gram
-
-
-def _coweights(simple, gram) -> tuple[Vec, ...]:
-    """w_i in span(simple) with (w_i|a_j) = delta_ij, by one exact Gram solve each."""
-    k = len(simple)
-    gb = [mat_vec(gram, b) for b in simple]
-    a = [[dot(gb[i], simple[j]) for j in range(k)] for i in range(k)]
-    out = []
-    for i in range(k):
-        x = exactlin.solve(a, [Fraction(int(j == i)) for j in range(k)])
-        v = vzero(len(simple[0]))
-        for c, b in zip(x, simple):
-            v = vadd(v, vscale(c, b))
-        out.append(v)
-    return tuple(out)
+                        nxt.append(new)
+        level = nxt
+    return simple, list(roots), gram
 
 
 @lru_cache(maxsize=None)

@@ -6,13 +6,16 @@ stored as a stacked `(|W|, n, n)` int8 array with a sign vector, which
 bulk work (`charcalc`'s exponent kernel and float Weyl sum) reads
 directly.  `WeylElement`s, carrying tuple matrices, signs and generator
 words, are built from it only on demand: one at a time by `element(i)`,
-or all at once on the first use of `elements`.  The stack comes from one
-breadth-first closure routine, `_closure`, which multiplies a whole BFS
-level by every generator at once and dedupes on the int8 bytes; the same
-bytes key the group's element index.  Enumeration is breadth-first by
-word length with ties broken lexicographically by the generator word,
-which makes element order, and everything derived from it, fully
-deterministic.  The reflections in all positive roots are an int8 stack
+or all at once on the first use of `elements`.  One breadth-first closure
+routine, `_closure`, serves both the group and its stabilizers.  It runs
+on int64 element keys alone (`ElementKey`: w is keyed by the integer
+vector w^-1 (2 rho)), one integer product per BFS level for every
+generator at once, and dedupes by sorting the keys; the matrices are then
+formed once per element (`_products`).  The keys, sorted, are the
+group's element index, searched with `searchsorted`.  Enumeration is
+breadth-first by word length with ties broken lexicographically by the
+generator word, which makes element order, and everything derived from
+it, fully deterministic.  The reflections in all positive roots are an int8 stack
 built with the group (`WeylGroup.reflections`); stabilizers and coset
 transversals are tuples of element indices into the stack, computed
 without rational arithmetic.
@@ -28,15 +31,17 @@ in W, is generated by the reflections in the roots alpha with
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .exactlin import Vec, vsub
-from .rootsys import DegenerateSplit, RootSystem, weyl_order
+from .exactlin import INT64_SAFE, Vec, adjugate, vsub
+from .rootsys import DegenerateSplit, RootSystem, check_weyl_cap
 from .torus import TorusPoint
 
 #: Default cap on enumerated group order; admits E7, refuses E8.
@@ -126,65 +131,153 @@ def reflect(rs: RootSystem, alpha, x) -> Vec:
     return vsub(x, tuple(c * a for a in alpha))
 
 
-def _key(matrix) -> bytes:
-    """Index key of an element: the bytes of its int8 matrix."""
-    return np.asarray(matrix, dtype=np.int8).tobytes()
+class ElementKey:
+    """Injective int64 keys of the elements of a Weyl group.
 
-
-def _closure(gens: np.ndarray, capacity: int):
-    """Breadth-first closure of the identity under right multiplication by gens.
-
-    `gens` is a `(g, n, n)` int8 stack.  Each BFS level is multiplied by
-    every generator in one batched matmul (level-major, generator-minor,
-    which is the order a one-element-at-a-time BFS visits), and products
-    are deduplicated on their int8 bytes.  int8 products wrap mod 256, so
-    they are exact while every entry of the closure fits in int8, which
-    holds for the Weyl groups of every root system here.  Returns the
-    `(N, n, n)` stack, the index of its elements by key, per element its
-    parent index and generator index (-1 for the identity), and the sizes
-    of the BFS levels (level k holds the elements of word length k).
+    An element w is keyed by the integer vector w^-1 v, v = 2 rho (the sum
+    of the positive roots).  v is regular, so distinct elements give
+    distinct vectors, and every vector lies in the orbit W v, whose
+    coordinates obey |x_j| <= B_j = floor(sqrt((G^-1)_jj (v|v))) by
+    Cauchy-Schwarz.  The key is the mixed-radix code sum_j M_j (x_j + B_j)
+    with M_j = prod_{i>j} (2 B_i + 1), in [0, 2 * offset] for offset =
+    sum_j M_j B_j; no intermediate of `_closure` exceeds 2 * offset in
+    magnitude either.  Construction raises CapacityError unless 2 * offset
+    is below 2**62, which leaves int64 a bit to spare.
     """
-    n = gens.shape[1]
-    step = n * n
-    stack = np.empty((max(capacity, 1), n, n), dtype=np.int8)
+
+    def __init__(self, rs: RootSystem):
+        self.v = rs._pos_rows.sum(axis=0)
+        self.gv = np.array(rs._gram_int, dtype=np.int64) @ self.v
+        adj, self.det = adjugate(rs._gram_int)
+        self.adj = np.array(adj, dtype=np.int64)
+        vv = int(self.v @ self.gv)
+        bounds = [math.isqrt(adj[j][j] * vv // self.det) for j in range(len(adj))]
+        radix = [1]
+        for b in reversed(bounds[1:]):
+            radix.insert(0, radix[0] * (2 * b + 1))
+        self.offset = sum(m * b for m, b in zip(radix, bounds))
+        if 2 * self.offset >= INT64_SAFE:
+            raise CapacityError(
+                f"Weyl group element keys of {rs.spec.name} need "
+                f"{(2 * self.offset).bit_length()} bits; int64 keys allow 62",
+                required=2 * self.offset, cap=INT64_SAFE,
+            )
+        self.radix = np.array(radix, dtype=np.int64)
+
+    def of_vectors(self, x: np.ndarray) -> np.ndarray:
+        """Keys of orbit vectors x = w^-1 v, rows of an (N, n) integer array."""
+        return x @ self.radix + self.offset
+
+    def of_matrices(self, stack: np.ndarray) -> np.ndarray:
+        """Keys of a stack of Weyl group matrices.
+
+        w^-1 = G^-1 w^T G, so w^-1 v = adj(g) w^T (g v) / det(g) on the
+        integer gram g.  A matrix outside W gets some key; callers compare
+        the matrices found under it.
+        """
+        return self.of_vectors((self.gv @ stack) @ self.adj // self.det)
+
+
+def _in_sorted(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Whether each x lies in the sorted array `table`."""
+    if not len(table):
+        return np.zeros(len(x), dtype=bool)
+    return table.take(table.searchsorted(x), mode="clip") == x
+
+
+def _closure(roots: np.ndarray, coroots: np.ndarray, key: ElementKey):
+    """Breadth-first closure of the identity under right multiplication by reflections.
+
+    Generator j is s_j = I - a_j c_j^T for the integer rows a_j = roots[j]
+    and c_j = coroots[j].  BFS runs on element keys alone, with no matrix:
+    the key of w s_j is that of s_j x = x - (c_j . x) a_j for x = w^-1 v,
+    so a level's candidate keys are one integer product, key(w) minus
+    (c_j . x) (M . a_j), for every generator at once; that difference is
+    key(w) - key(w s_j), so it stays within [-2, 2] * offset.
+    Candidates are taken level-major, generator-minor, which is the order
+    a one-element-at-a-time BFS visits, and each new element is the first
+    candidate with its key.  Since the generators are involutions, w s_j
+    lies in the level of w or in one of its two neighbours, so a candidate
+    is new unless its key is in the current or the previous level.
+    Duplicates are found by sorting the candidate keys.
+
+    Returns per element its parent index and generator index (-1 for the
+    identity), its key, and the sizes of the BFS levels (level k holds the
+    elements of word length k).
+    """
+    g = len(roots)
+    step = roots @ key.radix  # M . a_j
+    x = key.v[None, :]
+    parents, letters, keys = [np.array([-1])], [np.array([-1])], [key.of_vectors(x)]
+    prev, cur = keys[0][:0], keys[0]
+    lo = 0
+    while g:  # no generators: the identity alone
+        pair = x @ coroots.T  # (c_j . x) per element and generator
+        cand = (keys[-1][:, None] - pair * step).ravel()
+        order = cand.argsort()
+        ordered = cand[order]
+        first = np.empty(len(ordered), dtype=bool)
+        first[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        runs = np.flatnonzero(first)
+        distinct = ordered[runs]
+        fresh = ~(_in_sorted(prev, distinct) | _in_sorted(cur, distinct))
+        if not fresh.any():
+            break
+        new = np.sort(np.minimum.reduceat(order, runs)[fresh])
+        parent, letter = np.divmod(new, g)
+        x = x[parent] - pair.ravel()[new][:, None] * roots[letter]
+        parents.append(lo + parent)
+        letters.append(letter)
+        keys.append(cand[new])
+        lo += len(pair)
+        prev, cur = cur, distinct[fresh]
+    levels = [len(k) for k in keys]
+    return np.concatenate(parents), np.concatenate(letters), np.concatenate(keys), levels
+
+
+def _products(roots, coroots, parent, letter, levels) -> np.ndarray:
+    """The `(N, n, n)` int8 stack with element i = element parent[i] @ s_letter[i].
+
+    One rank-one update per element, w s_j = w - (w a_j) c_j^T with the
+    generators of `_closure`, a BFS level at a time (parents lie in
+    earlier levels).  int8 arithmetic wraps mod 256, so it is exact while
+    every entry fits in int8, which holds for the Weyl groups of every
+    root system here.
+    """
+    n = roots.shape[1]
+    roots, coroots = roots.astype(np.int8), coroots.astype(np.int8)
+    stack = np.empty((len(parent), n, n), dtype=np.int8)
     stack[0] = np.eye(n, dtype=np.int8)
-    index = {stack[0].tobytes(): 0}
-    parent, letter, levels = [-1], [-1], [1]
-    lo, count = 0, 1
-    while lo < count:
-        prods = (stack[lo:count, None] @ gens[None]).reshape(-1, n, n)
-        buf = prods.tobytes()
-        new = []
-        for j in range(len(prods)):
-            key = buf[j * step:(j + 1) * step]
-            if key not in index:
-                index[key] = count + len(new)
-                new.append(j)
-        if count + len(new) > len(stack):
-            grown = np.empty((2 * (count + len(new)), n, n), dtype=np.int8)
-            grown[:count] = stack[:count]
-            stack = grown
-        stack[count:count + len(new)] = prods[new]
-        parent.extend(lo + j // len(gens) for j in new)
-        letter.extend(j % len(gens) for j in new)
-        levels.append(len(new))
-        lo, count = count, count + len(new)
-    return stack[:count], index, parent, letter, levels[:-1]
+    lo = levels[0]
+    for size in levels[1:]:
+        w = stack[parent[lo:lo + size]]
+        j = letter[lo:lo + size]
+        stack[lo:lo + size] = w - (w @ roots[j][:, :, None]) * coroots[j][:, None, :]
+        lo += size
+    return stack
+
+
+def _coroot_rows(rs: RootSystem) -> np.ndarray:
+    """Integer rows c_a = 2 G a / (a|a), in `rs.positive_roots` order.
+
+    On the root system's integer rows of the roots a and of G a (whose
+    scale cancels), with integrality checked; s_a = I - a c_a^T.
+    """
+    rows, forms = rs._pos_rows, rs._pos_forms
+    norms = (rows * forms).sum(axis=1)[:, None]
+    if (2 * forms % norms).any():
+        raise AssertionError("coroot form not integral")
+    return 2 * forms // norms
 
 
 def _reflection_stack(rs: RootSystem) -> np.ndarray:
     """The reflections in every positive root as a `(#positive, n, n)` int8 stack.
 
-    In `rs.positive_roots` order.  s_a = I - 2 a (G a)^T / (a|a), on the
-    root system's integer rows of the roots and of G a (their scales
-    cancel), with the integrality of every entry checked.
+    In `rs.positive_roots` order: s_a = I - a c_a^T (`_coroot_rows`).
     """
-    rows, forms = rs._pos_rows, rs._pos_forms
-    norms = (rows * forms).sum(axis=1)[:, None, None]
-    outer = 2 * rows[:, :, None] * forms[:, None, :]
-    if (outer % norms).any():
-        raise AssertionError("reflection matrix not integral")
-    mats = np.eye(rs.ambient_dim, dtype=np.int64) - outer // norms
+    outer = rs._pos_rows[:, :, None] * _coroot_rows(rs)[:, None, :]
+    mats = np.eye(rs.ambient_dim, dtype=np.int64) - outer
     if np.abs(mats).max() > 127:
         raise AssertionError("reflection matrix does not fit int8")
     return mats.astype(np.int8)
@@ -196,18 +289,23 @@ class WeylGroup:
     `stack[i]` is the int8 matrix and `signs[i]` the sign of element i, in
     enumeration order.  Element i is reached from element `parent[i]` by
     the simple reflection `letter[i]`, which gives its word.
-    `reflections[j]` is the reflection in the j-th positive root.
+    `reflections[j]` is the reflection in the j-th positive root and
+    `coroots[j]` the integer row c with reflections[j] = I - a c^T.  `keys[i]`
+    is the `ElementKey` of element i; the element index is those keys
+    sorted, searched with `searchsorted`.
     """
 
-    def __init__(self, rs: RootSystem, stack, signs, parent, letter, reflections, index):
+    def __init__(self, rs: RootSystem, stack, signs, parent, letter, coroots, key, keys):
         self.rs = rs
         self.stack = stack
         self.signs = signs
-        self.reflections = reflections
+        self.coroots = coroots
+        self.reflections = _reflection_stack(rs)
         self.order = len(stack)
+        self.key = key
         self._parent = parent
         self._letter = letter
-        self._index = index
+        self.keys = keys
         self._built = {}  # element index -> WeylElement, built on demand
         self._rows = {}  # one tuple per distinct matrix row, shared across elements
         self._elements = None
@@ -216,7 +314,8 @@ class WeylGroup:
         """Element i, built (with its ancestors along its word) on first request."""
         w = self._built.get(i)
         if w is None:
-            word = self.element(self._parent[i]).word + (self._letter[i],) if i else ()
+            parent, letter = int(self._parent[i]), int(self._letter[i])
+            word = self.element(parent).word + (letter,) if i else ()
             m = list(map(tuple, self.stack[i].tolist()))
             w = WeylElement(tuple(map(self._rows.setdefault, m, m)), int(self.signs[i]), word)
             self._built[i] = w
@@ -233,19 +332,29 @@ class WeylGroup:
     def identity(self) -> WeylElement:
         return self.element(0)
 
+    @cached_property
+    def _index(self):
+        """(sorted keys, element index of each): the element index."""
+        order = np.argsort(self.keys)
+        return self.keys[order], order
+
+    def indices_by_key(self, keys: np.ndarray) -> np.ndarray:
+        """Element indices of keys (DomainError if any is not an element's)."""
+        table, order = self._index
+        pos = table.searchsorted(keys)
+        if (table.take(pos, mode="clip") != keys).any():
+            raise DomainError("element does not belong to this Weyl group")
+        return order[pos]
+
     def index_of(self, w: WeylElement) -> int:
-        try:
-            return self._index[_key(w.matrix)]
-        except KeyError:
-            raise DomainError("element does not belong to this Weyl group") from None
+        return self.indices_of(np.array([w.matrix], dtype=np.int8))[0]
 
     def indices_of(self, stack: np.ndarray) -> list[int]:
         """Group indices of a stack of int8 matrices (DomainError if any is outside)."""
-        buf, step = stack.tobytes(), stack[0].size if len(stack) else 0
-        try:
-            return [self._index[buf[i * step:(i + 1) * step]] for i in range(len(stack))]
-        except KeyError:
-            raise DomainError("element does not belong to this Weyl group") from None
+        idx = self.indices_by_key(self.key.of_matrices(stack))
+        if (self.stack[idx] != stack).any():
+            raise DomainError("element does not belong to this Weyl group")
+        return idx.tolist()
 
     def __iter__(self):
         return iter(self.elements)
@@ -258,27 +367,25 @@ def generate_weyl_group(rs: RootSystem, cap: int | None = None) -> WeylGroup:
     """Breadth-first closure of the simple reflections.
 
     Raises CapacityError before doing any work if the classification order
-    exceeds the cap (default 3e6, or WEYLCHAR_CAP_WEYL from the environment).
+    exceeds the cap (default 3e6, or WEYLCHAR_CAP_WEYL from the environment),
+    or if the group's element keys would not fit in int64 (`ElementKey`).
     """
     if cap is None:
         cap = int(os.environ.get("WEYLCHAR_CAP_WEYL", DEFAULT_WEYL_CAP))
-    expected = weyl_order(rs.spec)
-    if expected > cap:
-        raise CapacityError(
-            f"Weyl group of {rs.spec.name} has order {expected}, above the cap {cap}",
-            required=expected,
-            cap=cap,
-        )
-    reflections = _reflection_stack(rs)
-    stack, index, parent, letter, levels = _closure(reflections[rs._simple_index], expected)
-    if len(stack) != expected:
+    expected = check_weyl_cap(rs.spec, cap)
+    key = ElementKey(rs)
+    coroots = _coroot_rows(rs)
+    gens = rs._pos_rows[rs._simple_index], coroots[rs._simple_index]
+    parent, letter, keys, levels = _closure(*gens, key)
+    if len(keys) != expected:
         raise AssertionError(
-            f"enumerated {len(stack)} elements for {rs.spec.name}, expected {expected}"
+            f"enumerated {len(keys)} elements for {rs.spec.name}, expected {expected}"
         )
+    stack = _products(*gens, parent, letter, levels)
     # Every generator is a reflection, so the sign is the parity of the word
     # length, which is the BFS level.
     signs = np.repeat(np.array([1, -1] * len(levels), dtype=np.int8)[:len(levels)], levels)
-    return WeylGroup(rs, stack, signs, parent, letter, reflections, index)
+    return WeylGroup(rs, stack, signs, parent, letter, coroots, key, keys)
 
 
 @dataclass(frozen=True)
@@ -333,9 +440,10 @@ def stabilizer(
 ) -> Stabilizer:
     """Stabilizer of an exact torus point inside an enumerated Weyl group.
 
-    The closure of the reflections in the degenerate roots (rows of
-    `group.reflections`, so no rational arithmetic), which is the whole
-    stabilizer at every point by Steinberg's theorem.  `split` is
+    The closure of the reflections in the degenerate roots (`_closure` on
+    their integer root and coroot rows, so no rational arithmetic and no
+    matrix), which is the whole stabilizer at every point by Steinberg's
+    theorem; its element keys give its indices in the group.  `split` is
     `rs.degenerate_split(h0)` when the caller has it.
     """
     rs.validate_point(h0)
@@ -343,8 +451,9 @@ def stabilizer(
         raise DomainError("stabilizer requires an exact torus point")
     if split is None:
         split = rs.degenerate_split(h0)
-    stack = _closure(group.reflections[list(split.deg_index)], 16)[0]
-    indices = tuple(sorted(group.indices_of(stack)))
+    deg = list(split.deg_index)
+    keys = _closure(rs._pos_rows[deg], group.coroots[deg], group.key)[2]
+    indices = tuple(sorted(group.indices_by_key(keys).tolist()))
     if group.order % len(indices) != 0:
         raise AssertionError("stabilizer order does not divide the group order")
     return Stabilizer(group, indices, split.deg_index)

@@ -333,3 +333,78 @@ def test_non_finite_float_point_is_a_domain_error(capsys):
     code, doc = run_json(capsys, "char", "--group", "A2", "--weight", "1,1",
                          "--point", "inf:0:0")
     assert code == 4 and doc["error"]["code"] == "DomainError"
+
+
+# ---------------------------------------------------------------------------
+# --cap-weyl and subcommand-scoped imports
+# ---------------------------------------------------------------------------
+
+F4_POINT = "--point=pi/7:pi/11:pi/13:pi/17"
+
+
+@pytest.mark.parametrize("argv", [
+    ["char", "--group", "F4", "--cap-weyl", "10", "--weight", "1,0,0,0", F4_POINT],
+    ["char", "--group", "A1xF4", "--cap-weyl", "10", "--weight", "1,1,0,0,0",
+     "--point=pi/3;pi/7:pi/11:pi/13:pi/17"],
+    ["sweep", "--group", "B3", "--cap-weyl", "47", "--weight", "1,0,0",
+     "--point", "pi/2:0:0", "--kmax", "3"],
+    ["spectral", "--group", "A1", "--cap-weyl", "1", "--l", "2", "--moments", "2"],
+    ["weyl", "--group", "A2", "--cap-weyl", "5", "--enumerate"],
+])
+def test_cap_weyl_below_the_order_refuses_before_any_work(capsys, monkeypatch, argv):
+    jsonschema = pytest.importorskip("jsonschema")
+    from pathlib import Path
+
+    from weylchar import charcalc, weylgroup
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the Weyl group was enumerated")
+
+    monkeypatch.setattr(charcalc, "cached_weyl_group", no_enumeration)
+    monkeypatch.setattr(weylgroup, "_closure", no_enumeration)
+    code, doc = run_json(capsys, *argv)
+    assert code == 3 and doc["error"]["code"] == "CapacityError"
+    assert "above the cap" in doc["error"]["message"]
+    schema_dir = Path(__file__).resolve().parents[1] / "docs" / "schemas"
+    jsonschema.validate(doc, json.loads((schema_dir / "error.schema.json").read_text()))
+
+
+def test_cap_weyl_at_the_order_changes_only_the_config(capsys):
+    base = ["char", "--group", "F4", "--weight", "1,0,0,0", F4_POINT]
+    code, plain = run_json(capsys, *base)
+    assert code == 0
+    code, capped = run_json(capsys, *base, "--cap-weyl", "1152")
+    assert code == 0
+    assert capped["config"].pop("cap_weyl") == 1152
+    assert capped == plain
+    # subcommands that never enumerate W ignore the cap
+    assert run_cli(capsys, "weyl", "--group", "E8", "--cap-weyl", "1")[0] == 0
+    assert run_cli(capsys, "dim", "--group", "E7", "--cap-weyl", "1",
+                   "--weight", "1,0,0,0,0,0,0")[0] == 0
+
+
+@pytest.mark.parametrize("argv,absent", [
+    (["roots", "--group", "A2"],
+     ("charcalc", "weylgroup", "asymptotics", "spectral")),
+    (["weyl", "--group", "A2", "--enumerate"], ("charcalc", "asymptotics", "spectral")),
+    (["dim", "--group", "Z3", "--weight", "1"],
+     ("charcalc", "weylgroup", "asymptotics", "spectral")),
+    (["dim", "--group", "A2", "--weight", "1,-1"], ("asymptotics", "spectral")),
+])
+def test_subcommands_import_only_the_modules_they_use(argv, absent):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import json, sys; from weylchar.cli import main; code = main(sys.argv[1:]); "
+             "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("WEYLCHAR_CAP_WEYL", None)
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    code, modules = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert code in (0, 2, 4)
+    json.loads(proc.stdout)
+    assert not {f"weylchar.{m}" for m in absent} & set(modules)

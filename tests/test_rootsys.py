@@ -1,13 +1,17 @@
 """Root system construction, exact geometry, and Dynkin combinatorics."""
 
+import hashlib
 import json
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from weylchar import build_root_system, exact_point
 from weylchar.errors import ConfigError, DomainError, StructureError
-from weylchar.exactlin import span_coefficients, vadd
+from weylchar.exactlin import (
+    adjugate, common_denominator, solve, span_coefficients, vadd, vscale,
+)
 from weylchar.rootsys import RootSystemSpec, positive_root_count
 from weylchar.weylgroup import reflect, reflection
 
@@ -253,3 +257,74 @@ def test_positive_root_order_and_coefficients_match_normal_equations(name):
     for w, a in zip(rs.fundamental_coweights(), rs.simple_roots):
         assert [rs.inner(w, b) for b in rs.simple_roots] == [
             int(b == a) for b in rs.simple_roots]
+
+
+# ---------------------------------------------------------------------------
+# integer construction against Fraction references
+# ---------------------------------------------------------------------------
+
+#: sha256 of the concatenated `weylchar roots --group X` documents (JSON) for
+#: X in ALL_SPECS order, as the Fraction construction produced them.
+ROOTS_DOCS_SHA256 = "6adcf3672ac2036d1b0d11b8401471491bd6a46771ff0d230438bb8ecbc3e13f"
+
+
+@pytest.mark.parametrize("name", ALL_SPECS)
+def test_integer_root_data_matches_fraction_references(name):
+    rs = build_root_system(name)
+    simple, gram = rs.simple_roots, rs.gram
+    vectors = [*simple, *rs.positive_roots, rs.weyl_vector,
+               *rs.fundamental_weights(), *rs.fundamental_coweights(), *gram]
+    assert all(type(x) is F and type(x.numerator) is int for v in vectors for x in v)
+    coeffs = {r: span_coefficients(simple, gram, r) for r in rs.positive_roots}
+    assert list(rs.positive_roots) == sorted(coeffs, key=lambda r: (sum(coeffs[r]), r))
+    assert rs.root_coeffs == {r: tuple(int(c) for c in coeffs[r]) for r in rs.positive_roots}
+    assert rs.weyl_vector == tuple(sum(xs, F(0)) / 2 for xs in zip(*rs.positive_roots))
+    assert rs.cartan_matrix == tuple(
+        tuple(2 * rs.inner(a, b) / rs.inner(b, b) for b in simple) for a in simple)
+    for i, (w, cw) in enumerate(zip(rs.fundamental_weights(), rs.fundamental_coweights())):
+        assert span_coefficients(simple, gram, w) is not None
+        assert span_coefficients(simple, gram, cw) is not None
+        assert [2 * rs.inner(w, a) / rs.inner(a, a) for a in simple] == [
+            int(i == j) for j in range(rs.rank)]
+        assert [rs.inner(cw, a) for a in simple] == [int(i == j) for j in range(rs.rank)]
+    # the integer rows, each over its least common denominator
+    assert rs._pos_rows.tolist() == [[int(x) for x in r] for r in rs.positive_roots]
+    forms = [rs.gram_vec(a) for a in rs.positive_roots]
+    assert (rs._pos_forms.ravel().tolist(), rs._pos_forms_den) == common_denominator(
+        x for f in forms for x in f)
+    coroots = [vscale(2 / rs.norm2(a), rs.gram_vec(a)) for a in simple]
+    assert (rs._coroot_forms.ravel().tolist(), rs._coroot_den) == common_denominator(
+        x for c in coroots for x in c)
+    gram_int, gram_den = common_denominator(x for row in gram for x in row)
+    assert ([x for row in rs._gram_int for x in row], rs._gram_den) == (gram_int, gram_den)
+    assert rs._simple_index == [rs.positive_roots.index(a) for a in simple]
+    # the float forms keep the bits of float(Fraction)
+    want = np.array([[float(x) for x in f] for f in forms])
+    assert rs._pos_forms_float.dtype == want.dtype
+    assert rs._pos_forms_float.tobytes() == want.tobytes()
+
+
+def test_roots_documents_are_unchanged(capsys):
+    from weylchar.cli import main
+
+    docs = []
+    for name in ALL_SPECS:
+        assert main(["roots", "--group", name]) == 0
+        docs.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(docs).encode()).hexdigest() == ROOTS_DOCS_SHA256
+
+
+def test_adjugate_matches_the_fraction_inverse():
+    rng = rng_for("adjugate")
+    for k in range(1, 9):
+        for _ in range(5):
+            b = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+            m = [[sum(b[i][t] * b[j][t] for t in range(k)) + (i == j) for j in range(k)]
+                 for i in range(k)]  # B B^T + I: positive definite
+            adj, det = adjugate(m)
+            assert det > 0
+            for j in range(k):
+                col = solve(m, [F(int(i == j)) for i in range(k)])
+                assert [F(adj[i][j], det) for i in range(k)] == col
+    with pytest.raises(AssertionError):
+        adjugate([[1, 2], [2, 1]])

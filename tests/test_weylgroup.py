@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from weylchar import build_root_system, exact_point
-from weylchar.charcalc import effective_subsystem
+from weylchar.charcalc import cached_weyl_group, effective_subsystem
 from weylchar.errors import CapacityError, DomainError
 from weylchar.exactlin import vscale, vsum
 from weylchar.asymptotics import alcove_stratum_points
 from weylchar.weylgroup import (
+    DEFAULT_WEYL_CAP,
+    ElementKey,
+    WeylElement,
     coset_transversal,
     fixes_torus_point,
     generate_weyl_group,
@@ -277,3 +280,63 @@ def test_elements_are_built_lazily_and_match_the_full_list():
     assert [(w.matrix, w.sign, w.word) for w in singles] == [
         (w.matrix, w.sign, w.word) for w in full]
     assert group.signs.tolist() == [(-1) ** len(w.word) for w in full]
+
+
+# ---------------------------------------------------------------------------
+# element keys and the sorted-key index
+# ---------------------------------------------------------------------------
+
+
+def test_index_round_trips_every_element_of_f4_and_a_sample_of_e6():
+    group = generate_weyl_group(build_root_system("F4"))
+    assert group.indices_of(group.stack) == list(range(group.order))
+    assert [group.index_of(w) for w in group.elements] == list(range(group.order))
+    group = cached_weyl_group(build_root_system("E6"))
+    rng = rng_for("index-e6")
+    sample = rng.sample(range(group.order), 2000)
+    assert group.indices_of(group.stack[sample]) == sample
+    for i in sample[:50]:
+        w = group.element(i)
+        assert group.index_of(WeylElement(w.matrix, w.sign)) == i
+    assert sorted(group.keys.tolist()) == np.unique(group.keys).tolist()  # injective
+
+
+def test_non_member_matrices_raise_domain_error():
+    rs = build_root_system("A2")
+    group = generate_weyl_group(rs)
+    n = rs.ambient_dim
+    for m in (-np.eye(n), 2 * np.eye(n), np.zeros((n, n))):
+        with pytest.raises(DomainError):
+            group.index_of(WeylElement(tuple(map(tuple, m.astype(int).tolist())), 1))
+    # a matrix outside W with the key of a member: w + z e_k^T with z . (G v) = 0
+    # leaves w^T (G v), hence the key, unchanged; the matrices differ.
+    rs = build_root_system("B3")
+    group = generate_weyl_group(rs)
+    gv = group.key.gv.tolist()
+    z = np.array([gv[1], -gv[0], 0], dtype=np.int8)
+    w = group.stack[7]
+    fake = w + z[:, None] * np.array([1, 0, 0], dtype=np.int8)[None, :]
+    assert (group.key.of_matrices(fake[None]) == group.key.of_matrices(w[None])).all()
+    with pytest.raises(DomainError):
+        group.indices_of(fake[None])
+    assert group.indices_of(np.stack([w, group.stack[3]])) == [7, 3]
+
+
+def test_keys_fit_every_group_within_the_default_cap():
+    names = [f"{fam}{n}" for fam, top in (("A", 8), ("B", 7), ("C", 7), ("D", 7))
+             for n in range(1 if fam == "A" else 2, top + 1)] + ["E6", "E7", "F4", "G2"]
+    for name in names:
+        rs = build_root_system(name)
+        assert weyl_order(rs.spec) <= DEFAULT_WEYL_CAP
+        assert 2 * ElementKey(rs).offset < 2**62
+
+
+def test_key_overflow_is_a_capacity_error_before_any_enumeration():
+    # A20: |W| = 21!, and the Cauchy-Schwarz bound of each of the 21
+    # coordinates of W (2 rho) is 55, so its keys need more than 62 bits.
+    # Nothing is enumerated.
+    rs = build_root_system("A20")
+    with pytest.raises(CapacityError, match="keys of A20"):
+        ElementKey(rs)
+    with pytest.raises(CapacityError, match="keys of A20"):
+        generate_weyl_group(rs, cap=10**30)
