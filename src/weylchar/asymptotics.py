@@ -190,11 +190,7 @@ def divergence_certificate(
             chain = rs.dynkin_path(i, j)
             candidates.append((len(chain), i, j, tuple(chain)))
     for _, _, _, chain in sorted(candidates):
-        total = vzero(rs.ambient_dim)
-        for idx in chain:
-            total = vadd(total, rs.simple_roots[idx])
-        if not rs.is_positive_root(total):
-            continue
+        total = rs.chain_sum_root(chain)
         if is_ndeg(total) and pairing(total) != 0:
             return DivergenceCertificate(
                 total,

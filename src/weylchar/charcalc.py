@@ -46,11 +46,11 @@ one matvec of the simple coroot rows (`RootSystem.dynkin_labels`); the
 stabilizer closes rows of the group's int8 stack of positive-root
 reflections; the coset transversal is one positivity test over the whole
 stack (`weylgroup.coset_transversal`); and each phase e^{i pi r / D} is
-taken from the kernel's integers (`utils.unit_phase`).  The oracle keeps
-its integer weight rows per irrep (`_weight_rows`), beside the
-multiplicities.  Only the Freudenthal recursion, cached per weight, runs
-in Fractions.  Int division r / D is correctly rounded, so every float
-equals the one the Fraction form of the same rational gave.
+taken from the kernel's integers (`utils.unit_phase`).  The oracle's
+Freudenthal recursion runs on integer root pairings over one denominator
+and keeps one integer weight table per irrep (`_multiplicities_cached`).
+Int division r / D is correctly rounded, so every float equals the one
+the Fraction form of the same rational gave.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -115,8 +116,8 @@ class EffectiveWeightData:
 
 
 @lru_cache(maxsize=None)
-def cached_weyl_group(rs: RootSystem, cap: int | None = None) -> WeylGroup:
-    return generate_weyl_group(rs, cap)
+def cached_weyl_group(rs: RootSystem) -> WeylGroup:
+    return generate_weyl_group(rs)
 
 
 def dim_irrep(rs: RootSystem, lam) -> int:
@@ -249,12 +250,11 @@ def _char_regular_float(
         geta = eta_f
     else:
         geta = ordered_dot([[float(g) for g in row] for row in rs.gram], eta_f)
-    mats = group.stack.astype(float)
     signs = group.signs.astype(float)
     block = max(1, FLOAT_BLOCK // (group.order * rs.ambient_dim))
     num = np.empty(len(points), dtype=complex)
     for lo in range(0, len(points), block):
-        wh = ordered_dot(mats, points[lo:lo + block, None, None, :])  # (b, |W|, n)
+        wh = ordered_dot(group.stack, points[lo:lo + block, None, None, :])  # (b, |W|, n)
         phase = fold_angle(ordered_dot(geta, wh))
         terms = cmul(signs, as_complex(np.cos(phase), np.sin(phase)))
         num[lo:lo + block] = pairwise_sum(terms.T)
@@ -644,135 +644,131 @@ def effective_weight(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class _WeightTable:
+    """The weights of an irrep as integer rows over one denominator.
+
+    rows[i] / den is the i-th weight, in the order Freudenthal's recursion
+    reaches it, and mults[i] its multiplicity; the length is the number of
+    weights.
+    """
+
+    rows: np.ndarray
+    den: int
+    mults: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.mults)
+
+
 @lru_cache(maxsize=128)
-def _multiplicities_cached(rs: RootSystem, lam: Vec, cap: int) -> dict:
+def _multiplicities_cached(rs: RootSystem, lam: Vec) -> _WeightTable:
+    """Freudenthal's recursion (Humphreys, GTM 9, 22.3) for the dominant weight lam.
+
+    The weights mu = lam - sum_j c_j alpha_j are visited level by level in
+    c.  Every pairing is an integer over one common denominator q: those of
+    lam, lam + rho and the simple roots with the positive roots.
+    """
     dim = dim_irrep(rs, lam)
-    if dim > cap:
+    if dim > ORACLE_DIM_CAP:
         raise CapacityError(
-            f"dim {dim} exceeds the weight-multiplicity cap {cap}",
+            f"dim {dim} exceeds the weight-multiplicity cap {ORACLE_DIM_CAP}",
             required=dim,
-            cap=cap,
+            cap=ORACLE_DIM_CAP,
         )
-    simple = rs.simple_roots
     rank = rs.rank
-    rho = rs.weyl_vector
-    eta = vadd(lam, rho)
-    pos = rs.positive_roots
-    pos_coeff = [rs.root_coeffs[a] for a in pos]
-
-    def pairings(v):  # (v|a) for every positive root a, as Fractions
-        p, d = rs.root_pairings(v)
-        return [Fraction(x, d) for x in p]
-
-    lam_dot = pairings(lam)
-    simple_dot = [pairings(s) for s in simple]
-    aj_dot = [[simple_dot[j][i] for j in range(rank)] for i in range(len(pos))]
-    eta_dot = pairings(eta)
-    eta_dot_simple = [eta_dot[i] for i in rs._simple_index]
-    gram_alpha = [[simple_dot[j][i] for j in range(rank)] for i in rs._simple_index]
-
-    def denom(c):
-        # ||lam+rho||^2 - ||mu+rho||^2 for mu = lam - sum c_j alpha_j
-        lin = 2 * sum(c[j] * eta_dot_simple[j] for j in range(rank))
-        quad = sum(
-            c[i] * c[j] * gram_alpha[i][j] for i in range(rank) for j in range(rank)
-        )
-        return lin - quad
+    pairings = [rs.root_pairings(v) for v in (lam, vadd(lam, rs.weyl_vector), *rs.simple_roots)]
+    q = math.lcm(*(d for _, d in pairings))
+    lam_dot, eta_dot, *simple_dot = [[x * (q // d) for x in p] for p, d in pairings]
+    eta_simple = [eta_dot[i] for i in rs._simple_index]
+    gram_simple = [[row[i] for row in simple_dot] for i in rs._simple_index]
+    # Per positive root a: its coefficients c_a, their support, q (lam|a),
+    # q (alpha_j|a) for each j, and q (a|a).
+    roots = []
+    for idx, a in enumerate(rs.positive_roots):
+        coeffs = rs.root_coeffs[a]
+        a_dot = [row[idx] for row in simple_dot]
+        support = [j for j in range(rank) if coeffs[j]]
+        roots.append((coeffs, support, lam_dot[idx], a_dot, sum(map(mul, coeffs, a_dot))))
 
     mult = {(0,) * rank: 1}
     level = [(0,) * rank]
     while level:
-        candidates = set()
-        for c in level:
-            for j in range(rank):
-                cand = list(c)
-                cand[j] += 1
-                candidates.add(tuple(cand))
+        candidates = {c[:j] + (c[j] + 1,) + c[j + 1:] for c in level for j in range(rank)}
         nxt = []
         for c in sorted(candidates):
-            dnm = denom(c)
+            # q (||lam+rho||^2 - ||mu+rho||^2)
+            dnm = 2 * sum(map(mul, c, eta_simple)) - sum(
+                x * sum(map(mul, c, row)) for x, row in zip(c, gram_simple)
+            )
             if dnm <= 0:
                 continue
-            total = Fraction(0)
-            for idx, a in enumerate(pos):
-                k = 1
-                while True:
-                    up = tuple(c[j] - k * pos_coeff[idx][j] for j in range(rank))
-                    if any(x < 0 for x in up):
-                        break
-                    m_up = mult.get(up, 0)
+            total = 0  # q sum_a sum_k m(mu + k a) (mu + k a|a)
+            for coeffs, support, l_dot, a_dot, norm in roots:
+                kmax = min(c[j] // coeffs[j] for j in support)
+                if not kmax:
+                    continue
+                mu_dot = l_dot - sum(map(mul, c, a_dot))
+                for k in range(1, kmax + 1):
+                    m_up = mult.get(tuple(x - k * y for x, y in zip(c, coeffs)), 0)
                     if m_up:
-                        # (mu + k*alpha | alpha)
-                        pairing = lam_dot[idx] - sum(
-                            up[j] * aj_dot[idx][j] for j in range(rank)
-                        )
-                        total += m_up * pairing
-                    k += 1
+                        total += m_up * (mu_dot + k * norm)
             if total == 0:
                 continue
-            m = 2 * total / dnm
-            if m.denominator != 1 or m < 0:
+            m, rem = divmod(2 * total, dnm)
+            if rem or m < 0:
                 raise AssertionError("Freudenthal recursion produced a non-integer")
             if m:
-                mult[c] = int(m)
+                mult[c] = m
                 nxt.append(c)
         level = nxt
 
-    out = {}
-    for c, m in mult.items():
-        mu = lam
-        for j in range(rank):
-            if c[j]:
-                mu = vsub(mu, vscale(c[j], simple[j]))
-        out[mu] = m
-    if sum(out.values()) != dim:
+    lam_row, den = common_denominator(lam)
+    rows = np.array(lam_row) - den * (np.array(list(mult)) @ rs._pos_rows[rs._simple_index])
+    mults = np.array(list(mult.values()))
+    if sum(mult.values()) != dim:
         raise AssertionError("multiplicities do not sum to the dimension")
-    return out
+    return _WeightTable(rows, den, mults)
 
 
-def weight_multiplicities(rs: RootSystem, lam, cap: int = ORACLE_DIM_CAP) -> dict:
+def weight_multiplicities(rs: RootSystem, lam) -> dict:
     """Weight -> multiplicity map of the irrep, by Freudenthal recursion."""
-    return dict(_multiplicities_cached(rs, _dominant(rs, lam), cap))
+    table = _multiplicities_cached(rs, _dominant(rs, lam))
+    return {
+        tuple(Fraction(x, table.den) for x in row): m
+        for row, m in zip(table.rows.tolist(), table.mults.tolist())
+    }
 
 
-@lru_cache(maxsize=128)
-def _weight_rows(rs: RootSystem, lam: Vec, cap: int):
-    """(rows, D, mults, dim): the weights of the irrep as an integer array over D.
-
-    rows[i] / D is the i-th weight of `_multiplicities_cached` and mults[i]
-    its multiplicity, so the oracle rescales nothing per call.
-    """
-    mults = _multiplicities_cached(rs, lam, cap)
-    weights, den = common_denominator(x for mu in mults for x in mu)
-    rows = np.array(weights).reshape(len(mults), rs.ambient_dim)
-    return rows, den, np.array(list(mults.values())), sum(mults.values())
-
-
-def _weight_exponents(rs: RootSystem, lam: Vec, h: TorusPoint, cap: int = ORACLE_DIM_CAP):
+def _weight_exponents(rs: RootSystem, lam: Vec, h: TorusPoint):
     """The oracle's exact {r: summed multiplicity} map with (mu|h) = pi r / D, and D."""
-    rows, den, mults, _ = _weight_rows(rs, lam, cap)
-    return _exponent_map(rows, den, *rs.int_form(h.coords), mults)
+    table = _multiplicities_cached(rs, lam)
+    return _exponent_map(table.rows, table.den, *rs.int_form(h.coords), table.mults)
 
 
-def char_weightsum_oracle(
-    rs: RootSystem, lam, h: TorusPoint, cap: int = ORACLE_DIM_CAP
-) -> CharacterValue:
+def char_weightsum_oracle(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
     """Ground-truth character: sum of mult(mu) * e^{i(mu|h)} over all weights.
 
-    Valid at every torus point, regular or singular.
+    Valid at every torus point, regular or singular.  A floating point sums
+    the weights in increasing order of their coordinates.
     """
     lam = rs.validate_weight(lam)
     rs.validate_point(h)
     lam = _dominant(rs, lam)
     if h.exact:
-        value = _phase_sum(*_weight_exponents(rs, lam, h, cap))
-        dim = _weight_rows(rs, lam, cap)[3]
+        collected, d = _weight_exponents(rs, lam, h)
+        value = _phase_sum(collected, d)
+        dim = sum(collected.values())
     else:
-        mults = _multiplicities_cached(rs, lam, cap)
-        items = sorted(mults.items())
-        forms = [[float(x) for x in rs.gram_vec(mu)] for mu, _ in items]
+        table = _multiplicities_cached(rs, lam)
+        order = np.lexsort(table.rows.T[::-1])
+        forms = []
+        for row in table.rows[order].tolist():
+            y, y_den = rs.int_form(row)
+            forms.append([x / (y_den * table.den) for x in y])
         phase = fold_angle(ordered_dot(forms, h.coords))
-        terms = cmul([m for _, m in items], as_complex(np.cos(phase), np.sin(phase)))
+        mults = table.mults[order]
+        terms = cmul(mults, as_complex(np.cos(phase), np.sin(phase)))
         value = pairwise_sum(terms)
-        dim = sum(mults.values())
+        dim = sum(mults.tolist())
     return CharacterValue(value, dim * _MACHINE_EPS)

@@ -322,7 +322,7 @@ def _run_spectral(cfg: RunConfig, factors, weights):
     rows = [["m", "moment", "km", "abs_diff"]]
     moments = []
     for m, v, err in est.moments:
-        km = float(spectral.km_moment(gens.size, m))
+        km = float(est.km_reference[m])
         moments.append({"m": m, "moment": v, "stderr": err, "km": km,
                         "abs_diff": abs(v - km)})
         rows.append([m, v, km, abs(v - km)])

@@ -38,13 +38,17 @@ def ordered_dot(a, b) -> np.ndarray:
     """sum(x * y for x, y in zip(a, b)) over the last axis, elementwise.
 
     Leading axes broadcast.  The terms are added left to right starting
-    from 0.0, the order of the builtin `sum`, never by BLAS.
+    from 0.0, the order of the builtin `sum`, never by BLAS.  `a` is
+    promoted to float one column at a time, before the column meets the
+    broadcast, which is exact for integers below 2**53: a large int8 stack
+    is never copied whole, and a small one is cast once per column rather
+    than once per broadcast row.
     """
-    a = np.asarray(a, dtype=float)
+    a = np.asarray(a)
     b = np.asarray(b, dtype=float)
-    out = 0.0 + a[..., 0] * b[..., 0]
+    out = 0.0 + a[..., 0].astype(float, copy=False) * b[..., 0]
     for j in range(1, a.shape[-1]):
-        out = out + a[..., j] * b[..., j]
+        out = out + a[..., j].astype(float, copy=False) * b[..., j]
     return out
 
 

@@ -207,3 +207,19 @@ def test_character_stack_checks_its_shape_and_values():
         character(A2, LAM2, np.zeros((4, 2)))
     with pytest.raises(DomainError):
         character(A2, LAM2, np.array([[0.3, math.inf, -0.3]]))
+
+
+def test_ordered_dot_on_an_int8_stack_equals_its_float64_form():
+    # The float Weyl sum hands the int8 stack to ordered_dot unconverted;
+    # promoting one column at a time must give the bits of the float64 copy.
+    from weylchar.charcalc import cached_weyl_group
+    from weylchar.utils import ordered_dot
+
+    stack = cached_weyl_group(build_root_system("F4")).stack
+    assert stack.dtype == np.int8
+    points = np.random.default_rng(5).uniform(-math.pi, math.pi, (3, 1, 1, 4))
+    got = ordered_dot(stack, points)
+    want = ordered_dot(stack.astype(float), points)
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape == (3, len(stack), 4)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

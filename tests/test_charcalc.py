@@ -1,6 +1,7 @@
 """Characters: dimension formula, regular/singular WCF, Freudenthal oracle."""
 
 import cmath
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -8,6 +9,7 @@ import pytest
 
 from weylchar import build_root_system, exact_point, float_point, zero_point
 from weylchar.charcalc import (
+    ORACLE_DIM_CAP,
     char_regular,
     char_singular,
     char_weightsum_oracle,
@@ -18,7 +20,7 @@ from weylchar.charcalc import (
     snap_to_exact,
     weight_multiplicities,
 )
-from weylchar.errors import DomainError, SingularPointError, SnapError
+from weylchar.errors import CapacityError, DomainError, SingularPointError, SnapError
 from weylchar.exactlin import project_onto_span, vadd, vscale, vzero
 from weylchar.weylgroup import coset_transversal, generate_weyl_group, stabilizer
 from weylchar.asymptotics import alcove_stratum_points
@@ -331,6 +333,48 @@ def test_multiplicities_are_weyl_invariant():
     group = generate_weyl_group(rs)
     for w in group.elements:
         assert all(mults.get(w.apply(mu)) == m for mu, m in mults.items())
+
+
+#: sha256 of repr(list(weight_multiplicities(rs, lam).items())) from the
+#: Fraction recursion the integer one replaced: keys, values and order.
+MULTIPLICITY_SHA256 = [
+    ("A1", (7,), "7adb2d8b04b0461dde9ca7d4fd289ad57adc11e2195725f99ff3072e57e5d7f5"),
+    ("A2", (3, 2), "e2592635a2eeaad72e89bc7554e9a3544a81dcf80960795cc85e734da4cbafa5"),
+    ("A4", (1, 0, 1, 0), "e1a64520645078fabc0b3754b47c48961c781d651ab785af9b96e151b96ccf24"),
+    ("B2", (3, 1), "7074386d7e4d393aa1e6ccaf017cd47956846c27b14332bc36e1ba1a024343bc"),
+    ("B4", (1, 1, 0, 1), "4ff4638a1c4a51fd60b2dfd80687a80a85e0bc362ba2a020c93c6b1b19d0e044"),
+    ("C3", (2, 1, 1), "a8c69db596a20c5592eb21b36724a4f6848cecf67ee97193b700caabec0a19ae"),
+    ("D4", (1, 0, 1, 1), "3ad01889275359253b22f60bb1ec9117407af43280e09422f840d10f3b361a31"),
+    ("D5", (0, 1, 0, 0, 1), "e8f91f6f9644f953a6525002586b468b1ef7d48a9b4305f7101f35fbcc8ca079"),
+    ("G2", (3, 2), "99396c11a32b90618bdb4da610c7a1a686e33d1912eb1d10a34daedf57d8d657"),
+    ("F4", (0, 0, 1, 1), "353f660c48d2bb2520f6e1d1b09ed27fac16a4ded04e2d147a79aba845f7e641"),
+    ("E6", (1, 0, 0, 0, 0, 1), "1c3bad5743e97e7f1c448f2c29ac90730e8c7041ae08f686db3dd252d49f9f07"),
+    ("E7", (0, 0, 0, 0, 0, 0, 1), "a94cb205c9b184387ad6037c3fad3123cdb9592ae68eaaf2d32fbca5232a03c5"),
+]
+
+
+@pytest.mark.parametrize("name,coeffs,want", MULTIPLICITY_SHA256)
+def test_multiplicity_maps_pinned(name, coeffs, want):
+    rs = build_root_system(name)
+    mults = weight_multiplicities(rs, rs.weight_from_fundamental(coeffs))
+    assert hashlib.sha256(repr(list(mults.items())).encode()).hexdigest() == want
+
+
+def test_oracle_refuses_above_the_dimension_cap():
+    # dim ~ 1e18: only a refusal before the recursion can return at all.
+    rs = build_root_system("A2")
+    lam = rs.weight_from_fundamental((10**6, 10**6))
+    dim = dim_irrep(rs, lam)
+    assert dim > ORACLE_DIM_CAP
+    calls = [
+        lambda: weight_multiplicities(rs, lam),
+        lambda: char_weightsum_oracle(rs, lam, exact_point([F(1, 3), F(1, 5), F(-8, 15)])),
+        lambda: char_weightsum_oracle(rs, lam, float_point([0.3, 0.5, -0.8])),
+    ]
+    for call in calls:
+        with pytest.raises(CapacityError) as err:
+            call()
+        assert (err.value.required, err.value.cap) == (dim, ORACLE_DIM_CAP)
 
 
 def test_oracle_matches_regular_char():
