@@ -42,13 +42,15 @@ and `weylgroup` build once per root system.  The degenerate split keeps
 the integer pairings (alpha|h0) = pi * p / D of all positive roots, which
 give the Weyl denominator and the singular prefactor as
 sin(pi * ((p mod 4D) / D) / 2), and eps as a parity; dominance checks are
-one matvec of the simple coroot rows (`RootSystem.dynkin_labels`); the
-stabilizer closes rows of the group's int8 stack of positive-root
-reflections; the coset transversal is one positivity test over the whole
-stack (`weylgroup.coset_transversal`); and each phase e^{i pi r / D} is
-taken from the kernel's integers (`utils.unit_phase`).  The oracle's
-Freudenthal recursion runs on integer root pairings over one denominator
-and keeps one integer weight table per irrep (`_multiplicities_cached`).
+one matvec of the simple rows of the root system's coroot table
+(`RootSystem.dynkin_labels`); the stabilizer closes the reflections in
+the simple roots of the degenerate subsystem, from the same table; the
+coset transversal is one positivity test of those simple roots over the
+whole stack (`weylgroup.coset_transversal`); and each phase
+e^{i pi r / D} is taken from the kernel's integers (`utils.unit_phase`).
+The oracle's Freudenthal recursion runs on integer root pairings over one
+denominator and keeps one integer weight table per irrep
+(`_multiplicities_cached`).
 Int division r / D is correctly rounded, so every float equals the one
 the Fraction form of the same rational gave.
 """
@@ -195,10 +197,11 @@ def char_regular(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
 
     Exact points keep the numerator exponents as rational multiples of pi
     (reduced mod 2 before any trigonometry) and collect equal exponents, so
-    large weights suffer no phase drift.  Singular points are refused with
-    a pointer to char_singular.
+    large weights suffer no phase drift.  Singular points, exact or within
+    the snap tolerance of a wall, are refused with a pointer to
+    char_singular; any other point is evaluated by `character`.
     """
-    lam = _dominant(rs, lam)
+    _dominant(rs, lam)
     rs.validate_point(h)
     split = rs.degenerate_split(h)
     if split.deg:
@@ -206,12 +209,7 @@ def char_regular(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
             f"point {h} is singular for {rs.spec.name} "
             f"({len(split.deg)} degenerate roots); use char_singular"
         )
-    eta = vadd(lam, rs.weyl_vector)
-    if h.exact:
-        return _char_regular_exact(rs, eta, split)
-    points = np.array([h.coords])
-    cv = _char_regular_float(rs, eta, points, rs.float_pairings(points))
-    return CharacterValue(complex(cv.value[0]), float(cv.condition[0]))
+    return character(rs, lam, h)
 
 
 def _char_regular_exact(rs: RootSystem, eta: Vec, split: DegenerateSplit) -> CharacterValue:
@@ -391,18 +389,14 @@ class _SingularEvaluator:
         return CharacterValue(value, condition)
 
 
-@lru_cache(maxsize=256)
+# Few entries: one E7 evaluator holds ~220 MB, and no workload reuses more than 2 keys.
+@lru_cache(maxsize=4)
 def _cached_evaluator(rs: RootSystem, split: DegenerateSplit) -> _SingularEvaluator:
     return _SingularEvaluator(rs, split)
 
 
 def char_singular(
-    rs: RootSystem,
-    lam,
-    h0: TorusPoint,
-    transversal: CosetTransversal | None = None,
-    *,
-    split: DegenerateSplit | None = None,
+    rs: RootSystem, lam, h0: TorusPoint, *, split: DegenerateSplit | None = None
 ) -> CharacterValue:
     """Exact character at a singular torus point via stabilizer factorization.
 
@@ -419,8 +413,6 @@ def char_singular(
         split = rs.degenerate_split(h0)
     if not split.deg:
         return _char_regular_exact(rs, vadd(lam, rs.weyl_vector), split)
-    if transversal is not None:
-        return _SingularEvaluator(rs, split, transversal).evaluate(lam)
     return _cached_evaluator(rs, split).evaluate(lam)
 
 
@@ -752,9 +744,8 @@ def char_weightsum_oracle(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
     Valid at every torus point, regular or singular.  A floating point sums
     the weights in increasing order of their coordinates.
     """
-    lam = rs.validate_weight(lam)
-    rs.validate_point(h)
     lam = _dominant(rs, lam)
+    rs.validate_point(h)
     if h.exact:
         collected, d = _weight_exponents(rs, lam, h)
         value = _phase_sum(collected, d)
@@ -762,11 +753,13 @@ def char_weightsum_oracle(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
     else:
         table = _multiplicities_cached(rs, lam)
         order = np.lexsort(table.rows.T[::-1])
-        forms = []
-        for row in table.rows[order].tolist():
-            y, y_den = rs.int_form(row)
-            forms.append([x / (y_den * table.den) for x in y])
-        phase = fold_angle(ordered_dot(forms, h.coords))
+        # G mu = (rows @ G_int) / (gram_den * den); int64 / int64 rounds
+        # correctly, like Python's int / int, while both are below 2**53.
+        forms = table.rows[order] @ np.array(rs._gram_int, dtype=np.int64)
+        den = rs._gram_den * table.den
+        if max(int(np.abs(forms).max()), den) >= 2**53:
+            raise AssertionError("weight forms do not fit a float mantissa")
+        phase = fold_angle(ordered_dot(forms / den, h.coords))
         mults = table.mults[order]
         terms = cmul(mults, as_complex(np.cos(phase), np.sin(phase)))
         value = pairwise_sum(terms)

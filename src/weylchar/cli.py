@@ -28,6 +28,10 @@ from .torus import TorusPoint, exact_point, float_point
 
 _PI_ENTRY = re.compile(r"^([+-]?)(\d+)?(?:/(\d+))?\*?pi(?:/(\d+))?$")
 
+#: The option an argparse message blames: "argument --cap-weyl: ..." or
+#: "the following arguments are required: --group, ...".
+_ARGPARSE_FIELD = re.compile(r"^argument ([^:]+):|arguments are required: ([^,]+)")
+
 #: Subcommands that enumerate the Weyl group of every factor (`weyl` only
 #: with --enumerate); --cap-weyl refuses them before any work.
 _ENUMERATES_W = ("char", "sweep", "spectral")
@@ -244,6 +248,10 @@ def _run_sweep(cfg: RunConfig, factors, weights, points):
     ks = cfg.options["schedule"]
     if cfg.options.get("counterexample"):
         carrier = cfg.options.get("carrier", 0)
+        if not 0 <= carrier < len(factors):
+            raise ConfigError(
+                f"--carrier {carrier} is not a factor index of {cfg.group}", field="carrier"
+            )
         rep = asymptotics.nonsimple_counterexample(
             factors, carrier, points[carrier], max(ks),
             grow_all=cfg.options.get("grow_all", False),
@@ -309,7 +317,12 @@ def _run_spectral(cfg: RunConfig, factors, weights):
         if rs.spec.name != "A1":
             raise ConfigError("the shipped catalog pair lives in SU(2); pass --gens")
     else:
-        gens = spectral.load_generator_set(gens_src)
+        try:
+            gens = spectral.load_generator_set(gens_src)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(
+                f"cannot read a generator set from {gens_src!r}: {exc}", field="gens"
+            ) from None
         if gens.dim != rs.ambient_dim:
             raise ConfigError(
                 f"generators act on C^{gens.dim} but {rs.spec.name} needs "
@@ -415,8 +428,18 @@ def render(doc: dict, fmt: str) -> str:
     raise ConfigError(f"unknown format {fmt!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise a ConfigError naming the option, so they get a document too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        m = _ARGPARSE_FIELD.search(message)
+        name = (m.group(1) or m.group(2)) if m else "argv"
+        raise ConfigError(f"{self.prog}: {message}", field=name.lstrip("-").replace("-", "_"))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="weylchar",
         description="Exact Weyl characters, decay sweeps, and spectral moments.",
     )
@@ -504,10 +527,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args)
+        cfg = config_from_args(build_parser().parse_args(argv))
         doc = run(cfg)
         sys.stdout.write(render(doc, cfg.options.get("format", "json")))
         return 0

@@ -125,9 +125,10 @@ class RootSystem:
     """Immutable root-system data plus exact geometry helpers.
 
     Construction runs on integer rows: the positive roots, their forms
-    G*alpha, the simple coroot forms and G, each over one denominator.
-    Everything else is integer matrix products over those rows, and the
-    public attributes are tuples of Fractions rebuilt from them.
+    G*alpha and G, each over one denominator, and the integral coroot rows
+    c_a = 2 G a / (a|a) (s_a = I - a c_a^T).  Everything else is integer
+    matrix products over those rows, and the public attributes are tuples
+    of Fractions rebuilt from them.
 
     Positive roots are kept in increasing height, ties broken by their
     coordinates.  Heights and `root_coeffs` come from the fundamental
@@ -149,14 +150,11 @@ class RootSystem:
         self._gram_int = tuple(map(tuple, g.tolist()))
         self._gram_is_identity = bool(self._gram_den == 1 and (g == np.eye(n)).all())
         # a = S g S^T is the form on the simple roots S times the gram's
-        # denominator d, so the coweights are d a^-1 S = d adj(a) S / det(a),
-        # and the simple coroot forms 2 G a_i / (a_i|a_i) = 2 (S g)_i / a_ii.
-        sg = simple @ g
-        a = sg @ simple.T
+        # denominator d, so the coweights are d a^-1 S = d adj(a) S / det(a).
+        a = simple @ g @ simple.T
         norms = np.diag(a)
         adj, det = adjugate(a.tolist())
         cow, cow_den = _over_least_den(self._gram_den * np.array(adj) @ simple, det)
-        self._coroot_forms, self._coroot_den = _over_least_den(2 * sg, norms)
         # Integer forms of the positive roots, (alpha|h) = (rows @ h) / den,
         # and the coefficients (w_i|alpha) over the simple roots.
         forms, forms_den = _over_least_den(pos @ g, self._gram_den)
@@ -166,6 +164,11 @@ class RootSystem:
         heights, rows = coeffs.sum(axis=1).tolist(), pos.tolist()
         order = sorted(range(len(rows)), key=lambda i: (heights[i], rows[i]))
         self._pos_rows, self._pos_forms, self._pos_forms_den = pos[order], forms[order], forms_den
+        # c_a = 2 G a / (a|a) on the integer rows of a and G a, whose scale cancels.
+        norms2 = (self._pos_rows * self._pos_forms).sum(axis=1)[:, None]
+        if (2 * self._pos_forms % norms2).any():
+            raise AssertionError("coroot row not integral")
+        self._coroot_rows = 2 * self._pos_forms // norms2
         # The same forms in floats, for floating points: (alpha|h) = rows . h.
         # Division of two exact floats rounds correctly, like float(Fraction).
         self._pos_forms_float = self._pos_forms / forms_den
@@ -174,7 +177,6 @@ class RootSystem:
         self.positive_roots = tuple(_fraction_rows(self._pos_rows))
         self.root_coeffs = dict(zip(self.positive_roots, map(tuple, coeffs[order].tolist())))
         self.weyl_vector = _fraction_rows([self._pos_rows.sum(axis=0)], 2)[0]
-        self.cartan_matrix = tuple(map(tuple, (2 * a // norms).tolist()))
         self._coweights = tuple(_fraction_rows(cow, cow_den))
         self._fundamental_weights = tuple(_fraction_rows(
             *_over_least_den(cow * norms[:, None], 2 * self._gram_den * cow_den)
@@ -183,12 +185,15 @@ class RootSystem:
         self._root_set = self._pos_set | frozenset(_fraction_rows(-self._pos_rows))
         index = dict(zip(map(tuple, self._pos_rows.tolist()), range(len(rows))))
         self._simple_index = [index[r] for r in map(tuple, simple.tolist())]
-        self._check_invariants(g, a)
+        # 2(a_i|a_j)/(a_j|a_j) = a_i . c_j
+        self.cartan_matrix = tuple(map(tuple, (
+            simple @ self._coroot_rows[self._simple_index].T).tolist()))
+        self._check_invariants(g)
 
     # -- construction-time checks -------------------------------------------------
 
-    def _check_invariants(self, g: np.ndarray, a: np.ndarray):
-        """Checks on the integer gram g and the simple-root form a = S g S^T."""
+    def _check_invariants(self, g: np.ndarray):
+        """Checks on the integer gram g and the root data built from it."""
         if len(self.positive_roots) != positive_root_count(self.spec):
             raise AssertionError(
                 f"{self.spec.name}: got {len(self.positive_roots)} positive roots, "
@@ -197,12 +202,9 @@ class RootSystem:
         if (g != g.T).any():
             raise AssertionError("gram form is not symmetric")
         adjugate(g.tolist())  # positive definite: its leading minors are positive
-        norms = np.diag(a)
-        if (2 * a % norms).any():
-            raise AssertionError("Cartan matrix is not integral")
-        # 2 (rho|a) = (a|a) for every simple a, with 2 rho the sum of the positive roots
+        # c_a . 2 rho = 2 for every simple a, 2 rho the sum of the positive roots
         rho2 = self._pos_rows.sum(axis=0)
-        if (rho2 @ g @ self._pos_rows[self._simple_index].T != norms).any():
+        if (self._coroot_rows[self._simple_index] @ rho2 != 2).any():
             raise AssertionError("Weyl vector pairing with a simple root is not 1")
 
     # -- exact geometry -----------------------------------------------------------
@@ -241,7 +243,7 @@ class RootSystem:
         v, den = common_denominator(lam)
         if len(v) != self.ambient_dim:
             raise DomainError(f"dimension mismatch: expected {self.ambient_dim}-vectors")
-        return int_matvec(self._coroot_forms, v).tolist(), den * self._coroot_den
+        return int_matvec(self._coroot_rows[self._simple_index], v).tolist(), den
 
     def is_integral_weight(self, lam) -> bool:
         """The lattice condition 2(lam|alpha)/(alpha|alpha) in Z, simple alphas."""

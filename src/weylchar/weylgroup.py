@@ -15,10 +15,11 @@ formed once per element (`_products`).  The keys, sorted, are the
 group's element index, searched with `searchsorted`.  Enumeration is
 breadth-first by word length with ties broken lexicographically by the
 generator word, which makes element order, and everything derived from
-it, fully deterministic.  The reflections in all positive roots are an int8 stack
-built with the group (`WeylGroup.reflections`); stabilizers and coset
-transversals are tuples of element indices into the stack, computed
-without rational arithmetic.
+it, fully deterministic.  Generators are reflections s_a = I - a c_a^T
+from the root system's coroot table (`RootSystem._coroot_rows`): the
+simple ones for the group, those in the simple roots of the degenerate
+subsystem for a stabilizer.  Stabilizers and coset transversals are
+element indices into the stack, computed without rational arithmetic.
 
 The stabilizer of a torus point is always the closure of the reflections
 in its degenerate roots.  That is exact at every point, not only in the
@@ -258,49 +259,20 @@ def _products(roots, coroots, parent, letter, levels) -> np.ndarray:
     return stack
 
 
-def _coroot_rows(rs: RootSystem) -> np.ndarray:
-    """Integer rows c_a = 2 G a / (a|a), in `rs.positive_roots` order.
-
-    On the root system's integer rows of the roots a and of G a (whose
-    scale cancels), with integrality checked; s_a = I - a c_a^T.
-    """
-    rows, forms = rs._pos_rows, rs._pos_forms
-    norms = (rows * forms).sum(axis=1)[:, None]
-    if (2 * forms % norms).any():
-        raise AssertionError("coroot form not integral")
-    return 2 * forms // norms
-
-
-def _reflection_stack(rs: RootSystem) -> np.ndarray:
-    """The reflections in every positive root as a `(#positive, n, n)` int8 stack.
-
-    In `rs.positive_roots` order: s_a = I - a c_a^T (`_coroot_rows`).
-    """
-    outer = rs._pos_rows[:, :, None] * _coroot_rows(rs)[:, None, :]
-    mats = np.eye(rs.ambient_dim, dtype=np.int64) - outer
-    if np.abs(mats).max() > 127:
-        raise AssertionError("reflection matrix does not fit int8")
-    return mats.astype(np.int8)
-
-
 class WeylGroup:
     """Fully enumerated reflection group of a root system.
 
     `stack[i]` is the int8 matrix and `signs[i]` the sign of element i, in
     enumeration order.  Element i is reached from element `parent[i]` by
-    the simple reflection `letter[i]`, which gives its word.
-    `reflections[j]` is the reflection in the j-th positive root and
-    `coroots[j]` the integer row c with reflections[j] = I - a c^T.  `keys[i]`
-    is the `ElementKey` of element i; the element index is those keys
-    sorted, searched with `searchsorted`.
+    the simple reflection `letter[i]`, which gives its word.  `keys[i]` is
+    the `ElementKey` of element i; the element index is those keys sorted,
+    searched with `searchsorted`.
     """
 
-    def __init__(self, rs: RootSystem, stack, signs, parent, letter, coroots, key, keys):
+    def __init__(self, rs: RootSystem, stack, signs, parent, letter, key, keys):
         self.rs = rs
         self.stack = stack
         self.signs = signs
-        self.coroots = coroots
-        self.reflections = _reflection_stack(rs)
         self.order = len(stack)
         self.key = key
         self._parent = parent
@@ -374,8 +346,7 @@ def generate_weyl_group(rs: RootSystem, cap: int | None = None) -> WeylGroup:
         cap = int(os.environ.get("WEYLCHAR_CAP_WEYL", DEFAULT_WEYL_CAP))
     expected = check_weyl_cap(rs.spec, cap)
     key = ElementKey(rs)
-    coroots = _coroot_rows(rs)
-    gens = rs._pos_rows[rs._simple_index], coroots[rs._simple_index]
+    gens = rs._pos_rows[rs._simple_index], rs._coroot_rows[rs._simple_index]
     parent, letter, keys, levels = _closure(*gens, key)
     if len(keys) != expected:
         raise AssertionError(
@@ -385,7 +356,7 @@ def generate_weyl_group(rs: RootSystem, cap: int | None = None) -> WeylGroup:
     # Every generator is a reflection, so the sign is the parity of the word
     # length, which is the BFS level.
     signs = np.repeat(np.array([1, -1] * len(levels), dtype=np.int8)[:len(levels)], levels)
-    return WeylGroup(rs, stack, signs, parent, letter, coroots, key, keys)
+    return WeylGroup(rs, stack, signs, parent, letter, key, keys)
 
 
 @dataclass(frozen=True)
@@ -393,9 +364,9 @@ class Stabilizer:
     """Subgroup of W fixing a torus point (coordinates mod the period lattice).
 
     `indices` are its elements' indices into the parent group, increasing,
-    and `roots` the positions in `positive_roots` of the degenerate roots,
-    whose reflections generate it at every point of a simply connected
-    group (Steinberg, Adv. Math. 15, 1975).
+    and `roots` the positions in `positive_roots` of the simple roots of
+    the degenerate subsystem, whose reflections generate it at every point
+    of a simply connected group (Steinberg, Adv. Math. 15, 1975).
     """
 
     parent: WeylGroup
@@ -440,10 +411,13 @@ def stabilizer(
 ) -> Stabilizer:
     """Stabilizer of an exact torus point inside an enumerated Weyl group.
 
-    The closure of the reflections in the degenerate roots (`_closure` on
-    their integer root and coroot rows, so no rational arithmetic and no
-    matrix), which is the whole stabilizer at every point by Steinberg's
-    theorem; its element keys give its indices in the group.  `split` is
+    The closure (`_closure`, on integer root and coroot rows: no rational
+    arithmetic and no matrix) of the reflections in the simple roots of
+    the degenerate subsystem, which is the whole stabilizer at every point
+    by Steinberg's theorem.  A degenerate root a is simple when s_a keeps
+    every other degenerate root b positive: (s_a b|2 rho) = (b|2 rho) -
+    (c_a . b)(a|2 rho) > 0, on G 2 rho (`ElementKey.gv`).  The closure's
+    keys give its indices in the group.  `split` is
     `rs.degenerate_split(h0)` when the caller has it.
     """
     rs.validate_point(h0)
@@ -451,12 +425,16 @@ def stabilizer(
         raise DomainError("stabilizer requires an exact torus point")
     if split is None:
         split = rs.degenerate_split(h0)
-    deg = list(split.deg_index)
-    keys = _closure(rs._pos_rows[deg], group.coroots[deg], group.key)[2]
-    indices = tuple(sorted(group.indices_by_key(keys).tolist()))
+    deg = np.array(split.deg_index, dtype=np.intp)
+    roots, coroots = rs._pos_rows[deg], rs._coroot_rows[deg]
+    height = roots @ group.key.gv
+    moved = height[None, :] - (coroots @ roots.T) * height[:, None]  # (s_a b|2 rho)
+    simple = ((moved > 0) | np.eye(len(deg), dtype=bool)).all(axis=1)
+    keys = _closure(roots[simple], coroots[simple], group.key)[2]
+    indices = tuple(np.sort(group.indices_by_key(keys)).tolist())
     if group.order % len(indices) != 0:
         raise AssertionError("stabilizer order does not divide the group order")
-    return Stabilizer(group, indices, split.deg_index)
+    return Stabilizer(group, indices, tuple(deg[simple].tolist()))
 
 
 @dataclass(frozen=True)
@@ -486,21 +464,21 @@ def coset_transversal(group: WeylGroup, w0: Stabilizer) -> CosetTransversal:
 
     W0 is the reflection subgroup generated by its degenerate roots, whose
     positive system is those roots.  Each coset b*W0 then holds exactly one
-    element of minimal length, the one mapping every degenerate root to a
-    positive root (Dyer, "Reflection subgroups of Coxeter systems", J.
-    Algebra 135, 1990), and enumeration order is by length first, so that
-    element is the coset's first.  A root beta is positive iff
-    (beta|rho) > 0, and (w a|rho) = (a|w^-1 rho) = a . (w^T G rho), so the
-    test is one integer product over the whole stack.
+    element of minimal length, the one mapping every simple root of that
+    system (`Stabilizer.roots`) to a positive root (Dyer, "Reflection
+    subgroups of Coxeter systems", J. Algebra 135, 1990), and enumeration
+    order is by length first, so that element is the coset's first.  A
+    root beta is positive iff (beta|2 rho) > 0, and (w a|2 rho) =
+    a . (w^T G 2 rho), so the test is one integer product over the whole
+    stack, with G 2 rho the group's `ElementKey.gv`.
     """
     rs = group.rs
-    rho, _ = rs.int_form(rs.weyl_vector)
     roots = rs._pos_rows[list(w0.roots)].T
     reps = []
     for lo in range(0, group.order, TRANSVERSAL_BLOCK):
         block = group.stack[lo:lo + TRANSVERSAL_BLOCK]
         w_rho = np.zeros((len(block), rs.ambient_dim), dtype=np.int64)
-        for k, c in enumerate(rho):  # w^T G rho, one row of w at a time
+        for k, c in enumerate(group.key.gv.tolist()):  # w^T G 2 rho, a row of w at a time
             w_rho += block[:, k, :].astype(np.int64) * c
         reps.extend((lo + np.flatnonzero((w_rho @ roots > 0).all(axis=1))).tolist())
     if len(reps) * w0.order != group.order:

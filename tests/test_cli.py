@@ -1,13 +1,19 @@
 """CLI: parsing, documents, exit codes, reproducibility."""
 
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylchar.cli import (
     RunConfig,
+    build_parser,
     main,
     parse_point,
     parse_point_entry,
@@ -287,6 +293,14 @@ def test_cap_weyl_env_override(capsys, monkeypatch):
     # a single angle is the SU(2) shorthand: A1 only, not every 2-dim ambient space
     (["char", "--group", "B2", "--weight", "1,1", "--point", "pi"], "point"),
     (["char", "--group", "G2", "--weight", "1,0", "--point", "pi/3"], "point"),
+    # argparse's own errors, an unreadable generator file, a carrier out of range
+    (["dim", "--group", "A2", "--weight", "1,1", "--bogus"], "argv"),
+    (["dim", "--group", "A2", "--weight", "1,1", "--cap-weyl", "x"], "cap_weyl"),
+    (["char", "--group", "A2", "--weight"], "weight"),
+    (["dim"], "group"),
+    (["spectral", "--group", "A1", "--l", "1", "--gens", "/nonexistent.json"], "gens"),
+    (["sweep", "--group", "A1xA1", "--counterexample", "--point=pi/2;0:0", "--carrier", "5"],
+     "carrier"),
 ])
 def test_missing_or_malformed_options_give_typed_errors(capsys, argv, field):
     jsonschema = pytest.importorskip("jsonschema")
@@ -408,3 +422,78 @@ def test_subcommands_import_only_the_modules_they_use(argv, absent):
     assert code in (0, 2, 4)
     json.loads(proc.stdout)
     assert not {f"weylchar.{m}" for m in absent} & set(modules)
+
+
+# ---------------------------------------------------------------------------
+# every argv gets a document
+# ---------------------------------------------------------------------------
+
+#: A small valid --weight and --point per group.
+_FUZZ_GROUPS = {"A1": ("2", "pi/3"), "A2": ("1,1", "pi/5:pi/5:-2pi/5"), "B2": ("0,1", "pi/2:0")}
+
+#: Small valid values per option; --group, --weight and --point come from the group.
+_FUZZ_VALUES = {
+    "format": ("json",), "seed": ("1",), "threads": ("1",), "cap_weyl": ("1", "8"),
+    "weight_basis": ("auto", "fundamental", "ambient"), "kmax": ("3",), "schedule": ("1,2",),
+    "carrier": ("0", "1"), "l": ("1", "1/2"), "moments": ("2",), "sample": ("3",),
+    "gens": ("catalog", str(Path(__file__).resolve().parents[1] / "docs" / "examples"
+                             / "free_pair.json")),
+}
+
+
+def _fuzz_options():
+    """Per subcommand, its options as (flag, dest, takes a value)."""
+    sub = next(a for a in build_parser()._actions if a.dest == "subcommand")
+    return {name: [(a.option_strings[-1], a.dest, a.nargs != 0)
+                   for a in parser._actions if a.option_strings and a.dest != "help"]
+            for name, parser in sub.choices.items()}
+
+
+@st.composite
+def _argv(draw, options):
+    """A subcommand with valid or omitted options, then up to two corruptions."""
+    name = draw(st.sampled_from(sorted(options)))
+    group = draw(st.sampled_from(sorted(_FUZZ_GROUPS)))
+    values = dict(zip(("group", "weight", "point"), (group, *_FUZZ_GROUPS[group])))
+    argv = [name]
+    for flag, dest, takes_value in options[name]:
+        if dest in values:
+            keep = draw(st.sampled_from((True, True, True, False)))
+        else:
+            keep = draw(st.booleans())
+        if keep and takes_value:
+            value = values.get(dest) or draw(st.sampled_from(_FUZZ_VALUES[dest]))
+            argv.append(f"{flag}={value}")
+        elif keep:
+            argv.append(flag)
+    for _ in range(draw(st.integers(0, 2))):
+        flag, _, _ = draw(st.sampled_from(options[name]))
+        bad = draw(st.sampled_from(([flag], [f"{flag}=x"], ["--bogus"])))
+        at = draw(st.integers(1, len(argv)))
+        argv[at:at] = bad
+    return argv
+
+
+_OPTIONS = _fuzz_options()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=_argv(_OPTIONS))
+def test_every_argv_gets_a_schema_valid_document(argv):
+    jsonschema = pytest.importorskip("jsonschema")
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    doc = json.loads(out.getvalue())
+    schema_dir = Path(__file__).resolve().parents[1] / "docs" / "schemas"
+    name = argv[0] if code == 0 else "error"
+    assert code in (0, 2, 3, 4)
+    jsonschema.validate(doc, json.loads((schema_dir / f"{name}.schema.json").read_text()))
+
+
+def test_help_still_exits_zero(capsys):
+    for argv in (["--help"], ["char", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: weylchar" in capsys.readouterr().out

@@ -3,8 +3,8 @@
 Per-call work on exact points is integer products over data built once per
 root system: the positive roots and their rows G*alpha
 (`RootSystem.root_pairings`, kept on the `DegenerateSplit`), the simple
-coroot rows (`dynkin_labels`), G itself (`int_form`) and the int8 stack of
-positive-root reflections (`weylgroup._reflection_stack`).  These tests
+coroot rows (`dynkin_labels`), G itself (`int_form`) and the reflections
+s_a = I - a c_a^T in every positive root, from the coroot table.  These tests
 hold each to the Fraction formula it replaces on all 33 groups A1-A8,
 B2-B8, C2-C8, D2-D8, E6, E7, F4 and G2, hold the vectorized coset
 transversal to a coset-by-coset scan, and pin the reprs of character and
@@ -20,7 +20,7 @@ from weylchar import build_root_system, exact_point
 from weylchar.asymptotics import alcove_stratum_points
 from weylchar.charcalc import cached_weyl_group, char_weightsum_oracle, character, dim_irrep
 from weylchar.exactlin import vadd
-from weylchar.weylgroup import _reflection_stack, coset_transversal, reflect, reflection, stabilizer
+from weylchar.weylgroup import coset_transversal, reflect, reflection, stabilizer
 
 from _helpers import random_rational_vector, rng_for
 
@@ -93,8 +93,8 @@ def test_dynkin_labels_and_dominance_match_fraction_formula(name):
 def test_reflection_stack_matches_reflect(name):
     rs = build_root_system(name)
     n = rs.ambient_dim
-    stack = _reflection_stack(rs)
-    assert stack.dtype == np.int8 and stack.shape == (len(rs.positive_roots), n, n)
+    stack = np.eye(n, dtype=np.int64) - rs._pos_rows[:, :, None] * rs._coroot_rows[:, None, :]
+    assert stack.shape == (len(rs.positive_roots), n, n)
     basis = [tuple(F(int(i == k)) for i in range(n)) for k in range(n)]
     for a, m in zip(rs.positive_roots, stack.tolist()):
         cols = [reflect(rs, a, e) for e in basis]  # column k is the image of e_k

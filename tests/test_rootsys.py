@@ -292,9 +292,10 @@ def test_integer_root_data_matches_fraction_references(name):
     forms = [rs.gram_vec(a) for a in rs.positive_roots]
     assert (rs._pos_forms.ravel().tolist(), rs._pos_forms_den) == common_denominator(
         x for f in forms for x in f)
-    coroots = [vscale(2 / rs.norm2(a), rs.gram_vec(a)) for a in simple]
-    assert (rs._coroot_forms.ravel().tolist(), rs._coroot_den) == common_denominator(
-        x for c in coroots for x in c)
+    # the coroot table: the integer rows 2 G a / (a|a) of every positive root
+    coroots = [vscale(2 / rs.norm2(a), rs.gram_vec(a)) for a in rs.positive_roots]
+    assert all(x.denominator == 1 for c in coroots for x in c)
+    assert rs._coroot_rows.tolist() == [list(c) for c in coroots]
     gram_int, gram_den = common_denominator(x for row in gram for x in row)
     assert ([x for row in rs._gram_int for x in row], rs._gram_den) == (gram_int, gram_den)
     assert rs._simple_index == [rs.positive_roots.index(a) for a in simple]

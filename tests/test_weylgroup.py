@@ -194,6 +194,43 @@ def test_closure_stabilizer_equals_scan_off_the_alcove(name):
         assert stabilizer(rs, group, h).indices == scan_stabilizer(rs, group, h)
 
 
+def test_identity_stabilizer_of_e6_closes_over_its_six_simple_roots():
+    rs = build_root_system("E6")
+    w0 = stabilizer(rs, cached_weyl_group(rs), exact_point([0] * 6))
+    assert w0.roots == tuple(sorted(rs._simple_index)) and w0.order == 51840
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "F4"])
+def test_stabilizer_roots_are_the_simple_roots_of_the_degenerate_subsystem(name):
+    rs = build_root_system(name)
+    group = cached_weyl_group(rs)
+    for st in alcove_stratum_points(rs):
+        w0 = stabilizer(rs, group, st.point)
+        sub = effective_subsystem(rs, rs.degenerate_split(st.point).deg)
+        assert len(w0.roots) == len(sub.simple_roots)
+        assert {rs.positive_roots[i] for i in w0.roots} == set(sub.simple_roots)
+
+
+@pytest.mark.parametrize("name", ["B3", "F4"])
+def test_transversal_maps_every_degenerate_root_to_a_positive_root(name):
+    # Dyer's test on the simple degenerate roots against the same test on all
+    # of them, off the alcove, with positivity read from the root list.
+    rs = build_root_system(name)
+    group = cached_weyl_group(rs)
+    rng = rng_for(f"transversal-positivity-{name}")
+    positive = set(map(tuple, rs._pos_rows.tolist()))
+    stack = group.stack.astype(np.int64)
+    for st in alcove_stratum_points(rs):
+        for _ in range(2):
+            h = group.element(rng.randrange(1, group.order)).apply_point(st.point)
+            split = rs.degenerate_split(h)
+            images = np.einsum("wij,dj->wdi", stack, rs._pos_rows[list(split.deg_index)])
+            want = tuple(i for i, rows in enumerate(images.tolist())
+                         if all(tuple(r) in positive for r in rows))
+            w0 = stabilizer(rs, group, h, split=split)
+            assert coset_transversal(group, w0).indices == want
+
+
 def test_every_stabilizer_element_fixes_point():
     rs = build_root_system("B2")
     group = generate_weyl_group(rs)
