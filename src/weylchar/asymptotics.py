@@ -284,8 +284,12 @@ def alcove_stratum_points(rs: RootSystem) -> list[AlcoveStratum]:
     activates a nonempty proper subset of the rank+1 walls.  The interior
     point is the equal-coefficient convex combination of the inactive
     vertices, which lies in the open face; its degenerate set is constant
-    across the face.
+    across the face.  Every face has a degenerate root (alpha_i on an active
+    wall i < rank, theta on the 2*pi wall), and the points are distinct (the
+    vertices 0 and c_i w_i are affinely independent).  StructureError
+    unless rs is simple.
     """
+    rs.require_simple("alcove_stratum_points")
     rank = rs.rank
     coweights = rs.fundamental_coweights()
     theta = rs.highest_root
@@ -305,16 +309,12 @@ def alcove_stratum_points(rs: RootSystem) -> list[AlcoveStratum]:
             wall_of_vertex = rank if v_idx == 0 else v_idx - 1
             if wall_of_vertex not in active:
                 inactive_vertices.append(vertices[v_idx])
-        if not inactive_vertices:
-            continue
         t = Fraction(1, len(inactive_vertices))
         point = vzero(rs.ambient_dim)
         for v in inactive_vertices:
             point = vadd(point, vscale(t, v))
         h = exact_point(point)
         split = rs.degenerate_split(h)
-        if not split.deg:
-            continue
         out.append(
             AlcoveStratum(
                 tuple(active),
@@ -323,12 +323,4 @@ def alcove_stratum_points(rs: RootSystem) -> list[AlcoveStratum]:
                 len(split.deg) == len(rs.positive_roots),
             )
         )
-    # Distinct faces can share a degenerate set only through distinct walls;
-    # keep everything but drop exact duplicates of the representative point.
-    seen = set()
-    uniq = []
-    for s in out:
-        if s.point.coords not in seen:
-            seen.add(s.point.coords)
-            uniq.append(s)
-    return uniq
+    return out

@@ -65,11 +65,8 @@ from operator import mul
 
 import numpy as np
 
-from . import exactlin
 from .errors import CapacityError, DomainError, SingularPointError, SnapError
-from .exactlin import (
-    Vec, common_denominator, int_dtype, int_matvec, vadd, vscale, vsub, vsum, vzero,
-)
+from .exactlin import Vec, common_denominator, int_dtype, int_matvec, vadd, vscale, vsub, vsum
 from .rootsys import EPS_SNAP, DegenerateSplit, RootSystem, RootSystemSpec, weyl_order
 from .torus import TorusPoint, exact_point, float_point
 from .utils import (
@@ -78,7 +75,6 @@ from .utils import (
 )
 from .weylgroup import (
     CosetTransversal,
-    WeylElement,
     WeylGroup,
     coset_transversal,
     generate_weyl_group,
@@ -104,17 +100,6 @@ class CharacterValue:
 
     value: complex
     condition: float
-
-
-@dataclass(frozen=True)
-class EffectiveWeightData:
-    """Per-coset data of the singular-point factorization."""
-
-    coset_rep: WeylElement
-    image_roots: tuple
-    lam_prime: Vec
-    rho_prime: Vec
-    subdim: int
 
 
 @lru_cache(maxsize=None)
@@ -455,7 +440,7 @@ def character(rs: RootSystem, lam, h) -> CharacterValue:
 
 
 # ---------------------------------------------------------------------------
-# Effective subsystems and weights
+# Effective subsystems
 # ---------------------------------------------------------------------------
 
 
@@ -479,7 +464,6 @@ class SubsystemComponent:
 class EffectiveSubsystem:
     """Root subsystem spanned by (an image of) the degenerate roots."""
 
-    parent: RootSystem
     positive_roots: tuple
     simple_roots: tuple
     rho: Vec
@@ -491,20 +475,6 @@ class EffectiveSubsystem:
         for c in self.components:
             out *= c.weyl_order
         return out
-
-    def project(self, v) -> Vec:
-        """Orthogonal projection onto the span of the subsystem."""
-        if not self.simple_roots:
-            return vzero(self.parent.ambient_dim)
-        return exactlin.project_onto_span(
-            self.simple_roots, self.parent.gram, tuple(Fraction(x) for x in v)
-        )
-
-    def is_integral(self, lam) -> bool:
-        return all(
-            (2 * self.parent.inner(lam, b) / self.parent.inner(b, b)).denominator == 1
-            for b in self.simple_roots
-        )
 
 
 def _classify_component(rs: RootSystem, positive, simple) -> tuple[str, int, int]:
@@ -597,38 +567,7 @@ def effective_subsystem(rs: RootSystem, image_roots) -> EffectiveSubsystem:
     components.sort(key=lambda c: (-len(c.positive_roots), c.positive_roots))
     all_simple = tuple(s for c in components for s in c.simple_roots)
     rho = vscale(Fraction(1, 2), vsum(roots, rs.ambient_dim))
-    return EffectiveSubsystem(rs, tuple(sorted(roots)), all_simple, rho, tuple(components))
-
-
-def effective_weight(
-    rs: RootSystem, lam, b: WeylElement, sub: EffectiveSubsystem
-) -> EffectiveWeightData:
-    """Effective highest-weight data for one coset representative.
-
-    lam' + rho' is the exact orthogonal projection of lam + rho onto the
-    span of the image roots; lam' is integral for the subsystem and the
-    signed product formula gives the effective dimension.
-    """
-    lam = rs.validate_weight(lam)
-    if not rs.is_integral_weight(lam):
-        raise DomainError("effective weights require an integral weight")
-    eta = vadd(lam, rs.weyl_vector)
-    proj = sub.project(eta)
-    lam_prime = vsub(proj, sub.rho)
-    if not sub.is_integral(lam_prime):
-        raise AssertionError("effective weight escaped the subsystem weight lattice")
-    subdim = Fraction(1)
-    for a in sub.positive_roots:
-        subdim *= rs.inner(eta, a) / rs.inner(sub.rho, a)
-    if subdim.denominator != 1:
-        raise AssertionError("effective dimension is not an integer")
-    return EffectiveWeightData(
-        coset_rep=b,
-        image_roots=sub.positive_roots,
-        lam_prime=lam_prime,
-        rho_prime=sub.rho,
-        subdim=int(subdim),
-    )
+    return EffectiveSubsystem(tuple(sorted(roots)), all_simple, rho, tuple(components))
 
 
 # ---------------------------------------------------------------------------

@@ -59,10 +59,10 @@ def parse_group(text: str) -> list[RootSystem]:
     parts = text.replace("X", "x").split("x")
     try:
         return [build_root_system(p.strip()) for p in parts if p.strip()]
-    except WeylcharError:
-        raise
+    except ConfigError as exc:  # the only WeylcharError build_root_system raises
+        raise ConfigError(str(exc), field="group") from exc
     except Exception as exc:
-        raise ConfigError(f"cannot parse group {text!r}: {exc}") from exc
+        raise ConfigError(f"cannot parse group {text!r}: {exc}", field="group") from exc
 
 
 def parse_point_entry(text: str):
@@ -103,7 +103,8 @@ def parse_point(text: str, rs: RootSystem) -> TorusPoint:
         ]
     if len(entries) != rs.ambient_dim:
         raise ConfigError(
-            f"point has {len(entries)} coordinates; ambient space needs {rs.ambient_dim}"
+            f"point has {len(entries)} coordinates; ambient space needs {rs.ambient_dim}",
+            field="point",
         )
     if all(isinstance(e, Fraction) for e in entries):
         return exact_point(entries)
@@ -123,7 +124,8 @@ def parse_weight(text: str, factors: list[RootSystem], basis: str):
     if basis == "fundamental":
         if len(entries) != total_rank:
             raise ConfigError(
-                f"expected {total_rank} fundamental coordinates, got {len(entries)}"
+                f"expected {total_rank} fundamental coordinates, got {len(entries)}",
+                field="weight",
             )
         pos = 0
         for rs in factors:
@@ -133,7 +135,8 @@ def parse_weight(text: str, factors: list[RootSystem], basis: str):
     elif basis == "ambient":
         if len(entries) != total_dim:
             raise ConfigError(
-                f"expected {total_dim} ambient coordinates, got {len(entries)}"
+                f"expected {total_dim} ambient coordinates, got {len(entries)}",
+                field="weight",
             )
         pos = 0
         for rs in factors:
@@ -141,7 +144,7 @@ def parse_weight(text: str, factors: list[RootSystem], basis: str):
                              for e in entries[pos: pos + rs.ambient_dim]))
             pos += rs.ambient_dim
     else:
-        raise ConfigError(f"unknown weight basis {basis!r}")
+        raise ConfigError(f"unknown weight basis {basis!r}", field="weight_basis")
     return out
 
 
@@ -168,7 +171,7 @@ def _fmt_fraction_vec(v):
 
 def _run_roots(cfg: RunConfig, factors):
     if len(factors) != 1:
-        raise ConfigError("roots takes a single simple group")
+        raise ConfigError("roots takes a single simple group", field="group")
     doc = factors[0].to_json_dict()
     rows = [["kind", "index", "coords"]]
     for i, r in enumerate(doc["simple_roots"]):
@@ -180,7 +183,7 @@ def _run_roots(cfg: RunConfig, factors):
 
 def _run_weyl(cfg: RunConfig, factors):
     if len(factors) != 1:
-        raise ConfigError("weyl takes a single simple group")
+        raise ConfigError("weyl takes a single simple group", field="group")
     rs = factors[0]
     order = weyl_order(rs.spec)
     result = {"order": order, "rank": rs.rank, "generators": rs.rank}
@@ -258,7 +261,7 @@ def _run_sweep(cfg: RunConfig, factors, weights, points):
         )
     else:
         if len(factors) != 1:
-            raise ConfigError("plain sweeps take a single simple group")
+            raise ConfigError("plain sweeps take a single simple group", field="group")
         path = asymptotics.WeightPath.ray(factors[0], weights[0], ks)
         rep = asymptotics.normalized_char_sweep(factors[0], path, points[0])
     entries = [
@@ -286,7 +289,7 @@ def _run_sweep(cfg: RunConfig, factors, weights, points):
 
 def _run_certificate(cfg: RunConfig, factors, weights, points):
     if len(factors) != 1:
-        raise ConfigError("certificates are defined for a single simple group")
+        raise ConfigError("certificates are defined for a single simple group", field="group")
     from . import asymptotics
 
     rs = factors[0]
@@ -307,7 +310,7 @@ def _run_certificate(cfg: RunConfig, factors, weights, points):
 
 def _run_spectral(cfg: RunConfig, factors, weights):
     if len(factors) != 1:
-        raise ConfigError("spectral takes a single simple group")
+        raise ConfigError("spectral takes a single simple group", field="group")
     from . import spectral
 
     rs = factors[0]
@@ -315,7 +318,7 @@ def _run_spectral(cfg: RunConfig, factors, weights):
     if gens_src == "catalog":
         gens = spectral.catalog_su2_free_pair()
         if rs.spec.name != "A1":
-            raise ConfigError("the shipped catalog pair lives in SU(2); pass --gens")
+            raise ConfigError("the shipped catalog pair lives in SU(2); pass --gens", field="gens")
     else:
         try:
             gens = spectral.load_generator_set(gens_src)
@@ -325,8 +328,8 @@ def _run_spectral(cfg: RunConfig, factors, weights):
             ) from None
         if gens.dim != rs.ambient_dim:
             raise ConfigError(
-                f"generators act on C^{gens.dim} but {rs.spec.name} needs "
-                f"C^{rs.ambient_dim}"
+                f"generators act on C^{gens.dim} but {rs.spec.name} needs C^{rs.ambient_dim}",
+                field="gens",
             )
     est = spectral.spectrum_estimate(
         rs, weights[0], gens, cfg.options["moments"],
@@ -377,10 +380,11 @@ def run(cfg: RunConfig) -> dict:
     if "point" in cfg.options and cfg.options["point"] is not None:
         texts = cfg.options["point"].split(";")
         if len(texts) == 1 and len(factors) > 1:
-            raise ConfigError("product groups need one point per factor, ';'-separated")
+            raise ConfigError("product groups need one point per factor, ';'-separated",
+                              field="point")
         points = [parse_point(t, rs) for t, rs in zip(texts, factors)]
         if len(points) != len(factors):
-            raise ConfigError("need one torus point per group factor")
+            raise ConfigError("need one torus point per group factor", field="point")
 
     sub = cfg.subcommand
     cap = cfg.options.get("cap_weyl")
@@ -404,7 +408,7 @@ def run(cfg: RunConfig) -> dict:
     elif sub == "spectral":
         result, rows = _run_spectral(cfg, factors, weights)
     else:  # pragma: no cover
-        raise ConfigError(f"unknown subcommand {sub!r}")
+        raise ConfigError(f"unknown subcommand {sub!r}", field="subcommand")
     return {"config": cfg.to_dict(), "result": result, "_csv_rows": rows}
 
 
@@ -425,7 +429,7 @@ def render(doc: dict, fmt: str) -> str:
             for row in rows
         ]
         return "\n".join(lines) + "\n"
-    raise ConfigError(f"unknown format {fmt!r}")
+    raise ConfigError(f"unknown format {fmt!r}", field="format")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -499,13 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     # --threads is reserved (accepted and ignored), deliberately absent from
     # the resolved config: documents must be byte-identical across its values.
-    opts = {}
-    for key in ("format", "seed", "cap_weyl", "weight", "weight_basis",
-                "point", "kmax", "schedule", "counterexample", "carrier",
-                "grow_all", "plot_data", "enumerate", "l", "gens", "moments",
-                "sample"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            opts[key] = getattr(args, key)
+    opts = {key: value for key, value in vars(args).items()
+            if key not in ("subcommand", "group", "threads") and value is not None}
     cfg = RunConfig(args.subcommand, args.group, opts)
     if cfg.subcommand == "sweep":
         if opts.get("schedule"):
@@ -522,7 +521,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
                 raise ConfigError("--l must be a half-integer", field="l")
             cfg.options["weight"] = str(int(two_l))
         if opts.get("sample") is not None and opts.get("seed") is None:
-            raise ConfigError("sampling requires --seed for reproducibility")
+            raise ConfigError("sampling requires --seed for reproducibility", field="seed")
     return cfg
 
 

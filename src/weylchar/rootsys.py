@@ -361,19 +361,24 @@ class RootSystem:
 
     # -- Dynkin combinatorics -------------------------------------------------------
 
+    def _dynkin_bfs(self, start: int) -> dict:
+        """{node: predecessor} over a breadth-first walk of the Dynkin diagram from `start`."""
+        prev = {start: None}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for b in range(self.rank):
+                    if b not in prev and self.cartan_matrix[a][b] < 0:
+                        prev[b] = a
+                        nxt.append(b)
+            frontier = nxt
+        return prev
+
     @property
     def is_simple(self) -> bool:
         """Connected Dynkin diagram; only D2 among constructible specs fails."""
-        n = self.rank
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            i = frontier.pop()
-            for j in range(n):
-                if j not in seen and self.cartan_matrix[i][j] < 0:
-                    seen.add(j)
-                    frontier.append(j)
-        return len(seen) == n
+        return len(self._dynkin_bfs(0)) == self.rank
 
     def require_simple(self, op: str):
         if not self.is_simple:
@@ -389,18 +394,7 @@ class RootSystem:
         n = self.rank
         if not (0 <= i < n and 0 <= j < n):
             raise DomainError(f"simple-root index out of range for rank {n}")
-        prev = {i: None}
-        frontier = [i]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in range(n):
-                    if b not in prev and self.cartan_matrix[a][b] < 0:
-                        prev[b] = a
-                        nxt.append(b)
-            frontier = nxt
-            if j in prev:
-                break
+        prev = self._dynkin_bfs(i)
         path = [j]
         while path[-1] != i:
             path.append(prev[path[-1]])

@@ -55,9 +55,8 @@ class GeneratorSet:
             if abs(np.linalg.det(g) - 1) > _UNITARY_TOL:
                 raise DomainError(f"generator {label} must have determinant 1")
         if self.symmetric:
-            for g, label in zip(self.elements, self.labels):
-                inv = g.conj().T
-                if not any(np.abs(inv - h).max() <= _UNITARY_TOL for h in self.elements):
+            for label, j in zip(self.labels, inverse_table(self)):
+                if j is None:
                     raise DomainError(
                         f"set marked symmetric but the inverse of {label} is missing"
                     )

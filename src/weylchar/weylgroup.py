@@ -149,10 +149,9 @@ class ElementKey:
     def __init__(self, rs: RootSystem):
         self.v = rs._pos_rows.sum(axis=0)
         self.gv = np.array(rs._gram_int, dtype=np.int64) @ self.v
-        adj, self.det = adjugate(rs._gram_int)
-        self.adj = np.array(adj, dtype=np.int64)
+        adj, det = adjugate(rs._gram_int)
         vv = int(self.v @ self.gv)
-        bounds = [math.isqrt(adj[j][j] * vv // self.det) for j in range(len(adj))]
+        bounds = [math.isqrt(adj[j][j] * vv // det) for j in range(len(adj))]
         radix = [1]
         for b in reversed(bounds[1:]):
             radix.insert(0, radix[0] * (2 * b + 1))
@@ -168,15 +167,6 @@ class ElementKey:
     def of_vectors(self, x: np.ndarray) -> np.ndarray:
         """Keys of orbit vectors x = w^-1 v, rows of an (N, n) integer array."""
         return x @ self.radix + self.offset
-
-    def of_matrices(self, stack: np.ndarray) -> np.ndarray:
-        """Keys of a stack of Weyl group matrices.
-
-        w^-1 = G^-1 w^T G, so w^-1 v = adj(g) w^T (g v) / det(g) on the
-        integer gram g.  A matrix outside W gets some key; callers compare
-        the matrices found under it.
-        """
-        return self.of_vectors((self.gv @ stack) @ self.adj // self.det)
 
 
 def _in_sorted(table: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -317,16 +307,6 @@ class WeylGroup:
         if (table.take(pos, mode="clip") != keys).any():
             raise DomainError("element does not belong to this Weyl group")
         return order[pos]
-
-    def index_of(self, w: WeylElement) -> int:
-        return self.indices_of(np.array([w.matrix], dtype=np.int8))[0]
-
-    def indices_of(self, stack: np.ndarray) -> list[int]:
-        """Group indices of a stack of int8 matrices (DomainError if any is outside)."""
-        idx = self.indices_by_key(self.key.of_matrices(stack))
-        if (self.stack[idx] != stack).any():
-            raise DomainError("element does not belong to this Weyl group")
-        return idx.tolist()
 
     def __iter__(self):
         return iter(self.elements)

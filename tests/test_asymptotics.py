@@ -299,7 +299,11 @@ def test_alcove_points_lie_on_their_walls():
     for name in ("A2", "B2", "G2", "C3"):
         rs = build_root_system(name)
         theta = rs.highest_root
-        for st in alcove_stratum_points(rs):
+        strata = alcove_stratum_points(rs)
+        # one distinct point per nonempty proper set of walls, each on a singular face
+        assert len({st.point.coords for st in strata}) == len(strata) == 2 ** (rs.rank + 1) - 2
+        for st in strata:
+            assert st.deg_count >= 1
             c = st.point.coords
             for i in range(rs.rank):
                 q = rs.inner(rs.simple_roots[i], c)
@@ -308,6 +312,12 @@ def test_alcove_points_lie_on_their_walls():
             q = rs.inner(theta, c)
             assert (q == 2) == (rs.rank in st.walls)
             assert q <= 2
+
+
+def test_alcove_points_refuse_a_non_simple_system():
+    # D2 = A1 x A1: theta pairs to 0 with a coweight, so there is no alcove to cut
+    with pytest.raises(StructureError):
+        alcove_stratum_points(build_root_system("D2"))
 
 
 def test_alcove_central_strata_detected():

@@ -83,6 +83,9 @@ def test_parse_weight_fundamental_and_ambient():
     for i, a in enumerate(rs.simple_roots):
         q = 2 * rs.inner(lam, a) / rs.inner(a, a)
         assert q == 1
+    with pytest.raises(ConfigError) as info:  # unreachable from argv: argparse checks choices
+        parse_weight("1,1", [rs], "polar")
+    assert info.value.field == "weight_basis"
 
 
 def test_parse_weight_product_groups():
@@ -301,6 +304,28 @@ def test_cap_weyl_env_override(capsys, monkeypatch):
     (["spectral", "--group", "A1", "--l", "1", "--gens", "/nonexistent.json"], "gens"),
     (["sweep", "--group", "A1xA1", "--counterexample", "--point=pi/2;0:0", "--carrier", "5"],
      "carrier"),
+    # an unknown family, a rank out of bounds, an unparsable name, a non-ASCII digit
+    (["roots", "--group", "Q2"], "group"),
+    (["roots", "--group", "A0"], "group"),
+    (["roots", "--group", "A?"], "group"),
+    (["roots", "--group", "A\u00b2"], "group"),
+    # coordinate and factor counts
+    (["char", "--group", "A2", "--weight", "1,1", "--point", "pi/5:pi/5"], "point"),
+    (["char", "--group", "A1xA1", "--weight", "1,1", "--point", "pi/3"], "point"),
+    (["char", "--group", "A1xA1xA1", "--weight", "1,1,1", "--point", "pi/3;pi/3"], "point"),
+    (["dim", "--group", "A2", "--weight", "1,1,1", "--weight-basis", "fundamental"], "weight"),
+    (["dim", "--group", "A2", "--weight", "1,1", "--weight-basis", "ambient"], "weight"),
+    # subcommands that take a single simple group
+    (["roots", "--group", "A1xA1"], "group"),
+    (["weyl", "--group", "A1xA1"], "group"),
+    (["sweep", "--group", "A1xA1", "--point", "pi/3;pi/3"], "group"),
+    (["certificate", "--group", "A1xA1", "--weight", "1,1", "--point", "pi/3;pi/3"], "group"),
+    (["spectral", "--group", "A1xA1", "--weight", "1,1"], "group"),
+    # generator sets and sampling
+    (["spectral", "--group", "A2", "--weight", "1,1"], "gens"),
+    (["spectral", "--group", "A2", "--weight", "1,1", "--gens",
+      str(Path(__file__).resolve().parents[1] / "docs" / "examples" / "free_pair.json")], "gens"),
+    (["spectral", "--group", "A1", "--l", "1", "--sample", "3"], "seed"),
 ])
 def test_missing_or_malformed_options_give_typed_errors(capsys, argv, field):
     jsonschema = pytest.importorskip("jsonschema")
@@ -488,6 +513,8 @@ def test_every_argv_gets_a_schema_valid_document(argv):
     schema_dir = Path(__file__).resolve().parents[1] / "docs" / "schemas"
     name = argv[0] if code == 0 else "error"
     assert code in (0, 2, 3, 4)
+    if code == 2:  # a ConfigError: every one names its option
+        assert doc["error"]["field"]
     jsonschema.validate(doc, json.loads((schema_dir / f"{name}.schema.json").read_text()))
 
 

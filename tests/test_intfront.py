@@ -115,13 +115,14 @@ def test_dim_irrep_matches_fraction_formula(name):
 
 def _first_of_each_coset(group, w0):
     """Transversal reference: scan W in order, taking each element whose coset is new."""
+    index = {m.tobytes(): i for i, m in enumerate(group.stack)}
     sub = group.stack[list(w0.indices)]
     assigned = set()
     reps = []
     for i in range(group.order):
         if i not in assigned:
             reps.append(i)
-            assigned.update(group.indices_of(group.stack[i] @ sub))
+            assigned.update(index[m.tobytes()] for m in group.stack[i] @ sub)
     return tuple(reps)
 
 

@@ -13,7 +13,6 @@ from weylchar.asymptotics import alcove_stratum_points
 from weylchar.weylgroup import (
     DEFAULT_WEYL_CAP,
     ElementKey,
-    WeylElement,
     coset_transversal,
     fixes_torus_point,
     generate_weyl_group,
@@ -324,39 +323,21 @@ def test_elements_are_built_lazily_and_match_the_full_list():
 # ---------------------------------------------------------------------------
 
 
-def test_index_round_trips_every_element_of_f4_and_a_sample_of_e6():
-    group = generate_weyl_group(build_root_system("F4"))
-    assert group.indices_of(group.stack) == list(range(group.order))
-    assert [group.index_of(w) for w in group.elements] == list(range(group.order))
-    group = cached_weyl_group(build_root_system("E6"))
-    rng = rng_for("index-e6")
-    sample = rng.sample(range(group.order), 2000)
-    assert group.indices_of(group.stack[sample]) == sample
-    for i in sample[:50]:
-        w = group.element(i)
-        assert group.index_of(WeylElement(w.matrix, w.sign)) == i
-    assert sorted(group.keys.tolist()) == np.unique(group.keys).tolist()  # injective
+def test_index_round_trips_every_element_of_f4_and_e6():
+    for group in (generate_weyl_group(build_root_system("F4")),
+                  cached_weyl_group(build_root_system("E6"))):
+        assert group.indices_by_key(group.keys).tolist() == list(range(group.order))
+        assert sorted(group.keys.tolist()) == np.unique(group.keys).tolist()  # injective
 
 
-def test_non_member_matrices_raise_domain_error():
-    rs = build_root_system("A2")
-    group = generate_weyl_group(rs)
-    n = rs.ambient_dim
-    for m in (-np.eye(n), 2 * np.eye(n), np.zeros((n, n))):
+def test_non_member_keys_raise_domain_error():
+    # the key of the zero vector lies inside the radix box but off the orbit W (2 rho)
+    for name in ("A2", "B3"):
+        rs = build_root_system(name)
+        group = generate_weyl_group(rs)
+        zero = np.zeros((1, rs.ambient_dim), dtype=np.int64)
         with pytest.raises(DomainError):
-            group.index_of(WeylElement(tuple(map(tuple, m.astype(int).tolist())), 1))
-    # a matrix outside W with the key of a member: w + z e_k^T with z . (G v) = 0
-    # leaves w^T (G v), hence the key, unchanged; the matrices differ.
-    rs = build_root_system("B3")
-    group = generate_weyl_group(rs)
-    gv = group.key.gv.tolist()
-    z = np.array([gv[1], -gv[0], 0], dtype=np.int8)
-    w = group.stack[7]
-    fake = w + z[:, None] * np.array([1, 0, 0], dtype=np.int8)[None, :]
-    assert (group.key.of_matrices(fake[None]) == group.key.of_matrices(w[None])).all()
-    with pytest.raises(DomainError):
-        group.indices_of(fake[None])
-    assert group.indices_of(np.stack([w, group.stack[3]])) == [7, 3]
+            group.indices_by_key(group.key.of_vectors(zero))
 
 
 def test_keys_fit_every_group_within_the_default_cap():
