@@ -156,7 +156,10 @@ def divergence_certificate(
     pairs nontrivially with lam0, so its pairing is strictly increasing
     in k.  Refused for non-simple systems, where the theorem fails.
     """
-    rs.require_simple("divergence_certificate")
+    rs.require_simple(
+        "divergence_certificate",
+        "the divergence theorem does not hold for non-simple algebras",
+    )
     lam0 = rs.validate_weight(lam0)
     if not rs.is_dominant_integral(lam0) or all(x == 0 for x in lam0):
         raise DomainError("certificate needs a nonzero dominant integral lambda0")

@@ -245,11 +245,6 @@ class RootSystem:
             raise DomainError(f"dimension mismatch: expected {self.ambient_dim}-vectors")
         return int_matvec(self._coroot_rows[self._simple_index], v).tolist(), den
 
-    def is_integral_weight(self, lam) -> bool:
-        """The lattice condition 2(lam|alpha)/(alpha|alpha) in Z, simple alphas."""
-        labels, den = self.dynkin_labels(lam)
-        return all(k % den == 0 for k in labels)
-
     def is_dominant_integral(self, lam) -> bool:
         labels, den = self.dynkin_labels(lam)
         return all(k >= 0 and k % den == 0 for k in labels)
@@ -380,12 +375,12 @@ class RootSystem:
         """Connected Dynkin diagram; only D2 among constructible specs fails."""
         return len(self._dynkin_bfs(0)) == self.rank
 
-    def require_simple(self, op: str):
+    def require_simple(self, op: str, reason: str = ""):
+        """StructureError naming op unless simple; `reason` is appended in parentheses."""
         if not self.is_simple:
             raise StructureError(
                 f"{op} requires a simple root system; {self.spec.name} has a "
-                "disconnected Dynkin diagram (the divergence theorem does not "
-                "hold for non-simple algebras)"
+                "disconnected Dynkin diagram" + (f" ({reason})" if reason else "")
             )
 
     def dynkin_path(self, i: int, j: int) -> list[int]:

@@ -4,22 +4,21 @@ Elements are integer matrices acting on the ambient space (all Weyl
 elements are integral in the ambient bases used by `rootsys`).  A group is
 stored as a stacked `(|W|, n, n)` int8 array with a sign vector, which
 bulk work (`charcalc`'s exponent kernel and float Weyl sum) reads
-directly.  `WeylElement`s, carrying tuple matrices, signs and generator
-words, are built from it only on demand: one at a time by `element(i)`,
-or all at once on the first use of `elements`.  One breadth-first closure
-routine, `_closure`, serves both the group and its stabilizers.  It runs
-on int64 element keys alone (`ElementKey`: w is keyed by the integer
-vector w^-1 (2 rho)), one integer product per BFS level for every
+directly; an element is its index into that stack.  One breadth-first
+closure routine, `_closure`, serves both the group and its stabilizers.
+It runs on int64 element keys alone (`ElementKey`: w is keyed by the
+integer vector w^-1 (2 rho)), one integer product per BFS level for every
 generator at once, and dedupes by sorting the keys; the matrices are then
-formed once per element (`_products`).  The keys, sorted, are the
-group's element index, searched with `searchsorted`.  Enumeration is
-breadth-first by word length with ties broken lexicographically by the
-generator word, which makes element order, and everything derived from
-it, fully deterministic.  Generators are reflections s_a = I - a c_a^T
-from the root system's coroot table (`RootSystem._coroot_rows`): the
-simple ones for the group, those in the simple roots of the degenerate
-subsystem for a stabilizer.  Stabilizers and coset transversals are
-element indices into the stack, computed without rational arithmetic.
+formed once per element (`_products`).  The keys, sorted, are the group's
+element index, searched with `searchsorted`.  Enumeration is breadth-first
+by length in the generators, and within a level in the order a
+one-element-at-a-time BFS visits (parent first, then generator), which
+makes element order, and everything derived from it, fully deterministic.
+Generators are reflections s_a = I - a c_a^T from the root system's
+coroot table (`RootSystem._coroot_rows`): the simple ones for the group,
+those in the simple roots of the degenerate subsystem for a stabilizer.
+Stabilizers and coset transversals are element indices into the stack,
+computed without rational arithmetic.
 
 The stabilizer of a torus point is always the closure of the reflections
 in its degenerate roots.  That is exact at every point, not only in the
@@ -34,14 +33,14 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .exactlin import INT64_SAFE, Vec, adjugate, vsub
+from .exactlin import INT64_SAFE, Vec, adjugate, mat_vec, vsub
 from .rootsys import DegenerateSplit, RootSystem, check_weyl_cap
 from .torus import TorusPoint
 
@@ -51,75 +50,6 @@ DEFAULT_WEYL_CAP = 3_000_000
 #: Elements per block of the coset transversal's positivity test; bounds
 #: its int64 working arrays at a few MB whatever the group order.
 TRANSVERSAL_BLOCK = 1 << 16
-
-
-@dataclass(frozen=True)
-class WeylElement:
-    """Orthogonal ambient transformation with cached sign (determinant)."""
-
-    matrix: tuple  # tuple of tuple of int, rows
-    sign: int
-    word: tuple = field(default=(), compare=False)
-
-    def apply(self, v) -> Vec:
-        """Exact image of a rational vector."""
-        return tuple(
-            sum((Fraction(m) * Fraction(x) for m, x in zip(row, v)), Fraction(0))
-            for row in self.matrix
-        )
-
-    def apply_point(self, h: TorusPoint) -> TorusPoint:
-        if h.exact:
-            return TorusPoint(self.apply(h.coords), True)
-        rad = tuple(
-            float(sum(m * x for m, x in zip(row, h.coords))) for row in self.matrix
-        )
-        return TorusPoint(rad, False)
-
-    def compose(self, other: "WeylElement") -> "WeylElement":
-        a = np.array(self.matrix, dtype=np.int64)
-        b = np.array(other.matrix, dtype=np.int64)
-        return WeylElement(
-            _to_tuple(a @ b), self.sign * other.sign, self.word + other.word
-        )
-
-    def inverse(self) -> "WeylElement":
-        m = np.array(self.matrix, dtype=np.int64)
-        inv = np.rint(np.linalg.inv(m)).astype(np.int64)
-        if not (m @ inv == np.eye(len(m), dtype=np.int64)).all():
-            raise AssertionError("non-integral inverse of a Weyl element")
-        return WeylElement(_to_tuple(inv), self.sign, tuple(reversed(self.word)))
-
-    @property
-    def is_identity(self) -> bool:
-        n = len(self.matrix)
-        return all(self.matrix[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
-
-
-def _to_tuple(arr) -> tuple:
-    return tuple(tuple(int(x) for x in row) for row in arr)
-
-
-def reflection(rs: RootSystem, alpha) -> WeylElement:
-    """Reflection in a root: s_a(x) = x - 2(x|a)/(a|a) * a."""
-    alpha = tuple(Fraction(x) for x in alpha)
-    if all(x == 0 for x in alpha):
-        raise DomainError("cannot reflect in the zero vector")
-    if not rs.is_root(alpha):
-        raise DomainError(f"{alpha} is not a root of {rs.spec.name}")
-    n = rs.ambient_dim
-    nn = rs.norm2(alpha)
-    coroot_form = [2 * g / nn for g in rs.gram_vec(alpha)]  # x -> 2(x|a)/(a|a)
-    rows = []
-    for k in range(n):
-        row = []
-        for j in range(n):
-            val = (Fraction(1) if k == j else Fraction(0)) - coroot_form[j] * alpha[k]
-            if val.denominator != 1:
-                raise AssertionError("reflection matrix not integral")
-            row.append(int(val))
-        rows.append(tuple(row))
-    return WeylElement(tuple(rows), -1, ())
 
 
 def reflect(rs: RootSystem, alpha, x) -> Vec:
@@ -253,46 +183,17 @@ class WeylGroup:
     """Fully enumerated reflection group of a root system.
 
     `stack[i]` is the int8 matrix and `signs[i]` the sign of element i, in
-    enumeration order.  Element i is reached from element `parent[i]` by
-    the simple reflection `letter[i]`, which gives its word.  `keys[i]` is
-    the `ElementKey` of element i; the element index is those keys sorted,
-    searched with `searchsorted`.
+    enumeration order.  `keys[i]` is the `ElementKey` of element i; the
+    element index is those keys sorted, searched with `searchsorted`.
     """
 
-    def __init__(self, rs: RootSystem, stack, signs, parent, letter, key, keys):
+    def __init__(self, rs: RootSystem, stack, signs, key, keys):
         self.rs = rs
         self.stack = stack
         self.signs = signs
         self.order = len(stack)
         self.key = key
-        self._parent = parent
-        self._letter = letter
         self.keys = keys
-        self._built = {}  # element index -> WeylElement, built on demand
-        self._rows = {}  # one tuple per distinct matrix row, shared across elements
-        self._elements = None
-
-    def element(self, i: int) -> WeylElement:
-        """Element i, built (with its ancestors along its word) on first request."""
-        w = self._built.get(i)
-        if w is None:
-            parent, letter = int(self._parent[i]), int(self._letter[i])
-            word = self.element(parent).word + (letter,) if i else ()
-            m = list(map(tuple, self.stack[i].tolist()))
-            w = WeylElement(tuple(map(self._rows.setdefault, m, m)), int(self.signs[i]), word)
-            self._built[i] = w
-        return w
-
-    @property
-    def elements(self) -> list:
-        """Every element in enumeration order, built on first use."""
-        if self._elements is None:
-            self._elements = [self.element(i) for i in range(self.order)]
-        return self._elements
-
-    @property
-    def identity(self) -> WeylElement:
-        return self.element(0)
 
     @cached_property
     def _index(self):
@@ -307,12 +208,6 @@ class WeylGroup:
         if (table.take(pos, mode="clip") != keys).any():
             raise DomainError("element does not belong to this Weyl group")
         return order[pos]
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return self.order
 
 
 def generate_weyl_group(rs: RootSystem, cap: int | None = None) -> WeylGroup:
@@ -336,46 +231,39 @@ def generate_weyl_group(rs: RootSystem, cap: int | None = None) -> WeylGroup:
     # Every generator is a reflection, so the sign is the parity of the word
     # length, which is the BFS level.
     signs = np.repeat(np.array([1, -1] * len(levels), dtype=np.int8)[:len(levels)], levels)
-    return WeylGroup(rs, stack, signs, parent, letter, key, keys)
+    return WeylGroup(rs, stack, signs, key, keys)
 
 
 @dataclass(frozen=True)
 class Stabilizer:
     """Subgroup of W fixing a torus point (coordinates mod the period lattice).
 
-    `indices` are its elements' indices into the parent group, increasing,
+    `indices` are its elements' indices into the group's stack, increasing,
     and `roots` the positions in `positive_roots` of the simple roots of
     the degenerate subsystem, whose reflections generate it at every point
     of a simply connected group (Steinberg, Adv. Math. 15, 1975).
     """
 
-    parent: WeylGroup
     indices: tuple
     roots: tuple
-
-    @property
-    def elements(self) -> tuple:
-        return tuple(self.parent.element(i) for i in self.indices)
 
     @property
     def order(self) -> int:
         return len(self.indices)
 
-    def __iter__(self):
-        return iter(self.elements)
 
-
-def fixes_torus_point(rs: RootSystem, w: WeylElement, h0: TorusPoint) -> bool:
+def fixes_torus_point(rs: RootSystem, w, h0: TorusPoint) -> bool:
     """Whether w(h0) and h0 are the same torus element.
 
-    Equality means the difference is a period of the torus, i.e. lies in
-    2*pi times the coroot lattice (the kernel of exp for the simply
-    connected compact group, where every dominant integral weight is a
-    valid highest weight).
+    w is an integer matrix (a row of a group's `stack`, say), applied to
+    h0's coordinates in Fractions.  Equality means the difference is a
+    period of the torus, i.e. lies in 2*pi times the coroot lattice (the
+    kernel of exp for the simply connected compact group, where every
+    dominant integral weight is a valid highest weight).
     """
     if not h0.exact:
         raise DomainError("stabilizer computations need an exact torus point")
-    diff = vsub(w.apply(h0.coords), h0.coords)
+    diff = vsub(mat_vec(w, h0.coords), h0.coords)
     if all(x == 0 for x in diff):
         return True
     half = tuple(x / 2 for x in diff)
@@ -414,7 +302,7 @@ def stabilizer(
     indices = tuple(np.sort(group.indices_by_key(keys)).tolist())
     if group.order % len(indices) != 0:
         raise AssertionError("stabilizer order does not divide the group order")
-    return Stabilizer(group, indices, tuple(deg[simple].tolist()))
+    return Stabilizer(indices, tuple(deg[simple].tolist()))
 
 
 @dataclass(frozen=True)
@@ -427,13 +315,6 @@ class CosetTransversal:
 
     group: WeylGroup
     indices: tuple
-
-    @property
-    def reps(self) -> tuple:
-        return tuple(self.group.element(i) for i in self.indices)
-
-    def __iter__(self):
-        return iter(self.reps)
 
     def __len__(self):
         return len(self.indices)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from weylchar.charcalc import dim_irrep
 from weylchar.torus import exact_point
-from weylchar.weylgroup import fixes_torus_point
+from weylchar.weylgroup import fixes_torus_point, reflect
 
 
 def random_dominant_weight(rs, rng, max_dim=5000, max_coeff=6, max_draws=10_000):
@@ -44,13 +44,30 @@ def random_rational_vector(rng, dim, denom=12):
     return tuple(Fraction(rng.randint(-denom, denom), denom) for _ in range(dim))
 
 
+def apply_matrix(m, v):
+    """Image of the rational vector v under the integer matrix m (a stack row), in Fractions."""
+    return tuple(
+        sum((int(a) * Fraction(x) for a, x in zip(row, v)), Fraction(0)) for row in m
+    )
+
+
+def reflection_matrix(rs, alpha):
+    """Integer matrix of the reflection in alpha: column k is `reflect` of e_k."""
+    n = rs.ambient_dim
+    cols = [reflect(rs, alpha, [int(i == k) for i in range(n)]) for k in range(n)]
+    assert all(x.denominator == 1 for col in cols for x in col)
+    return [[int(cols[k][j]) for k in range(n)] for j in range(n)]
+
+
 def scan_stabilizer(rs, group, h0):
     """Indices of the elements of `group` fixing h0, by an exhaustive scan.
 
     The reference for `weylgroup.stabilizer`, which closes the degenerate
     reflections instead: one exact fixed-point test per element of W.
     """
-    return tuple(i for i, w in enumerate(group.elements) if fixes_torus_point(rs, w, h0))
+    return tuple(
+        i for i, w in enumerate(group.stack.tolist()) if fixes_torus_point(rs, w, h0)
+    )
 
 
 def rng_for(name: str) -> random.Random:

@@ -320,6 +320,24 @@ def test_alcove_points_refuse_a_non_simple_system():
         alcove_stratum_points(build_root_system("D2"))
 
 
+def test_non_simple_refusals_give_each_callers_reason():
+    # Only the certificate rests on the divergence theorem; the other two
+    # callers just need a connected Dynkin diagram.
+    rs = build_root_system("D2")
+    prefix = "requires a simple root system; D2 has a disconnected Dynkin diagram"
+    split = rs.degenerate_split(exact_point([F(7, 6), F(5, 6)]))
+    calls = [
+        ("divergence_certificate", lambda: divergence_certificate(rs, split, rs.weyl_vector),
+         " (the divergence theorem does not hold for non-simple algebras)"),
+        ("alcove_stratum_points", lambda: alcove_stratum_points(rs), ""),
+        ("dynkin_path", lambda: rs.dynkin_path(0, 1), ""),
+    ]
+    for op, call, reason in calls:
+        with pytest.raises(StructureError) as err:
+            call()
+        assert str(err.value) == f"{op} {prefix}{reason}"
+
+
 def test_alcove_central_strata_detected():
     rs = build_root_system("A1")
     strata = alcove_stratum_points(rs)

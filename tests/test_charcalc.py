@@ -5,7 +5,6 @@ import hashlib
 import math
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 
 from weylchar import build_root_system, exact_point, float_point, zero_point
@@ -23,10 +22,12 @@ from weylchar.charcalc import (
 )
 from weylchar.errors import CapacityError, DomainError, SingularPointError, SnapError
 from weylchar.exactlin import project_onto_span, vscale, vzero
-from weylchar.weylgroup import coset_transversal, generate_weyl_group, stabilizer
+from weylchar.weylgroup import (
+    CosetTransversal, coset_transversal, generate_weyl_group, stabilizer,
+)
 from weylchar.asymptotics import alcove_stratum_points
 
-from _helpers import random_dominant_weight, random_regular_exact_point, rng_for
+from _helpers import apply_matrix, random_dominant_weight, random_regular_exact_point, rng_for
 
 
 def su2_closed_form(l, theta):
@@ -133,8 +134,8 @@ def test_weyl_invariance_of_regular_characters():
         h = random_regular_exact_point(rs, rng)
         ref = char_regular(rs, lam, h).value
         d = dim_irrep(rs, lam)
-        for w in [group.elements[i] for i in rng.sample(range(group.order), 3)]:
-            moved = w.apply_point(h)
+        for w in group.stack[rng.sample(range(group.order), 3)]:
+            moved = exact_point(apply_matrix(w, h.coords))
             assert abs(char_regular(rs, lam, moved).value - ref) < 1e-9 * d
 
 
@@ -212,18 +213,15 @@ def test_transversal_independence():
     w0 = stabilizer(rs, group, h0)
     trans = coset_transversal(group, w0)
     # twist every non-identity representative by a random stabilizer element
-    from weylchar.weylgroup import CosetTransversal
-
-    members = list(w0.elements)
-    twisted = [trans.reps[0]] + [
-        b.compose(members[rng.randrange(len(members))]) for b in trans.reps[1:]
-    ]
+    index = {m.tobytes(): i for i, m in enumerate(group.stack)}
+    members = w0.indices
+    twisted = CosetTransversal(group, trans.indices[:1] + tuple(
+        index[(group.stack[b] @ group.stack[members[rng.randrange(len(members))]]).tobytes()]
+        for b in trans.indices[1:]
+    ))
     lam = random_dominant_weight(rs, rng, max_dim=2000)
     d = dim_irrep(rs, lam)
     a = char_singular(rs, lam, h0).value
-    index = {m.tobytes(): i for i, m in enumerate(group.stack)}
-    twisted = CosetTransversal(
-        group, tuple(index[np.array(b.matrix, dtype=np.int8).tobytes()] for b in twisted))
     b = _SingularEvaluator(rs, rs.degenerate_split(h0), twisted).evaluate(lam).value
     assert abs(a - b) < 1e-12 * d
 
@@ -238,8 +236,8 @@ def test_effective_weight_integrality_over_all_cosets():
             split = rs.degenerate_split(st.point)
             w0 = stabilizer(rs, group, st.point)
             trans = coset_transversal(group, w0)
-            for b in trans:
-                image = [b.apply(a) for a in split.deg]
+            for b in trans.indices:
+                image = [apply_matrix(group.stack[b], a) for a in split.deg]
                 sub = effective_subsystem(rs, image)
                 assert sub.weyl_order == w0.order
                 assert len(sub.simple_roots) == len(w0.roots)
@@ -310,8 +308,8 @@ def test_multiplicities_are_weyl_invariant():
     lam = random_dominant_weight(rs, rng, max_dim=500)
     mults = weight_multiplicities(rs, lam)
     group = generate_weyl_group(rs)
-    for w in group.elements:
-        assert all(mults.get(w.apply(mu)) == m for mu, m in mults.items())
+    for w in group.stack.tolist():
+        assert all(mults.get(apply_matrix(w, mu)) == m for mu, m in mults.items())
 
 
 #: sha256 of repr(list(weight_multiplicities(rs, lam).items())) from the

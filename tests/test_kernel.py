@@ -27,9 +27,11 @@ from weylchar.charcalc import (
     weight_multiplicities,
 )
 from weylchar.exactlin import int_matvec, vadd
-from weylchar.weylgroup import _to_tuple, reflection
 
-from _helpers import random_dominant_weight, random_regular_exact_point, rng_for
+from _helpers import (
+    apply_matrix, random_dominant_weight, random_regular_exact_point, reflection_matrix,
+    rng_for,
+)
 
 #: Sample of W(E6) used where a Fraction reference over all 51840 elements
 #: would take half a minute.
@@ -46,12 +48,12 @@ def _fractions(collected, d):
     return {F(r, d): c for r, c in collected.items()}
 
 
-def _reference_regular(rs, eta, h, elements):
+def _reference_regular(rs, eta, h, mats, signs):
     """{(eta|w h) mod 2: sum of sign(w)} in Fractions, element by element."""
     out = {}
-    for w in elements:
-        q = rs.inner(eta, w.apply(h.coords)) % 2
-        out[q] = out.get(q, 0) + w.sign
+    for w, sign in zip(mats.tolist(), signs.tolist()):
+        q = rs.inner(eta, apply_matrix(w, h.coords)) % 2
+        out[q] = out.get(q, 0) + sign
     return out
 
 
@@ -59,15 +61,19 @@ def _reference_singular(rs, split, transversal, lam):
     """The coset sum as it was first written: b^{-1} via an inverse per coset."""
     eta = vadd(lam, rs.weyl_vector)
     rho_deg = tuple(sum((a[i] for a in split.deg), F(0)) / 2 for i in range(rs.ambient_dim))
+    group = transversal.group
     out, abs_sum = {}, 0.0
-    for b in transversal:
-        nu = b.inverse().apply(eta)
+    for b in transversal.indices:
+        m = group.stack[b].astype(np.int64)
+        inv = np.rint(np.linalg.inv(m)).astype(np.int64)
+        assert (m @ inv == np.eye(len(m), dtype=np.int64)).all()
+        nu = apply_matrix(inv, eta)
         sub = F(1)
         for a in split.deg:
             sub *= rs.inner(nu, a) / rs.inner(rho_deg, a)
         assert sub.denominator == 1
         q = rs.inner(nu, split.torus_point.coords) % 2
-        out[q] = out.get(q, 0) + b.sign * int(sub)
+        out[q] = out.get(q, 0) + int(group.signs[b]) * int(sub)
         abs_sum += abs(float(sub))
     return out, abs_sum
 
@@ -102,7 +108,7 @@ def test_regular_map_matches_fraction_reference(name):
         h = random_regular_exact_point(rs, rng)
         orbit, den, signs = _exact_orbit(rs, h.coords)
         got = _fractions(*_exponent_map(orbit[idx], den, *rs.int_form(eta), signs[idx]))
-        want = _reference_regular(rs, eta, h, [group.elements[i] for i in idx])
+        want = _reference_regular(rs, eta, h, group.stack[idx], group.signs[idx])
         assert got == want
         assert list(got) == sorted(got)  # keys come in increasing order
 
@@ -157,7 +163,7 @@ def test_huge_denominators_take_the_python_int_path():
     orbit, den, signs = _exact_orbit(rs, h.coords)
     assert 2 * den > 2**62
     assert _fractions(*_exponent_map(orbit, den, *rs.int_form(eta), signs)) == \
-        _reference_regular(rs, eta, h, group.elements)
+        _reference_regular(rs, eta, h, group.stack, group.signs)
     h0 = exact_point([x, x, y, z])  # e1 - e2 degenerate
     split = rs.degenerate_split(h0)
     assert split.deg
@@ -175,25 +181,23 @@ def test_huge_denominators_take_the_python_int_path():
 
 
 def _reference_bfs(rs):
-    """One element at a time, tuples throughout: (matrix, sign, word) in BFS order."""
-    gens = [np.array(reflection(rs, a).matrix, dtype=np.int64) for a in rs.simple_roots]
-    mats, words, signs = [np.eye(rs.ambient_dim, dtype=np.int64)], [()], [1]
-    seen = {_to_tuple(mats[0])}
+    """One element at a time: (matrix as nested lists, sign) in BFS order."""
+    gens = [np.array(reflection_matrix(rs, a), dtype=np.int64) for a in rs.simple_roots]
+    mats, signs = [np.eye(rs.ambient_dim, dtype=np.int64)], [1]
+    seen = {mats[0].tobytes()}
     frontier = [0]
     while frontier:
         nxt = []
         for idx in frontier:
-            for gi, g in enumerate(gens):
+            for g in gens:
                 prod = mats[idx] @ g
-                key = _to_tuple(prod)
-                if key not in seen:
-                    seen.add(key)
+                if prod.tobytes() not in seen:
+                    seen.add(prod.tobytes())
                     mats.append(prod)
-                    words.append(words[idx] + (gi,))
                     signs.append(-signs[idx])
                     nxt.append(len(mats) - 1)
         frontier = nxt
-    return [(_to_tuple(m), s, w) for m, s, w in zip(mats, signs, words)]
+    return [(m.tolist(), s) for m, s in zip(mats, signs)]
 
 
 @pytest.mark.parametrize(
@@ -204,9 +208,7 @@ def test_int8_stack_matches_elements_and_reference_bfs(name):
     group = cached_weyl_group(rs)
     assert group.stack.dtype == np.int8
     assert group.stack.shape == (group.order, rs.ambient_dim, rs.ambient_dim)
-    assert (group.stack == np.array([w.matrix for w in group.elements])).all()
-    assert group.signs.tolist() == [w.sign for w in group.elements]
-    assert [(w.matrix, w.sign, w.word) for w in group.elements] == _reference_bfs(rs)
+    assert list(zip(group.stack.tolist(), group.signs.tolist())) == _reference_bfs(rs)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2"])

@@ -13,7 +13,7 @@ from weylchar.exactlin import (
     adjugate, common_denominator, solve, span_coefficients, vadd, vscale,
 )
 from weylchar.rootsys import RootSystemSpec, positive_root_count
-from weylchar.weylgroup import reflect, reflection
+from weylchar.weylgroup import reflect
 
 from _helpers import random_rational_vector, rng_for
 
@@ -47,7 +47,7 @@ def test_weyl_vector_pairing_is_one_on_simple_roots(name):
 @pytest.mark.parametrize("name", ALL_SPECS)
 def test_weyl_vector_is_integral(name):
     rs = build_root_system(name)
-    assert rs.is_integral_weight(rs.weyl_vector)
+    assert rs.is_dominant_integral(rs.weyl_vector)
 
 
 @pytest.mark.parametrize("name", ALL_SPECS)
@@ -111,11 +111,11 @@ def test_inner_symmetry_and_mismatch():
         rs.inner((F(1), F(0)), (F(0), F(1), F(0)))
 
 
-def test_is_integral_weight_examples():
+def test_is_dominant_integral_examples():
     rs = build_root_system("A2")
-    assert rs.is_integral_weight((F(1), F(0), F(-1)))
-    assert not rs.is_integral_weight((F(1, 2), F(-1, 2), F(0)))
-    assert rs.is_integral_weight((F(0), F(0), F(0)))
+    assert rs.is_dominant_integral((F(1), F(0), F(-1)))
+    assert not rs.is_dominant_integral((F(1, 2), F(-1, 2), F(0)))
+    assert rs.is_dominant_integral((F(0), F(0), F(0)))
 
 
 def test_degenerate_split_examples():
@@ -213,13 +213,13 @@ def test_reflection_matrices_preserve_gram():
     for name in ("A2", "B2", "C3", "G2", "F4"):
         rs = build_root_system(name)
         for a in rs.simple_roots:
-            w = reflection(rs, a)
             n = rs.ambient_dim
             for i in range(n):
                 ei = tuple(F(1) if t == i else F(0) for t in range(n))
                 for j in range(n):
                     ej = tuple(F(1) if t == j else F(0) for t in range(n))
-                    assert rs.inner(w.apply(ei), w.apply(ej)) == rs.inner(ei, ej)
+                    # reflect(a, e_k) is column k of the reflection matrix
+                    assert rs.inner(reflect(rs, a, ei), reflect(rs, a, ej)) == rs.inner(ei, ej)
 
 
 def test_json_serialization_golden_a2():

@@ -17,12 +17,13 @@ from weylchar.weylgroup import (
     fixes_torus_point,
     generate_weyl_group,
     reflect,
-    reflection,
     stabilizer,
 )
 from weylchar.rootsys import weyl_order
 
-from _helpers import random_rational_vector, rng_for, scan_stabilizer
+from _helpers import (
+    apply_matrix, random_rational_vector, reflection_matrix, rng_for, scan_stabilizer,
+)
 
 
 @pytest.mark.parametrize(
@@ -47,25 +48,16 @@ def test_e8_capacity_error_names_required_order():
     assert err.value.required == 696729600
 
 
-def test_enumeration_is_bfs_lex():
-    group = generate_weyl_group(build_root_system("A2"))
-    words = [w.word for w in group.elements]
-    assert words == sorted(words, key=lambda w: (len(w), w))
-    assert words[0] == ()
-
-
 def test_sign_equals_determinant_exhaustive_f4():
     group = generate_weyl_group(build_root_system("F4"))
-    mats = np.array([w.matrix for w in group.elements], dtype=np.int64)
-    dets = np.rint(np.linalg.det(mats.astype(float))).astype(int)
-    signs = np.array([w.sign for w in group.elements])
-    assert (dets == signs).all()
+    dets = np.rint(np.linalg.det(group.stack.astype(float))).astype(int)
+    assert (dets == group.signs).all()
 
 
 def test_sign_homomorphism_exhaustive_f4():
     group = generate_weyl_group(build_root_system("F4"))
-    mats = np.array([w.matrix for w in group.elements], dtype=np.int64)
-    signs = np.array([w.sign for w in group.elements], dtype=np.int64)
+    mats = group.stack.astype(np.int64)
+    signs = group.signs.astype(np.int64)
     index = {m.tobytes(): i for i, m in enumerate(mats)}
     # sign(uv) = sign(u) sign(v) over all 1152^2 pairs, in vectorized chunks
     for i in range(group.order):
@@ -79,9 +71,9 @@ def test_elements_permute_roots():
         rs = build_root_system(name)
         group = generate_weyl_group(rs)
         roots = set(rs.positive_roots) | {tuple(-x for x in r) for r in rs.positive_roots}
-        for w in group.elements:
+        for w in group.stack.tolist():
             for r in rs.positive_roots:
-                assert w.apply(r) in roots
+                assert apply_matrix(w, r) in roots
 
 
 def test_elements_preserve_gram_form():
@@ -92,8 +84,8 @@ def test_elements_preserve_gram_form():
         for _ in range(5):
             x = random_rational_vector(rng, rs.ambient_dim)
             y = random_rational_vector(rng, rs.ambient_dim)
-            for w in [group.elements[i] for i in rng.sample(range(group.order), 4)]:
-                assert rs.inner(w.apply(x), w.apply(y)) == rs.inner(x, y)
+            for w in group.stack[rng.sample(range(group.order), 4)]:
+                assert rs.inner(apply_matrix(w, x), apply_matrix(w, y)) == rs.inner(x, y)
 
 
 def test_reflect_examples_from_su3():
@@ -118,12 +110,10 @@ def test_reflect_is_involution_and_isometry():
             assert rs.inner(y, y) == rs.inner(x, x)
 
 
-def test_reflect_rejects_zero_and_nonroots():
+def test_reflect_rejects_the_zero_vector():
     rs = build_root_system("A2")
     with pytest.raises(DomainError):
-        reflection(rs, (F(0), F(0), F(0)))
-    with pytest.raises(DomainError):
-        reflection(rs, (F(2), F(-2), F(0)))
+        reflect(rs, (F(0), F(0), F(0)), (F(1), F(0), F(-1)))
 
 
 def test_stabilizer_su3_paper_example():
@@ -133,8 +123,8 @@ def test_stabilizer_su3_paper_example():
     w0 = stabilizer(rs, group, h0)
     assert w0.indices == scan_stabilizer(rs, group, h0)
     assert w0.order == 2
-    s1 = reflection(rs, rs.simple_roots[0])
-    assert {w.matrix for w in w0.elements} == {group.identity.matrix, s1.matrix}
+    s1 = reflection_matrix(rs, rs.simple_roots[0])
+    assert [group.stack[i].tolist() for i in w0.indices] == [np.eye(3, dtype=int).tolist(), s1]
 
 
 def test_stabilizer_regular_point_is_trivial():
@@ -181,7 +171,7 @@ def test_closure_stabilizer_equals_scan_off_the_alcove(name):
     group = generate_weyl_group(rs)
     rng = rng_for(f"stabilizer-off-alcove-{name}")
     points = [
-        group.element(rng.randrange(1, group.order)).apply_point(st.point)
+        exact_point(apply_matrix(group.stack[rng.randrange(1, group.order)], st.point.coords))
         for st in alcove_stratum_points(rs) for _ in range(3)
     ]
     for _ in range(30):
@@ -221,7 +211,8 @@ def test_transversal_maps_every_degenerate_root_to_a_positive_root(name):
     stack = group.stack.astype(np.int64)
     for st in alcove_stratum_points(rs):
         for _ in range(2):
-            h = group.element(rng.randrange(1, group.order)).apply_point(st.point)
+            w = group.stack[rng.randrange(1, group.order)]
+            h = exact_point(apply_matrix(w, st.point.coords))
             split = rs.degenerate_split(h)
             images = np.einsum("wij,dj->wdi", stack, rs._pos_rows[list(split.deg_index)])
             want = tuple(i for i, rows in enumerate(images.tolist())
@@ -235,7 +226,7 @@ def test_every_stabilizer_element_fixes_point():
     group = generate_weyl_group(rs)
     h0 = exact_point([F(1, 3), F(1, 3)])
     w0 = stabilizer(rs, group, h0)
-    assert all(fixes_torus_point(rs, w, h0) for w in w0.elements)
+    assert all(fixes_torus_point(rs, group.stack[i].tolist(), h0) for i in w0.indices)
     assert group.order % w0.order == 0
 
 
@@ -246,7 +237,7 @@ def test_coset_transversal_su3():
     w0 = stabilizer(rs, group, h0)
     trans = coset_transversal(group, w0)
     assert len(trans) == 3
-    assert trans.reps[0].is_identity
+    assert trans.indices[0] == 0
 
 
 def test_coset_transversal_full_group_is_identity():
@@ -254,7 +245,7 @@ def test_coset_transversal_full_group_is_identity():
     group = generate_weyl_group(rs)
     w0 = stabilizer(rs, group, exact_point([0, 0, 0]))
     trans = coset_transversal(group, w0)
-    assert len(trans) == 1 and trans.reps[0].is_identity
+    assert len(trans) == 1 and trans.indices[0] == 0
 
 
 def test_coset_transversal_partitions_group():
@@ -264,37 +255,38 @@ def test_coset_transversal_partitions_group():
     w0 = stabilizer(rs, group, h0)
     trans = coset_transversal(group, w0)
     assert len(trans) * w0.order == group.order == 24
-    seen = set()
-    for b in trans:
-        for s in w0.elements:
-            seen.add(b.compose(s).matrix)
-    assert len(seen) == group.order
+    stack = group.stack.astype(np.int64)
+    products = stack[list(trans.indices)][:, None] @ stack[list(w0.indices)][None]
+    assert len(np.unique(products.reshape(group.order, -1), axis=0)) == group.order
 
 
 def test_conjugated_stabilizer_is_reflection_group_of_image_roots():
-    # b W0 b^{-1} equals the closure of reflections in b(degenerate roots)
-    for name in ("A2", "A3", "B2"):
+    # b W0 b^{-1} is the closure of the reflections in b(degenerate roots),
+    # so b W0 = {c b : c in that closure}, on every coset of every stratum
+    for name in ("A2", "A3", "B2", "G2", "B3"):
         rs = build_root_system(name)
         group = generate_weyl_group(rs)
-        strata = [s for s in alcove_stratum_points(rs) if not s.central][:3]
-        for st in strata:
+        stack = group.stack.astype(np.int64)
+        index = {m.tobytes(): i for i, m in enumerate(stack)}
+        for st in alcove_stratum_points(rs):
+            if st.central:
+                continue
             split = rs.degenerate_split(st.point)
             w0 = stabilizer(rs, group, st.point)
-            trans = coset_transversal(group, w0)
-            for b in trans.reps[:4]:
-                b_inv = b.inverse()
-                conj = {b.compose(s).compose(b_inv).matrix for s in w0.elements}
-                gen = [reflection(rs, b.apply(a)) for a in split.deg]
-                closure = {group.identity.matrix}
-                frontier = [group.identity]
+            members = stack[list(w0.indices)]
+            for b in coset_transversal(group, w0).indices:
+                left = {index[m.tobytes()] for m in stack[b] @ members}
+                gens = np.array([reflection_matrix(rs, apply_matrix(stack[b], a))
+                                 for a in split.deg])
+                closure = {stack[0].tobytes(): stack[0]}
+                frontier = [stack[0]]
                 while frontier:
-                    w = frontier.pop()
-                    for g in gen:
-                        nxt = w.compose(g)
-                        if nxt.matrix not in closure:
-                            closure.add(nxt.matrix)
-                            frontier.append(nxt)
-                assert conj == closure
+                    for m in frontier.pop() @ gens:
+                        if m.tobytes() not in closure:
+                            closure[m.tobytes()] = m
+                            frontier.append(m)
+                right = {index[(c @ stack[b]).tobytes()] for c in closure.values()}
+                assert left == right
 
 
 def test_stabilizer_requires_exact_point():
@@ -304,18 +296,6 @@ def test_stabilizer_requires_exact_point():
 
     with pytest.raises(DomainError):
         stabilizer(rs, group, float_point([0.1, 0.1, -0.2]))
-
-
-def test_elements_are_built_lazily_and_match_the_full_list():
-    group = generate_weyl_group(build_root_system("B3"))
-    assert group._elements is None
-    singles = [group.element(i) for i in range(group.order)]
-    assert group._elements is None  # one at a time builds no list
-    assert group.identity.is_identity and group.identity.word == ()
-    full = group.elements
-    assert [(w.matrix, w.sign, w.word) for w in singles] == [
-        (w.matrix, w.sign, w.word) for w in full]
-    assert group.signs.tolist() == [(-1) ** len(w.word) for w in full]
 
 
 # ---------------------------------------------------------------------------
