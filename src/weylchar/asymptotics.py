@@ -2,8 +2,11 @@
 
 A sweep walks k*lambda0 up a dominant ray and records |chi|/dim at a
 fixed torus point.  For a simple group and a non-central singular point
-the ratio decays like k^{-m}, m the number of non-degenerate positive
-roots not orthogonal to lambda0; the certificate machinery exhibits one
+the ratio decays, and on the rho-ray (lambda0 = rho) it decays like
+k^{-m}, m the number of non-degenerate positive roots not orthogonal to
+lambda0 (`expected_decay_exponent`).  Off the rho-ray m is not the rate
+in general: SU(3) at pi*(1/5, 1/5, -2/5) along omega_2 has m = 2, but the
+ratio decays like k^{-1}.  The certificate machinery exhibits one
 root responsible for the divergence of the dimension-ratio denominator,
 either directly or as the sum of a chain in the Dynkin diagram.
 """
@@ -141,7 +144,12 @@ def decay_exponent(report: DecayReport) -> float:
 
 
 def expected_decay_exponent(rs: RootSystem, split: DegenerateSplit, lam0) -> int:
-    """m = number of non-degenerate positive roots not orthogonal to lambda0."""
+    """m = number of non-degenerate positive roots not orthogonal to lambda0.
+
+    k^-m is the decay rate of |chi(k lambda0)| / dim on the rho-ray only; off
+    it the rate can be slower (SU(3) at pi*(1/5, 1/5, -2/5) along omega_2
+    decays like k^-1 with m = 2).
+    """
     lam0 = rs.validate_weight(lam0)
     return sum(1 for a in split.ndeg if rs.inner(lam0, a) != 0)
 

@@ -43,10 +43,11 @@ the integer pairings (alpha|h0) = pi * p / D of all positive roots, which
 give the Weyl denominator and the singular prefactor as
 sin(pi * ((p mod 4D) / D) / 2), and eps as a parity; dominance checks are
 one matvec of the simple rows of the root system's coroot table
-(`RootSystem.dynkin_labels`); the stabilizer closes the reflections in
-the simple roots of the degenerate subsystem, from the same table; the
-coset transversal is one positivity test of those simple roots over the
-whole stack (`weylgroup.coset_transversal`); and each phase
+(`RootSystem.dynkin_labels`); the stabilizer is the simple roots of the
+degenerate subsystem and its order, both read off the same table with no
+element of it formed (`weylgroup.stabilizer`); the coset transversal is
+one positivity test of those simple roots over the whole stack
+(`weylgroup.coset_transversal`); and each phase
 e^{i pi r / D} is taken from the kernel's integers (`utils.unit_phase`).
 The oracle's Freudenthal recursion runs on integer root pairings over one
 denominator and keeps one integer weight table per irrep
@@ -385,10 +386,12 @@ def char_singular(
 ) -> CharacterValue:
     """Exact character at a singular torus point via stabilizer factorization.
 
-    Reduces to char_regular when no root is degenerate and to the
-    dimension when h0 = 0.  Floating h0 goes through the snap pipeline
-    first and fails loudly if it cannot be rationalized.  `split` is
-    `rs.degenerate_split(h0)` when the caller has it (exact h0 only).
+    A point with no degenerate root goes to the exact regular path
+    (`_char_regular_exact`); every other point, h0 = 0 included, to the
+    coset sum of the cached `_SingularEvaluator`.  Floating h0 goes through
+    the snap pipeline first and fails loudly if it cannot be rationalized.
+    `split` is `rs.degenerate_split(h0)` when the caller has it (exact h0
+    only).
     """
     lam = _dominant(rs, lam)
     if not h0.exact:

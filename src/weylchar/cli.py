@@ -507,14 +507,22 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             if key not in ("subcommand", "group", "threads") and value is not None}
     cfg = RunConfig(args.subcommand, args.group, opts)
     if cfg.subcommand == "sweep":
+        kmax = opts.get("kmax", 20)
+        if kmax < 1:
+            raise ConfigError("--kmax must be at least 1", field="kmax")
         if opts.get("schedule"):
             ks = [_fraction(k, "schedule") for k in str(opts["schedule"]).split(",")]
             if any(k.denominator != 1 for k in ks):
                 raise ConfigError("--schedule takes whole numbers", field="schedule")
+            if any(k < 1 for k in ks):
+                raise ConfigError("--schedule takes k values of at least 1", field="schedule")
             cfg.options["schedule"] = [int(k) for k in ks]
         else:
-            cfg.options["schedule"] = list(range(1, opts.get("kmax", 20) + 1))
+            cfg.options["schedule"] = list(range(1, kmax + 1))
     if cfg.subcommand == "spectral":
+        if opts["moments"] < 2:
+            raise ConfigError("--moments must be at least 2: the norm estimate reads "
+                              "the second moment", field="moments")
         if opts.get("l") is not None:
             two_l = _fraction(str(opts["l"]), "l") * 2
             if two_l.denominator != 1:

@@ -99,11 +99,6 @@ def span_coefficients(basis: Sequence[Vec], gram, v: Vec) -> list[Fraction] | No
     return x if recon == tuple(v) else None
 
 
-def project_onto_span(basis: Sequence[Vec], gram, v: Vec) -> Vec:
-    """Orthogonal projection of v onto span(basis) w.r.t. the gram form."""
-    return _normal_solve(basis, gram, v)[1]
-
-
 def in_integer_span(basis: Sequence[Vec], gram, v: Vec) -> bool:
     """Whether v is an integer combination of `basis` (exact test)."""
     coeffs = span_coefficients(basis, gram, v)

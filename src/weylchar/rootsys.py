@@ -219,12 +219,6 @@ class RootSystem:
             return dot(x, y)
         return dot(x, mat_vec(self.gram, y))
 
-    def gram_vec(self, y) -> Vec:
-        """G y, so that (x|y) is the plain dot product of x with it."""
-        if self._gram_is_identity:
-            return tuple(y)
-        return mat_vec(self.gram, y)
-
     def norm2(self, x) -> Fraction:
         return self.inner(x, x)
 
@@ -301,12 +295,6 @@ class RootSystem:
         return exactlin.in_integer_span(basis, self.gram, tuple(Fraction(x) for x in v))
 
     # -- torus pairings and degeneracy ---------------------------------------------
-
-    def pairing_coeff(self, mu, h: TorusPoint) -> Fraction:
-        """q with (mu|h) = pi*q for an exact torus point."""
-        if not h.exact:
-            raise DomainError("exact pairing requires an exact torus point")
-        return self.inner(tuple(Fraction(x) for x in mu), h.coords)
 
     def root_pairings(self, v) -> tuple[list[int], int]:
         """Integers p_i and D > 0 with (alpha_i|v) = p_i / D for the positive roots.

@@ -92,18 +92,6 @@ def load_generator_set(path) -> GeneratorSet:
     )
 
 
-def generator_set_to_json(gens: GeneratorSet) -> dict:
-    return {
-        "matrices": [
-            [[[z.real, z.imag] for z in row] for row in np.asarray(g)]
-            for g in gens.elements
-        ],
-        "labels": list(gens.labels),
-        "symmetric": gens.symmetric,
-        "free": gens.free,
-    }
-
-
 def catalog_su2_free_pair() -> GeneratorSet:
     """The shipped free symmetric pair: rotations by arccos(1/14) in SU(2).
 
@@ -418,22 +406,6 @@ def norm_estimate(est: SpectrumEstimate) -> float:
     if s2 is not None and 0.0 < s2 < 1.0:
         candidates.append(2.0 * math.sqrt(s2 - s2 * s2))
     return min(max(candidates), 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Formal word reduction (free-group oracle for the word-level identity)
-# ---------------------------------------------------------------------------
-
-
-def reduce_word(word, inverse_of) -> tuple:
-    """Freely reduce a formal word given the index involution g -> g^{-1}."""
-    stack: list[int] = []
-    for letter in word:
-        if stack and inverse_of[stack[-1]] == letter:
-            stack.pop()
-        else:
-            stack.append(letter)
-    return tuple(stack)
 
 
 def inverse_table(gens: GeneratorSet) -> list[int]:

@@ -5,28 +5,28 @@ elements are integral in the ambient bases used by `rootsys`).  A group is
 stored as a stacked `(|W|, n, n)` int8 array with a sign vector, which
 bulk work (`charcalc`'s exponent kernel and float Weyl sum) reads
 directly; an element is its index into that stack.  One breadth-first
-closure routine, `_closure`, serves both the group and its stabilizers.
-It runs on int64 element keys alone (`ElementKey`: w is keyed by the
-integer vector w^-1 (2 rho)), one integer product per BFS level for every
-generator at once, and dedupes by sorting the keys; the matrices are then
-formed once per element (`_products`).  The keys, sorted, are the group's
-element index, searched with `searchsorted`.  Enumeration is breadth-first
-by length in the generators, and within a level in the order a
-one-element-at-a-time BFS visits (parent first, then generator), which
-makes element order, and everything derived from it, fully deterministic.
-Generators are reflections s_a = I - a c_a^T from the root system's
-coroot table (`RootSystem._coroot_rows`): the simple ones for the group,
-those in the simple roots of the degenerate subsystem for a stabilizer.
-Stabilizers and coset transversals are element indices into the stack,
-computed without rational arithmetic.
+closure routine, `_closure`, enumerates the group.  It runs on int64
+element keys alone (`ElementKey`: w is keyed by the integer vector
+w^-1 (2 rho)), one integer product per BFS level for every generator at
+once, and dedupes by sorting the keys; the matrices are then formed once
+per element (`_products`).  Enumeration is breadth-first by length in the
+generators, and within a level in the order a one-element-at-a-time BFS
+visits (parent first, then generator), which makes element order, and
+everything derived from it, fully deterministic.  Generators are the
+simple reflections s_a = I - a c_a^T from the root system's coroot table
+(`RootSystem._coroot_rows`).
 
-The stabilizer of a torus point is always the closure of the reflections
-in its degenerate roots.  That is exact at every point, not only in the
-fundamental alcove: in a simply connected compact group the centralizer
-of a torus element is connected (Steinberg, "Torsion in reductive
-groups", Adv. Math. 15, 1975), so its Weyl group, the point's stabilizer
-in W, is generated by the reflections in the roots alpha with
-(alpha|h0) in 2*pi*Z.
+A stabilizer is never enumerated.  It is described by the simple roots of
+its degenerate subsystem and its order, both read off the root data; the
+coset transversal is one positivity test of those simple roots over the
+stack, and every other use of the stabilizer goes through the transversal.
+
+The stabilizer of a torus point is the reflection group of its degenerate
+roots at every point, not only in the fundamental alcove: in a simply
+connected compact group the centralizer of a torus element is connected
+(Steinberg, "Torsion in reductive groups", Adv. Math. 15, 1975), so its
+Weyl group, the point's stabilizer in W, is generated by the reflections
+in the roots alpha with (alpha|h0) in 2*pi*Z.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -123,18 +122,19 @@ def _closure(roots: np.ndarray, coroots: np.ndarray, key: ElementKey):
     Duplicates are found by sorting the candidate keys.
 
     Returns per element its parent index and generator index (-1 for the
-    identity), its key, and the sizes of the BFS levels (level k holds the
-    elements of word length k).
+    identity), and the sizes of the BFS levels (level k holds the elements
+    of word length k).
     """
     g = len(roots)
     step = roots @ key.radix  # M . a_j
     x = key.v[None, :]
-    parents, letters, keys = [np.array([-1])], [np.array([-1])], [key.of_vectors(x)]
-    prev, cur = keys[0][:0], keys[0]
+    parents, letters, levels = [np.array([-1])], [np.array([-1])], [1]
+    keys = key.of_vectors(x)  # of the last level
+    prev, cur = keys[:0], keys
     lo = 0
     while g:  # no generators: the identity alone
         pair = x @ coroots.T  # (c_j . x) per element and generator
-        cand = (keys[-1][:, None] - pair * step).ravel()
+        cand = (keys[:, None] - pair * step).ravel()
         order = cand.argsort()
         ordered = cand[order]
         first = np.empty(len(ordered), dtype=bool)
@@ -150,11 +150,11 @@ def _closure(roots: np.ndarray, coroots: np.ndarray, key: ElementKey):
         x = x[parent] - pair.ravel()[new][:, None] * roots[letter]
         parents.append(lo + parent)
         letters.append(letter)
-        keys.append(cand[new])
+        keys = cand[new]
+        levels.append(len(new))
         lo += len(pair)
         prev, cur = cur, distinct[fresh]
-    levels = [len(k) for k in keys]
-    return np.concatenate(parents), np.concatenate(letters), np.concatenate(keys), levels
+    return np.concatenate(parents), np.concatenate(letters), levels
 
 
 def _products(roots, coroots, parent, letter, levels) -> np.ndarray:
@@ -183,31 +183,15 @@ class WeylGroup:
     """Fully enumerated reflection group of a root system.
 
     `stack[i]` is the int8 matrix and `signs[i]` the sign of element i, in
-    enumeration order.  `keys[i]` is the `ElementKey` of element i; the
-    element index is those keys sorted, searched with `searchsorted`.
+    enumeration order; `key` is the group's `ElementKey`.
     """
 
-    def __init__(self, rs: RootSystem, stack, signs, key, keys):
+    def __init__(self, rs: RootSystem, stack, signs, key):
         self.rs = rs
         self.stack = stack
         self.signs = signs
         self.order = len(stack)
         self.key = key
-        self.keys = keys
-
-    @cached_property
-    def _index(self):
-        """(sorted keys, element index of each): the element index."""
-        order = np.argsort(self.keys)
-        return self.keys[order], order
-
-    def indices_by_key(self, keys: np.ndarray) -> np.ndarray:
-        """Element indices of keys (DomainError if any is not an element's)."""
-        table, order = self._index
-        pos = table.searchsorted(keys)
-        if (table.take(pos, mode="clip") != keys).any():
-            raise DomainError("element does not belong to this Weyl group")
-        return order[pos]
 
 
 def generate_weyl_group(rs: RootSystem, cap: int | None = None) -> WeylGroup:
@@ -222,34 +206,30 @@ def generate_weyl_group(rs: RootSystem, cap: int | None = None) -> WeylGroup:
     expected = check_weyl_cap(rs.spec, cap)
     key = ElementKey(rs)
     gens = rs._pos_rows[rs._simple_index], rs._coroot_rows[rs._simple_index]
-    parent, letter, keys, levels = _closure(*gens, key)
-    if len(keys) != expected:
+    parent, letter, levels = _closure(*gens, key)
+    if len(parent) != expected:
         raise AssertionError(
-            f"enumerated {len(keys)} elements for {rs.spec.name}, expected {expected}"
+            f"enumerated {len(parent)} elements for {rs.spec.name}, expected {expected}"
         )
     stack = _products(*gens, parent, letter, levels)
     # Every generator is a reflection, so the sign is the parity of the word
     # length, which is the BFS level.
     signs = np.repeat(np.array([1, -1] * len(levels), dtype=np.int8)[:len(levels)], levels)
-    return WeylGroup(rs, stack, signs, key, keys)
+    return WeylGroup(rs, stack, signs, key)
 
 
 @dataclass(frozen=True)
 class Stabilizer:
-    """Subgroup of W fixing a torus point (coordinates mod the period lattice).
+    """Subgroup W0 of W fixing a torus point (coordinates mod the period lattice).
 
-    `indices` are its elements' indices into the group's stack, increasing,
-    and `roots` the positions in `positive_roots` of the simple roots of
-    the degenerate subsystem, whose reflections generate it at every point
-    of a simply connected group (Steinberg, Adv. Math. 15, 1975).
+    `order` is |W0| and `roots` the positions in `positive_roots` of the
+    simple roots of the degenerate subsystem, whose reflections generate
+    W0 at every point of a simply connected group (Steinberg, Adv. Math.
+    15, 1975).
     """
 
-    indices: tuple
+    order: int
     roots: tuple
-
-    @property
-    def order(self) -> int:
-        return len(self.indices)
 
 
 def fixes_torus_point(rs: RootSystem, w, h0: TorusPoint) -> bool:
@@ -279,13 +259,16 @@ def stabilizer(
 ) -> Stabilizer:
     """Stabilizer of an exact torus point inside an enumerated Weyl group.
 
-    The closure (`_closure`, on integer root and coroot rows: no rational
-    arithmetic and no matrix) of the reflections in the simple roots of
-    the degenerate subsystem, which is the whole stabilizer at every point
-    by Steinberg's theorem.  A degenerate root a is simple when s_a keeps
+    Read off the degenerate roots Phi0+ (those with (a|h0) in 2*pi*Z), with
+    no element of W0 formed.  A degenerate root a is simple when s_a keeps
     every other degenerate root b positive: (s_a b|2 rho) = (b|2 rho) -
-    (c_a . b)(a|2 rho) > 0, on G 2 rho (`ElementKey.gv`).  The closure's
-    keys give its indices in the group.  `split` is
+    (c_a . b)(a|2 rho) > 0, on G 2 rho (`ElementKey.gv`).  The order is
+    Macdonald's Poincare product at t = 1, |W0| = prod_a (ht0(a) + 1) /
+    ht0(a) over Phi0+, with ht0(a) = 1/2 sum_b c_b . a (b in Phi0+), the
+    pairing of a with half the sum of Phi0+'s coroots, which is a's height
+    in W0's own simple roots (Macdonald, Math. Ann. 199, 1972; Humphreys,
+    Reflection Groups and Coxeter Groups, 3.20).  Both come from one
+    product of the coroot rows with the root rows.  `split` is
     `rs.degenerate_split(h0)` when the caller has it.
     """
     rs.validate_point(h0)
@@ -294,15 +277,16 @@ def stabilizer(
     if split is None:
         split = rs.degenerate_split(h0)
     deg = np.array(split.deg_index, dtype=np.intp)
-    roots, coroots = rs._pos_rows[deg], rs._coroot_rows[deg]
+    roots = rs._pos_rows[deg]
+    pair = rs._coroot_rows[deg] @ roots.T  # pair[a, b] = c_a . b
     height = roots @ group.key.gv
-    moved = height[None, :] - (coroots @ roots.T) * height[:, None]  # (s_a b|2 rho)
+    moved = height[None, :] - pair * height[:, None]  # (s_a b|2 rho)
     simple = ((moved > 0) | np.eye(len(deg), dtype=bool)).all(axis=1)
-    keys = _closure(roots[simple], coroots[simple], group.key)[2]
-    indices = tuple(np.sort(group.indices_by_key(keys)).tolist())
-    if group.order % len(indices) != 0:
+    ht0 = (pair.sum(axis=0) // 2).tolist()
+    order = math.prod(h + 1 for h in ht0) // math.prod(ht0)
+    if group.order % order != 0:
         raise AssertionError("stabilizer order does not divide the group order")
-    return Stabilizer(indices, tuple(deg[simple].tolist()))
+    return Stabilizer(order, tuple(deg[simple].tolist()))
 
 
 @dataclass(frozen=True)

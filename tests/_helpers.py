@@ -1,11 +1,15 @@
-"""Shared test utilities: seeded samplers for weights and torus points."""
+"""Shared test utilities: seeded samplers, stabilizer references and test oracles."""
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from weylchar.charcalc import dim_irrep
+from weylchar.exactlin import common_denominator
 from weylchar.torus import exact_point
-from weylchar.weylgroup import fixes_torus_point, reflect
+from weylchar.weylgroup import coset_transversal, fixes_torus_point, reflect
 
 
 def random_dominant_weight(rs, rng, max_dim=5000, max_coeff=6, max_draws=10_000):
@@ -68,6 +72,67 @@ def scan_stabilizer(rs, group, h0):
     return tuple(
         i for i, w in enumerate(group.stack.tolist()) if fixes_torus_point(rs, w, h0)
     )
+
+
+def fixed_members(rs, group, h0):
+    """Indices of the elements of `group` fixing h0, by one integer test of the stack.
+
+    The vectorized `fixes_torus_point`: w fixes h0 iff (w h0 - h0) / 2 lies
+    in the coroot lattice.  That difference lies in the span of the roots,
+    where the coroot lattice is the set of vectors pairing integrally with
+    every fundamental weight (the basis dual to the simple coroots).
+    """
+    y, d = common_denominator(h0.coords)
+    forms = [rs.int_form(w) for w in rs.fundamental_weights()]
+    den = math.lcm(*(f for _, f in forms))
+    omega = np.array([[z * (den // f) for z in zs] for zs, f in forms], dtype=np.int64).T
+    y = np.array(y, dtype=np.int64)
+    diff = group.stack.astype(np.int64) @ y - y
+    return tuple(np.flatnonzero(((diff @ omega) % (2 * d * den) == 0).all(axis=1)).tolist())
+
+
+def check_stabilizer(rs, group, h0, w0, members):
+    """Check `weylgroup.stabilizer`'s w0 at h0 against the elements fixing h0.
+
+    `members` are their indices (`scan_stabilizer` or `fixed_members`).
+    The order is their count, every reflection in w0's simple roots fixes
+    h0, and the coset transversal times the members covers W exactly once.
+    """
+    assert w0.order == len(members)
+    for i in w0.roots:
+        assert fixes_torus_point(rs, reflection_matrix(rs, rs.positive_roots[i]), h0)
+    trans = coset_transversal(group, w0)
+    stack = group.stack.astype(np.int64)
+    products = stack[list(trans.indices)][:, None] @ stack[list(members)][None]
+    # products of Weyl elements are Weyl elements, whose entries fit in int8;
+    # one opaque row of bytes per matrix makes np.unique a 1-d sort
+    n2 = rs.ambient_dim ** 2
+    rows = np.ascontiguousarray(products.astype(np.int8).reshape(-1, n2)).view(f"V{n2}")
+    assert rows.size == group.order == len(np.unique(rows))
+
+
+def reduce_word(word, inverse_of) -> tuple:
+    """Freely reduce a formal word given the index involution g -> g^{-1}."""
+    stack: list[int] = []
+    for letter in word:
+        if stack and inverse_of[stack[-1]] == letter:
+            stack.pop()
+        else:
+            stack.append(letter)
+    return tuple(stack)
+
+
+def generator_set_to_json(gens) -> dict:
+    """The JSON document of a generator set that `spectral.load_generator_set` reads."""
+    return {
+        "matrices": [
+            [[[z.real, z.imag] for z in row] for row in np.asarray(g)]
+            for g in gens.elements
+        ],
+        "labels": list(gens.labels),
+        "symmetric": gens.symmetric,
+        "free": gens.free,
+    }
 
 
 def rng_for(name: str) -> random.Random:

@@ -1,0 +1,95 @@
+"""Caller census: every public name of the library has a caller in the library or the benchmark.
+
+A public top-level function or class of `src/weylchar/*.py`, or a public
+method of such a class, must be referenced in code under `src/` or
+`perfbench/` outside its own definition.  A reference is a name, an
+attribute, or a string constant equal to the name (the benchmark tracer
+binds functions by name); docstrings and comments do not count, and
+neither do tests, `perfbench/test_*.py` included.  Names kept for the tests or the acceptance criteria
+alone are listed in KEEP, each with its reason.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = sorted((ROOT / "src" / "weylchar").glob("*.py"))
+CALLERS = [p for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))
+           if not p.name.startswith("test_")]
+
+#: Public names without a library or benchmark caller, and why each stays.
+KEEP = {
+    "fixes_torus_point": "the definition of a stabilizer that the tests check stabilizer() against",
+    "km_density": "the Kesten-McKay density that acceptance criteria 11 and 12 integrate",
+    "char_regular": "the regular-point entry point that acceptance criteria 01, 03 and 04 call",
+    "weight_multiplicities": "the Freudenthal weight diagram that acceptance criterion 05 sums",
+    "expected_decay_exponent": "the exponent m that acceptance criterion 07 compares slopes with",
+    "decay_exponent": "the fitted slope with its refusals of short or unfitted sweeps, "
+                      "which the sweep tests pin",
+}
+
+
+def _docstrings(tree):
+    """The Constant nodes that are docstrings of the module, a class or a function."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                out.add(id(body[0].value))
+    return out
+
+
+def public_definitions(path):
+    """(name, first line, last line) of each public top-level def and class, and method."""
+    tree = ast.parse(path.read_text(), str(path))
+    defs = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            defs.append((node.name, node.lineno, node.end_lineno))
+            if isinstance(node, ast.ClassDef):
+                defs += [(m.name, m.lineno, m.end_lineno) for m in node.body
+                         if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    return defs
+
+
+def references(path):
+    """{name: [line, ...]} of every name, attribute and non-docstring string constant."""
+    tree = ast.parse(path.read_text(), str(path))
+    docs = _docstrings(tree)
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier() and id(node) not in docs):
+            name = node.value
+        else:
+            continue
+        out.setdefault(name, []).append(node.lineno)
+    return out
+
+
+def uncalled():
+    refs = {path: references(path) for path in CALLERS}
+    missing = []
+    for path in LIBRARY:
+        for name, first, last in public_definitions(path):
+            if not any(
+                line < first or line > last or other != path
+                for other, found in refs.items() for line in found.get(name, ())
+            ):
+                missing.append(f"{path.name}:{first} {name}")
+    return missing
+
+
+def test_every_public_name_has_a_library_or_benchmark_caller():
+    missing = [m for m in uncalled() if m.split()[-1] not in KEEP]
+    assert not missing, "public API without a caller in src/ or perfbench/: " + ", ".join(missing)
+
+
+def test_every_kept_name_is_public_and_uncalled():
+    # a KEEP entry whose name gained a caller, or no longer exists, is stale
+    assert sorted(m.split()[-1] for m in uncalled()) == sorted(KEEP)

@@ -349,3 +349,27 @@ def test_alcove_central_strata_detected():
         s for s in alcove_stratum_points(b2) if len(s.walls) == 2 and not s.central
     ]
     assert noncentral_vertices  # B2 has singular vertices that are not central
+
+
+def test_decay_off_the_rho_ray_is_slower_than_the_expected_exponent():
+    # SU(3) at pi (1/5, 1/5, -2/5) along omega_2: m = 2, yet the ratio decays
+    # like k^-1.  The eigenvalues are (x, x, y), so chi_{k omega_2} is, up to
+    # complex conjugation, the complete symmetric polynomial
+    # h_k(x, x, y) = sum_j (j+1) x^j y^(k-j), whose modulus grows like k
+    # while the dimension grows like k^2.
+    rs = build_root_system("A2")
+    h0 = exact_point([F(1, 5), F(1, 5), F(-2, 5)])
+    omega2 = rs.fundamental_weights()[1]
+    assert expected_decay_exponent(rs, rs.degenerate_split(h0), omega2) == 2
+    x, y = complex(math.cos(math.pi / 5), math.sin(math.pi / 5)), \
+        complex(math.cos(2 * math.pi / 5), -math.sin(2 * math.pi / 5))
+    for k in list(range(1, 31)) + [97, 500]:
+        want = abs(sum((j + 1) * x**j * y**(k - j) for j in range(k + 1)))
+        got = abs(character(rs, vscale(k, omega2), h0).value)
+        assert abs(got - want) < 1e-9 * dim_irrep(rs, vscale(k, omega2))
+    ks = (1000, 2000, 4000, 8000)
+    rep = normalized_char_sweep(rs, WeightPath.ray(rs, omega2, ks), h0)
+    ratios = rep.ratios()
+    for i in range(len(ks) - 1):
+        slope = math.log(ratios[i + 1] / ratios[i]) / math.log(ks[i + 1] / ks[i])
+        assert abs(slope + 1) < 0.01

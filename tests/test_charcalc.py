@@ -21,13 +21,15 @@ from weylchar.charcalc import (
     weight_multiplicities,
 )
 from weylchar.errors import CapacityError, DomainError, SingularPointError, SnapError
-from weylchar.exactlin import project_onto_span, vscale, vzero
+from weylchar.exactlin import _normal_solve, vscale, vzero
 from weylchar.weylgroup import (
     CosetTransversal, coset_transversal, generate_weyl_group, stabilizer,
 )
 from weylchar.asymptotics import alcove_stratum_points
 
-from _helpers import apply_matrix, random_dominant_weight, random_regular_exact_point, rng_for
+from _helpers import (
+    apply_matrix, random_dominant_weight, random_regular_exact_point, rng_for, scan_stabilizer,
+)
 
 
 def su2_closed_form(l, theta):
@@ -214,7 +216,7 @@ def test_transversal_independence():
     trans = coset_transversal(group, w0)
     # twist every non-identity representative by a random stabilizer element
     index = {m.tobytes(): i for i, m in enumerate(group.stack)}
-    members = w0.indices
+    members = scan_stabilizer(rs, group, h0)
     twisted = CosetTransversal(group, trans.indices[:1] + tuple(
         index[(group.stack[b] @ group.stack[members[rng.randrange(len(members))]]).tobytes()]
         for b in trans.indices[1:]
@@ -398,7 +400,7 @@ def test_snap_irrational_coordinates_on_stratum():
     rs = build_root_system("A2")
     h = float_point([1.0, 1.0, -2.0])
     snapped = snap_to_exact(rs, h)
-    assert rs.pairing_coeff(rs.simple_roots[0], snapped) == 0
+    assert rs.inner(rs.simple_roots[0], snapped.coords) == 0
     got = char_singular(rs, rs.weyl_vector, h).value
     assert abs(got - (4 + 4 * math.cos(3.0))) < 1e-9
 
@@ -482,7 +484,7 @@ def test_extrapolation_parallel_vs_generic_direction():
     d = dim_irrep(rs, lam)
     generic = generic_direction(rs, rng)
     basis = list(split.deg)
-    par = project_onto_span(basis, rs.gram, tuple(F(x).limit_denominator(10**6) for x in generic))
+    par = _normal_solve(basis, rs.gram, tuple(F(x).limit_denominator(10**6) for x in generic))[1]
     par_f = [float(x) for x in par]
     want = char_singular(rs, lam, st.point).value
     for delta in (generic, par_f):

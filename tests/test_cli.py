@@ -235,7 +235,9 @@ def test_round_trip_reruns_bit_identical(capsys):
 
 
 def test_spectral_nonsymmetric_warning(capsys, tmp_path):
-    from weylchar.spectral import generator_set_to_json, haar_generator_set
+    from weylchar.spectral import haar_generator_set
+
+    from _helpers import generator_set_to_json
 
     gens = haar_generator_set(2, 3, seed=5)
     path = tmp_path / "haar.json"
@@ -326,6 +328,18 @@ def test_cap_weyl_env_override(capsys, monkeypatch):
     (["spectral", "--group", "A2", "--weight", "1,1", "--gens",
       str(Path(__file__).resolve().parents[1] / "docs" / "examples" / "free_pair.json")], "gens"),
     (["spectral", "--group", "A1", "--l", "1", "--sample", "3"], "seed"),
+    # non-positive sweep schedules, and too few moments for the norm estimate
+    (["sweep", "--group", "A2", "--weight", "1,1", "--point", "pi/5:pi/5:-2pi/5",
+      "--kmax", "0"], "kmax"),
+    (["sweep", "--group", "A2", "--weight", "1,1", "--point", "pi/5:pi/5:-2pi/5",
+      "--kmax", "-3"], "kmax"),
+    (["sweep", "--group", "A2", "--weight", "1,1", "--point", "pi/5:pi/5:-2pi/5",
+      "--schedule", "0"], "schedule"),
+    (["sweep", "--group", "A2", "--weight", "1,1", "--point", "pi/5:pi/5:-2pi/5",
+      "--schedule", "3,-1,5"], "schedule"),
+    (["spectral", "--group", "A1", "--l", "1", "--moments", "-1"], "moments"),
+    (["spectral", "--group", "A1", "--l", "1", "--moments", "0"], "moments"),
+    (["spectral", "--group", "A1", "--l", "1", "--moments", "1"], "moments"),
 ])
 def test_missing_or_malformed_options_give_typed_errors(capsys, argv, field):
     jsonschema = pytest.importorskip("jsonschema")

@@ -22,7 +22,7 @@ from weylchar.charcalc import cached_weyl_group, char_weightsum_oracle, characte
 from weylchar.exactlin import vadd
 from weylchar.weylgroup import coset_transversal, stabilizer
 
-from _helpers import random_rational_vector, reflection_matrix, rng_for
+from _helpers import fixed_members, random_rational_vector, reflection_matrix, rng_for
 
 GROUPS = (
     [f"A{n}" for n in range(1, 9)]
@@ -58,7 +58,7 @@ def test_root_pairings_and_split_match_pairing_coeff(name):
     rs = build_root_system(name)
     rng = rng_for(f"intfront-pairings-{name}")
     for h in _points(rs, rng):
-        want = [rs.pairing_coeff(a, h) for a in rs.positive_roots]
+        want = [rs.inner(a, h.coords) for a in rs.positive_roots]
         p, d = rs.root_pairings(h.coords)
         assert [F(x, d) for x in p] == want
         split = rs.degenerate_split(h)
@@ -109,10 +109,13 @@ def test_dim_irrep_matches_fraction_formula(name):
         assert dim_irrep(rs, lam) == want
 
 
-def _first_of_each_coset(group, w0):
-    """Transversal reference: scan W in order, taking each element whose coset is new."""
+def _first_of_each_coset(group, members):
+    """Transversal reference: scan W in order, taking each element whose coset is new.
+
+    `members` are the indices of the stabilizer's elements.
+    """
     index = {m.tobytes(): i for i, m in enumerate(group.stack)}
-    sub = group.stack[list(w0.indices)]
+    sub = group.stack[list(members)]
     assigned = set()
     reps = []
     for i in range(group.order):
@@ -134,7 +137,7 @@ def test_transversal_is_first_element_of_each_coset(name):
     for st in strata:
         w0 = stabilizer(rs, group, st.point)
         trans = coset_transversal(group, w0)
-        assert trans.indices == _first_of_each_coset(group, w0)
+        assert trans.indices == _first_of_each_coset(group, fixed_members(rs, group, st.point))
         assert len(trans) * w0.order == group.order
 
 

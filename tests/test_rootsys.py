@@ -10,7 +10,7 @@ import pytest
 from weylchar import build_root_system, exact_point
 from weylchar.errors import ConfigError, DomainError, StructureError
 from weylchar.exactlin import (
-    adjugate, common_denominator, solve, span_coefficients, vadd, vscale,
+    adjugate, common_denominator, mat_vec, solve, span_coefficients, vadd, vscale,
 )
 from weylchar.rootsys import RootSystemSpec, positive_root_count
 from weylchar.weylgroup import reflect
@@ -289,11 +289,11 @@ def test_integer_root_data_matches_fraction_references(name):
         assert [rs.inner(cw, a) for a in simple] == [int(i == j) for j in range(rs.rank)]
     # the integer rows, each over its least common denominator
     assert rs._pos_rows.tolist() == [[int(x) for x in r] for r in rs.positive_roots]
-    forms = [rs.gram_vec(a) for a in rs.positive_roots]
+    forms = [mat_vec(rs.gram, a) for a in rs.positive_roots]
     assert (rs._pos_forms.ravel().tolist(), rs._pos_forms_den) == common_denominator(
         x for f in forms for x in f)
     # the coroot table: the integer rows 2 G a / (a|a) of every positive root
-    coroots = [vscale(2 / rs.norm2(a), rs.gram_vec(a)) for a in rs.positive_roots]
+    coroots = [vscale(2 / rs.norm2(a), mat_vec(rs.gram, a)) for a in rs.positive_roots]
     assert all(x.denominator == 1 for c in coroots for x in c)
     assert rs._coroot_rows.tolist() == [list(c) for c in coroots]
     gram_int, gram_den = common_denominator(x for row in gram for x in row)

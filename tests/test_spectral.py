@@ -18,7 +18,6 @@ from weylchar.spectral import (
     conjugacy_phases,
     delta_opt,
     generator_set,
-    generator_set_to_json,
     haar_generator_set,
     inverse_table,
     km_density,
@@ -28,11 +27,10 @@ from weylchar.spectral import (
     moment_growth_sequence,
     moment_sampled,
     norm_estimate,
-    reduce_word,
     spectrum_estimate,
 )
 
-from _helpers import rng_for
+from _helpers import generator_set_to_json, reduce_word, rng_for
 
 RS1 = build_root_system("A1")
 

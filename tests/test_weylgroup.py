@@ -1,6 +1,7 @@
 """Weyl group enumeration, signs, stabilizers, and coset transversals."""
 
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from weylchar.weylgroup import (
 from weylchar.rootsys import weyl_order
 
 from _helpers import (
-    apply_matrix, random_rational_vector, reflection_matrix, rng_for, scan_stabilizer,
+    apply_matrix, check_stabilizer, fixed_members, random_rational_vector,
+    reflection_matrix, rng_for, scan_stabilizer,
 )
 
 
@@ -121,10 +123,12 @@ def test_stabilizer_su3_paper_example():
     group = generate_weyl_group(rs)
     h0 = exact_point([F(1, 5), F(1, 5), F(-2, 5)])
     w0 = stabilizer(rs, group, h0)
-    assert w0.indices == scan_stabilizer(rs, group, h0)
+    members = scan_stabilizer(rs, group, h0)
+    check_stabilizer(rs, group, h0, w0, members)
     assert w0.order == 2
+    assert [rs.positive_roots[i] for i in w0.roots] == [rs.simple_roots[0]]
     s1 = reflection_matrix(rs, rs.simple_roots[0])
-    assert [group.stack[i].tolist() for i in w0.indices] == [np.eye(3, dtype=int).tolist(), s1]
+    assert [group.stack[i].tolist() for i in members] == [np.eye(3, dtype=int).tolist(), s1]
 
 
 def test_stabilizer_regular_point_is_trivial():
@@ -132,8 +136,8 @@ def test_stabilizer_regular_point_is_trivial():
     group = generate_weyl_group(rs)
     h = exact_point([F(1, 7), F(2, 7), F(-3, 7)])
     w0 = stabilizer(rs, group, h)
-    assert w0.indices == scan_stabilizer(rs, group, h)
-    assert w0.order == 1
+    check_stabilizer(rs, group, h, w0, scan_stabilizer(rs, group, h))
+    assert w0.order == 1 and w0.roots == ()
 
 
 def test_stabilizer_su5_stratum_is_s3_x_s2():
@@ -141,7 +145,7 @@ def test_stabilizer_su5_stratum_is_s3_x_s2():
     group = generate_weyl_group(rs)
     h = exact_point([F(1, 7), F(1, 7), F(1, 7), F(-3, 14), F(-3, 14)])
     w0 = stabilizer(rs, group, h)
-    assert w0.indices == scan_stabilizer(rs, group, h)
+    check_stabilizer(rs, group, h, w0, scan_stabilizer(rs, group, h))
     assert w0.order == 12
 
 
@@ -153,7 +157,7 @@ def test_stabilizer_matches_component_weyl_orders_on_all_strata(name):
     group = generate_weyl_group(rs)
     for st in alcove_stratum_points(rs):
         w0 = stabilizer(rs, group, st.point)
-        assert w0.indices == scan_stabilizer(rs, group, st.point)
+        check_stabilizer(rs, group, st.point, w0, scan_stabilizer(rs, group, st.point))
         split = rs.degenerate_split(st.point)
         sub = effective_subsystem(rs, split.deg)
         expected = 1
@@ -164,9 +168,10 @@ def test_stabilizer_matches_component_weyl_orders_on_all_strata(name):
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C3", "G2"])
 def test_closure_stabilizer_equals_scan_off_the_alcove(name):
-    # The closure is the stabilizer at every point of a simply connected
-    # group (Steinberg), not only in the alcove: check it at Weyl images of
-    # every stratum and at random points sum c_i alpha_i with denominators <= 6.
+    # The reflection group of the degenerate roots is the stabilizer at every
+    # point of a simply connected group (Steinberg), not only in the alcove:
+    # check it at Weyl images of every stratum and at random points
+    # sum c_i alpha_i with denominators <= 6.
     rs = build_root_system(name)
     group = generate_weyl_group(rs)
     rng = rng_for(f"stabilizer-off-alcove-{name}")
@@ -180,13 +185,59 @@ def test_closure_stabilizer_equals_scan_off_the_alcove(name):
             (vscale(c, a) for c, a in zip(coeffs, rs.simple_roots)), rs.ambient_dim
         )))
     for h in points:
-        assert stabilizer(rs, group, h).indices == scan_stabilizer(rs, group, h)
+        check_stabilizer(rs, group, h, stabilizer(rs, group, h), scan_stabilizer(rs, group, h))
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "D4", "F4"])
+def test_vectorized_fixed_point_test_equals_scan(name):
+    # fixed_members, the reference on groups too large to scan, against the
+    # exhaustive scan at alcove strata and Weyl images of them.  The scan
+    # costs about 2 s a point on F4, so large groups take a sample of strata.
+    rs = build_root_system(name)
+    group = cached_weyl_group(rs)
+    rng = rng_for(f"fixed-members-{name}")
+    strata = alcove_stratum_points(rs)
+    if group.order > 100:
+        strata = rng.sample(strata, 2 if group.order > 1000 else 8)
+    points = [st.point for st in strata] + [
+        exact_point(apply_matrix(group.stack[rng.randrange(1, group.order)], st.point.coords))
+        for st in strata
+    ]
+    for h in points:
+        assert fixed_members(rs, group, h) == scan_stabilizer(rs, group, h)
 
 
 def test_identity_stabilizer_of_e6_closes_over_its_six_simple_roots():
     rs = build_root_system("E6")
     w0 = stabilizer(rs, cached_weyl_group(rs), exact_point([0] * 6))
     assert w0.roots == tuple(sorted(rs._simple_index)) and w0.order == 51840
+
+
+def test_identity_stabilizer_order_is_the_weyl_order_without_enumeration():
+    # The height product needs no element of W: a stand-in group carrying
+    # only G 2 rho and |W| reaches E8, whose element keys do not fit in int64.
+    names = [f"{fam}{n}" for fam, top in (("A", 8), ("B", 8), ("C", 8), ("D", 8))
+             for n in range(1 if fam == "A" else 2, top + 1)] + ["E6", "E7", "E8", "F4", "G2"]
+    for name in names:
+        rs = build_root_system(name)
+        gv = np.array(rs._gram_int, dtype=np.int64) @ rs._pos_rows.sum(axis=0)
+        group = SimpleNamespace(key=SimpleNamespace(gv=gv), order=weyl_order(rs.spec))
+        w0 = stabilizer(rs, group, exact_point([0] * rs.ambient_dim))
+        assert w0.order == weyl_order(rs.spec)
+        assert w0.roots == tuple(sorted(rs._simple_index))
+
+
+@pytest.mark.parametrize("name", ["E6", "F4"])
+def test_stabilizer_checks_against_the_fixed_point_test(name):
+    # on groups too large for the exhaustive scan at every stratum
+    rs = build_root_system(name)
+    group = cached_weyl_group(rs)
+    rng = rng_for(f"stabilizer-fixed-members-{name}")
+    for st in alcove_stratum_points(rs)[::3 if name == "E6" else 1]:
+        w = group.stack[rng.randrange(group.order)]
+        for h in (st.point, exact_point(apply_matrix(w, st.point.coords))):
+            check_stabilizer(rs, group, h, stabilizer(rs, group, h),
+                             fixed_members(rs, group, h))
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "F4"])
@@ -226,7 +277,9 @@ def test_every_stabilizer_element_fixes_point():
     group = generate_weyl_group(rs)
     h0 = exact_point([F(1, 3), F(1, 3)])
     w0 = stabilizer(rs, group, h0)
-    assert all(fixes_torus_point(rs, group.stack[i].tolist(), h0) for i in w0.indices)
+    members = scan_stabilizer(rs, group, h0)
+    assert all(fixes_torus_point(rs, group.stack[i].tolist(), h0) for i in members)
+    check_stabilizer(rs, group, h0, w0, members)
     assert group.order % w0.order == 0
 
 
@@ -256,7 +309,8 @@ def test_coset_transversal_partitions_group():
     trans = coset_transversal(group, w0)
     assert len(trans) * w0.order == group.order == 24
     stack = group.stack.astype(np.int64)
-    products = stack[list(trans.indices)][:, None] @ stack[list(w0.indices)][None]
+    members = scan_stabilizer(rs, group, h0)
+    products = stack[list(trans.indices)][:, None] @ stack[list(members)][None]
     assert len(np.unique(products.reshape(group.order, -1), axis=0)) == group.order
 
 
@@ -273,7 +327,7 @@ def test_conjugated_stabilizer_is_reflection_group_of_image_roots():
                 continue
             split = rs.degenerate_split(st.point)
             w0 = stabilizer(rs, group, st.point)
-            members = stack[list(w0.indices)]
+            members = stack[list(scan_stabilizer(rs, group, st.point))]
             for b in coset_transversal(group, w0).indices:
                 left = {index[m.tobytes()] for m in stack[b] @ members}
                 gens = np.array([reflection_matrix(rs, apply_matrix(stack[b], a))
@@ -299,25 +353,8 @@ def test_stabilizer_requires_exact_point():
 
 
 # ---------------------------------------------------------------------------
-# element keys and the sorted-key index
+# element keys
 # ---------------------------------------------------------------------------
-
-
-def test_index_round_trips_every_element_of_f4_and_e6():
-    for group in (generate_weyl_group(build_root_system("F4")),
-                  cached_weyl_group(build_root_system("E6"))):
-        assert group.indices_by_key(group.keys).tolist() == list(range(group.order))
-        assert sorted(group.keys.tolist()) == np.unique(group.keys).tolist()  # injective
-
-
-def test_non_member_keys_raise_domain_error():
-    # the key of the zero vector lies inside the radix box but off the orbit W (2 rho)
-    for name in ("A2", "B3"):
-        rs = build_root_system(name)
-        group = generate_weyl_group(rs)
-        zero = np.zeros((1, rs.ambient_dim), dtype=np.int64)
-        with pytest.raises(DomainError):
-            group.indices_by_key(group.key.of_vectors(zero))
 
 
 def test_keys_fit_every_group_within_the_default_cap():
