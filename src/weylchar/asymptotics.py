@@ -134,15 +134,6 @@ def _fit_bound(rows, path) -> float:
     return max(ratio * weight_inf_norm(lam) for _, lam, _, ratio in head)
 
 
-def decay_exponent(report: DecayReport) -> float:
-    """Fitted log-log decay slope of a ray sweep (>= 5 entries required)."""
-    if len(report.entries) < 5:
-        raise DomainError("decay exponent needs at least 5 sweep entries")
-    if report.fitted_slope is None:
-        raise DomainError("report carries no slope (identity stratum or counterexample)")
-    return report.fitted_slope
-
-
 def expected_decay_exponent(rs: RootSystem, split: DegenerateSplit, lam0) -> int:
     """m = number of non-degenerate positive roots not orthogonal to lambda0.
 

@@ -26,8 +26,9 @@ rational vector x given by its integer form G x = y / y_den
 (`RootSystem.int_form`) and integer coefficients c_i.  It computes every
 exponent (v_i|x) mod 2 as one integer matvec reduced mod 2*D (D the
 product of the two denominators), and sums the coefficients of equal
-exponents with `np.unique`.  The result is the exact {r: coefficient} map
-with exponents r / D, so resonant cancellations give exact zeros.  The
+exponents with `np.unique`.  The result is two integer arrays, the
+distinct exponents r (so (v_i|x) = r / D mod 2) and their summed
+coefficients, and D; resonant cancellations give exact zeros.  The
 regular path feeds it the integer orbit W*h (from the Weyl group's int8
 stack) paired with eta and the signs of W; the singular path
 the coset representatives applied to h0, paired with eta, since
@@ -47,13 +48,14 @@ one matvec of the simple rows of the root system's coroot table
 degenerate subsystem and its order, both read off the same table with no
 element of it formed (`weylgroup.stabilizer`); the coset transversal is
 one positivity test of those simple roots over the whole stack
-(`weylgroup.coset_transversal`); and each phase
-e^{i pi r / D} is taken from the kernel's integers (`utils.unit_phase`).
+(`weylgroup.coset_transversal`); and the phases e^{i pi r / D} are taken
+from the kernel's arrays in one pass (`_phase_sum`).
 The oracle's Freudenthal recursion runs on integer root pairings over one
 denominator and keeps one integer weight table per irrep
 (`_multiplicities_cached`).
 Int division r / D is correctly rounded, so every float equals the one
-the Fraction form of the same rational gave.
+the Fraction form of the same rational gave, and the residues r / D in
+{0, 1/2, 1, 3/2} give the exact phases 1, i, -1 and -i.
 """
 
 from __future__ import annotations
@@ -71,8 +73,7 @@ from .exactlin import Vec, common_denominator, int_dtype, int_matvec, vadd, vsca
 from .rootsys import EPS_SNAP, DegenerateSplit, RootSystem, RootSystemSpec, weyl_order
 from .torus import TorusPoint, exact_point, float_point
 from .utils import (
-    as_complex, cmul, cquot, fold_angle, ordered_dot, pairwise_sum, sin_half_angle,
-    sin_half_pi, unit_phase,
+    as_complex, cmul, cquot, fold_angle, ordered_dot, pairwise_sum, sin_half_angle, sin_half_pi,
 )
 from .weylgroup import (
     CosetTransversal,
@@ -132,25 +133,41 @@ def dim_irrep(rs: RootSystem, lam) -> int:
 
 def _exponent_map(
     rows: np.ndarray, den: int, y: list[int], y_den: int, coeffs: np.ndarray
-) -> tuple[dict, int]:
-    """Exact {r: sum of coeffs[i]} with (v_i|x) = r / D mod 2, and D.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """(exps, sums, D): the exact exponents of sum_i coeffs[i] e^{i pi (v_i|x)}.
 
     The vectors are v_i = rows[i] / den for an integer (N, n) array `rows`,
     and x is given by its integer form G x = y / y_den (`RootSystem.int_form`),
-    so (v_i|x) = (rows[i] . y) / D with D = den * y_den.  Keys r are Python
-    ints in [0, 2D), inserted in increasing order; values are Python ints.
+    so (v_i|x) = (rows[i] . y) / D with D = den * y_den.  `exps` holds the
+    distinct r in [0, 2D) with (v_i|x) = r / D mod 2 for some i, in
+    increasing order, and sums[j] the sum of coeffs[i] over those i with
+    exponent exps[j].  Each array is int64 while its magnitudes stay below
+    2**62, and an object array of Python ints past that.
     """
     d = den * y_den
     exps, where = np.unique(int_matvec(rows, y, 2 * d), return_inverse=True)
     bound = int(np.abs(coeffs).max(initial=0)) * len(coeffs)
     sums = np.zeros(len(exps), dtype=int_dtype(bound))
     np.add.at(sums, where, coeffs.astype(sums.dtype))
-    return dict(zip(exps.tolist(), sums.tolist())), d
+    return exps, sums, d
 
 
-def _phase_sum(collected: dict, d: int) -> complex:
-    """Deterministic sum of c * e^{i pi r / d} over a map from `_exponent_map`."""
-    return pairwise_sum([c * unit_phase(r, d) for r, c in collected.items() if c != 0])
+def _phase_sum(exps: np.ndarray, coeffs: np.ndarray, d: int) -> complex:
+    """Deterministic sum of c * e^{i pi r / d} over the arrays of `_exponent_map`.
+
+    Zero coefficients are dropped and the terms summed by `pairwise_sum` in
+    exponent order.  r / d is correctly rounded: while 2d < 2**53, int64
+    true division turns r and d into floats exactly and rounds once; past
+    that it runs on Python ints.  The residues r / d = k / 2 give the exact
+    phases i^k.
+    """
+    keep = coeffs != 0
+    r = exps[keep]
+    t = math.pi * ((r if 2 * d < 2**53 else r.astype(object)) / d).astype(float, copy=False)
+    phases = as_complex(np.cos(t), np.sin(t))
+    for k, exact in enumerate((1 + 0j, 1j, -1 + 0j, -1j)):
+        phases[2 * r == k * d] = exact
+    return pairwise_sum(cmul(coeffs[keep], phases))
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +221,13 @@ def _char_regular_exact(rs: RootSystem, eta: Vec, split: DegenerateSplit) -> Cha
     The Weyl denominator comes from the split's integer root pairings.
     """
     orbit, den, signs = _exact_orbit(rs, split.torus_point.coords)
-    collected, d = _exponent_map(orbit, den, *rs.int_form(eta), signs)
-    num = _phase_sum(collected, d)
+    exps, coeffs, d = _exponent_map(orbit, den, *rs.int_form(eta), signs)
+    num = _phase_sum(exps, coeffs, d)
     weyl_den = 1 + 0j
     for p in split.pairings:
         weyl_den *= 2j * sin_half_pi(p, split.den)
     value = num / weyl_den
-    terms_abs = sum(map(abs, collected.values()))
+    terms_abs = int(np.abs(coeffs).sum())
     condition = terms_abs / abs(weyl_den) * _MACHINE_EPS
     return CharacterValue(value, condition)
 
@@ -345,8 +362,8 @@ class _SingularEvaluator:
         s = (rs._pos_forms[deg] @ roots.T).sum(axis=1)
         self.scale = Fraction((2 * rs._pos_forms_den) ** len(deg), math.prod(s.tolist()))
 
-    def exponents(self, lam: Vec) -> tuple[dict, int, float]:
-        """The coset sum's exact map and denominator (`_exponent_map`), and sum |subdim_b|."""
+    def exponents(self, lam: Vec) -> tuple[np.ndarray, np.ndarray, int, float]:
+        """The coset sum's exponents, coefficients and D (`_exponent_map`), and sum |subdim_b|."""
         y, y_den = self.rs.int_form(vadd(lam, self.rs.weyl_vector))
         pairings = [int_matvec(rows, y) for rows in self.b_deg]
         denom = self.scale.denominator * y_den ** len(pairings)
@@ -365,12 +382,11 @@ class _SingularEvaluator:
             abs_sum += abs(float(s))
         # Exact integer coefficients per reduced phase, so resonant
         # cancellations across cosets produce exact zeros, not float dust.
-        collected, d = _exponent_map(self.b_h0, self.h0_den, y, y_den, self.b_signs * sub)
-        return collected, d, abs_sum
+        return (*_exponent_map(self.b_h0, self.h0_den, y, y_den, self.b_signs * sub), abs_sum)
 
     def evaluate(self, lam: Vec) -> CharacterValue:
-        collected, d, abs_sum = self.exponents(lam)
-        value = self.eps * _phase_sum(collected, d) / self.prefactor
+        exps, coeffs, d, abs_sum = self.exponents(lam)
+        value = self.eps * _phase_sum(exps, coeffs, d) / self.prefactor
         condition = abs_sum / abs(self.prefactor) * _MACHINE_EPS
         return CharacterValue(value, condition)
 
@@ -675,7 +691,7 @@ def weight_multiplicities(rs: RootSystem, lam) -> dict:
 
 
 def _weight_exponents(rs: RootSystem, lam: Vec, h: TorusPoint):
-    """The oracle's exact {r: summed multiplicity} map with (mu|h) = pi r / D, and D."""
+    """The oracle's exponents and summed multiplicities, (mu|h) = pi r / D mod 2pi, and D."""
     table = _multiplicities_cached(rs, lam)
     return _exponent_map(table.rows, table.den, *rs.int_form(h.coords), table.mults)
 
@@ -689,9 +705,9 @@ def char_weightsum_oracle(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
     lam = _dominant(rs, lam)
     rs.validate_point(h)
     if h.exact:
-        collected, d = _weight_exponents(rs, lam, h)
-        value = _phase_sum(collected, d)
-        dim = sum(collected.values())
+        exps, mults, d = _weight_exponents(rs, lam, h)
+        value = _phase_sum(exps, mults, d)
+        dim = int(mults.sum())
     else:
         table = _multiplicities_cached(rs, lam)
         order = np.lexsort(table.rows.T[::-1])

@@ -510,12 +510,14 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         kmax = opts.get("kmax", 20)
         if kmax < 1:
             raise ConfigError("--kmax must be at least 1", field="kmax")
-        if opts.get("schedule"):
+        if "schedule" in opts:
             ks = [_fraction(k, "schedule") for k in str(opts["schedule"]).split(",")]
             if any(k.denominator != 1 for k in ks):
                 raise ConfigError("--schedule takes whole numbers", field="schedule")
             if any(k < 1 for k in ks):
                 raise ConfigError("--schedule takes k values of at least 1", field="schedule")
+            if len(set(ks)) != len(ks):
+                raise ConfigError("--schedule takes each k value once", field="schedule")
             cfg.options["schedule"] = [int(k) for k in ks]
         else:
             cfg.options["schedule"] = list(range(1, kmax + 1))

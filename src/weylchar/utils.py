@@ -1,4 +1,4 @@
-"""Shared numeric helpers: deterministic reductions and phase evaluation.
+"""Shared numeric helpers: deterministic reductions, complex arithmetic and angles.
 
 The float helpers work elementwise on numpy arrays (or scalars) and
 reproduce, bit for bit, the Python expressions the per-point code has
@@ -11,7 +11,6 @@ complex `*` and `/` round differently).
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -84,24 +83,6 @@ def cquot(a, b) -> np.ndarray:
         re = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
         im = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
     return as_complex(re, im)
-
-
-def unit_phase(num: int, den: int) -> complex:
-    """e^{i*pi*num/den} for integers num and den > 0, reduced mod 2 before trigonometry.
-
-    num/den is correctly rounded int division, so the phase depends only
-    on the rational, not on how it is scaled.
-    """
-    r = num % (2 * den)  # num/den mod 2 == r / den
-    if r == 0:
-        return 1 + 0j
-    if r == den:
-        return -1 + 0j
-    if 2 * r == den:
-        return 1j
-    if 2 * r == 3 * den:
-        return -1j
-    return cmath.exp(1j * math.pi * (r / den))
 
 
 def sin_half_pi(num: int, den: int) -> float:

@@ -315,8 +315,11 @@ def coset_transversal(group: WeylGroup, w0: Stabilizer) -> CosetTransversal:
     order is by length first, so that element is the coset's first.  A
     root beta is positive iff (beta|2 rho) > 0, and (w a|2 rho) =
     a . (w^T G 2 rho), so the test is one integer product over the whole
-    stack, with G 2 rho the group's `ElementKey.gv`.
+    stack, with G 2 rho the group's `ElementKey.gv`.  When W0 = W the
+    identity, element 0, is the one representative, and no scan is made.
     """
+    if w0.order == group.order:
+        return CosetTransversal(group, (0,))
     rs = group.rs
     roots = rs._pos_rows[list(w0.roots)].T
     reps = []

@@ -1,5 +1,6 @@
 """Shared test utilities: seeded samplers, stabilizer references and test oracles."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -133,6 +134,25 @@ def generator_set_to_json(gens) -> dict:
         "symmetric": gens.symmetric,
         "free": gens.free,
     }
+
+
+def unit_phase(num: int, den: int) -> complex:
+    """e^{i*pi*num/den} for integers num and den > 0, reduced mod 2 before trigonometry.
+
+    The scalar reference for `charcalc._phase_sum`.  num/den is correctly
+    rounded int division, so the phase depends only on the rational, not
+    on how it is scaled.
+    """
+    r = num % (2 * den)  # num/den mod 2 == r / den
+    if r == 0:
+        return 1 + 0j
+    if r == den:
+        return -1 + 0j
+    if 2 * r == den:
+        return 1j
+    if 2 * r == 3 * den:
+        return -1j
+    return cmath.exp(1j * math.pi * (r / den))
 
 
 def rng_for(name: str) -> random.Random:

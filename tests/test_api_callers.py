@@ -24,8 +24,6 @@ KEEP = {
     "char_regular": "the regular-point entry point that acceptance criteria 01, 03 and 04 call",
     "weight_multiplicities": "the Freudenthal weight diagram that acceptance criterion 05 sums",
     "expected_decay_exponent": "the exponent m that acceptance criterion 07 compares slopes with",
-    "decay_exponent": "the fitted slope with its refusals of short or unfitted sweeps, "
-                      "which the sweep tests pin",
 }
 
 

@@ -184,13 +184,13 @@ def test_singular_reduces_to_regular_when_not_degenerate():
 
 def test_su3_coset_subdimensions_match_paper_structure():
     # dim L' for b = e equals (lam + rho | alpha1)/(rho_su2 | alpha1) = 2 at lam = rho;
-    # the coset sum's exact map, its denominator and sum |subdim_b| are pinned
+    # the coset sum's exponents, coefficients, denominator and sum |subdim_b| are pinned
     rs = build_root_system("A2")
     h0 = exact_point([F(1, 5), F(1, 5), F(-2, 5)])
     split = rs.degenerate_split(h0)
     sub = effective_subsystem(rs, split.deg)
-    assert _SingularEvaluator(rs, split).exponents(rs.weyl_vector) == (
-        {0: -4, 4: 2, 6: 2}, 5, 8.0)
+    exps, coeffs, d, abs_sum = _SingularEvaluator(rs, split).exponents(rs.weyl_vector)
+    assert (exps.tolist(), coeffs.tolist(), d, abs_sum) == ([0, 4, 6], [-4, 2, 2], 5, 8.0)
     assert sub.components[0].name == "A1"
     assert sub.rho == vscale(F(1, 2), rs.simple_roots[0])
 

@@ -340,6 +340,11 @@ def test_cap_weyl_env_override(capsys, monkeypatch):
     (["spectral", "--group", "A1", "--l", "1", "--moments", "-1"], "moments"),
     (["spectral", "--group", "A1", "--l", "1", "--moments", "0"], "moments"),
     (["spectral", "--group", "A1", "--l", "1", "--moments", "1"], "moments"),
+    # an empty schedule, and a repeated k value
+    (["sweep", "--group", "A2", "--weight", "1,1", "--point", "pi/5:pi/5:-2pi/5",
+      "--schedule", ""], "schedule"),
+    (["sweep", "--group", "A2", "--weight", "1,1", "--point", "pi/5:pi/5:-2pi/5",
+      "--schedule", "3,3,1"], "schedule"),
 ])
 def test_missing_or_malformed_options_give_typed_errors(capsys, argv, field):
     jsonschema = pytest.importorskip("jsonschema")

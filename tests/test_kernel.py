@@ -1,10 +1,12 @@
 """The integer exponent kernel and the stacked int8 Weyl group.
 
 Every exact character sum (regular, singular, oracle) goes through one
-integer kernel, `charcalc._exponent_map`.  These tests hold it to plain
-Fraction references written out here, one per caller, and hold the
-batched int8 enumeration to a one-element-at-a-time BFS.  The kernel's
-integer map {r: c} over its denominator D is compared as {r/D: c}.
+integer kernel, `charcalc._exponent_map`, and one phase sum,
+`charcalc._phase_sum`.  These tests hold the kernel to plain Fraction
+references written out here, one per caller, the phase sum to a scalar
+loop over `unit_phase`, and the batched int8 enumeration to a
+one-element-at-a-time BFS.  The kernel's arrays of exponents r and
+coefficients c over its denominator D are compared as the map {r/D: c}.
 """
 
 from fractions import Fraction as F
@@ -18,6 +20,7 @@ from weylchar.charcalc import (
     _SingularEvaluator,
     _exact_orbit,
     _exponent_map,
+    _phase_sum,
     _weight_exponents,
     cached_weyl_group,
     char_singular,
@@ -27,10 +30,11 @@ from weylchar.charcalc import (
     weight_multiplicities,
 )
 from weylchar.exactlin import int_matvec, vadd
+from weylchar.utils import pairwise_sum
 
 from _helpers import (
     apply_matrix, random_dominant_weight, random_regular_exact_point, reflection_matrix,
-    rng_for,
+    rng_for, unit_phase,
 )
 
 #: Sample of W(E6) used where a Fraction reference over all 51840 elements
@@ -43,9 +47,9 @@ def _weight(rs, rng, max_dim):
     return random_dominant_weight(rs, rng, max_dim=max_dim, max_coeff=1 if rs.rank == 6 else 6)
 
 
-def _fractions(collected, d):
+def _fractions(exps, coeffs, d):
     """An `_exponent_map` result as the {exponent / pi mod 2: coefficient} map."""
-    return {F(r, d): c for r, c in collected.items()}
+    return {F(r, d): c for r, c in zip(exps.tolist(), coeffs.tolist())}
 
 
 def _reference_regular(rs, eta, h, mats, signs):
@@ -107,10 +111,10 @@ def test_regular_map_matches_fraction_reference(name):
         eta = vadd(lam, rs.weyl_vector)
         h = random_regular_exact_point(rs, rng)
         orbit, den, signs = _exact_orbit(rs, h.coords)
-        got = _fractions(*_exponent_map(orbit[idx], den, *rs.int_form(eta), signs[idx]))
+        exps, coeffs, d = _exponent_map(orbit[idx], den, *rs.int_form(eta), signs[idx])
         want = _reference_regular(rs, eta, h, group.stack[idx], group.signs[idx])
-        assert got == want
-        assert list(got) == sorted(got)  # keys come in increasing order
+        assert _fractions(exps, coeffs, d) == want
+        assert exps.tolist() == sorted(set(exps.tolist()))  # distinct, in increasing order
 
 
 @pytest.mark.parametrize("name", ["B4", "F4", "E6"])
@@ -122,9 +126,9 @@ def test_singular_map_matches_fraction_reference(name):
         ev = _SingularEvaluator(rs, split)
         for _ in range(2):
             lam = _weight(rs, rng, 3000)
-            collected, d, got_abs = ev.exponents(lam)
+            exps, coeffs, d, got_abs = ev.exponents(lam)
             want, want_abs = _reference_singular(rs, split, ev.transversal, lam)
-            assert _fractions(collected, d) == want and got_abs == want_abs
+            assert _fractions(exps, coeffs, d) == want and got_abs == want_abs
 
 
 @pytest.mark.parametrize("name", ["B4", "F4", "E6"])
@@ -135,6 +139,36 @@ def test_oracle_map_matches_fraction_reference(name):
     mults = weight_multiplicities(rs, lam)
     for h in [random_regular_exact_point(rs, rng)] + _singular_points(rs, rng, 1):
         assert _fractions(*_weight_exponents(rs, lam, h)) == _reference_oracle(rs, mults, h)
+
+
+def _phase_map(rng, d, size, dtype):
+    """Distinct sorted exponents in [0, 2d), the exact residues among them, and
+    coefficients with some zeros, as arrays of `dtype`."""
+    exps = sorted({0, d, *(k * d // 2 for k in (1, 3) if d % 2 == 0),
+                   *(rng.randrange(2 * d) for _ in range(size))})
+    coeffs = [rng.choice([0, rng.randint(-10**6, 10**6)]) for _ in exps]
+    return np.array(exps, dtype=dtype), np.array(coeffs, dtype=dtype)
+
+
+@pytest.mark.parametrize("d, dtype", [
+    (6, np.int64),  # every exact residue: r / d in {0, 1/2, 1, 3/2}
+    (360, np.int64),
+    (2**52 - 1, np.int64),  # 2d just below 2**53: int64 true division
+    (2**52 + 1, np.int64),  # 2d just above 2**53: Python int division
+    (2**60 + 3, np.int64),  # where int64 true division would round its inputs
+    (2**62 + 6, object),  # past int64: Python ints throughout
+])
+def test_phase_sum_matches_scalar_unit_phase(d, dtype):
+    rng = rng_for(f"phase-sum-{d}")
+    for size in (0, 1, 50, 2000):
+        exps, coeffs = _phase_map(rng, d, size, dtype)
+        want = pairwise_sum([
+            c * unit_phase(r, d) for r, c in zip(exps.tolist(), coeffs.tolist()) if c != 0
+        ])
+        assert repr(_phase_sum(exps, coeffs, d)) == repr(want)
+    empty = np.array([], dtype=dtype)
+    assert repr(_phase_sum(empty, empty, d)) == repr(pairwise_sum([])) == "0.0"
+    assert repr(_phase_sum(exps, 0 * coeffs, d)) == "0.0"
 
 
 def test_int_matvec_switches_to_python_ints_past_int64():
@@ -162,14 +196,15 @@ def test_huge_denominators_take_the_python_int_path():
     assert not rs.degenerate_split(h).deg
     orbit, den, signs = _exact_orbit(rs, h.coords)
     assert 2 * den > 2**62
-    assert _fractions(*_exponent_map(orbit, den, *rs.int_form(eta), signs)) == \
-        _reference_regular(rs, eta, h, group.stack, group.signs)
+    exps, coeffs, d = _exponent_map(orbit, den, *rs.int_form(eta), signs)
+    assert exps.dtype == object
+    assert _fractions(exps, coeffs, d) == _reference_regular(rs, eta, h, group.stack, group.signs)
     h0 = exact_point([x, x, y, z])  # e1 - e2 degenerate
     split = rs.degenerate_split(h0)
     assert split.deg
     ev = _SingularEvaluator(rs, split)
-    collected, d, abs_sum = ev.exponents(lam)
-    assert (_fractions(collected, d), abs_sum) == \
+    exps, coeffs, d, abs_sum = ev.exponents(lam)
+    assert (_fractions(exps, coeffs, d), abs_sum) == \
         _reference_singular(rs, split, ev.transversal, lam)
     mults = weight_multiplicities(rs, lam)
     for point in (h, h0):
