@@ -34,8 +34,10 @@ stack) paired with eta and the signs of W; the singular path
 the coset representatives applied to h0, paired with eta, since
 (b^{-1} eta|h0) = (eta|b h0), with sgn(b) * subdim_b; the oracle the
 weights paired with h and their multiplicities.  Magnitudes are bounded
-before each product, and the same code runs on int64 or, past 2**62, on
-Python ints (`exactlin.int_matvec`).
+before each product, by the largest entry of the integer array times its
+row length and max|y| (two reductions, no pass over row norms), and the
+same code runs on int64 or, past 2**62, on Python ints
+(`exactlin.int_matvec`).
 
 The front end around the kernel is fraction-free too: every per-call
 quantity at an exact point is an integer product over data that `rootsys`
@@ -47,9 +49,12 @@ one matvec of the simple rows of the root system's coroot table
 (`RootSystem.dynkin_labels`); the stabilizer is the simple roots of the
 degenerate subsystem and its order, both read off the same table with no
 element of it formed (`weylgroup.stabilizer`); the coset transversal is
-one positivity test of those simple roots over the whole stack
-(`weylgroup.coset_transversal`); and the phases e^{i pi r / D} are taken
-from the kernel's arrays in one pass (`_phase_sum`).
+one positivity test of those simple roots against the group's int8 table
+of w^T G 2 rho, built once per group (`weylgroup.coset_transversal`); the
+images of the degenerate roots under the representatives are one int8
+table per point, so a weight's pairings and effective dimensions are one
+product each (`_SingularEvaluator`); and the phases e^{i pi r / D} are
+taken from the kernel's arrays in one pass (`_phase_sum`).
 The oracle's Freudenthal recursion runs on integer root pairings over one
 denominator and keeps one integer weight table per irrep
 (`_multiplicities_cached`).
@@ -324,8 +329,12 @@ class _SingularEvaluator:
 
     The coset sum runs over b^{-1} eta for the representatives b.  Since W
     preserves the form, (b^{-1} eta|x) = (eta|b x), so the representatives
-    are applied once, to h0 and to each degenerate root, as integer stacks;
-    each weight then costs integer matvecs only.  Everything else comes
+    are applied once, to h0 and to each degenerate root, and each weight
+    then costs integer products only.  b h0 is an integer (T, n) array,
+    and the images b a of the k degenerate roots a are one int8 (T, k, n)
+    table, `b_deg` (b a is a root, so its entries are small; they are
+    checked to fit int8).  Both are formed a column of the representatives
+    at a time, never from an int64 copy of them.  Everything else comes
     from the split's integer root pairings and the root system's integer
     root rows, with no rational arithmetic.
     """
@@ -349,31 +358,42 @@ class _SingularEvaluator:
                 pref *= 2j * sin_half_pi(p, split.den)
         self.prefactor = pref
         idx = list(self.transversal.indices)
-        reps = self.transversal.group.stack[idx].reshape(-1, n)
+        reps = self.transversal.group.stack[idx]
         self.b_signs = self.transversal.group.signs[idx].astype(np.int64)
         h, self.h0_den = common_denominator(h0.coords)
-        self.b_h0 = int_matvec(reps, h).reshape(-1, n)
-        # subdim_b = prod_a (eta|b a) / (rho_deg|a) = scale * prod_a (y . b_deg[a]) / d^k
-        # for G eta = y / d, with b_deg[a] = b a on the integer root rows.  On
-        # those rows (G a) . b = F R (a|b), so 2 (rho_deg|a) = s_a / (F R) with
-        # s_a the row sums below, and the R of the root rows cancels.
+        self.b_h0 = int_matvec(reps.reshape(-1, n), h).reshape(-1, n)
+        # subdim_b = prod_a (eta|b a) / (rho_deg|a) = scale * prod_a (y . b a) / d^k
+        # for G eta = y / d, on the integer root rows.  On those rows
+        # (G a) . b = F R (a|b), so 2 (rho_deg|a) = s_a / (F R) with s_a the
+        # row sums below, and the R of the root rows cancels.
         roots = rs._pos_rows[deg]
-        self.b_deg = [int_matvec(reps, a).reshape(-1, n) for a in roots.tolist()]
+        b_deg = np.zeros((len(idx), len(deg), n), dtype=np.int64)
+        for j, col in enumerate(roots.T.tolist()):  # b a = sum_j b[:, j] a_j
+            if any(col):
+                b_deg += reps[:, None, :, j].astype(np.int64) * np.array(col)[:, None]
+        if np.abs(b_deg).max() > np.iinfo(np.int8).max:
+            raise AssertionError("image of a degenerate root does not fit int8")
+        self.b_deg = b_deg.astype(np.int8)
         s = (rs._pos_forms[deg] @ roots.T).sum(axis=1)
         self.scale = Fraction((2 * rs._pos_forms_den) ** len(deg), math.prod(s.tolist()))
 
     def exponents(self, lam: Vec) -> tuple[np.ndarray, np.ndarray, int, float]:
-        """The coset sum's exponents, coefficients and D (`_exponent_map`), and sum |subdim_b|."""
+        """The coset sum's exponents, coefficients and D (`_exponent_map`), and sum |subdim_b|.
+
+        The pairings y . b a of every representative and degenerate root are
+        one `int_matvec` of the `b_deg` table, and the subdims one product
+        over k, int64 while |scale numerator| * prod_a max_b |y . b a| and
+        the denominator are below 2**62, Python ints otherwise.
+        """
         y, y_den = self.rs.int_form(vadd(lam, self.rs.weyl_vector))
-        pairings = [int_matvec(rows, y) for rows in self.b_deg]
-        denom = self.scale.denominator * y_den ** len(pairings)
+        _, k, n = self.b_deg.shape
+        pairings = int_matvec(self.b_deg.reshape(-1, n), y).reshape(-1, k)
+        denom = self.scale.denominator * y_den ** k
         bound = abs(self.scale.numerator)
-        for p in pairings:
-            bound *= max(int(np.abs(p).max()), 1)
+        for m in np.abs(pairings).max(axis=0).tolist():
+            bound *= max(int(m), 1)
         dtype = int_dtype(max(bound, denom))
-        sub = np.full(len(self.b_signs), self.scale.numerator, dtype=dtype)
-        for p in pairings:
-            sub = sub * p.astype(dtype)
+        sub = pairings.astype(dtype).prod(axis=1) * self.scale.numerator
         if (sub % denom).any():
             raise AssertionError("effective dimension is not an integer")
         sub //= denom

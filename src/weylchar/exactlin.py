@@ -21,6 +21,9 @@ Vec = tuple[Fraction, ...]
 #: Integer work whose magnitudes stay below this runs in int64.
 INT64_SAFE = 2**62
 
+#: Types whose values are exact rationals with `numerator` and `denominator`.
+EXACT_TYPES = (Fraction, int)
+
 
 def vadd(x: Vec, y: Vec) -> Vec:
     return tuple(a + b for a, b in zip(x, y, strict=True))
@@ -131,8 +134,12 @@ def adjugate(m) -> tuple[list[list[int]], int]:
 
 
 def common_denominator(v) -> tuple[list[int], int]:
-    """Integers n_i and the least D > 0 with v_i = n_i / D."""
-    v = [Fraction(x) for x in v]
+    """Integers n_i and the least D > 0 with v_i = n_i / D.
+
+    Entries that are already `Fraction` or `int` are read as they are;
+    anything else (strings, floats, numpy integers) goes through `Fraction`.
+    """
+    v = [x if type(x) in EXACT_TYPES else Fraction(x) for x in v]
     d = math.lcm(*(x.denominator for x in v))
     return [x.numerator * (d // x.denominator) for x in v], d
 
@@ -146,16 +153,23 @@ def int_matvec(rows: np.ndarray, y: Sequence[int], modulus: int | None = None) -
     """rows @ y over the integers, exactly, optionally reduced mod `modulus`.
 
     `rows` is an integer (N, n) array.  The result is int64 when the
-    largest row 1-norm times max|y|, and the modulus, are below 2**62, and
-    an object array of Python ints otherwise.  Columns are accumulated one
-    at a time, so an int8 `rows` is never copied whole.
+    bound max|rows| * n * max|y|, and the modulus, are below 2**62, and an
+    object array of Python ints otherwise.  The bound is two reductions of
+    `rows` (its largest and its smallest entry, read as Python ints, so an
+    int8 -128 counts as 128), and it is at least the largest row 1-norm
+    times max|y|, which bounds every partial sum.  int64 rows give one
+    `rows @ y`; any other dtype is accumulated a column at a time, so an
+    int8 `rows` is never copied whole.
     """
     y = [int(c) for c in y]
-    row_l1 = int(np.abs(rows).sum(axis=1).max()) if len(rows) else 0
-    bound = max(row_l1, 1) * max(map(abs, y), default=0)
+    entry = max(int(rows.max()), -int(rows.min())) if rows.size else 0
+    bound = max(entry, 1) * rows.shape[1] * max(map(abs, y), default=0)
     dtype = int_dtype(max(bound, modulus or 0))
-    out = np.zeros(len(rows), dtype=dtype)
-    for j, c in enumerate(y):
-        if c:
-            out += rows[:, j].astype(dtype) * c
+    if dtype is np.int64 and rows.dtype == np.int64:
+        out = rows @ np.array(y, dtype=np.int64)
+    else:
+        out = np.zeros(len(rows), dtype=dtype)
+        for j, c in enumerate(y):
+            if c:
+                out += rows[:, j].astype(dtype) * c
     return out if modulus is None else out % modulus

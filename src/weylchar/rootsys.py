@@ -17,13 +17,15 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
 from . import exactlin
 from .errors import CapacityError, ConfigError, DomainError, StructureError
 from .exactlin import (
-    Vec, adjugate, common_denominator, dot, int_matvec, mat_vec, vadd, vscale, vzero,
+    EXACT_TYPES, Vec, adjugate, common_denominator, dot, int_matvec, mat_vec, vadd, vscale,
+    vzero,
 )
 from .torus import TorusPoint
 from .utils import fold_angle, ordered_dot
@@ -185,9 +187,11 @@ class RootSystem:
         self._root_set = self._pos_set | frozenset(_fraction_rows(-self._pos_rows))
         index = dict(zip(map(tuple, self._pos_rows.tolist()), range(len(rows))))
         self._simple_index = [index[r] for r in map(tuple, simple.tolist())]
+        simple_coroots = self._coroot_rows[self._simple_index]
+        # as Python ints, for the Dynkin labels of one weight at a time
+        self._simple_coroots = tuple(map(tuple, simple_coroots.tolist()))
         # 2(a_i|a_j)/(a_j|a_j) = a_i . c_j
-        self.cartan_matrix = tuple(map(tuple, (
-            simple @ self._coroot_rows[self._simple_index].T).tolist()))
+        self.cartan_matrix = tuple(map(tuple, (simple @ simple_coroots.T).tolist()))
         self._check_invariants(g)
 
     # -- construction-time checks -------------------------------------------------
@@ -237,7 +241,7 @@ class RootSystem:
         v, den = common_denominator(lam)
         if len(v) != self.ambient_dim:
             raise DomainError(f"dimension mismatch: expected {self.ambient_dim}-vectors")
-        return int_matvec(self._coroot_rows[self._simple_index], v).tolist(), den
+        return [sum(map(mul, row, v)) for row in self._simple_coroots], den
 
     def is_dominant_integral(self, lam) -> bool:
         labels, den = self.dynkin_labels(lam)
@@ -252,7 +256,12 @@ class RootSystem:
             den * self._gram_den
 
     def validate_weight(self, lam) -> Vec:
-        lam = tuple(Fraction(x) for x in lam)
+        """lam as a tuple of exact coordinates, checked against the ambient space.
+
+        Coordinates that are already `Fraction` or `int` are kept as they
+        are; any other entry goes through `Fraction`.
+        """
+        lam = tuple(x if type(x) in EXACT_TYPES else Fraction(x) for x in lam)
         if len(lam) != self.ambient_dim:
             raise DomainError(f"weight must have {self.ambient_dim} coordinates")
         if self.spec.family == "A" and sum(lam) != 0:
@@ -264,8 +273,16 @@ class RootSystem:
             raise DomainError(
                 f"torus point has {h.dim} coordinates, ambient needs {self.ambient_dim}"
             )
-        if h.exact and self.spec.family == "A" and sum(h.coords) != 0:
-            raise DomainError("type A exact torus points must have zero coordinate sum")
+        if self.spec.family == "A":
+            if h.exact:
+                if sum(h.coords) != 0:
+                    raise DomainError("type A exact torus points must have zero coordinate sum")
+            elif abs(total := math.fsum(h.coords)) > EPS_SNAP and math.isfinite(total):
+                # a non-finite sum is left to the finite-coordinates check
+                raise DomainError(
+                    "type A floating torus points must have zero coordinate sum, "
+                    f"to within {EPS_SNAP}; the sum is {total!r}"
+                )
         return h
 
     def fundamental_weights(self) -> tuple[Vec, ...]:

@@ -18,8 +18,10 @@ simple reflections s_a = I - a c_a^T from the root system's coroot table
 
 A stabilizer is never enumerated.  It is described by the simple roots of
 its degenerate subsystem and its order, both read off the root data; the
-coset transversal is one positivity test of those simple roots over the
-stack, and every other use of the stabilizer goes through the transversal.
+coset transversal is one positivity test of those simple roots against
+the group's int8 table of w^T G 2 rho (`WeylGroup.positivity`, built on
+first use and kept with the group), and every other use of the stabilizer
+goes through the transversal.
 
 The stabilizer of a torus point is the reflection group of its degenerate
 roots at every point, not only in the fundamental alcove: in a simply
@@ -31,6 +33,7 @@ in the roots alpha with (alpha|h0) in 2*pi*Z.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -105,7 +108,7 @@ def _in_sorted(table: np.ndarray, x: np.ndarray) -> np.ndarray:
     return table.take(table.searchsorted(x), mode="clip") == x
 
 
-def _closure(roots: np.ndarray, coroots: np.ndarray, key: ElementKey):
+def _closure(roots: np.ndarray, coroots: np.ndarray, key: ElementKey, size: int):
     """Breadth-first closure of the identity under right multiplication by reflections.
 
     Generator j is s_j = I - a_j c_j^T for the integer rows a_j = roots[j]
@@ -121,14 +124,23 @@ def _closure(roots: np.ndarray, coroots: np.ndarray, key: ElementKey):
     is new unless its key is in the current or the previous level.
     Duplicates are found by sorting the candidate keys.
 
-    Returns per element its parent index and generator index (-1 for the
-    identity), and the sizes of the BFS levels (level k holds the elements
-    of word length k).
+    Returns per element its parent index (int32) and generator index
+    (int8), -1 for the identity, and the sizes of the BFS levels (level k
+    holds the elements of word length k).  Both index arrays are allocated
+    once, at `size` (the order the classification gives; finding more
+    elements raises AssertionError), and filled a level at a time: they
+    live beside the stack that `_products` fills, which is where
+    enumeration peaks in memory, so they are narrow and not scattered over
+    per-level pieces.  int32 holds every index: the largest group of rank
+    <= 8, E8, has 696729600 < 2**31 elements, and an int8 stack of 2**31
+    elements of rank 9 or more would take over 170 GB.
     """
     g = len(roots)
     step = roots @ key.radix  # M . a_j
     x = key.v[None, :]
-    parents, letters, levels = [np.array([-1])], [np.array([-1])], [1]
+    parents, letters, levels = np.empty(size, np.int32), np.empty(size, np.int8), [1]
+    parents[0] = letters[0] = -1
+    top = 1
     keys = key.of_vectors(x)  # of the last level
     prev, cur = keys[:0], keys
     lo = 0
@@ -148,13 +160,16 @@ def _closure(roots: np.ndarray, coroots: np.ndarray, key: ElementKey):
         new = np.sort(np.minimum.reduceat(order, runs)[fresh])
         parent, letter = np.divmod(new, g)
         x = x[parent] - pair.ravel()[new][:, None] * roots[letter]
-        parents.append(lo + parent)
-        letters.append(letter)
+        if top + len(new) > size:
+            raise AssertionError(f"enumerated more than the expected {size} elements")
+        parents[top:top + len(new)] = lo + parent
+        letters[top:top + len(new)] = letter
+        top += len(new)
         keys = cand[new]
         levels.append(len(new))
         lo += len(pair)
         prev, cur = cur, distinct[fresh]
-    return np.concatenate(parents), np.concatenate(letters), levels
+    return parents[:top], letters[:top], levels
 
 
 def _products(roots, coroots, parent, letter, levels) -> np.ndarray:
@@ -183,7 +198,8 @@ class WeylGroup:
     """Fully enumerated reflection group of a root system.
 
     `stack[i]` is the int8 matrix and `signs[i]` the sign of element i, in
-    enumeration order; `key` is the group's `ElementKey`.
+    enumeration order; `key` is the group's `ElementKey`, and `positivity`
+    the table that coset transversals test, built on first use.
     """
 
     def __init__(self, rs: RootSystem, stack, signs, key):
@@ -192,6 +208,28 @@ class WeylGroup:
         self.signs = signs
         self.order = len(stack)
         self.key = key
+
+    @functools.cached_property
+    def positivity(self) -> np.ndarray:
+        """The `(|W|, n)` int8 table whose row i is w_i^T G 2 rho.
+
+        A root a has w_i a positive iff a . row i = (w_i a|2 rho) > 0.  Row
+        i is G w_i^-1 (2 rho) (times the gram's denominator), the pairings of
+        one element of the orbit W (2 rho) with the basis vectors: at most
+        34 in magnitude on E7 and 32 on F4, and checked to fit int8.  Built
+        on first use, a `TRANSVERSAL_BLOCK` of elements at a time.
+        """
+        n = self.rs.ambient_dim
+        table = np.empty((self.order, n), dtype=np.int8)
+        for lo in range(0, self.order, TRANSVERSAL_BLOCK):
+            block = self.stack[lo:lo + TRANSVERSAL_BLOCK]
+            rows = np.zeros((len(block), n), dtype=np.int64)
+            for k, c in enumerate(self.key.gv.tolist()):  # a row of w at a time
+                rows += block[:, k, :].astype(np.int64) * c
+            if np.abs(rows).max() > np.iinfo(np.int8).max:
+                raise AssertionError("w^T G 2 rho does not fit int8")
+            table[lo:lo + len(block)] = rows
+        return table
 
 
 def generate_weyl_group(rs: RootSystem, cap: int | None = None) -> WeylGroup:
@@ -206,7 +244,7 @@ def generate_weyl_group(rs: RootSystem, cap: int | None = None) -> WeylGroup:
     expected = check_weyl_cap(rs.spec, cap)
     key = ElementKey(rs)
     gens = rs._pos_rows[rs._simple_index], rs._coroot_rows[rs._simple_index]
-    parent, letter, levels = _closure(*gens, key)
+    parent, letter, levels = _closure(*gens, key, expected)
     if len(parent) != expected:
         raise AssertionError(
             f"enumerated {len(parent)} elements for {rs.spec.name}, expected {expected}"
@@ -314,21 +352,20 @@ def coset_transversal(group: WeylGroup, w0: Stabilizer) -> CosetTransversal:
     subgroups of Coxeter systems", J. Algebra 135, 1990), and enumeration
     order is by length first, so that element is the coset's first.  A
     root beta is positive iff (beta|2 rho) > 0, and (w a|2 rho) =
-    a . (w^T G 2 rho), so the test is one integer product over the whole
-    stack, with G 2 rho the group's `ElementKey.gv`.  When W0 = W the
-    identity, element 0, is the one representative, and no scan is made.
+    a . (w^T G 2 rho), so the test is one integer product of those roots
+    with the group's `positivity` table, built once per group, taken
+    `TRANSVERSAL_BLOCK` rows at a time so the table is never cast to int64
+    whole.  When W0 = W the identity, element 0, is the one
+    representative, and no scan is made.
     """
     if w0.order == group.order:
         return CosetTransversal(group, (0,))
-    rs = group.rs
-    roots = rs._pos_rows[list(w0.roots)].T
+    roots = group.rs._pos_rows[list(w0.roots)].T
+    table = group.positivity
     reps = []
     for lo in range(0, group.order, TRANSVERSAL_BLOCK):
-        block = group.stack[lo:lo + TRANSVERSAL_BLOCK]
-        w_rho = np.zeros((len(block), rs.ambient_dim), dtype=np.int64)
-        for k, c in enumerate(group.key.gv.tolist()):  # w^T G 2 rho, a row of w at a time
-            w_rho += block[:, k, :].astype(np.int64) * c
-        reps.extend((lo + np.flatnonzero((w_rho @ roots > 0).all(axis=1))).tolist())
+        block = table[lo:lo + TRANSVERSAL_BLOCK].astype(np.int64)
+        reps.extend((lo + np.flatnonzero((block @ roots > 0).all(axis=1))).tolist())
     if len(reps) * w0.order != group.order:
         raise AssertionError("transversal does not partition the group")
     return CosetTransversal(group, tuple(reps))

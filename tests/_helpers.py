@@ -10,7 +10,7 @@ import numpy as np
 from weylchar.charcalc import dim_irrep
 from weylchar.exactlin import common_denominator
 from weylchar.torus import exact_point
-from weylchar.weylgroup import coset_transversal, fixes_torus_point, reflect
+from weylchar.weylgroup import TRANSVERSAL_BLOCK, coset_transversal, fixes_torus_point, reflect
 
 
 def random_dominant_weight(rs, rng, max_dim=5000, max_coeff=6, max_draws=10_000):
@@ -90,6 +90,28 @@ def fixed_members(rs, group, h0):
     y = np.array(y, dtype=np.int64)
     diff = group.stack.astype(np.int64) @ y - y
     return tuple(np.flatnonzero(((diff @ omega) % (2 * d * den) == 0).all(axis=1)).tolist())
+
+
+def scan_transversal(group, w0):
+    """Indices of W0's coset representatives, by a blocked scan of the int8 stack.
+
+    The reference for `weylgroup.coset_transversal`, which reads the
+    group's cached `positivity` table instead: per block of elements,
+    w^T G 2 rho is formed from the stack a row of w at a time, and Dyer's
+    test (every simple root of W0 maps to a positive root) applied to it.
+    """
+    if w0.order == group.order:
+        return (0,)
+    rs = group.rs
+    roots = rs._pos_rows[list(w0.roots)].T
+    reps = []
+    for lo in range(0, group.order, TRANSVERSAL_BLOCK):
+        block = group.stack[lo:lo + TRANSVERSAL_BLOCK]
+        w_rho = np.zeros((len(block), rs.ambient_dim), dtype=np.int64)
+        for k, c in enumerate(group.key.gv.tolist()):
+            w_rho += block[:, k, :].astype(np.int64) * c
+        reps.extend((lo + np.flatnonzero((w_rho @ roots > 0).all(axis=1))).tolist())
+    return tuple(reps)
 
 
 def check_stabilizer(rs, group, h0, w0, members):

@@ -393,6 +393,18 @@ def test_non_finite_float_point_is_a_domain_error(capsys):
     assert code == 4 and doc["error"]["code"] == "DomainError"
 
 
+@pytest.mark.parametrize("point, kind", [
+    ("pi/3:2pi/3:pi", "exact"),
+    ("1.0:2.0:3.0", "floating"),  # was evaluated at -1:0:1
+    ("0.3:0.30000001:-0.6", "floating"),
+])
+def test_type_a_point_off_the_sum_zero_hyperplane_is_a_domain_error(capsys, point, kind):
+    code, doc = run_json(capsys, "char", "--group", "A2", "--weight", "1,1", "--point", point)
+    assert code == 4 and doc["error"]["code"] == "DomainError"
+    assert doc["error"]["message"].startswith(
+        f"type A {kind} torus points must have zero coordinate sum")
+
+
 # ---------------------------------------------------------------------------
 # --cap-weyl and subcommand-scoped imports
 # ---------------------------------------------------------------------------

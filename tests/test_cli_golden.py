@@ -153,7 +153,10 @@ ARGV = [
     ["char", "--group", "A2", "--weight", "1,1", "--point", "inf:0:0"],
     ["char", "--group", "F4", "--cap-weyl", "10", "--weight", "1,0,0,0",
      "--point=pi/7:pi/11:pi/13:pi/17"],
+    # a float type-A point off the sum-zero hyperplane by 1e-8 is refused; the
+    # same point on it is evaluated near the wall
     ["char", "--group", "A2", "--weight", "1,1", "--point", "0.3:0.30000001:-0.6"],
+    ["char", "--group", "A2", "--weight", "1,1", "--point", "0.3:0.30000001:-0.60000001"],
 ]
 
 

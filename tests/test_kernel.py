@@ -9,10 +9,13 @@ one-element-at-a-time BFS.  The kernel's arrays of exponents r and
 coefficients c over its denominator D are compared as the map {r/D: c}.
 """
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylchar import build_root_system, exact_point
 from weylchar.asymptotics import alcove_stratum_points
@@ -29,7 +32,7 @@ from weylchar.charcalc import (
     dim_irrep,
     weight_multiplicities,
 )
-from weylchar.exactlin import int_matvec, vadd
+from weylchar.exactlin import INT64_SAFE, common_denominator, int_matvec, vadd
 from weylchar.utils import pairwise_sum
 
 from _helpers import (
@@ -179,6 +182,126 @@ def test_int_matvec_switches_to_python_ints_past_int64():
     assert big.dtype == object and big.tolist() == [2**61 - 2, 3 * 2**61 + 4]
     reduced = int_matvec(rows, [5, 7], modulus=2**70)
     assert reduced.dtype == object and reduced.tolist() == [2**70 - 9, 43]
+
+
+@st.composite
+def _matvec_inputs(draw):
+    """Integer rows (int8 over its whole range, or int64), y near the int64
+    switch for those rows, and a modulus or None."""
+    dtype = draw(st.sampled_from([np.int8, np.int64]))
+    lo, hi = (-128, 127) if dtype is np.int8 else (-2**40, 2**40)
+    n_rows, n = draw(st.integers(0, 5)), draw(st.integers(1, 4))
+    entry = st.one_of(st.sampled_from([lo, -1, 0, 1, hi]), st.integers(lo, hi))
+    rows = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                  min_size=n_rows, max_size=n_rows)), dtype=dtype).reshape(n_rows, n)
+    largest = max(int(rows.max()), -int(rows.min()), 1) if rows.size else 1
+    switch = INT64_SAFE // (largest * n)  # the first max|y| that needs Python ints
+    near = st.builds(lambda s, d: s * (switch + d), st.sampled_from([-1, 1]), st.integers(-2, 2))
+    y = draw(st.lists(st.one_of(near, st.integers(-2**20, 2**20), st.integers(-2**70, 2**70)),
+                      min_size=n, max_size=n))
+    modulus = draw(st.one_of(st.none(), st.integers(1, 2**20), st.integers(2**61, 2**63)))
+    return rows, y, modulus
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_matvec_inputs())
+def test_int_matvec_matches_python_ints(inputs):
+    rows, y, modulus = inputs
+    want = [sum(int(r) * c for r, c in zip(row, y)) for row in rows.tolist()]
+    if modulus is not None:
+        want = [v % modulus for v in want]
+    got = int_matvec(rows, y, modulus)
+    assert got.tolist() == want and got.shape == (len(rows),)
+    # int64 exactly when max|rows| * n * max|y| and the modulus are below 2**62
+    largest = max(int(rows.max()), -int(rows.min()), 1) if rows.size else 1
+    bound = max(largest * rows.shape[1] * max(map(abs, y)), modulus or 0)
+    assert got.dtype == (np.int64 if bound < INT64_SAFE else object)
+
+
+def test_int_matvec_counts_int8_minus_128_at_full_magnitude():
+    # np.abs wraps int8 -128 to -128, which once sized this product for
+    # int64 and let it overflow silently to 4611686018427387904
+    got = int_matvec(np.array([[-128, -128]], dtype=np.int8), [2**56, 2**55])
+    assert got.dtype == object and got.tolist() == [-13835058055282163712]
+
+
+def _per_root_exponents(ev, lam):
+    """`_SingularEvaluator.exponents` with one `int_matvec` per degenerate root.
+
+    The images b a of the degenerate roots and their pairings with G eta
+    are formed root by root, and the subdims multiplied a root at a time.
+    """
+    rs, split = ev.rs, ev.split
+    n = rs.ambient_dim
+    group, idx = ev.transversal.group, list(ev.transversal.indices)
+    reps = group.stack[idx].reshape(-1, n)
+    h, h_den = common_denominator(split.torus_point.coords)
+    deg = list(split.deg_index)
+    roots = rs._pos_rows[deg]
+    s = (rs._pos_forms[deg] @ roots.T).sum(axis=1)
+    scale = F((2 * rs._pos_forms_den) ** len(deg), math.prod(s.tolist()))
+    y, y_den = rs.int_form(vadd(lam, rs.weyl_vector))
+    pairings = [int_matvec(int_matvec(reps, a).reshape(-1, n), y) for a in roots.tolist()]
+    sub = [scale.numerator] * len(idx)
+    for p in pairings:
+        sub = [x * v for x, v in zip(sub, p.tolist())]
+    denom = scale.denominator * y_den ** len(deg)
+    assert all(x % denom == 0 for x in sub)
+    sub = [x // denom for x in sub]
+    abs_sum = 0.0
+    for x in sub:
+        abs_sum += abs(float(x))
+    signs = group.signs[idx].tolist()
+    coeffs = np.array([g * x for g, x in zip(signs, sub)], dtype=object)
+    b_h0 = int_matvec(reps, h).reshape(-1, n)
+    return (*_exponent_map(b_h0, h_den, y, y_den, coeffs), abs_sum)
+
+
+def _assert_same_exponents(ev, lam):
+    got, want = ev.exponents(lam), _per_root_exponents(ev, lam)
+    assert [got[0].tolist(), got[1].tolist(), *got[2:]] == \
+        [want[0].tolist(), want[1].tolist(), *want[2:]]
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4", "E6"]
+)
+def test_singular_exponents_match_the_per_root_reference(name):
+    # every alcove stratum and two Weyl images of each (one on E6)
+    rs = build_root_system(name)
+    group = cached_weyl_group(rs)
+    rng = rng_for(f"evaluator-table-{name}")
+    weights = [rs.weight_from_fundamental([1] * rs.rank),
+               rs.weight_from_fundamental(([3] + [0] * rs.rank)[:rs.rank - 1] + [2])]
+    for stratum in alcove_stratum_points(rs):
+        if stratum.central:
+            continue
+        h0 = stratum.point
+        images = [group.stack[rng.randrange(group.order)] for _ in range(1 if name == "E6" else 2)]
+        for h in [h0] + [exact_point(apply_matrix(w, h0.coords)) for w in images]:
+            ev = _SingularEvaluator(rs, rs.degenerate_split(h))
+            assert ev.b_deg.dtype == np.int8
+            _assert_same_exponents(ev, rng.choice(weights))
+
+
+@pytest.mark.parametrize("q", [2**60 + 33, 10**30 + 57])
+def test_singular_exponents_match_the_per_root_reference_past_int64(q):
+    # 2D past 2**62 puts the exponents on Python ints; weights of 2**40 put
+    # the identity's subdims (three pairings) past int64 too
+    rs = build_root_system("A2")
+    rng = rng_for(f"evaluator-table-object-{q}")
+    huge = rs.weight_from_fundamental([2**40, 2**40 + 1])
+    for _ in range(3):
+        a = F(rng.randrange(1, q), q)
+        for h in (exact_point([a, a, -2 * a]), exact_point([a, -2 * a, a])):
+            ev = _SingularEvaluator(rs, rs.degenerate_split(h))
+            for lam in (rs.weight_from_fundamental([2, 1]), huge):
+                assert ev.exponents(lam)[0].dtype == object
+                _assert_same_exponents(ev, lam)
+    ev = _SingularEvaluator(rs, rs.degenerate_split(exact_point([0, 0, 0])))
+    exps, coeffs, d, _ = ev.exponents(huge)
+    assert coeffs.dtype == object and coeffs.tolist() == [dim_irrep(rs, huge)]
+    _assert_same_exponents(ev, huge)
 
 
 def test_huge_denominators_take_the_python_int_path():

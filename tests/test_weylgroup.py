@@ -11,6 +11,7 @@ from weylchar.charcalc import cached_weyl_group, effective_subsystem
 from weylchar.errors import CapacityError, DomainError
 from weylchar.exactlin import vscale, vsum
 from weylchar.asymptotics import alcove_stratum_points
+from weylchar import weylgroup
 from weylchar.weylgroup import (
     DEFAULT_WEYL_CAP,
     ElementKey,
@@ -24,7 +25,7 @@ from weylchar.rootsys import weyl_order
 
 from _helpers import (
     apply_matrix, check_stabilizer, fixed_members, random_rational_vector,
-    reflection_matrix, rng_for, scan_stabilizer,
+    reflection_matrix, rng_for, scan_stabilizer, scan_transversal,
 )
 
 
@@ -270,6 +271,47 @@ def test_transversal_maps_every_degenerate_root_to_a_positive_root(name):
                          if all(tuple(r) in positive for r in rows))
             w0 = stabilizer(rs, group, h, split=split)
             assert coset_transversal(group, w0).indices == want
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4", "E6"]
+)
+def test_transversal_from_the_positivity_table_equals_the_stack_scan(name):
+    # every alcove stratum and two Weyl images of each
+    rs = build_root_system(name)
+    group = cached_weyl_group(rs)
+    rng = rng_for(f"transversal-table-{name}")
+    for st in alcove_stratum_points(rs):
+        images = [group.stack[rng.randrange(group.order)] for _ in range(2)]
+        for h in [st.point] + [exact_point(apply_matrix(w, st.point.coords)) for w in images]:
+            w0 = stabilizer(rs, group, h)
+            assert coset_transversal(group, w0).indices == scan_transversal(group, w0)
+
+
+@pytest.mark.parametrize("name, largest", [("A3", 3), ("B3", 5), ("G2", 18), ("F4", 32)])
+def test_positivity_table_is_the_int8_image_of_two_rho(name, largest):
+    rs = build_root_system(name)
+    group = cached_weyl_group(rs)
+    table = group.positivity
+    want = np.einsum("wkj,k->wj", group.stack.astype(np.int64), group.key.gv)
+    assert table.dtype == np.int8 and table.tolist() == want.tolist()
+    assert int(np.abs(want).max()) == largest
+    assert group.positivity is table  # built once
+
+
+def test_positivity_table_and_transversal_across_block_boundaries(monkeypatch):
+    # blocks of 100 split F4's 1152 elements unevenly: the same table and
+    # the same representatives as one block
+    rs = build_root_system("F4")
+    whole = cached_weyl_group(rs)
+    points = [st.point for st in alcove_stratum_points(rs)]
+    want = [coset_transversal(whole, stabilizer(rs, whole, h)).indices for h in points]
+    assert len(set(map(len, want))) > 3
+    monkeypatch.setattr(weylgroup, "TRANSVERSAL_BLOCK", 100)
+    blocked = generate_weyl_group(rs)
+    assert blocked.positivity.tolist() == whole.positivity.tolist()
+    assert [coset_transversal(blocked, stabilizer(rs, blocked, h)).indices
+            for h in points] == want
 
 
 def test_every_stabilizer_element_fixes_point():
