@@ -50,8 +50,8 @@ one matvec of the simple rows of the root system's coroot table
 degenerate subsystem and its order, both read off the same table with no
 element of it formed (`weylgroup.stabilizer`); the coset transversal is
 one positivity test of those simple roots against the group's int8 table
-of w^T G 2 rho, built once per group (`weylgroup.coset_transversal`); the
-images of the degenerate roots under the representatives are one int8
+of w^T G 2 rho, which its enumeration fills (`weylgroup.coset_transversal`);
+the images of the degenerate roots under the representatives are one int8
 table per point, so a weight's pairings and effective dimensions are one
 product each (`_SingularEvaluator`); and the phases e^{i pi r / D} are
 taken from the kernel's arrays in one pass (`_phase_sum`).

@@ -56,9 +56,11 @@ def _fraction(text: str, field: str) -> Fraction:
 
 def parse_group(text: str) -> list[RootSystem]:
     """Parse "A2" or a product like "A1xA1" into root-system factors."""
-    parts = text.replace("X", "x").split("x")
+    parts = [p.strip() for p in text.replace("X", "x").split("x")]
+    if not all(parts):
+        raise ConfigError(f"cannot parse group {text!r}: empty factor", field="group")
     try:
-        return [build_root_system(p.strip()) for p in parts if p.strip()]
+        return [build_root_system(p) for p in parts]
     except ConfigError as exc:  # the only WeylcharError build_root_system raises
         raise ConfigError(str(exc), field="group") from exc
     except Exception as exc:
@@ -506,6 +508,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     opts = {key: value for key, value in vars(args).items()
             if key not in ("subcommand", "group", "threads") and value is not None}
     cfg = RunConfig(args.subcommand, args.group, opts)
+    if opts.get("cap_weyl", 1) < 1:
+        raise ConfigError("--cap-weyl must be at least 1", field="cap_weyl")
     if cfg.subcommand == "sweep":
         kmax = opts.get("kmax", 20)
         if kmax < 1:

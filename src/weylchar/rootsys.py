@@ -171,6 +171,9 @@ class RootSystem:
         if (2 * self._pos_forms % norms2).any():
             raise AssertionError("coroot row not integral")
         self._coroot_rows = 2 * self._pos_forms // norms2
+        # G 2 rho times the gram's denominator d: (a|2 rho) = a . row / d,
+        # positive iff the root a is; the Weyl group's closure starts from it.
+        self._two_rho_form = g @ self._pos_rows.sum(axis=0)
         # The same forms in floats, for floating points: (alpha|h) = rows . h.
         # Division of two exact floats rounds correctly, like float(Fraction).
         self._pos_forms_float = self._pos_forms / forms_den

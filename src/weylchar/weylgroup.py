@@ -2,26 +2,23 @@
 
 Elements are integer matrices acting on the ambient space (all Weyl
 elements are integral in the ambient bases used by `rootsys`).  A group is
-stored as a stacked `(|W|, n, n)` int8 array with a sign vector, which
-bulk work (`charcalc`'s exponent kernel and float Weyl sum) reads
-directly; an element is its index into that stack.  One breadth-first
-closure routine, `_closure`, enumerates the group.  It runs on int64
-element keys alone (`ElementKey`: w is keyed by the integer vector
-w^-1 (2 rho)), one integer product per BFS level for every generator at
-once, and dedupes by sorting the keys; the matrices are then formed once
-per element (`_products`).  Enumeration is breadth-first by length in the
-generators, and within a level in the order a one-element-at-a-time BFS
-visits (parent first, then generator), which makes element order, and
-everything derived from it, fully deterministic.  Generators are the
-simple reflections s_a = I - a c_a^T from the root system's coroot table
-(`RootSystem._coroot_rows`).
+stored as a stacked `(|W|, n, n)` int8 array, a sign vector and an int8
+positivity table, which bulk work (`charcalc`'s exponent kernel and float
+Weyl sum, coset transversals) reads directly; an element is its index into
+the stack.  One breadth-first pass, `_closure`, enumerates the group and
+fills all three: it walks the rows G w^-1 (2 rho), stepping from w to
+w s_j only where that adds to the length (Humphreys, Reflection Groups and
+Coxeter Groups, 1.6-1.7).  Elements come by length in the simple
+reflections s_a = I - a c_a^T (`RootSystem._coroot_rows`), and within a
+length in the order a one-element-at-a-time BFS visits (parent first, then
+generator), which makes element order, and all derived from it, fully
+deterministic.
 
 A stabilizer is never enumerated.  It is described by the simple roots of
 its degenerate subsystem and its order, both read off the root data; the
 coset transversal is one positivity test of those simple roots against
-the group's int8 table of w^T G 2 rho (`WeylGroup.positivity`, built on
-first use and kept with the group), and every other use of the stabilizer
-goes through the transversal.
+the group's table of w^T G 2 rho (`WeylGroup.positivity`), and every other
+use of the stabilizer goes through the transversal.
 
 The stabilizer of a torus point is the reflection group of its degenerate
 roots at every point, not only in the fundamental alcove: in a simply
@@ -33,7 +30,6 @@ in the roots alpha with (alpha|h0) in 2*pi*Z.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -42,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .exactlin import INT64_SAFE, Vec, adjugate, mat_vec, vsub
+from .exactlin import INT64_SAFE, Vec, mat_vec, vsub
 from .rootsys import DegenerateSplit, RootSystem, check_weyl_cap
 from .torus import TorusPoint
 
@@ -64,196 +60,127 @@ def reflect(rs: RootSystem, alpha, x) -> Vec:
     return vsub(x, tuple(c * a for a in alpha))
 
 
-class ElementKey:
-    """Injective int64 keys of the elements of a Weyl group.
-
-    An element w is keyed by the integer vector w^-1 v, v = 2 rho (the sum
-    of the positive roots).  v is regular, so distinct elements give
-    distinct vectors, and every vector lies in the orbit W v, whose
-    coordinates obey |x_j| <= B_j = floor(sqrt((G^-1)_jj (v|v))) by
-    Cauchy-Schwarz.  The key is the mixed-radix code sum_j M_j (x_j + B_j)
-    with M_j = prod_{i>j} (2 B_i + 1), in [0, 2 * offset] for offset =
-    sum_j M_j B_j; no intermediate of `_closure` exceeds 2 * offset in
-    magnitude either.  Construction raises CapacityError unless 2 * offset
-    is below 2**62, which leaves int64 a bit to spare.
-    """
-
-    def __init__(self, rs: RootSystem):
-        self.v = rs._pos_rows.sum(axis=0)
-        self.gv = np.array(rs._gram_int, dtype=np.int64) @ self.v
-        adj, det = adjugate(rs._gram_int)
-        vv = int(self.v @ self.gv)
-        bounds = [math.isqrt(adj[j][j] * vv // det) for j in range(len(adj))]
-        radix = [1]
-        for b in reversed(bounds[1:]):
-            radix.insert(0, radix[0] * (2 * b + 1))
-        self.offset = sum(m * b for m, b in zip(radix, bounds))
-        if 2 * self.offset >= INT64_SAFE:
-            raise CapacityError(
-                f"Weyl group element keys of {rs.spec.name} need "
-                f"{(2 * self.offset).bit_length()} bits; int64 keys allow 62",
-                required=2 * self.offset, cap=INT64_SAFE,
-            )
-        self.radix = np.array(radix, dtype=np.int64)
-
-    def of_vectors(self, x: np.ndarray) -> np.ndarray:
-        """Keys of orbit vectors x = w^-1 v, rows of an (N, n) integer array."""
-        return x @ self.radix + self.offset
-
-
-def _in_sorted(table: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Whether each x lies in the sorted array `table`."""
-    if not len(table):
-        return np.zeros(len(x), dtype=bool)
-    return table.take(table.searchsorted(x), mode="clip") == x
-
-
-def _closure(roots: np.ndarray, coroots: np.ndarray, key: ElementKey, size: int):
+def _closure(rs: RootSystem, size: int):
     """Breadth-first closure of the identity under right multiplication by reflections.
 
-    Generator j is s_j = I - a_j c_j^T for the integer rows a_j = roots[j]
-    and c_j = coroots[j].  BFS runs on element keys alone, with no matrix:
-    the key of w s_j is that of s_j x = x - (c_j . x) a_j for x = w^-1 v,
-    so a level's candidate keys are one integer product, key(w) minus
-    (c_j . x) (M . a_j), for every generator at once; that difference is
-    key(w) - key(w s_j), so it stays within [-2, 2] * offset.
-    Candidates are taken level-major, generator-minor, which is the order
-    a one-element-at-a-time BFS visits, and each new element is the first
-    candidate with its key.  Since the generators are involutions, w s_j
-    lies in the level of w or in one of its two neighbours, so a candidate
-    is new unless its key is in the current or the previous level.
-    Duplicates are found by sorting the candidate keys.
+    Generator j is s_j = I - a_j c_j^T for the simple root a_j and its
+    coroot row c_j.  Element w is walked as p = G w^-1 (2 rho), for the
+    integer gram G, from G 2 rho (`RootSystem._two_rho_form`); 2 rho is
+    regular, so p determines w.  w s_j is longer than w iff w a_j > 0,
+    i.e. a_j . p > 0, and its row is then p - (c_j . x) G a_j for
+    x = w^-1 (2 rho), c_j . x = 2 a_j . p / (a_j . G a_j).  Only those
+    ascents are taken, so all candidates lie in the next level and the
+    only duplicates are among them.  Candidates are taken level-major,
+    generator-minor, the order a one-element-at-a-time BFS visits, and
+    each new element is the first candidate with its key, sum_j M_j p_j
+    for M_j = prod_{i>j} (2 B_i + 1) and |p_j| <= B_j = isqrt(G_jj
+    (2 rho|2 rho)) (Cauchy-Schwarz).  Keys lie within +-offset, offset =
+    sum_j M_j B_j: CapacityError, before any allocation, unless 2 * offset
+    is below 2**62.
 
-    Returns per element its parent index (int32) and generator index
-    (int8), -1 for the identity, and the sizes of the BFS levels (level k
-    holds the elements of word length k).  Both index arrays are allocated
-    once, at `size` (the order the classification gives; finding more
-    elements raises AssertionError), and filled a level at a time: they
-    live beside the stack that `_products` fills, which is where
-    enumeration peaks in memory, so they are narrow and not scattered over
-    per-level pieces.  int32 holds every index: the largest group of rank
-    <= 8, E8, has 696729600 < 2**31 elements, and an int8 stack of 2**31
-    elements of rank 9 or more would take over 170 GB.
+    Each level writes its rows of the int8 stack, w s_j = w - (w a_j) c_j^T
+    (int8 arithmetic wraps mod 256, so it is exact while every entry fits
+    int8, as on every Weyl group here), and of the int8 positivity table,
+    the rows p, checked to fit.  Both are allocated once, at `size` (the
+    classification's order; more elements raise AssertionError).  Returns
+    the stack, the table and the BFS level sizes (level k holds the
+    elements of word length k).
     """
-    g = len(roots)
-    step = roots @ key.radix  # M . a_j
-    x = key.v[None, :]
-    parents, letters, levels = np.empty(size, np.int32), np.empty(size, np.int8), [1]
-    parents[0] = letters[0] = -1
-    top = 1
-    keys = key.of_vectors(x)  # of the last level
-    prev, cur = keys[:0], keys
-    lo = 0
-    while g:  # no generators: the identity alone
-        pair = x @ coroots.T  # (c_j . x) per element and generator
-        cand = (keys[:, None] - pair * step).ravel()
+    simple = rs._simple_index
+    roots, coroots = rs._pos_rows[simple], rs._coroot_rows[simple]
+    ga = roots @ np.array(rs._gram_int, dtype=np.int64)  # rows G a_j
+    norms = (ga * roots).sum(axis=1)
+    p = rs._two_rho_form
+    vv = int(p @ rs._pos_rows.sum(axis=0))
+    bounds = [math.isqrt(g * vv) for g in np.diag(rs._gram_int).tolist()]
+    radix = [math.prod(2 * b + 1 for b in bounds[j + 1:]) for j in range(len(bounds))]
+    offset = sum(m * b for m, b in zip(radix, bounds))
+    if 2 * offset >= INT64_SAFE:
+        raise CapacityError(
+            f"Weyl group element keys of {rs.spec.name} need "
+            f"{(2 * offset).bit_length()} bits; int64 keys allow 62",
+            required=2 * offset, cap=INT64_SAFE,
+        )
+    radix = np.array(radix, dtype=np.int64)
+    step = ga @ radix  # key(p) - key(p - G a_j)
+    n = roots.shape[1]
+    roots8, coroots8 = roots.astype(np.int8), coroots.astype(np.int8)
+    stack, table = np.empty((size, n, n), np.int8), np.empty((size, n), np.int8)
+    stack[0], rows = np.eye(n, dtype=np.int8), p[None, :]
+    keys, lo, levels = rows @ radix, 0, [1]
+    while True:
+        if np.abs(rows).max() > np.iinfo(np.int8).max:
+            raise AssertionError("G w^-1 (2 rho) does not fit int8")
+        hi = lo + len(rows)
+        table[lo:hi] = rows
+        pair = rows @ roots.T  # a_j . p per element and generator
+        parent, letter = np.nonzero(pair > 0)  # the ascents, in BFS order
+        if not len(parent):
+            break
+        coef = 2 * pair[parent, letter] // norms[letter]  # c_j . x
+        cand = keys[parent] - coef * step[letter]
         order = cand.argsort()
         ordered = cand[order]
-        first = np.empty(len(ordered), dtype=bool)
-        first[0] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        runs = np.flatnonzero(first)
-        distinct = ordered[runs]
-        fresh = ~(_in_sorted(prev, distinct) | _in_sorted(cur, distinct))
-        if not fresh.any():
-            break
-        new = np.sort(np.minimum.reduceat(order, runs)[fresh])
-        parent, letter = np.divmod(new, g)
-        x = x[parent] - pair.ravel()[new][:, None] * roots[letter]
-        if top + len(new) > size:
+        runs = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+        new = np.sort(np.minimum.reduceat(order, runs))  # first of each key
+        if hi + len(new) > size:
             raise AssertionError(f"enumerated more than the expected {size} elements")
-        parents[top:top + len(new)] = lo + parent
-        letters[top:top + len(new)] = letter
-        top += len(new)
-        keys = cand[new]
+        parent, letter, keys = parent[new], letter[new], cand[new]
+        rows = rows[parent] - coef[new][:, None] * ga[letter]
+        w, a, c = stack[lo + parent], roots8[letter], coroots8[letter]
+        stack[hi:hi + len(new)] = w - (w @ a[:, :, None]) * c[:, None, :]
         levels.append(len(new))
-        lo += len(pair)
-        prev, cur = cur, distinct[fresh]
-    return parents[:top], letters[:top], levels
-
-
-def _products(roots, coroots, parent, letter, levels) -> np.ndarray:
-    """The `(N, n, n)` int8 stack with element i = element parent[i] @ s_letter[i].
-
-    One rank-one update per element, w s_j = w - (w a_j) c_j^T with the
-    generators of `_closure`, a BFS level at a time (parents lie in
-    earlier levels).  int8 arithmetic wraps mod 256, so it is exact while
-    every entry fits in int8, which holds for the Weyl groups of every
-    root system here.
-    """
-    n = roots.shape[1]
-    roots, coroots = roots.astype(np.int8), coroots.astype(np.int8)
-    stack = np.empty((len(parent), n, n), dtype=np.int8)
-    stack[0] = np.eye(n, dtype=np.int8)
-    lo = levels[0]
-    for size in levels[1:]:
-        w = stack[parent[lo:lo + size]]
-        j = letter[lo:lo + size]
-        stack[lo:lo + size] = w - (w @ roots[j][:, :, None]) * coroots[j][:, None, :]
-        lo += size
-    return stack
+        lo = hi
+    return stack[:hi], table[:hi], levels
 
 
 class WeylGroup:
     """Fully enumerated reflection group of a root system.
 
     `stack[i]` is the int8 matrix and `signs[i]` the sign of element i, in
-    enumeration order; `key` is the group's `ElementKey`, and `positivity`
-    the table that coset transversals test, built on first use.
+    enumeration order.  `positivity[i]` is the int8 row w_i^T G 2 rho =
+    G w_i^-1 (2 rho) that `_closure` walked (at most 34 in magnitude on E7):
+    w_i a > 0 for a root a iff a . positivity[i] = (w_i a|2 rho) > 0.
     """
 
-    def __init__(self, rs: RootSystem, stack, signs, key):
+    def __init__(self, rs: RootSystem, stack, signs, positivity):
         self.rs = rs
         self.stack = stack
         self.signs = signs
+        self.positivity = positivity
         self.order = len(stack)
-        self.key = key
-
-    @functools.cached_property
-    def positivity(self) -> np.ndarray:
-        """The `(|W|, n)` int8 table whose row i is w_i^T G 2 rho.
-
-        A root a has w_i a positive iff a . row i = (w_i a|2 rho) > 0.  Row
-        i is G w_i^-1 (2 rho) (times the gram's denominator), the pairings of
-        one element of the orbit W (2 rho) with the basis vectors: at most
-        34 in magnitude on E7 and 32 on F4, and checked to fit int8.  Built
-        on first use, a `TRANSVERSAL_BLOCK` of elements at a time.
-        """
-        n = self.rs.ambient_dim
-        table = np.empty((self.order, n), dtype=np.int8)
-        for lo in range(0, self.order, TRANSVERSAL_BLOCK):
-            block = self.stack[lo:lo + TRANSVERSAL_BLOCK]
-            rows = np.zeros((len(block), n), dtype=np.int64)
-            for k, c in enumerate(self.key.gv.tolist()):  # a row of w at a time
-                rows += block[:, k, :].astype(np.int64) * c
-            if np.abs(rows).max() > np.iinfo(np.int8).max:
-                raise AssertionError("w^T G 2 rho does not fit int8")
-            table[lo:lo + len(block)] = rows
-        return table
 
 
 def generate_weyl_group(rs: RootSystem, cap: int | None = None) -> WeylGroup:
     """Breadth-first closure of the simple reflections.
 
-    Raises CapacityError before doing any work if the classification order
-    exceeds the cap (default 3e6, or WEYLCHAR_CAP_WEYL from the environment),
-    or if the group's element keys would not fit in int64 (`ElementKey`).
+    Raises CapacityError before any work if the classification order
+    exceeds the cap (default 3e6, or WEYLCHAR_CAP_WEYL from the
+    environment), if |W| (n^2 + n + 5) bytes (stack, positivity table, sign
+    and per-level work) exceed physical memory, or if the element keys
+    would not fit in int64 (`_closure`).
     """
     if cap is None:
         cap = int(os.environ.get("WEYLCHAR_CAP_WEYL", DEFAULT_WEYL_CAP))
     expected = check_weyl_cap(rs.spec, cap)
-    key = ElementKey(rs)
-    gens = rs._pos_rows[rs._simple_index], rs._coroot_rows[rs._simple_index]
-    parent, letter, levels = _closure(*gens, key, expected)
-    if len(parent) != expected:
-        raise AssertionError(
-            f"enumerated {len(parent)} elements for {rs.spec.name}, expected {expected}"
+    n = rs.ambient_dim
+    need = expected * (n * n + n + 5)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise CapacityError(
+            f"enumerating the Weyl group of {rs.spec.name} takes about {need} bytes, "
+            f"above the {have} bytes of physical memory",
+            required=need, cap=have,
         )
-    stack = _products(*gens, parent, letter, levels)
+    stack, positivity, levels = _closure(rs, expected)
+    if len(stack) != expected:
+        raise AssertionError(
+            f"enumerated {len(stack)} elements for {rs.spec.name}, expected {expected}"
+        )
     # Every generator is a reflection, so the sign is the parity of the word
     # length, which is the BFS level.
     signs = np.repeat(np.array([1, -1] * len(levels), dtype=np.int8)[:len(levels)], levels)
-    return WeylGroup(rs, stack, signs, key)
+    return WeylGroup(rs, stack, signs, positivity)
 
 
 @dataclass(frozen=True)
@@ -300,7 +227,7 @@ def stabilizer(
     Read off the degenerate roots Phi0+ (those with (a|h0) in 2*pi*Z), with
     no element of W0 formed.  A degenerate root a is simple when s_a keeps
     every other degenerate root b positive: (s_a b|2 rho) = (b|2 rho) -
-    (c_a . b)(a|2 rho) > 0, on G 2 rho (`ElementKey.gv`).  The order is
+    (c_a . b)(a|2 rho) > 0, on G 2 rho (`RootSystem._two_rho_form`).  The order is
     Macdonald's Poincare product at t = 1, |W0| = prod_a (ht0(a) + 1) /
     ht0(a) over Phi0+, with ht0(a) = 1/2 sum_b c_b . a (b in Phi0+), the
     pairing of a with half the sum of Phi0+'s coroots, which is a's height
@@ -317,7 +244,7 @@ def stabilizer(
     deg = np.array(split.deg_index, dtype=np.intp)
     roots = rs._pos_rows[deg]
     pair = rs._coroot_rows[deg] @ roots.T  # pair[a, b] = c_a . b
-    height = roots @ group.key.gv
+    height = roots @ rs._two_rho_form
     moved = height[None, :] - pair * height[:, None]  # (s_a b|2 rho)
     simple = ((moved > 0) | np.eye(len(deg), dtype=bool)).all(axis=1)
     ht0 = (pair.sum(axis=0) // 2).tolist()
@@ -353,7 +280,7 @@ def coset_transversal(group: WeylGroup, w0: Stabilizer) -> CosetTransversal:
     order is by length first, so that element is the coset's first.  A
     root beta is positive iff (beta|2 rho) > 0, and (w a|2 rho) =
     a . (w^T G 2 rho), so the test is one integer product of those roots
-    with the group's `positivity` table, built once per group, taken
+    with the group's `positivity` table, filled by the closure, taken
     `TRANSVERSAL_BLOCK` rows at a time so the table is never cast to int64
     whole.  When W0 = W the identity, element 0, is the one
     representative, and no scan is made.

@@ -96,7 +96,7 @@ def scan_transversal(group, w0):
     """Indices of W0's coset representatives, by a blocked scan of the int8 stack.
 
     The reference for `weylgroup.coset_transversal`, which reads the
-    group's cached `positivity` table instead: per block of elements,
+    group's `positivity` table instead: per block of elements,
     w^T G 2 rho is formed from the stack a row of w at a time, and Dyer's
     test (every simple root of W0 maps to a positive root) applied to it.
     """
@@ -108,7 +108,7 @@ def scan_transversal(group, w0):
     for lo in range(0, group.order, TRANSVERSAL_BLOCK):
         block = group.stack[lo:lo + TRANSVERSAL_BLOCK]
         w_rho = np.zeros((len(block), rs.ambient_dim), dtype=np.int64)
-        for k, c in enumerate(group.key.gv.tolist()):
+        for k, c in enumerate(rs._two_rho_form.tolist()):
             w_rho += block[:, k, :].astype(np.int64) * c
         reps.extend((lo + np.flatnonzero((w_rho @ roots > 0).all(axis=1))).tolist())
     return tuple(reps)

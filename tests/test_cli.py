@@ -22,7 +22,7 @@ from weylchar.cli import (
     run,
 )
 from weylchar.errors import ConfigError
-from weylchar.rootsys import build_root_system
+from weylchar.rootsys import build_root_system, weyl_order
 
 
 def run_cli(capsys, *argv):
@@ -345,6 +345,14 @@ def test_cap_weyl_env_override(capsys, monkeypatch):
       "--schedule", ""], "schedule"),
     (["sweep", "--group", "A2", "--weight", "1,1", "--point", "pi/5:pi/5:-2pi/5",
       "--schedule", "3,3,1"], "schedule"),
+    # an empty group factor, alone or beside a named one
+    (["dim", "--group", "x", "--weight="], "group"),
+    (["char", "--group", "x", "--weight=", "--point="], "group"),
+    (["dim", "--group", "A1xx", "--weight", "1"], "group"),
+    (["dim", "--group", "", "--weight", "1"], "group"),
+    # a cap below 1, which no group meets
+    (["weyl", "--group", "A2", "--cap-weyl", "-1", "--enumerate"], "cap_weyl"),
+    (["weyl", "--group", "A2", "--cap-weyl", "0", "--enumerate"], "cap_weyl"),
 ])
 def test_missing_or_malformed_options_give_typed_errors(capsys, argv, field):
     jsonschema = pytest.importorskip("jsonschema")
@@ -437,6 +445,29 @@ def test_cap_weyl_below_the_order_refuses_before_any_work(capsys, monkeypatch, a
     assert "above the cap" in doc["error"]["message"]
     schema_dir = Path(__file__).resolve().parents[1] / "docs" / "schemas"
     jsonschema.validate(doc, json.loads((schema_dir / "error.schema.json").read_text()))
+
+
+@pytest.mark.parametrize("argv", [
+    ["weyl", "--group", "B10", "--enumerate", "--cap-weyl", "4000000000"],  # ~430 GB
+    ["weyl", "--group", "E8", "--enumerate", "--cap-weyl", "1000000000"],  # ~54 GB
+])
+def test_enumeration_past_physical_memory_refuses_before_any_work(capsys, monkeypatch, argv):
+    import os
+
+    from weylchar import weylgroup
+
+    rs = build_root_system(argv[2])
+    need = weyl_order(rs.spec) * (rs.ambient_dim ** 2 + rs.ambient_dim + 5)
+    if need <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        pytest.skip(f"this machine has more than {need} bytes of physical memory")
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the Weyl group was enumerated")
+
+    monkeypatch.setattr(weylgroup, "_closure", no_enumeration)
+    code, doc = run_json(capsys, *argv)
+    assert code == 3 and doc["error"]["code"] == "CapacityError"
+    assert "physical memory" in doc["error"]["message"]
 
 
 def test_cap_weyl_at_the_order_changes_only_the_config(capsys):

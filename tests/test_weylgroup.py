@@ -1,5 +1,6 @@
 """Weyl group enumeration, signs, stabilizers, and coset transversals."""
 
+import hashlib
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -14,7 +15,6 @@ from weylchar.asymptotics import alcove_stratum_points
 from weylchar import weylgroup
 from weylchar.weylgroup import (
     DEFAULT_WEYL_CAP,
-    ElementKey,
     coset_transversal,
     fixes_torus_point,
     generate_weyl_group,
@@ -216,13 +216,12 @@ def test_identity_stabilizer_of_e6_closes_over_its_six_simple_roots():
 
 def test_identity_stabilizer_order_is_the_weyl_order_without_enumeration():
     # The height product needs no element of W: a stand-in group carrying
-    # only G 2 rho and |W| reaches E8, whose element keys do not fit in int64.
+    # only |W| reaches E8, whose arrays would not fit in memory.
     names = [f"{fam}{n}" for fam, top in (("A", 8), ("B", 8), ("C", 8), ("D", 8))
              for n in range(1 if fam == "A" else 2, top + 1)] + ["E6", "E7", "E8", "F4", "G2"]
     for name in names:
         rs = build_root_system(name)
-        gv = np.array(rs._gram_int, dtype=np.int64) @ rs._pos_rows.sum(axis=0)
-        group = SimpleNamespace(key=SimpleNamespace(gv=gv), order=weyl_order(rs.spec))
+        group = SimpleNamespace(order=weyl_order(rs.spec))
         w0 = stabilizer(rs, group, exact_point([0] * rs.ambient_dim))
         assert w0.order == weyl_order(rs.spec)
         assert w0.roots == tuple(sorted(rs._simple_index))
@@ -288,15 +287,17 @@ def test_transversal_from_the_positivity_table_equals_the_stack_scan(name):
             assert coset_transversal(group, w0).indices == scan_transversal(group, w0)
 
 
-@pytest.mark.parametrize("name, largest", [("A3", 3), ("B3", 5), ("G2", 18), ("F4", 32)])
+@pytest.mark.parametrize(
+    "name, largest", [("A3", 3), ("B3", 5), ("G2", 18), ("F4", 32), ("E6", 22)]
+)
 def test_positivity_table_is_the_int8_image_of_two_rho(name, largest):
+    # the rows the closure walked against w^T G 2 rho formed from the stack
     rs = build_root_system(name)
     group = cached_weyl_group(rs)
     table = group.positivity
-    want = np.einsum("wkj,k->wj", group.stack.astype(np.int64), group.key.gv)
+    want = np.einsum("wkj,k->wj", group.stack.astype(np.int64), rs._two_rho_form)
     assert table.dtype == np.int8 and table.tolist() == want.tolist()
     assert int(np.abs(want).max()) == largest
-    assert group.positivity is table  # built once
 
 
 def test_positivity_table_and_transversal_across_block_boundaries(monkeypatch):
@@ -395,25 +396,72 @@ def test_stabilizer_requires_exact_point():
 
 
 # ---------------------------------------------------------------------------
-# element keys
+# element keys and capacity
 # ---------------------------------------------------------------------------
+
+#: sha256 of the stack, the signs and the positivity table, in enumeration
+#: order: the bits every stack-reading path depends on.
+DIGESTS = {
+    "G2": ("b19f426aae2a8d4bdf5466e2ddcdec234efc5021615f0fd7bbf00afe4b96b208",
+           "20fec9a0739f02ca623d493d5ba8511cdbbb5bcfbbcaa18b0dfc8c081416d3cc",
+           "a5907e27987478fe0da804ee82eaaa68acc9fc9a61db1051e857eed77561d412"),
+    "F4": ("d09f1b64e43ae34c2dba6542f8f4f8e398fea2105b99d2f3e37f6278172769d6",
+           "2405cc40658b120c4ec8cb8b841da6890bf906a8f51c665fcd158c48a991c1d1",
+           "c4fc87ca4e0e54fc7e63f7ef49bb1ce5252aa614fe0d1cdcb4b25cbb663997fe"),
+    "B4": ("fcbee1917292709e8cd6e040e3d86e5ac639a2023e3476f4e6adc0d3ab913ed9",
+           "e2f7258515d5e5e649bddc22d71d75871e9a3a56babd714b7bb3196451bca6fa",
+           "b9d38a4813950a137aec353607e79f3c451d9866dc15f1389807ad4979989815"),
+    "E6": ("3a06a642c216a79eb252e2d8b3d68e1781bf38a62eab4ce26c8a2f938a2fb938",
+           "9a30ba845c3b2aafed483de0b560febceb48c75fce7c6eb13b8daedd6d40e841",
+           "a09c78a0f60cad559ffe28df7622e26d8560e7d9ac2eae3ba821c8af1199260d"),
+    "A8": ("b49173b2067393ec053c4ba9ba235833b911e543bf8577c74170006b774075fe",
+           "9392a015eaa332461852fa4da880533b52d00a870736d673b6c07a560c0b999e",
+           "5db76c73d3970805be8ac0f3ad47e8f1edb6d8d47ed765524a1e2c40a794aae4"),
+    "B7": ("6004a2c8bfa52afbf92255de5dfa98082d0e134467341b5c1d7ba78dd6752290",
+           "4a1d6553a38bf17125ee595596c5aa98205901ba987760434ca8782e77487fb5",
+           "e67af730d6591e0a4d34ad0708f320c952b940b244364c103689a43a047b2061"),
+    "D7": ("e4d8c5b1e95814a74f9b111d7bf85cb341e35ef467be8affbcad6fe460524e46",
+           "0bd984bfe42817977340177c5e23e9d08d28800738ddb550210df176aaa78731",
+           "d76a5dde02b37ed3df61603c0742fc941b579f7e9ded42027405c7d47f631983"),
+    "E7": ("2621124e37828e57124b7f15d425ee1e4250caf1a6b35f84f0fed15a407ae800",
+           "e595145ed7a4e665ea9cb8d6f9ea9e11b818e5ed79e8f574b18bebae83457284",
+           "b38557bbbe67ac2e679ebfda0897d0e1512ea1e1e677d8f84f877386c8945157"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_enumeration_bits_are_pinned(name):
+    group = generate_weyl_group(build_root_system(name))
+    arrays = (group.stack, group.signs, group.positivity)
+    assert all(a.dtype == np.int8 for a in arrays)
+    assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == DIGESTS[name]
 
 
 def test_keys_fit_every_group_within_the_default_cap():
+    # Every group the default cap admits enumerates to its order; the
+    # eight groups of DIGESTS are enumerated by the test above, not twice.
     names = [f"{fam}{n}" for fam, top in (("A", 8), ("B", 7), ("C", 7), ("D", 7))
              for n in range(1 if fam == "A" else 2, top + 1)] + ["E6", "E7", "F4", "G2"]
     for name in names:
         rs = build_root_system(name)
         assert weyl_order(rs.spec) <= DEFAULT_WEYL_CAP
-        assert 2 * ElementKey(rs).offset < 2**62
+        if name not in DIGESTS:
+            assert generate_weyl_group(rs).order == weyl_order(rs.spec)
 
 
-def test_key_overflow_is_a_capacity_error_before_any_enumeration():
+def test_key_overflow_is_a_capacity_error_before_any_enumeration(monkeypatch):
     # A20: |W| = 21!, and the Cauchy-Schwarz bound of each of the 21
-    # coordinates of W (2 rho) is 55, so its keys need more than 62 bits.
-    # Nothing is enumerated.
+    # coordinates of G W (2 rho) is 55, so its keys need more than 62 bits;
+    # the closure refuses them before it allocates.  Through
+    # generate_weyl_group the memory guard refuses A20 first, with no
+    # closure run.
     rs = build_root_system("A20")
     with pytest.raises(CapacityError, match="keys of A20"):
-        ElementKey(rs)
-    with pytest.raises(CapacityError, match="keys of A20"):
+        weylgroup._closure(rs, 1)
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the Weyl group was enumerated")
+
+    monkeypatch.setattr(weylgroup, "_closure", no_enumeration)
+    with pytest.raises(CapacityError, match="physical memory"):
         generate_weyl_group(rs, cap=10**30)
