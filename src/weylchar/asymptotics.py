@@ -17,11 +17,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .charcalc import character, dim_irrep
 from .errors import DomainError, StructureError
 from .exactlin import Vec, vadd, vscale, vzero
 from .rootsys import DegenerateSplit, RootSystem
 from .torus import TorusPoint, exact_point
+from .utils import ordered_dot
 
 
 @dataclass(frozen=True)
@@ -110,17 +113,18 @@ def _fit_slope(rows) -> float:
 
     Fits on the last half of the schedule only, against log(k+1): the
     Weyl-vector shift makes k*lambda0 pairings affine in k with unit
-    offset at lambda0 = rho, and small-k transients pollute the head.
+    offset at lambda0 = rho, and small-k transients pollute the head.  The
+    sums run left to right from 0.0 (`ordered_dot`), the same bits on every
+    Python (the builtin `sum` compensates float sums from 3.12 on).
     """
     tail = rows[len(rows) // 2:]
     pts = [(math.log(k + 1), math.log(ratio)) for k, _, _, ratio in tail if ratio > 0]
     if len(pts) < 2:
         return float("nan")
     n = len(pts)
-    sx = sum(x for x, _ in pts)
-    sy = sum(y for _, y in pts)
-    sxx = sum(x * x for x, _ in pts)
-    sxy = sum(x * y for x, y in pts)
+    x, y = np.array(pts).T
+    ones = np.ones(n)
+    sx, sy, sxx, sxy = (float(ordered_dot(a, b)) for a, b in ((x, ones), (y, ones), (x, x), (x, y)))
     return (n * sxy - sx * sy) / (n * sxx - sx * sx)
 
 

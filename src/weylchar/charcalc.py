@@ -48,13 +48,16 @@ sin(pi * ((p mod 4D) / D) / 2), and eps as a parity; dominance checks are
 one matvec of the simple rows of the root system's coroot table
 (`RootSystem.dynkin_labels`); the stabilizer is the simple roots of the
 degenerate subsystem and its order, both read off the same table with no
-element of it formed (`weylgroup.stabilizer`); the coset transversal is
-one positivity test of those simple roots against the group's int8 table
-of w^T G 2 rho, which its enumeration fills (`weylgroup.coset_transversal`);
-the images of the degenerate roots under the representatives are one int8
-table per point, so a weight's pairings and effective dimensions are one
-product each (`_SingularEvaluator`); and the phases e^{i pi r / D} are
-taken from the kernel's arrays in one pass (`_phase_sum`).
+element of it formed (`weylgroup.stabilizer`); the coset transversal, one
+array of indices into the stack, comes from one positivity test of those
+simple roots against the group's int8 table of w^T G 2 rho, which its
+enumeration fills (`weylgroup.coset_transversal`); the representatives are
+applied to h0 and to the degenerate roots as to W*h (`_apply`), so a
+weight's pairings and effective dimensions are one product each
+(`_SingularEvaluator`); one product over the non-degenerate pairings is the
+Weyl denominator and the singular prefactor (`_weyl_denominator`); and the
+phases e^{i pi r / D} are taken from the kernel's arrays in one pass
+(`_phase_sum`).
 The oracle's Freudenthal recursion runs on integer root pairings over one
 denominator and keeps one integer weight table per irrep
 (`_multiplicities_cached`).
@@ -80,13 +83,7 @@ from .torus import TorusPoint, exact_point, float_point
 from .utils import (
     as_complex, cmul, cquot, fold_angle, ordered_dot, pairwise_sum, sin_half_angle, sin_half_pi,
 )
-from .weylgroup import (
-    CosetTransversal,
-    WeylGroup,
-    coset_transversal,
-    generate_weyl_group,
-    stabilizer,
-)
+from .weylgroup import WeylGroup, coset_transversal, generate_weyl_group, stabilizer
 
 _MACHINE_EPS = 2.0 ** -52
 
@@ -157,6 +154,12 @@ def _exponent_map(
     return exps, sums, d
 
 
+def _apply(mats: np.ndarray, v) -> np.ndarray:
+    """(T, n) images m @ v of an integer vector under a (T, n, n) integer stack (`int_matvec`)."""
+    n = mats.shape[-1]
+    return int_matvec(mats.reshape(-1, n), v).reshape(-1, n)
+
+
 def _phase_sum(exps: np.ndarray, coeffs: np.ndarray, d: int) -> complex:
     """Deterministic sum of c * e^{i pi r / d} over the arrays of `_exponent_map`.
 
@@ -196,8 +199,7 @@ def _exact_orbit(rs: RootSystem, coords: tuple):
     """
     group = cached_weyl_group(rs)
     h, den = common_denominator(coords)
-    n = rs.ambient_dim
-    return int_matvec(group.stack.reshape(-1, n), h).reshape(-1, n), den, group.signs
+    return _apply(group.stack, h), den, group.signs
 
 
 def char_regular(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
@@ -220,17 +222,24 @@ def char_regular(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
     return character(rs, lam, h)
 
 
-def _char_regular_exact(rs: RootSystem, eta: Vec, split: DegenerateSplit) -> CharacterValue:
-    """The Weyl formula at the exact regular point of `split`, for eta = lam + rho.
+def _weyl_denominator(split: DegenerateSplit) -> complex:
+    """prod 2i sin((a|h0)/2) over the non-degenerate positive roots a, in root order.
 
-    The Weyl denominator comes from the split's integer root pairings.
+    The Weyl denominator at a regular point, the coset sum's prefactor at a singular one.
     """
+    out = 1 + 0j
+    for p in split.pairings:
+        if p % (2 * split.den):
+            out *= 2j * sin_half_pi(p, split.den)
+    return out
+
+
+def _char_regular_exact(rs: RootSystem, eta: Vec, split: DegenerateSplit) -> CharacterValue:
+    """The Weyl formula at the exact regular point of `split`, for eta = lam + rho."""
     orbit, den, signs = _exact_orbit(rs, split.torus_point.coords)
     exps, coeffs, d = _exponent_map(orbit, den, *rs.int_form(eta), signs)
     num = _phase_sum(exps, coeffs, d)
-    weyl_den = 1 + 0j
-    for p in split.pairings:
-        weyl_den *= 2j * sin_half_pi(p, split.den)
+    weyl_den = _weyl_denominator(split)
     value = num / weyl_den
     terms_abs = int(np.abs(coeffs).sum())
     condition = terms_abs / abs(weyl_den) * _MACHINE_EPS
@@ -327,16 +336,16 @@ def snap_to_exact(rs: RootSystem, h: TorusPoint, *, near=None) -> TorusPoint:
 class _SingularEvaluator:
     """Cached per-(rs, h0) data for the assembled singular character.
 
-    The coset sum runs over b^{-1} eta for the representatives b.  Since W
-    preserves the form, (b^{-1} eta|x) = (eta|b x), so the representatives
-    are applied once, to h0 and to each degenerate root, and each weight
-    then costs integer products only.  b h0 is an integer (T, n) array,
-    and the images b a of the k degenerate roots a are one int8 (T, k, n)
-    table, `b_deg` (b a is a root, so its entries are small; they are
-    checked to fit int8).  Both are formed a column of the representatives
-    at a time, never from an int64 copy of them.  Everything else comes
-    from the split's integer root pairings and the root system's integer
-    root rows, with no rational arithmetic.
+    The coset sum runs over b^{-1} eta for the representatives b, given as
+    an array of indices into the Weyl group (`coset_transversal`, or any
+    other transversal).  Since W preserves the form, (b^{-1} eta|x) =
+    (eta|b x), so the representatives are applied once (`_apply`), to h0
+    and to each degenerate root, and each weight then costs integer
+    products only.  b h0 is an integer (T, n) array, and the images b a of
+    the k degenerate roots a are one int8 (T, k, n) table, `b_deg` (b a is
+    a root, so its entries are small; they are checked to fit int8).
+    Everything else comes from the split's integer root pairings and the
+    root system's integer root rows, with no rational arithmetic.
     """
 
     def __init__(self, rs: RootSystem, split: DegenerateSplit, transversal=None):
@@ -344,36 +353,30 @@ class _SingularEvaluator:
         self.h0 = h0 = split.torus_point
         self.split = split
         group = cached_weyl_group(rs)
-        w0 = stabilizer(rs, group, h0, split=split)
-        self.transversal: CosetTransversal = transversal or coset_transversal(group, w0)
-        n = rs.ambient_dim
+        if transversal is None:
+            transversal = coset_transversal(group, stabilizer(rs, group, h0, split=split))
+        self.transversal = transversal
         deg = list(split.deg_index)
-        two_d = 2 * split.den
         # (-1)^{sum k_a}: degenerate pairings may sit at nonzero multiples of 2*pi
-        k_total = sum(split.pairings[i] // two_d for i in deg)
+        k_total = sum(split.pairings[i] // (2 * split.den) for i in deg)
         self.eps = -1 if k_total % 2 else 1
-        pref = 1 + 0j
-        for p in split.pairings:
-            if p % two_d:
-                pref *= 2j * sin_half_pi(p, split.den)
-        self.prefactor = pref
-        idx = list(self.transversal.indices)
-        reps = self.transversal.group.stack[idx]
-        self.b_signs = self.transversal.group.signs[idx].astype(np.int64)
+        self.prefactor = _weyl_denominator(split)
+        reps = group.stack[transversal]
+        self.b_signs = group.signs[transversal].astype(np.int64)
+        roots = rs._pos_rows[deg]
+        self.b_deg = np.empty((len(transversal), len(deg), rs.ambient_dim), dtype=np.int8)
+        for j, a in enumerate(roots.tolist()):
+            image = _apply(reps, a)
+            if max(int(image.max()), -int(image.min())) > np.iinfo(np.int8).max:
+                raise AssertionError("image of a degenerate root does not fit int8")
+            self.b_deg[:, j] = image
+        del image  # so that no two int64 (T, n) images are held at once
         h, self.h0_den = common_denominator(h0.coords)
-        self.b_h0 = int_matvec(reps.reshape(-1, n), h).reshape(-1, n)
+        self.b_h0 = _apply(reps, h)
         # subdim_b = prod_a (eta|b a) / (rho_deg|a) = scale * prod_a (y . b a) / d^k
         # for G eta = y / d, on the integer root rows.  On those rows
         # (G a) . b = F R (a|b), so 2 (rho_deg|a) = s_a / (F R) with s_a the
         # row sums below, and the R of the root rows cancels.
-        roots = rs._pos_rows[deg]
-        b_deg = np.zeros((len(idx), len(deg), n), dtype=np.int64)
-        for j, col in enumerate(roots.T.tolist()):  # b a = sum_j b[:, j] a_j
-            if any(col):
-                b_deg += reps[:, None, :, j].astype(np.int64) * np.array(col)[:, None]
-        if np.abs(b_deg).max() > np.iinfo(np.int8).max:
-            raise AssertionError("image of a degenerate root does not fit int8")
-        self.b_deg = b_deg.astype(np.int8)
         s = (rs._pos_forms[deg] @ roots.T).sum(axis=1)
         self.scale = Fraction((2 * rs._pos_forms_den) ** len(deg), math.prod(s.tolist()))
 
@@ -397,9 +400,8 @@ class _SingularEvaluator:
         if (sub % denom).any():
             raise AssertionError("effective dimension is not an integer")
         sub //= denom
-        abs_sum = 0.0  # summed in coset order, as the condition has always been
-        for s in sub.tolist():
-            abs_sum += abs(float(s))
+        # summed left to right in coset order, as the condition has always been
+        abs_sum = float(np.add.accumulate(np.abs(sub.astype(float)))[-1])
         # Exact integer coefficients per reduced phase, so resonant
         # cancellations across cosets produce exact zeros, not float dust.
         return (*_exponent_map(self.b_h0, self.h0_den, y, y_den, self.b_signs * sub), abs_sum)
@@ -411,7 +413,7 @@ class _SingularEvaluator:
         return CharacterValue(value, condition)
 
 
-# Few entries: one E7 evaluator holds ~220 MB, and no workload reuses more than 2 keys.
+# Few entries: an E7 evaluator with |W|/2 cosets holds ~110 MB; no workload reuses > 2 keys.
 @lru_cache(maxsize=4)
 def _cached_evaluator(rs: RootSystem, split: DegenerateSplit) -> _SingularEvaluator:
     return _SingularEvaluator(rs, split)
@@ -507,13 +509,6 @@ class EffectiveSubsystem:
     simple_roots: tuple
     rho: Vec
     components: tuple
-
-    @property
-    def weyl_order(self) -> int:
-        out = 1
-        for c in self.components:
-            out *= c.weyl_order
-        return out
 
 
 def _classify_component(rs: RootSystem, positive, simple) -> tuple[str, int, int]:

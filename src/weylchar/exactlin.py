@@ -158,8 +158,8 @@ def int_matvec(rows: np.ndarray, y: Sequence[int], modulus: int | None = None) -
     `rows` (its largest and its smallest entry, read as Python ints, so an
     int8 -128 counts as 128), and it is at least the largest row 1-norm
     times max|y|, which bounds every partial sum.  int64 rows give one
-    `rows @ y`; any other dtype is accumulated a column at a time, so an
-    int8 `rows` is never copied whole.
+    `rows @ y`; any other dtype is accumulated a column at a time through
+    one reused column of terms, so an int8 `rows` is never copied whole.
     """
     y = [int(c) for c in y]
     entry = max(int(rows.max()), -int(rows.min())) if rows.size else 0
@@ -169,7 +169,8 @@ def int_matvec(rows: np.ndarray, y: Sequence[int], modulus: int | None = None) -
         out = rows @ np.array(y, dtype=np.int64)
     else:
         out = np.zeros(len(rows), dtype=dtype)
+        term = np.empty_like(out)
         for j, c in enumerate(y):
             if c:
-                out += rows[:, j].astype(dtype) * c
+                out += np.multiply(rows[:, j], c, out=term, dtype=dtype)
     return out if modulus is None else out % modulus

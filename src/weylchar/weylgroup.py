@@ -17,8 +17,9 @@ deterministic.
 A stabilizer is never enumerated.  It is described by the simple roots of
 its degenerate subsystem and its order, both read off the root data; the
 coset transversal is one positivity test of those simple roots against
-the group's table of w^T G 2 rho (`WeylGroup.positivity`), and every other
-use of the stabilizer goes through the transversal.
+the group's table of w^T G 2 rho (`WeylGroup.positivity`), which gives the
+representatives as one increasing array of indices into the stack, and
+every other use of the stabilizer goes through that array.
 
 The stabilizer of a torus point is the reflection group of its degenerate
 roots at every point, not only in the fundamental alcove: in a simply
@@ -37,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, ConfigError, DomainError
 from .exactlin import INT64_SAFE, Vec, mat_vec, vsub
 from .rootsys import DegenerateSplit, RootSystem, check_weyl_cap
 from .torus import TorusPoint
@@ -158,10 +159,15 @@ def generate_weyl_group(rs: RootSystem, cap: int | None = None) -> WeylGroup:
     exceeds the cap (default 3e6, or WEYLCHAR_CAP_WEYL from the
     environment), if |W| (n^2 + n + 5) bytes (stack, positivity table, sign
     and per-level work) exceed physical memory, or if the element keys
-    would not fit in int64 (`_closure`).
+    would not fit in int64 (`_closure`).  A WEYLCHAR_CAP_WEYL that is not
+    an integer of at least 1 is a ConfigError, also before any work.
     """
     if cap is None:
-        cap = int(os.environ.get("WEYLCHAR_CAP_WEYL", DEFAULT_WEYL_CAP))
+        text = os.environ.get("WEYLCHAR_CAP_WEYL", str(DEFAULT_WEYL_CAP))
+        cap = int(text) if text.strip().isdecimal() else 0
+        if cap < 1:
+            raise ConfigError(f"WEYLCHAR_CAP_WEYL must be an integer of at least 1, not {text!r}",
+                              field="WEYLCHAR_CAP_WEYL")
     expected = check_weyl_cap(rs.spec, cap)
     n = rs.ambient_dim
     need = expected * (n * n + n + 5)
@@ -254,45 +260,32 @@ def stabilizer(
     return Stabilizer(order, tuple(deg[simple].tolist()))
 
 
-@dataclass(frozen=True)
-class CosetTransversal:
-    """Representatives of the left cosets b*W0, as indices into `group`.
+def coset_transversal(group: WeylGroup, w0: Stabilizer) -> np.ndarray:
+    """One representative per left coset b*W0, each minimal in BFS order.
 
-    `coset_transversal` gives each coset's first element in enumeration
-    order; any other choice of representatives is a valid transversal too.
-    """
-
-    group: WeylGroup
-    indices: tuple
-
-    def __len__(self):
-        return len(self.indices)
-
-
-def coset_transversal(group: WeylGroup, w0: Stabilizer) -> CosetTransversal:
-    """One representative per left coset of W0, each minimal in BFS order.
-
-    W0 is the reflection subgroup generated by its degenerate roots, whose
-    positive system is those roots.  Each coset b*W0 then holds exactly one
-    element of minimal length, the one mapping every simple root of that
-    system (`Stabilizer.roots`) to a positive root (Dyer, "Reflection
-    subgroups of Coxeter systems", J. Algebra 135, 1990), and enumeration
-    order is by length first, so that element is the coset's first.  A
-    root beta is positive iff (beta|2 rho) > 0, and (w a|2 rho) =
-    a . (w^T G 2 rho), so the test is one integer product of those roots
-    with the group's `positivity` table, filled by the closure, taken
-    `TRANSVERSAL_BLOCK` rows at a time so the table is never cast to int64
-    whole.  When W0 = W the identity, element 0, is the one
+    The representatives are indices into `group`, as one increasing 1-D
+    `np.intp` array.  W0 is the reflection subgroup generated by its
+    degenerate roots, whose positive system is those roots.  Each coset
+    b*W0 then holds exactly one element of minimal length, the one mapping
+    every simple root of that system (`Stabilizer.roots`) to a positive
+    root (Dyer, "Reflection subgroups of Coxeter systems", J. Algebra 135,
+    1990), and enumeration order is by length first, so that element is
+    the coset's first.  A root beta is positive iff (beta|2 rho) > 0, and
+    (w a|2 rho) = a . (w^T G 2 rho), so the test is one integer product of
+    those roots with the group's `positivity` table, filled by the
+    closure, taken `TRANSVERSAL_BLOCK` rows at a time so the table is never
+    cast to int64 whole.  When W0 = W the identity, element 0, is the one
     representative, and no scan is made.
     """
     if w0.order == group.order:
-        return CosetTransversal(group, (0,))
+        return np.zeros(1, dtype=np.intp)
     roots = group.rs._pos_rows[list(w0.roots)].T
     table = group.positivity
-    reps = []
+    minimal = np.empty(group.order, dtype=bool)
     for lo in range(0, group.order, TRANSVERSAL_BLOCK):
         block = table[lo:lo + TRANSVERSAL_BLOCK].astype(np.int64)
-        reps.extend((lo + np.flatnonzero((block @ roots > 0).all(axis=1))).tolist())
+        minimal[lo:lo + len(block)] = (block @ roots > 0).all(axis=1)
+    reps = np.flatnonzero(minimal)
     if len(reps) * w0.order != group.order:
         raise AssertionError("transversal does not partition the group")
-    return CosetTransversal(group, tuple(reps))
+    return reps

@@ -126,7 +126,7 @@ def check_stabilizer(rs, group, h0, w0, members):
         assert fixes_torus_point(rs, reflection_matrix(rs, rs.positive_roots[i]), h0)
     trans = coset_transversal(group, w0)
     stack = group.stack.astype(np.int64)
-    products = stack[list(trans.indices)][:, None] @ stack[list(members)][None]
+    products = stack[trans][:, None] @ stack[list(members)][None]
     # products of Weyl elements are Weyl elements, whose entries fit in int8;
     # one opaque row of bytes per matrix makes np.unique a 1-d sort
     n2 = rs.ambient_dim ** 2

@@ -2,10 +2,12 @@
 
 A public top-level function or class of `src/weylchar/*.py`, or a public
 method of such a class, must be referenced in code under `src/` or
-`perfbench/` outside its own definition.  A reference is a name, an
-attribute, or a string constant equal to the name (the benchmark tracer
-binds functions by name); docstrings and comments do not count, and
-neither do tests, `perfbench/test_*.py` included.  Names kept for the tests or the acceptance criteria
+`perfbench/` outside its own definition.  A reference to a function or
+class is a name, an attribute, or a string constant equal to the name (the
+benchmark tracer binds functions by name); a reference to a method is an
+attribute only, so a local variable or parameter that shares its name does
+not count.  Docstrings and comments do not count, and neither do tests,
+`perfbench/test_*.py` included.  Names kept for the tests or the acceptance criteria
 alone are listed in KEEP, each with its reason.
 """
 
@@ -24,6 +26,9 @@ KEEP = {
     "char_regular": "the regular-point entry point that acceptance criteria 01, 03 and 04 call",
     "weight_multiplicities": "the Freudenthal weight diagram that acceptance criterion 05 sums",
     "expected_decay_exponent": "the exponent m that acceptance criterion 07 compares slopes with",
+    "radians": "the radian coordinates of an exact face point that acceptance criterion 04 moves",
+    "ratios": "the normalized sweep values whose limit acceptance criterion 10 checks",
+    "dims": "the sweep dimensions that acceptance criterion 10 checks grow",
 }
 
 
@@ -39,20 +44,20 @@ def _docstrings(tree):
 
 
 def public_definitions(path):
-    """(name, first line, last line) of each public top-level def and class, and method."""
+    """(name, first line, last line, is a method) of each public def, class and method."""
     tree = ast.parse(path.read_text(), str(path))
     defs = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            defs.append((node.name, node.lineno, node.end_lineno))
+            defs.append((node.name, node.lineno, node.end_lineno, False))
             if isinstance(node, ast.ClassDef):
-                defs += [(m.name, m.lineno, m.end_lineno) for m in node.body
+                defs += [(m.name, m.lineno, m.end_lineno, True) for m in node.body
                          if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
     return defs
 
 
 def references(path):
-    """{name: [line, ...]} of every name, attribute and non-docstring string constant."""
+    """{(name, is an attribute): [line, ...]} of each name, attribute and non-docstring string."""
     tree = ast.parse(path.read_text(), str(path))
     docs = _docstrings(tree)
     out = {}
@@ -66,7 +71,7 @@ def references(path):
             name = node.value
         else:
             continue
-        out.setdefault(name, []).append(node.lineno)
+        out.setdefault((name, isinstance(node, ast.Attribute)), []).append(node.lineno)
     return out
 
 
@@ -74,10 +79,12 @@ def uncalled():
     refs = {path: references(path) for path in CALLERS}
     missing = []
     for path in LIBRARY:
-        for name, first, last in public_definitions(path):
+        for name, first, last, method in public_definitions(path):
+            kinds = (True,) if method else (False, True)
             if not any(
                 line < first or line > last or other != path
-                for other, found in refs.items() for line in found.get(name, ())
+                for other, found in refs.items()
+                for kind in kinds for line in found.get((name, kind), ())
             ):
                 missing.append(f"{path.name}:{first} {name}")
     return missing

@@ -8,6 +8,7 @@ import pytest
 from weylchar import build_root_system, exact_point, zero_point
 from weylchar.asymptotics import (
     WeightPath,
+    _fit_slope,
     alcove_stratum_points,
     divergence_certificate,
     expected_decay_exponent,
@@ -370,3 +371,19 @@ def test_decay_off_the_rho_ray_is_slower_than_the_expected_exponent():
     for i in range(len(ks) - 1):
         slope = math.log(ratios[i + 1] / ratios[i]) / math.log(ks[i + 1] / ks[i])
         assert abs(slope + 1) < 0.01
+
+
+def test_fit_slope_sums_left_to_right_on_every_python():
+    # the tail's sum of x*y rounds differently under a compensated sum (the
+    # builtin `sum` from CPython 3.12 on), which moved this slope to
+    # -0x1.a1cf577a80de1p+5
+    rows = [(k, None, None, 0.9 ** (k * k) * (1 + 0.1 * (k % 3))) for k in range(1, 21)]
+    pts = [(math.log(k + 1), math.log(r)) for k, _, _, r in rows[10:]]
+    sums = [0.0] * 4
+    for x, y in pts:
+        for i, term in enumerate((x, y, x * x, x * y)):
+            sums[i] += term
+    sx, sy, sxx, sxy = sums
+    n = len(pts)
+    want = (n * sxy - sx * sy) / (n * sxx - sx * sx)
+    assert _fit_slope(rows).hex() == want.hex() == "-0x1.a1cf577a80db8p+5"

@@ -5,6 +5,7 @@ import hashlib
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from weylchar import build_root_system, exact_point, float_point, zero_point
@@ -22,9 +23,7 @@ from weylchar.charcalc import (
 )
 from weylchar.errors import CapacityError, DomainError, SingularPointError, SnapError
 from weylchar.exactlin import _normal_solve, vscale, vzero
-from weylchar.weylgroup import (
-    CosetTransversal, coset_transversal, generate_weyl_group, stabilizer,
-)
+from weylchar.weylgroup import coset_transversal, generate_weyl_group, stabilizer
 from weylchar.asymptotics import alcove_stratum_points
 
 from _helpers import (
@@ -207,6 +206,29 @@ def test_singular_against_oracle_alcove_strata():
             assert abs(got.value - want.value) < 1e-8 * d
 
 
+def test_e7_singular_evaluator_matches_the_oracle(monkeypatch):
+    # a face of E7's alcove on wall 0 alone: one degenerate root, |W|/2 cosets
+    from weylchar import charcalc
+
+    rs = build_root_system("E7")
+    group = generate_weyl_group(rs)
+    # the group is dropped with the test rather than held by the session's cache
+    monkeypatch.setattr(charcalc, "cached_weyl_group", lambda _: group)
+    h0 = exact_point([F(12, 7), F(109, 42), F(24, 7), F(106, 21), 4, F(20, 7), F(11, 7)])
+    split = rs.degenerate_split(h0)
+    assert len(split.deg) == 1
+    ev = _SingularEvaluator(rs, split)
+    trans = ev.transversal
+    assert len(trans) == group.order // 2 == 1_451_520
+    assert trans.dtype == np.intp and (np.diff(trans) > 0).all()
+    lam = rs.fundamental_weights()[6]
+    d = dim_irrep(rs, lam)
+    assert d == 56
+    got = ev.evaluate(lam)
+    want = char_weightsum_oracle(rs, lam, h0)
+    assert abs(got.value - want.value) <= 1e-8 * d
+
+
 def test_transversal_independence():
     rng = rng_for("transversal-independence")
     rs = build_root_system("A3")
@@ -217,10 +239,10 @@ def test_transversal_independence():
     # twist every non-identity representative by a random stabilizer element
     index = {m.tobytes(): i for i, m in enumerate(group.stack)}
     members = scan_stabilizer(rs, group, h0)
-    twisted = CosetTransversal(group, trans.indices[:1] + tuple(
+    twisted = np.array([trans[0]] + [
         index[(group.stack[b] @ group.stack[members[rng.randrange(len(members))]]).tobytes()]
-        for b in trans.indices[1:]
-    ))
+        for b in trans[1:]
+    ])
     lam = random_dominant_weight(rs, rng, max_dim=2000)
     d = dim_irrep(rs, lam)
     a = char_singular(rs, lam, h0).value
@@ -238,10 +260,10 @@ def test_effective_weight_integrality_over_all_cosets():
             split = rs.degenerate_split(st.point)
             w0 = stabilizer(rs, group, st.point)
             trans = coset_transversal(group, w0)
-            for b in trans.indices:
+            for b in trans.tolist():
                 image = [apply_matrix(group.stack[b], a) for a in split.deg]
                 sub = effective_subsystem(rs, image)
-                assert sub.weyl_order == w0.order
+                assert math.prod(c.weyl_order for c in sub.components) == w0.order
                 assert len(sub.simple_roots) == len(w0.roots)
 
 
@@ -263,7 +285,7 @@ def test_effective_subsystem_empty():
     rs = build_root_system("A2")
     sub = effective_subsystem(rs, [])
     assert sub.components == ()
-    assert sub.weyl_order == 1
+    assert math.prod(c.weyl_order for c in sub.components) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,28 @@ def test_cap_weyl_env_override(capsys, monkeypatch):
     monkeypatch.delenv("WEYLCHAR_CAP_WEYL")
 
 
+@pytest.mark.parametrize("value", ["x", "-1", "0"])
+@pytest.mark.parametrize("argv", [
+    ["weyl", "--group", "A2", "--enumerate"],
+    ["char", "--group", "A2", "--weight", "1,1", "--point=pi/7:pi/11:-18pi/77"],
+])
+def test_cap_weyl_env_below_one_or_not_an_integer_is_a_config_error(capsys, monkeypatch,
+                                                                    argv, value):
+    from weylchar import charcalc, weylgroup
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the Weyl group was enumerated")
+
+    # past the lru cache, which may hold A2's group from an earlier test
+    monkeypatch.setattr(charcalc, "cached_weyl_group", weylgroup.generate_weyl_group)
+    monkeypatch.setattr(weylgroup, "_closure", no_enumeration)
+    monkeypatch.setenv("WEYLCHAR_CAP_WEYL", value)
+    code, doc = run_json(capsys, *argv)
+    assert code == 2 and doc["error"]["code"] == "ConfigError"
+    assert doc["error"]["field"] == "WEYLCHAR_CAP_WEYL"
+    assert "WEYLCHAR_CAP_WEYL" in doc["error"]["message"]
+
+
 @pytest.mark.parametrize("argv,field", [
     (["char", "--group", "A2", "--point", "pi/5:pi/5:-2pi/5"], "weight"),
     (["char", "--group", "A2", "--weight", "1,1"], "point"),

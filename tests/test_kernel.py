@@ -68,9 +68,9 @@ def _reference_singular(rs, split, transversal, lam):
     """The coset sum as it was first written: b^{-1} via an inverse per coset."""
     eta = vadd(lam, rs.weyl_vector)
     rho_deg = tuple(sum((a[i] for a in split.deg), F(0)) / 2 for i in range(rs.ambient_dim))
-    group = transversal.group
+    group = cached_weyl_group(rs)
     out, abs_sum = {}, 0.0
-    for b in transversal.indices:
+    for b in transversal.tolist():
         m = group.stack[b].astype(np.int64)
         inv = np.rint(np.linalg.inv(m)).astype(np.int64)
         assert (m @ inv == np.eye(len(m), dtype=np.int64)).all()
@@ -233,7 +233,7 @@ def _per_root_exponents(ev, lam):
     """
     rs, split = ev.rs, ev.split
     n = rs.ambient_dim
-    group, idx = ev.transversal.group, list(ev.transversal.indices)
+    group, idx = cached_weyl_group(rs), ev.transversal.tolist()
     reps = group.stack[idx].reshape(-1, n)
     h, h_den = common_denominator(split.torus_point.coords)
     deg = list(split.deg_index)
