@@ -155,9 +155,9 @@ def _exponent_map(
 
 
 def _apply(mats: np.ndarray, v) -> np.ndarray:
-    """(T, n) images m @ v of an integer vector under a (T, n, n) integer stack (`int_matvec`)."""
-    n = mats.shape[-1]
-    return int_matvec(mats.reshape(-1, n), v).reshape(-1, n)
+    """(T, n) images m @ v, or (T, n, k) for an (n, k) v, under a (T, n, n) integer stack."""
+    out = int_matvec(mats.reshape(-1, mats.shape[-1]), v)
+    return out.reshape(*mats.shape[:2], *out.shape[1:])
 
 
 def _phase_sum(exps: np.ndarray, coeffs: np.ndarray, d: int) -> complex:
@@ -339,9 +339,9 @@ class _SingularEvaluator:
     The coset sum runs over b^{-1} eta for the representatives b, given as
     an array of indices into the Weyl group (`coset_transversal`, or any
     other transversal).  Since W preserves the form, (b^{-1} eta|x) =
-    (eta|b x), so the representatives are applied once (`_apply`), to h0
-    and to each degenerate root, and each weight then costs integer
-    products only.  b h0 is an integer (T, n) array, and the images b a of
+    (eta|b x), so the representatives are applied once (`_apply`), to the
+    k degenerate roots in one product and to h0 in another, and each
+    weight then costs integer products only.  b h0 is an integer (T, n) array, and the images b a of
     the k degenerate roots a are one int8 (T, k, n) table, `b_deg` (b a is
     a root, so its entries are small; they are checked to fit int8).
     Everything else comes from the split's integer root pairings and the
@@ -364,13 +364,11 @@ class _SingularEvaluator:
         reps = group.stack[transversal]
         self.b_signs = group.signs[transversal].astype(np.int64)
         roots = rs._pos_rows[deg]
-        self.b_deg = np.empty((len(transversal), len(deg), rs.ambient_dim), dtype=np.int8)
-        for j, a in enumerate(roots.tolist()):
-            image = _apply(reps, a)
-            if max(int(image.max()), -int(image.min())) > np.iinfo(np.int8).max:
-                raise AssertionError("image of a degenerate root does not fit int8")
-            self.b_deg[:, j] = image
-        del image  # so that no two int64 (T, n) images are held at once
+        images = _apply(reps, roots.T)  # (T, n, k): column j is b a_j
+        if max(int(images.max()), -int(images.min())) > np.iinfo(np.int8).max:
+            raise AssertionError("image of a degenerate root does not fit int8")
+        self.b_deg = np.ascontiguousarray(images.transpose(0, 2, 1), dtype=np.int8)
+        del images  # so that the int64 images of the roots and of h0 are never held at once
         h, self.h0_den = common_denominator(h0.coords)
         self.b_h0 = _apply(reps, h)
         # subdim_b = prod_a (eta|b a) / (rho_deg|a) = scale * prod_a (y . b a) / d^k

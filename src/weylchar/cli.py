@@ -257,8 +257,10 @@ def _run_sweep(cfg: RunConfig, factors, weights, points):
             raise ConfigError(
                 f"--carrier {carrier} is not a factor index of {cfg.group}", field="carrier"
             )
+        if ks != list(range(1, len(ks) + 1)):
+            raise ConfigError("--counterexample runs k = 1..N only (--kmax N)", field="schedule")
         rep = asymptotics.nonsimple_counterexample(
-            factors, carrier, points[carrier], max(ks),
+            factors, carrier, points[carrier], len(ks),
             grow_all=cfg.options.get("grow_all", False),
         )
     else:
@@ -536,6 +538,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             cfg.options["weight"] = str(int(two_l))
         if opts.get("sample") is not None and opts.get("seed") is None:
             raise ConfigError("sampling requires --seed for reproducibility", field="seed")
+        if opts.get("seed", 0) < 0:
+            raise ConfigError("--seed must be at least 0", field="seed")
     return cfg
 
 

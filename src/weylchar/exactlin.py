@@ -149,28 +149,33 @@ def int_dtype(bound: int):
     return np.int64 if bound < INT64_SAFE else object
 
 
-def int_matvec(rows: np.ndarray, y: Sequence[int], modulus: int | None = None) -> np.ndarray:
+def int_matvec(rows: np.ndarray, y, modulus: int | None = None) -> np.ndarray:
     """rows @ y over the integers, exactly, optionally reduced mod `modulus`.
 
-    `rows` is an integer (N, n) array.  The result is int64 when the
-    bound max|rows| * n * max|y|, and the modulus, are below 2**62, and an
-    object array of Python ints otherwise.  The bound is two reductions of
-    `rows` (its largest and its smallest entry, read as Python ints, so an
-    int8 -128 counts as 128), and it is at least the largest row 1-norm
-    times max|y|, which bounds every partial sum.  int64 rows give one
-    `rows @ y`; any other dtype is accumulated a column at a time through
-    one reused column of terms, so an int8 `rows` is never copied whole.
+    `rows` is an integer (N, n) array and `y` a length-n sequence, for an
+    (N,) result, or an (n, m) integer array, for (N, m).  The result is
+    int64 when the bound max|rows| * n * max|y|, and the modulus, are below
+    2**62, and an object array of Python ints otherwise.  The bound is two
+    reductions of `rows` (its largest and its smallest entry, read as
+    Python ints, so an int8 -128 counts as 128), and it is at least the
+    largest row 1-norm times max|y|, which bounds every partial sum.  int64
+    rows give one matrix product; any other dtype is accumulated a column
+    at a time through one reused column of terms, so an int8 `rows` is
+    never copied whole.
     """
-    y = [int(c) for c in y]
+    matrix = isinstance(y, np.ndarray) and y.ndim == 2
+    cols = [[int(c) for c in col] for col in (y.T if matrix else [y])]
     entry = max(int(rows.max()), -int(rows.min())) if rows.size else 0
-    bound = max(entry, 1) * rows.shape[1] * max(map(abs, y), default=0)
+    bound = max(entry, 1) * rows.shape[1] * max((abs(c) for col in cols for c in col), default=0)
     dtype = int_dtype(max(bound, modulus or 0))
     if dtype is np.int64 and rows.dtype == np.int64:
-        out = rows @ np.array(y, dtype=np.int64)
+        out = np.array(cols, dtype=np.int64) @ rows.T
     else:
-        out = np.zeros(len(rows), dtype=dtype)
-        term = np.empty_like(out)
-        for j, c in enumerate(y):
-            if c:
-                out += np.multiply(rows[:, j], c, out=term, dtype=dtype)
+        out = np.zeros((len(cols), len(rows)), dtype=dtype)
+        term = np.empty(len(rows), dtype=dtype)
+        for col, acc in zip(cols, out):
+            for j, c in enumerate(col):
+                if c:
+                    acc += np.multiply(rows[:, j], c, out=term, dtype=dtype)
+    out = out.T if matrix else out[0]
     return out if modulus is None else out % modulus

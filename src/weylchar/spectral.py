@@ -257,6 +257,8 @@ def moment_sampled(
     same re-unitarization as moment_exact.
     """
     lam = rs.validate_weight(lam)
+    if m < 0 or seed < 0:
+        raise DomainError("moment order and seed must be nonnegative")
     if n_samples < 100:
         raise DomainError("need at least 100 samples")
     if m == 0:
@@ -362,6 +364,8 @@ def spectrum_estimate(
 ) -> SpectrumEstimate:
     """Moments 0..max_moment of the averaging operator, exact or sampled."""
     lam = rs.validate_weight(lam)
+    if max_moment < 0:
+        raise DomainError("moment order must be nonnegative")
     rows = []
     for m in range(max_moment + 1):
         if gens.size**m <= WORD_CAP:

@@ -5,14 +5,14 @@ elements are integral in the ambient bases used by `rootsys`).  A group is
 stored as a stacked `(|W|, n, n)` int8 array, a sign vector and an int8
 positivity table, which bulk work (`charcalc`'s exponent kernel and float
 Weyl sum, coset transversals) reads directly; an element is its index into
-the stack.  One breadth-first pass, `_closure`, enumerates the group and
-fills all three: it walks the rows G w^-1 (2 rho), stepping from w to
-w s_j only where that adds to the length (Humphreys, Reflection Groups and
-Coxeter Groups, 1.6-1.7).  Elements come by length in the simple
-reflections s_a = I - a c_a^T (`RootSystem._coroot_rows`), and within a
-length in the order a one-element-at-a-time BFS visits (parent first, then
-generator), which makes element order, and all derived from it, fully
-deterministic.
+the stack.  One pass, `_closure`, enumerates the group and fills all
+three, forming each element s_j w once, from the one parent w for which j
+is its smallest left descent (Humphreys, Reflection Groups and Coxeter
+Groups, 1.6-1.7), with no keys and no dedupe.  Elements come by length in
+the simple reflections s_a = I - a c_a^T (`RootSystem._coroot_rows`), and
+within a length in the order of their least reduced words, the order a
+one-element-at-a-time BFS visits, which makes element order, and all
+derived from it, fully deterministic.
 
 A stabilizer is never enumerated.  It is described by the simple roots of
 its degenerate subsystem and its order, both read off the root data; the
@@ -39,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError, ConfigError, DomainError
-from .exactlin import INT64_SAFE, Vec, mat_vec, vsub
+from .exactlin import Vec, mat_vec, vsub
 from .rootsys import DegenerateSplit, RootSystem, check_weyl_cap
 from .torus import TorusPoint
 
@@ -62,77 +62,65 @@ def reflect(rs: RootSystem, alpha, x) -> Vec:
 
 
 def _closure(rs: RootSystem, size: int):
-    """Breadth-first closure of the identity under right multiplication by reflections.
+    """Every element of W, each formed once, from its canonical parent.
 
-    Generator j is s_j = I - a_j c_j^T for the simple root a_j and its
-    coroot row c_j.  Element w is walked as p = G w^-1 (2 rho), for the
-    integer gram G, from G 2 rho (`RootSystem._two_rho_form`); 2 rho is
-    regular, so p determines w.  w s_j is longer than w iff w a_j > 0,
-    i.e. a_j . p > 0, and its row is then p - (c_j . x) G a_j for
-    x = w^-1 (2 rho), c_j . x = 2 a_j . p / (a_j . G a_j).  Only those
-    ascents are taken, so all candidates lie in the next level and the
-    only duplicates are among them.  Candidates are taken level-major,
-    generator-minor, the order a one-element-at-a-time BFS visits, and
-    each new element is the first candidate with its key, sum_j M_j p_j
-    for M_j = prod_{i>j} (2 B_i + 1) and |p_j| <= B_j = isqrt(G_jj
-    (2 rho|2 rho)) (Cauchy-Schwarz).  Keys lie within +-offset, offset =
-    sum_j M_j B_j: CapacityError, before any allocation, unless 2 * offset
-    is below 2**62.
+    Generator j is s_j = I - a_j c_j^T (simple root a_j, coroot row c_j).
+    Element w is walked as its pairings q_i = a_i . G w (2 rho) with the
+    simple roots (G the integer gram).  s_j w is longer than w iff q_j > 0,
+    and its pairings are then q - (2 q_j / a_j . G a_j) (a_i . G a_j)_i.
+    It is kept only if no i < j pairs negatively with it: j is then its
+    smallest left descent, the first letter of its least reduced word, so
+    each element has one parent and nothing is deduplicated (Casselman,
+    Invent. Math. 116, 1994; Stembridge, MSJ Memoirs 11, 2001).  Children
+    come generator-major, then parent-minor: by length, then by least
+    reduced word, the order a one-element-at-a-time BFS by right
+    multiplication visits.
 
-    Each level writes its rows of the int8 stack, w s_j = w - (w a_j) c_j^T
-    (int8 arithmetic wraps mod 256, so it is exact while every entry fits
-    int8, as on every Weyl group here), and of the int8 positivity table,
-    the rows p, checked to fit.  Both are allocated once, at `size` (the
+    Each child's int8 stack row s_j w = w - a_j (c_j^T w) and positivity row
+    w^T G 2 rho - (a_j . G a_j) (c_j^T w)^T come from the one row c_j^T w,
+    formed in int16 (exact, as checked up front) and checked to fit int8
+    before they are stored.  Both arrays are allocated once, at `size` (the
     classification's order; more elements raise AssertionError).  Returns
-    the stack, the table and the BFS level sizes (level k holds the
-    elements of word length k).
+    them and the level sizes (level k holds the elements of length k).
     """
     simple = rs._simple_index
     roots, coroots = rs._pos_rows[simple], rs._coroot_rows[simple]
+    if np.abs(rs._two_rho_form).max() > 127 or 128 * (
+            1 + np.abs(roots).max() * np.abs(coroots).sum(axis=1).max()) >= 2**15:
+        raise AssertionError("G 2 rho does not fit int8, or s_j w is not exact in int16")
     ga = roots @ np.array(rs._gram_int, dtype=np.int64)  # rows G a_j
-    norms = (ga * roots).sum(axis=1)
-    p = rs._two_rho_form
-    vv = int(p @ rs._pos_rows.sum(axis=0))
-    bounds = [math.isqrt(g * vv) for g in np.diag(rs._gram_int).tolist()]
-    radix = [math.prod(2 * b + 1 for b in bounds[j + 1:]) for j in range(len(bounds))]
-    offset = sum(m * b for m, b in zip(radix, bounds))
-    if 2 * offset >= INT64_SAFE:
-        raise CapacityError(
-            f"Weyl group element keys of {rs.spec.name} need "
-            f"{(2 * offset).bit_length()} bits; int64 keys allow 62",
-            required=2 * offset, cap=INT64_SAFE,
-        )
-    radix = np.array(radix, dtype=np.int64)
-    step = ga @ radix  # key(p) - key(p - G a_j)
+    cross = ga @ roots.T  # a_i . G a_j
+    norms = np.diag(cross)
     n = roots.shape[1]
-    roots8, coroots8 = roots.astype(np.int8), coroots.astype(np.int8)
+    gens = list(zip(roots.astype(np.int16), coroots.astype(np.int16), map(np.flatnonzero, roots)))
     stack, table = np.empty((size, n, n), np.int8), np.empty((size, n), np.int8)
-    stack[0], rows = np.eye(n, dtype=np.int8), p[None, :]
-    keys, lo, levels = rows @ radix, 0, [1]
+    stack[0], table[0] = np.eye(n, dtype=np.int8), rs._two_rho_form
+    q, lo, hi, levels = (roots @ rs._two_rho_form)[None, :], 0, 1, [1]
     while True:
-        if np.abs(rows).max() > np.iinfo(np.int8).max:
-            raise AssertionError("G w^-1 (2 rho) does not fit int8")
-        hi = lo + len(rows)
-        table[lo:hi] = rows
-        pair = rows @ roots.T  # a_j . p per element and generator
-        parent, letter = np.nonzero(pair > 0)  # the ascents, in BFS order
-        if not len(parent):
-            break
-        coef = 2 * pair[parent, letter] // norms[letter]  # c_j . x
-        cand = keys[parent] - coef * step[letter]
-        order = cand.argsort()
-        ordered = cand[order]
-        runs = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-        new = np.sort(np.minimum.reduceat(order, runs))  # first of each key
-        if hi + len(new) > size:
-            raise AssertionError(f"enumerated more than the expected {size} elements")
-        parent, letter, keys = parent[new], letter[new], cand[new]
-        rows = rows[parent] - coef[new][:, None] * ga[letter]
-        w, a, c = stack[lo + parent], roots8[letter], coroots8[letter]
-        stack[hi:hi + len(new)] = w - (w @ a[:, :, None]) * c[:, None, :]
-        levels.append(len(new))
-        lo = hi
-    return stack[:hi], table[:hi], levels
+        new, children = hi, []
+        for j, (a, c, support) in enumerate(gens):
+            par = np.flatnonzero(q[:, j] > 0)  # the w with s_j w longer
+            qp = q[par]
+            coef = 2 * qp[:, j] // norms[j]  # c_j . w 2 rho
+            # keep s_j w when no i < j pairs negatively with it
+            ok = (qp[:, :j] > coef[:, None] * cross[j, :j]).all(axis=1)
+            par, qp, coef = par[ok], qp[ok], coef[ok]
+            if new + len(par) > size:
+                raise AssertionError(f"enumerated more than the expected {size} elements")
+            w = stack[lo + par]
+            cw = c @ w  # the rows c_j^T w
+            rows = table[lo + par] - norms[j] * cw
+            moved = w[:, support] - a[support, None] * cw[:, None, :]  # the rows s_j changes
+            if max(np.abs(moved).max(initial=0), np.abs(rows).max(initial=0)) > 127:
+                raise AssertionError("a Weyl group element does not fit int8")
+            w[:, support] = moved
+            stack[new:new + len(par)], table[new:new + len(par)] = w, rows
+            children.append(qp - coef[:, None] * cross[j])
+            new += len(par)
+        if new == hi:
+            return stack[:hi], table[:hi], levels
+        q, lo, hi = np.concatenate(children), hi, new
+        levels.append(len(q))
 
 
 class WeylGroup:
@@ -140,7 +128,7 @@ class WeylGroup:
 
     `stack[i]` is the int8 matrix and `signs[i]` the sign of element i, in
     enumeration order.  `positivity[i]` is the int8 row w_i^T G 2 rho =
-    G w_i^-1 (2 rho) that `_closure` walked (at most 34 in magnitude on E7):
+    G w_i^-1 (2 rho) that `_closure` fills (at most 34 in magnitude on E7):
     w_i a > 0 for a root a iff a . positivity[i] = (w_i a|2 rho) > 0.
     """
 
@@ -153,14 +141,14 @@ class WeylGroup:
 
 
 def generate_weyl_group(rs: RootSystem, cap: int | None = None) -> WeylGroup:
-    """Breadth-first closure of the simple reflections.
+    """The whole group, enumerated by `_closure`.
 
     Raises CapacityError before any work if the classification order
     exceeds the cap (default 3e6, or WEYLCHAR_CAP_WEYL from the
-    environment), if |W| (n^2 + n + 5) bytes (stack, positivity table, sign
-    and per-level work) exceed physical memory, or if the element keys
-    would not fit in int64 (`_closure`).  A WEYLCHAR_CAP_WEYL that is not
-    an integer of at least 1 is a ConfigError, also before any work.
+    environment), or if |W| (n^2 + n + 5) bytes (stack, positivity table,
+    sign and per-level work; 177 MB on E7, where enumeration adds 177 MB to
+    the peak RSS of `weyl`) exceed physical memory.  A WEYLCHAR_CAP_WEYL
+    that is not an integer of at least 1 is a ConfigError, before any work.
     """
     if cap is None:
         text = os.environ.get("WEYLCHAR_CAP_WEYL", str(DEFAULT_WEYL_CAP))

@@ -375,6 +375,11 @@ def test_cap_weyl_env_below_one_or_not_an_integer_is_a_config_error(capsys, monk
     # a cap below 1, which no group meets
     (["weyl", "--group", "A2", "--cap-weyl", "-1", "--enumerate"], "cap_weyl"),
     (["weyl", "--group", "A2", "--cap-weyl", "0", "--enumerate"], "cap_weyl"),
+    # a counterexample runs k = 1..N only, and sampling takes a seed of at least 0
+    (["sweep", "--group", "A1xA1", "--counterexample", "--point=pi/2;0:0", "--schedule", "3,5"],
+     "schedule"),
+    (["spectral", "--group", "A1", "--l", "1", "--moments", "10", "--sample", "200",
+      "--seed", "-20"], "seed"),
 ])
 def test_missing_or_malformed_options_give_typed_errors(capsys, argv, field):
     jsonschema = pytest.importorskip("jsonschema")

@@ -186,8 +186,8 @@ def test_int_matvec_switches_to_python_ints_past_int64():
 
 @st.composite
 def _matvec_inputs(draw):
-    """Integer rows (int8 over its whole range, or int64), y near the int64
-    switch for those rows, and a modulus or None."""
+    """Integer rows (int8 over its whole range, or int64), a vector or
+    matrix y near the int64 switch for those rows, and a modulus or None."""
     dtype = draw(st.sampled_from([np.int8, np.int64]))
     lo, hi = (-128, 127) if dtype is np.int8 else (-2**40, 2**40)
     n_rows, n = draw(st.integers(0, 5)), draw(st.integers(1, 4))
@@ -197,8 +197,11 @@ def _matvec_inputs(draw):
     largest = max(int(rows.max()), -int(rows.min()), 1) if rows.size else 1
     switch = INT64_SAFE // (largest * n)  # the first max|y| that needs Python ints
     near = st.builds(lambda s, d: s * (switch + d), st.sampled_from([-1, 1]), st.integers(-2, 2))
+    m = draw(st.sampled_from([None, 1, 3]))  # a vector y, or an (n, m) matrix
     y = draw(st.lists(st.one_of(near, st.integers(-2**20, 2**20), st.integers(-2**70, 2**70)),
-                      min_size=n, max_size=n))
+                      min_size=n * (m or 1), max_size=n * (m or 1)))
+    if m is not None:
+        y = np.array(y, dtype=object).reshape(n, m)
     modulus = draw(st.one_of(st.none(), st.integers(1, 2**20), st.integers(2**61, 2**63)))
     return rows, y, modulus
 
@@ -207,14 +210,17 @@ def _matvec_inputs(draw):
 @given(_matvec_inputs())
 def test_int_matvec_matches_python_ints(inputs):
     rows, y, modulus = inputs
-    want = [sum(int(r) * c for r, c in zip(row, y)) for row in rows.tolist()]
+    cols = np.asarray(y, dtype=object).reshape(rows.shape[1], -1).T.tolist()
+    want = [[sum(int(r) * c for r, c in zip(row, col)) for col in cols] for row in rows.tolist()]
     if modulus is not None:
-        want = [v % modulus for v in want]
+        want = [[v % modulus for v in w] for w in want]
+    if np.ndim(y) == 1:
+        want = [w[0] for w in want]
     got = int_matvec(rows, y, modulus)
-    assert got.tolist() == want and got.shape == (len(rows),)
+    assert got.tolist() == want and got.shape == (len(rows), *np.shape(y)[1:])
     # int64 exactly when max|rows| * n * max|y| and the modulus are below 2**62
     largest = max(int(rows.max()), -int(rows.min()), 1) if rows.size else 1
-    bound = max(largest * rows.shape[1] * max(map(abs, y)), modulus or 0)
+    bound = max(largest * rows.shape[1] * max(abs(c) for col in cols for c in col), modulus or 0)
     assert got.dtype == (np.int64 if bound < INT64_SAFE else object)
 
 

@@ -200,6 +200,19 @@ def test_sampled_seed_determinism_and_m0():
         moment_sampled(RS1, lam, gens, 2, 50, seed=1)
 
 
+def test_negative_orders_and_seeds_are_domain_errors():
+    # numpy's Philox refuses a negative seed with a bare ValueError, and a
+    # negative max_moment once returned no moments and no error
+    gens = catalog_su2_free_pair()
+    lam = su2_weight(2)
+    with pytest.raises(DomainError, match="nonnegative"):
+        moment_sampled(RS1, lam, gens, -1, 500, seed=1)
+    with pytest.raises(DomainError, match="nonnegative"):
+        moment_sampled(RS1, lam, gens, 3, 500, seed=-1)
+    with pytest.raises(DomainError, match="moment order"):
+        spectrum_estimate(RS1, lam, gens, -1)
+
+
 def test_moment_invariant_under_simultaneous_conjugation():
     gens = catalog_su2_free_pair()
     v = random_su(2, 42)

@@ -396,7 +396,7 @@ def test_stabilizer_requires_exact_point():
 
 
 # ---------------------------------------------------------------------------
-# element keys and capacity
+# enumeration: pinned bits, completeness and capacity
 # ---------------------------------------------------------------------------
 
 #: sha256 of the stack, the signs and the positivity table, in enumeration
@@ -437,27 +437,54 @@ def test_enumeration_bits_are_pinned(name):
     assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == DIGESTS[name]
 
 
-def test_keys_fit_every_group_within_the_default_cap():
-    # Every group the default cap admits enumerates to its order; the
-    # eight groups of DIGESTS are enumerated by the test above, not twice.
+#: The degrees of the basic invariants of each family (Humphreys, Reflection
+#: Groups and Coxeter Groups, 3.7): |W| is their product, and the Poincare
+#: polynomial sum_w t^l(w) is prod_i (1 + t + ... + t^(d_i - 1)).
+DEGREES = {
+    "A": lambda n: range(2, n + 2),
+    "B": lambda n: range(2, 2 * n + 1, 2),
+    "C": lambda n: range(2, 2 * n + 1, 2),
+    "D": lambda n: [*range(2, 2 * n - 1, 2), n],
+    "E": {6: (2, 5, 6, 8, 9, 12), 7: (2, 6, 8, 10, 12, 14, 18)}.get,
+    "F": lambda n: (2, 6, 8, 12),
+    "G": lambda n: (2, 6),
+}
+
+
+def test_enumeration_is_every_element_once_by_length_within_the_default_cap():
+    # Every group the default cap admits enumerates to its order, each
+    # element once and in order of length, with the length counts of its
+    # Poincare polynomial and the signs (-1)^length.  E7 rests on its
+    # pinned digest instead, which fixes the same arrays.
     names = [f"{fam}{n}" for fam, top in (("A", 8), ("B", 7), ("C", 7), ("D", 7))
              for n in range(1 if fam == "A" else 2, top + 1)] + ["E6", "E7", "F4", "G2"]
     for name in names:
         rs = build_root_system(name)
         assert weyl_order(rs.spec) <= DEFAULT_WEYL_CAP
-        if name not in DIGESTS:
-            assert generate_weyl_group(rs).order == weyl_order(rs.spec)
+        if name == "E7":
+            continue
+        group = generate_weyl_group(rs)
+        assert group.order == weyl_order(rs.spec)
+        # l(w) = #{a > 0 : w a < 0}, and w a < 0 iff a . positivity[w] < 0
+        length = np.concatenate([
+            (block.astype(np.int64) @ rs._pos_rows.T < 0).sum(axis=1)
+            for block in np.array_split(group.positivity, -(-group.order // 65536))
+        ])
+        assert (np.diff(length) >= 0).all()
+        poincare = [1]
+        for d in DEGREES[name[0]](int(name[1:])):
+            poincare = np.convolve(poincare, np.ones(d, dtype=np.int64))
+        assert np.bincount(length).tolist() == list(poincare)
+        assert (group.signs == np.where(length % 2, -1, 1)).all()
+        # one opaque n*n-byte item per matrix: sorting them is a memcmp sort
+        items = group.stack.reshape(group.order, -1).view(np.dtype((np.void, rs.ambient_dim ** 2)))
+        assert len(np.unique(items)) == group.order
 
 
-def test_key_overflow_is_a_capacity_error_before_any_enumeration(monkeypatch):
-    # A20: |W| = 21!, and the Cauchy-Schwarz bound of each of the 21
-    # coordinates of G W (2 rho) is 55, so its keys need more than 62 bits;
-    # the closure refuses them before it allocates.  Through
-    # generate_weyl_group the memory guard refuses A20 first, with no
-    # closure run.
+def test_memory_guard_refuses_a20_before_any_enumeration(monkeypatch):
+    # A20 has |W| = 21!: through generate_weyl_group the physical-memory
+    # guard refuses it with no closure run.
     rs = build_root_system("A20")
-    with pytest.raises(CapacityError, match="keys of A20"):
-        weylgroup._closure(rs, 1)
 
     def no_enumeration(*args, **kwargs):
         raise AssertionError("the Weyl group was enumerated")
