@@ -154,10 +154,11 @@ def divergence_certificate(
 ) -> DivergenceCertificate:
     """Certify that prod_{a ndeg} (k lam0 + rho | a) diverges along the ray.
 
-    Searches direct simple roots first, then Dynkin chains in breadth-first
-    (length, endpoints) order; the certified root is non-degenerate and
-    pairs nontrivially with lam0, so its pairing is strictly increasing
-    in k.  Refused for non-simple systems, where the theorem fails.
+    Searches Dynkin paths in breadth-first (length, endpoints) order, so
+    direct simple roots (paths of length 1) come before chains; the
+    certified root is non-degenerate and pairs nontrivially with lam0, so
+    its pairing is strictly increasing in k.  Refused for non-simple
+    systems, where the theorem fails.
     """
     rs.require_simple(
         "divergence_certificate",
@@ -179,31 +180,21 @@ def divergence_certificate(
     def pairing(root):
         return rs.inner(lam0, root)
 
-    # Direct: a non-degenerate simple root seeing lambda0.
-    for a in rs.simple_roots:
-        if is_ndeg(a) and pairing(a) != 0:
-            return DivergenceCertificate(
-                a, pairing(a), rs.inner(vadd(lam0, rs.weyl_vector), a), "direct", ()
-            )
-    # Chains: Dynkin diagrams are trees, so the i-j path is unique; enumerate
-    # pairs by path length, then lexicographically.
+    # Dynkin diagrams are trees, so the i-j path is unique; dynkin_path(i, i)
+    # is [i], the direct construction.
     n = rs.rank
-    candidates = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            chain = rs.dynkin_path(i, j)
-            candidates.append((len(chain), i, j, tuple(chain)))
-    for _, _, _, chain in sorted(candidates):
-        total = rs.chain_sum_root(chain)
+    paths = sorted((tuple(rs.dynkin_path(i, j)) for i in range(n) for j in range(n)),
+                   key=lambda path: (len(path), path[0], path[-1]))
+    for path in paths:
+        total = rs.chain_sum_root(path)
         if is_ndeg(total) and pairing(total) != 0:
+            direct = len(path) == 1
             return DivergenceCertificate(
                 total,
                 pairing(total),
                 rs.inner(vadd(lam0, rs.weyl_vector), total),
-                "chain",
-                chain,
+                "direct" if direct else "chain",
+                () if direct else path,
             )
     raise StructureError(
         "no divergence certificate exists: every candidate root is degenerate "

@@ -350,7 +350,7 @@ class _SingularEvaluator:
 
     def __init__(self, rs: RootSystem, split: DegenerateSplit, transversal=None):
         self.rs = rs
-        self.h0 = h0 = split.torus_point
+        h0 = split.torus_point
         self.split = split
         group = cached_weyl_group(rs)
         if transversal is None:
@@ -489,9 +489,6 @@ class SubsystemComponent:
 
     family: str
     rank: int
-    positive_roots: tuple
-    simple_roots: tuple
-    rho: Vec
     weyl_order: int
 
     @property
@@ -503,7 +500,6 @@ class SubsystemComponent:
 class EffectiveSubsystem:
     """Root subsystem spanned by (an image of) the degenerate roots."""
 
-    positive_roots: tuple
     simple_roots: tuple
     rho: Vec
     components: tuple
@@ -547,8 +543,8 @@ def effective_subsystem(rs: RootSystem, image_roots) -> EffectiveSubsystem:
 
     The input is a positive system of a closed subsystem of the roots of
     rs, e.g. b applied to the degenerate positive roots.  Components are
-    the connectivity classes under mutual non-orthogonality; each carries
-    its own Weyl vector and classification.
+    the connectivity classes under mutual non-orthogonality, largest
+    first; each carries its classification.
     """
     roots = [tuple(Fraction(x) for x in r) for r in image_roots]
     root_set = set(roots)
@@ -582,24 +578,18 @@ def effective_subsystem(rs: RootSystem, image_roots) -> EffectiveSubsystem:
                     frontier.append(y)
         comps.append(sorted(comp))
         remaining -= comp
+    comps.sort(key=lambda comp: (-len(comp), comp))
 
     components = []
+    all_simple = []
     for comp in comps:
         cset = set(comp)
         # A member is simple for the component iff it is not a sum of two members.
-        simple = tuple(
-            r for r in comp
-            if not any(vsub(r, s) in cset for s in comp if s != r)
-        )
-        rho = vscale(Fraction(1, 2), vsum(comp, rs.ambient_dim))
-        fam, rank, order = _classify_component(rs, comp, simple)
-        components.append(
-            SubsystemComponent(fam, rank, tuple(comp), simple, rho, order)
-        )
-    components.sort(key=lambda c: (-len(c.positive_roots), c.positive_roots))
-    all_simple = tuple(s for c in components for s in c.simple_roots)
+        simple = [r for r in comp if not any(vsub(r, s) in cset for s in comp if s != r)]
+        all_simple += simple
+        components.append(SubsystemComponent(*_classify_component(rs, comp, simple)))
     rho = vscale(Fraction(1, 2), vsum(roots, rs.ambient_dim))
-    return EffectiveSubsystem(tuple(sorted(roots)), all_simple, rho, tuple(components))
+    return EffectiveSubsystem(tuple(all_simple), rho, tuple(components))
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,6 @@ _PI_ENTRY = re.compile(r"^([+-]?)(\d+)?(?:/(\d+))?\*?pi(?:/(\d+))?$")
 #: "the following arguments are required: --group, ...".
 _ARGPARSE_FIELD = re.compile(r"^argument ([^:]+):|arguments are required: ([^,]+)")
 
-#: Subcommands that enumerate the Weyl group of every factor (`weyl` only
-#: with --enumerate); --cap-weyl refuses them before any work.
-_ENUMERATES_W = ("char", "sweep", "spectral")
-
 #: Options each subcommand cannot run without (spectral's --l sets --weight).
 _REQUIRED = {
     "dim": ("weight",),
@@ -392,7 +388,7 @@ def run(cfg: RunConfig) -> dict:
 
     sub = cfg.subcommand
     cap = cfg.options.get("cap_weyl")
-    if cap is not None and (sub in _ENUMERATES_W or cfg.options.get("enumerate")):
+    if cap is not None and (sub != "weyl" or cfg.options.get("enumerate")):
         for rs in factors:
             check_weyl_cap(rs.spec, cap)
     if sub == "roots":
@@ -453,16 +449,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, weight=False, point=False):
+    def common(sp, weight=False, point=False, cap_weyl=False):
         sp.add_argument("--group", required=True,
                         help="e.g. A2, G2, or a product like A1xA1")
         sp.add_argument("--format", default="json", choices=("json", "csv", "table"))
-        sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--threads", type=int, default=1,
                         help="reserved: accepted and ignored; runs are single-threaded")
-        sp.add_argument("--cap-weyl", type=int, default=None,
-                        help="refuse (exit 3) a group whose Weyl group order exceeds "
-                             "this, in every subcommand that enumerates it")
+        if cap_weyl:
+            sp.add_argument("--cap-weyl", type=int, default=None,
+                            help="refuse (exit 3) a group whose Weyl group order exceeds "
+                                 "this, before the Weyl group is enumerated")
         if weight:
             sp.add_argument("--weight", default=None,
                             help="fundamental coords '1,1' or ambient rationals")
@@ -474,14 +470,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     common(sub.add_parser("roots", help="root system data as canonical JSON"))
     sp = sub.add_parser("weyl", help="Weyl group order diagnostics")
-    common(sp)
+    common(sp, cap_weyl=True)
     sp.add_argument("--enumerate", action="store_true")
     sp = sub.add_parser("dim", help="irreducible dimension")
     common(sp, weight=True)
     sp = sub.add_parser("char", help="character value at a torus point")
-    common(sp, weight=True, point=True)
+    common(sp, weight=True, point=True, cap_weyl=True)
     sp = sub.add_parser("sweep", help="normalized character decay sweep")
-    common(sp, weight=True, point=True)
+    common(sp, weight=True, point=True, cap_weyl=True)
     sp.add_argument("--kmax", type=int, default=20)
     sp.add_argument("--schedule", default=None,
                     help="explicit comma list of k values (default 1..kmax)")
@@ -493,7 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("certificate", help="divergence certificate for a stratum")
     common(sp, weight=True, point=True)
     sp = sub.add_parser("spectral", help="averaging-operator moments vs Kesten-McKay")
-    common(sp, weight=True)
+    common(sp, weight=True, cap_weyl=True)
+    sp.add_argument("--seed", type=int, default=None,
+                    help="seed of the Monte Carlo word stream (needed with --sample)")
     sp.add_argument("--l", type=str, default=None,
                     help="SU(2) spin; shorthand for --weight 2l")
     sp.add_argument("--gens", default="catalog",

@@ -539,17 +539,14 @@ def _build_cached(family: str, rank: int) -> RootSystem:
     return RootSystem(spec, simple, positive, gram)
 
 
-def build_root_system(spec: RootSystemSpec | str, rank: int | None = None) -> RootSystem:
+def build_root_system(spec: RootSystemSpec | str) -> RootSystem:
     """Construct the root system for a family/rank specification.
 
-    Accepts either a RootSystemSpec or a name like "A2" / ("A", 2).
+    Accepts either a RootSystemSpec or a name like "A2".
     """
     if isinstance(spec, str):
-        if rank is None:
-            fam, num = spec[0].upper(), spec[1:]
-            if not num.isdigit():
-                raise ConfigError(f"cannot parse group name {spec!r}")
-            spec = RootSystemSpec(fam, int(num))
-        else:
-            spec = RootSystemSpec(spec.upper(), rank)
+        fam, num = spec[0].upper(), spec[1:]
+        if not num.isdigit():
+            raise ConfigError(f"cannot parse group name {spec!r}")
+        spec = RootSystemSpec(fam, int(num))
     return _build_cached(spec.family, spec.rank)

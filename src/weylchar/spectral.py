@@ -21,7 +21,7 @@ from .charcalc import character, dim_irrep
 from .errors import CapacityError, DomainError
 from .rootsys import RootSystem
 from .torus import float_point
-from .utils import cquot, ordered_dot, pairwise_sum
+from .utils import cquot, ordered_dot, pairwise_sum, physical_memory
 
 #: moment_exact enumerates at most this many words; beyond it, sample.
 WORD_CAP = 10**6
@@ -252,9 +252,14 @@ def moment_sampled(
     """Monte Carlo moment over uniformly random words; returns (value, stderr).
 
     The stream is a counter-based Philox generator, so results are
-    reproducible from the seed alone regardless of execution order.
-    Words are multiplied WORD_CHUNK at a time, letter by letter, with the
-    same re-unitarization as moment_exact.
+    reproducible from the seed alone regardless of execution order: the
+    words are the rows of rng.integers(0, s, size=(n_samples, m)) for
+    rng = Generator(Philox(seed)), drawn WORD_CHUNK rows at a time.  Each
+    block is multiplied letter by letter, with the same re-unitarization
+    as moment_exact.  Only the real ratios outlive a block; with the
+    squared deviations and the pairwise sums' partial sums they peak at
+    about 24 * n_samples bytes, and a CapacityError is raised before any
+    draw when that exceeds physical memory.
     """
     lam = rs.validate_weight(lam)
     if m < 0 or seed < 0:
@@ -263,22 +268,24 @@ def moment_sampled(
         raise DomainError("need at least 100 samples")
     if m == 0:
         return 1.0, 0.0
+    need, have = 24 * n_samples, physical_memory()
+    if need > have:
+        raise CapacityError(f"{n_samples} samples take about {need} bytes, above the "
+                            f"{have} bytes of physical memory", required=need, cap=have)
     d = dim_irrep(rs, lam)
     rng = np.random.Generator(np.random.Philox(seed))
-    words = rng.integers(0, gens.size, size=(n_samples, m))
     mats = np.stack(gens.elements)
-    ratios = []
+    vals = np.empty(n_samples)
     for lo in range(0, n_samples, WORD_CHUNK):
-        chunk = words[lo:lo + WORD_CHUNK]
+        chunk = rng.integers(0, gens.size, size=(min(WORD_CHUNK, n_samples - lo), m))
         stack = np.repeat(np.eye(gens.dim, dtype=complex)[None], len(chunk), axis=0)
         for i in range(m):
             stack = stack @ mats[chunk[:, i]]
             if (i + 1) % UNITARIZE_EVERY == 0:
                 stack = _unitarize(stack)
-        ratios.append(_char_ratios(rs, lam, stack, d))
-    vals = np.concatenate(ratios).real.tolist()
+        vals[lo:lo + len(chunk)] = _char_ratios(rs, lam, stack, d).real
     mean = pairwise_sum(vals) / n_samples
-    var = pairwise_sum([(v - mean) ** 2 for v in vals]) / (n_samples - 1)
+    var = pairwise_sum((vals - mean) ** 2) / (n_samples - 1)
     return mean, math.sqrt(var / n_samples)
 
 
@@ -340,8 +347,6 @@ class SpectrumEstimate:
     """Moment sequence of an averaging operator plus Kesten-McKay reference."""
 
     moments: tuple  # (m, value, stderr-or-None)
-    lam: tuple
-    s: int
     km_reference: tuple = field(default=())
 
     def moment(self, m: int) -> float:
@@ -362,7 +367,10 @@ def spectrum_estimate(
     n_samples: int | None = None,
     seed: int | None = None,
 ) -> SpectrumEstimate:
-    """Moments 0..max_moment of the averaging operator, exact or sampled."""
+    """Moments 0..max_moment of the averaging operator, exact or sampled.
+
+    Sampled order m uses the stream of _stream_seed(seed, m), one per (seed, m).
+    """
     lam = rs.validate_weight(lam)
     if max_moment < 0:
         raise DomainError("moment order must be nonnegative")
@@ -377,10 +385,15 @@ def spectrum_estimate(
                     required=gens.size**m,
                     cap=WORD_CAP,
                 )
-            val, err = moment_sampled(rs, lam, gens, m, n_samples, seed + m)
+            val, err = moment_sampled(rs, lam, gens, m, n_samples, _stream_seed(seed, m))
             rows.append((m, val, err))
     km_ref = tuple(km_moment(gens.size, m) for m in range(max_moment + 1))
-    return SpectrumEstimate(tuple(rows), tuple(lam), gens.size, km_ref)
+    return SpectrumEstimate(tuple(rows), km_ref)
+
+
+def _stream_seed(seed: int, m: int) -> int:
+    """The Cantor pairing of (seed, m): one distinct stream seed per pair."""
+    return (seed + m) * (seed + m + 1) // 2 + m
 
 
 def moment_growth_sequence(est: SpectrumEstimate) -> list[tuple[int, float]]:

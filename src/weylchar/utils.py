@@ -1,4 +1,5 @@
-"""Shared numeric helpers: deterministic reductions, complex arithmetic and angles.
+"""Shared numeric helpers: deterministic reductions, complex arithmetic, angles and
+the physical-memory bound of the memory guards.
 
 The float helpers work elementwise on numpy arrays (or scalars) and
 reproduce, bit for bit, the Python expressions the per-point code has
@@ -12,8 +13,14 @@ complex `*` and `/` round differently).
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory on this machine, the bound of the memory guards."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def pairwise_sum(values):

@@ -42,6 +42,7 @@ from .errors import CapacityError, ConfigError, DomainError
 from .exactlin import Vec, mat_vec, vsub
 from .rootsys import DegenerateSplit, RootSystem, check_weyl_cap
 from .torus import TorusPoint
+from .utils import physical_memory
 
 #: Default cap on enumerated group order; admits E7, refuses E8.
 DEFAULT_WEYL_CAP = 3_000_000
@@ -159,7 +160,7 @@ def generate_weyl_group(rs: RootSystem, cap: int | None = None) -> WeylGroup:
     expected = check_weyl_cap(rs.spec, cap)
     n = rs.ambient_dim
     need = expected * (n * n + n + 5)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    have = physical_memory()
     if need > have:
         raise CapacityError(
             f"enumerating the Weyl group of {rs.spec.name} takes about {need} bytes, "

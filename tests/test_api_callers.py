@@ -1,4 +1,4 @@
-"""Caller census: every public name of the library has a caller in the library or the benchmark.
+"""Caller census: every public name and every dataclass field of the library has a reader.
 
 A public top-level function or class of `src/weylchar/*.py`, or a public
 method of such a class, must be referenced in code under `src/` or
@@ -9,6 +9,10 @@ attribute only, so a local variable or parameter that shares its name does
 not count.  Docstrings and comments do not count, and neither do tests,
 `perfbench/test_*.py` included.  Names kept for the tests or the acceptance criteria
 alone are listed in KEEP, each with its reason.
+
+Likewise each field of a dataclass in `src/weylchar/*.py` must be read as
+an attribute (`x.field`, loaded, not stored) in that code; fields read by
+the tests alone are listed in KEEP_FIELDS as `Class.field`, with the reason.
 """
 
 import ast
@@ -29,6 +33,13 @@ KEEP = {
     "radians": "the radian coordinates of an exact face point that acceptance criterion 04 moves",
     "ratios": "the normalized sweep values whose limit acceptance criterion 10 checks",
     "dims": "the sweep dimensions that acceptance criterion 10 checks grow",
+}
+
+#: Dataclass fields without a reader in the library or the benchmark, and why each stays.
+KEEP_FIELDS = {
+    "SubsystemComponent.weyl_order": "the component orders whose product acceptance "
+                                     "criterion 06 and the stabilizer tests compare with |W0|",
+    "EffectiveSubsystem.rho": "the subsystem's Weyl vector, which test_charcalc checks",
 }
 
 
@@ -98,3 +109,29 @@ def test_every_public_name_has_a_library_or_benchmark_caller():
 def test_every_kept_name_is_public_and_uncalled():
     # a KEEP entry whose name gained a caller, or no longer exists, is stale
     assert sorted(m.split()[-1] for m in uncalled()) == sorted(KEEP)
+
+
+def dataclass_fields(path):
+    """(Class.field, line) of each field of each top-level dataclass."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [(f"{node.name}.{item.target.id}", item.lineno)
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+
+
+def unread_fields():
+    read = {node.attr for path in CALLERS for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{path.name}:{line} {field}" for path in LIBRARY
+            for field, line in dataclass_fields(path) if field.split(".")[1] not in read]
+
+
+def test_every_dataclass_field_is_read_by_the_library_or_benchmark():
+    unread = [u for u in unread_fields() if u.split()[-1] not in KEEP_FIELDS]
+    assert not unread, "dataclass fields nothing in src/ or perfbench/ reads: " + ", ".join(unread)
+
+
+def test_every_kept_field_exists_and_is_unread():
+    assert sorted(u.split()[-1] for u in unread_fields()) == sorted(KEEP_FIELDS)

@@ -322,7 +322,7 @@ def test_cap_weyl_env_below_one_or_not_an_integer_is_a_config_error(capsys, monk
     (["char", "--group", "G2", "--weight", "1,0", "--point", "pi/3"], "point"),
     # argparse's own errors, an unreadable generator file, a carrier out of range
     (["dim", "--group", "A2", "--weight", "1,1", "--bogus"], "argv"),
-    (["dim", "--group", "A2", "--weight", "1,1", "--cap-weyl", "x"], "cap_weyl"),
+    (["weyl", "--group", "A2", "--cap-weyl", "x"], "cap_weyl"),
     (["char", "--group", "A2", "--weight"], "weight"),
     (["dim"], "group"),
     (["spectral", "--group", "A1", "--l", "1", "--gens", "/nonexistent.json"], "gens"),
@@ -380,6 +380,9 @@ def test_cap_weyl_env_below_one_or_not_an_integer_is_a_config_error(capsys, monk
      "schedule"),
     (["spectral", "--group", "A1", "--l", "1", "--moments", "10", "--sample", "200",
       "--seed", "-20"], "seed"),
+    # --seed and --cap-weyl on a subcommand that would ignore them
+    (["dim", "--group", "A2", "--weight", "1,1", "--seed", "1"], "argv"),
+    (["roots", "--group", "A2", "--cap-weyl", "5"], "argv"),
 ])
 def test_missing_or_malformed_options_give_typed_errors(capsys, argv, field):
     jsonschema = pytest.importorskip("jsonschema")
@@ -505,10 +508,19 @@ def test_cap_weyl_at_the_order_changes_only_the_config(capsys):
     assert code == 0
     assert capped["config"].pop("cap_weyl") == 1152
     assert capped == plain
-    # subcommands that never enumerate W ignore the cap
+    # weyl enumerates W only with --enumerate; dim never does, and takes no cap
     assert run_cli(capsys, "weyl", "--group", "E8", "--cap-weyl", "1")[0] == 0
     assert run_cli(capsys, "dim", "--group", "E7", "--cap-weyl", "1",
-                   "--weight", "1,0,0,0,0,0,0")[0] == 0
+                   "--weight", "1,0,0,0,0,0,0")[0] == 2
+
+
+def test_seed_and_cap_weyl_are_options_of_the_subcommands_that_read_them():
+    sub = next(a for a in build_parser()._actions if a.dest == "subcommand")
+    takes = {flag: sorted(name for name, sp in sub.choices.items()
+                          if flag in sp._option_string_actions)
+             for flag in ("--seed", "--cap-weyl")}
+    assert takes == {"--seed": ["spectral"],
+                     "--cap-weyl": ["char", "spectral", "sweep", "weyl"]}
 
 
 @pytest.mark.parametrize("argv,absent", [

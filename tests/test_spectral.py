@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from weylchar import build_root_system
+from weylchar import build_root_system, spectral
 from weylchar.charcalc import character, dim_irrep
 from weylchar.errors import CapacityError, DomainError
 from weylchar.spectral import (
@@ -29,6 +29,7 @@ from weylchar.spectral import (
     norm_estimate,
     spectrum_estimate,
 )
+from weylchar.utils import pairwise_sum, physical_memory
 
 from _helpers import generator_set_to_json, reduce_word, rng_for
 
@@ -213,6 +214,49 @@ def test_negative_orders_and_seeds_are_domain_errors():
         spectrum_estimate(RS1, lam, gens, -1)
 
 
+@pytest.mark.parametrize("m", [3, 17])
+def test_sampled_words_drawn_per_block_are_the_one_shot_draw(m):
+    # Three blocks, the last of 5 words; odd m makes the last block's letter
+    # count odd.  The documented stream is one (n, m) draw from Philox(seed).
+    gens = catalog_su2_free_pair()
+    lam = su2_weight(3)
+    n = 2 * spectral.WORD_CHUNK + 5
+    rng = np.random.Generator(np.random.Philox(21))
+    words = rng.integers(0, gens.size, size=(n, m))
+    mats = np.stack(gens.elements)
+    vals = []
+    for lo in range(0, n, spectral.WORD_CHUNK):
+        block = words[lo:lo + spectral.WORD_CHUNK]
+        stack = np.repeat(np.eye(2, dtype=complex)[None], len(block), axis=0)
+        for i in range(m):
+            stack = stack @ mats[block[:, i]]
+            if (i + 1) % spectral.UNITARIZE_EVERY == 0:
+                stack = spectral._unitarize(stack)
+        vals += spectral._char_ratios(RS1, lam, stack, dim_irrep(RS1, lam)).real.tolist()
+    mean = pairwise_sum(vals) / n
+    var = pairwise_sum([(v - mean) ** 2 for v in vals]) / (n - 1)
+    assert moment_sampled(RS1, lam, gens, m, n, seed=21) == (mean, math.sqrt(var / n))
+
+
+def test_samples_past_physical_memory_refuse_before_any_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("words were drawn")
+
+    monkeypatch.setattr(spectral.np.random, "Philox", no_draw)
+    # the ratios (8 bytes a sample), their squared deviations and the pairwise
+    # sums' partial sums
+    n = physical_memory() // 24 + 1
+    with pytest.raises(CapacityError, match="physical memory") as err:
+        moment_sampled(RS1, su2_weight(1), catalog_su2_free_pair(), 12, n, seed=1)
+    assert err.value.required == 24 * n and err.value.cap == physical_memory()
+
+
+def test_each_seed_and_sampled_order_has_its_own_stream():
+    # seed + m gave seed 5 at m = 12 the letters of seed 6 at m = 11
+    streams = {spectral._stream_seed(seed, m) for seed in range(31) for m in range(10, 41)}
+    assert len(streams) == 31 * 31
+
+
 def test_moment_invariant_under_simultaneous_conjugation():
     gens = catalog_su2_free_pair()
     v = random_su(2, 42)
@@ -276,7 +320,7 @@ def test_norm_estimate_on_exact_km_moments():
     rows = tuple(
         (m, float(km_moment(4, m)), None) for m in range(0, 13)
     )
-    est = SpectrumEstimate(rows, (0,), 4)
+    est = SpectrumEstimate(rows)
     seq = [g for _, g in moment_growth_sequence(est)]
     assert seq == sorted(seq)  # increasing toward the edge
     assert all(g <= delta_opt(4) + 0.05 for g in seq)
@@ -284,10 +328,10 @@ def test_norm_estimate_on_exact_km_moments():
 
 
 def test_norm_estimate_range_and_requirements():
-    est = SpectrumEstimate(((0, 1.0, None), (2, 0.2, None)), (0,), 4)
+    est = SpectrumEstimate(((0, 1.0, None), (2, 0.2, None)))
     assert 0.0 <= norm_estimate(est) <= 1.0
     with pytest.raises(DomainError):
-        norm_estimate(SpectrumEstimate(((1, 0.1, None),), (0,), 4))
+        norm_estimate(SpectrumEstimate(((1, 0.1, None),)))
 
 
 def test_generator_set_validation():
