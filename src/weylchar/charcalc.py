@@ -328,6 +328,33 @@ def snap_to_exact(rs: RootSystem, h: TorusPoint, *, near=None) -> TorusPoint:
     return snapped
 
 
+def _snaps_onto(rs: RootSystem, h0: TorusPoint, points: np.ndarray, near: np.ndarray):
+    """Rows of `points` that `snap_to_exact` provably maps onto h0 = pi * c without error.
+
+    `near` is the rows' `near_walls`.  A row passes when (1) every
+    rationalized coordinate (the head in type A) has |x/pi - c_i| below
+    0.25/(q_i N), N = SNAP_MAX_DENOMINATOR and q_i the denominator of c_i,
+    after a 2**-52 |c_i| allowance for the rounding of float(c_i);
+    (2) every coordinate has |pi * float(c_i) - x| <= EPS_SNAP; and (3)
+    every near root of the row has an exact pairing with h0 in 2*pi*Z.
+    Distinct fractions of denominators <= N lie at least 1/(q_i N) apart,
+    so under (1) c_i is the unique closest such fraction to x/pi and
+    `Fraction.limit_denominator` returns it; (2) and (3) are the snap's own
+    checks, with the same float operations.  A row that fails may still
+    snap onto h0: the test is sufficient, not necessary.
+    """
+    c = h0.coords
+    k = len(c) - 1 if rs.spec.family == "A" else len(c)
+    c_f = np.array([float(x) for x in c])
+    q = np.array([x.denominator for x in c[:k]], dtype=float)
+    y = points[:, :k] / math.pi
+    closest = np.abs(y - c_f[:k]) + 2.0**-52 * np.abs(c_f[:k]) < 0.25 / (q * SNAP_MAX_DENOMINATOR)
+    moved = np.abs(math.pi * c_f - points) <= EPS_SNAP
+    pairings, den = rs.root_pairings(c)
+    off = np.array([p % (2 * den) != 0 for p in pairings])
+    return closest.all(axis=1) & moved.all(axis=1) & ~(near & off).any(axis=1)
+
+
 # ---------------------------------------------------------------------------
 # Singular points
 # ---------------------------------------------------------------------------
@@ -445,12 +472,22 @@ def character(rs: RootSystem, lam, h) -> CharacterValue:
 
     `h` is a TorusPoint, or a stack of floating points as an (N, n) array
     of radians; a stack gives a CharacterValue of (N,) arrays whose row i
-    is character(rs, lam, float_point(h[i])).  A floating point is regular
-    unless some root pairing lies within EPS_SNAP of 2*pi*Z: the regular
-    rows share one `_char_regular_float` call, and the others are snapped
-    onto their stratum and evaluated exactly, once per distinct snapped
-    point.  An exact (or snapped) point goes to `char_singular`, which
-    computes its degenerate split once and also serves regular points.
+    is character(rs, lam, float_point(h[i])), and every row of a type A
+    stack is checked like a single point before any evaluation.  A
+    floating point is regular unless some root pairing lies within
+    EPS_SNAP of 2*pi*Z: the regular rows share one `_char_regular_float`
+    call.  The near-wall rows are answered one snapped point at a time:
+    the first unanswered row goes through `snap_to_exact`, its point h0 is
+    evaluated once by `char_singular`, and one numpy pass (`_snaps_onto`)
+    gives h0's value to every other unanswered row that provably snaps
+    onto h0 without error, the same value and condition a per-row snap
+    would give.  The pass reads only the rows whose first coordinate is
+    within reach of h0's, one slice of the near-wall rows sorted once by
+    that coordinate, so a stack of many distinct points is not rescanned
+    per point.  Rows left over take a later turn, in row order, so the
+    first row that cannot snap raises the per-row SnapError.  An exact
+    point goes to `char_singular`, which computes its degenerate split
+    once and also serves regular points.
     """
     single = isinstance(h, TorusPoint)
     if single:
@@ -467,12 +504,29 @@ def character(rs: RootSystem, lam, h) -> CharacterValue:
         eta = vadd(_dominant(rs, lam), rs.weyl_vector)
         cv = _char_regular_float(rs, eta, points[~near], pairings[~near])
         value[~near], condition[~near] = cv.value, cv.condition
-    snapped = {}
-    for i in np.flatnonzero(near).tolist():
+    todo = np.flatnonzero(near)
+    # A row that passes h0's displacement check has x_0 within EPS_SNAP of
+    # a0 = pi * c_0, so it lies in the closed slice a0 -+ 2 EPS_SNAP of the
+    # rows sorted by x_0 (closed: at a large a0 both ends round to a0).
+    by_x0 = todo[np.argsort(points[todo, 0], kind="stable")]
+    x0 = points[by_x0, 0]
+    answered = ~near
+    answers = {}
+    for i in todo.tolist():
+        if answered[i]:
+            continue
         h0 = snap_to_exact(rs, float_point(points[i]), near=near_roots[i])
-        if h0 not in snapped:
-            snapped[h0] = char_singular(rs, lam, h0)
-        value[i], condition[i] = snapped[h0].value, snapped[h0].condition
+        if h0 not in answers:
+            answers[h0] = char_singular(rs, lam, h0)
+        a0 = math.pi * float(h0.coords[0])
+        lo = np.searchsorted(x0, a0 - 2 * EPS_SNAP)
+        rows = by_x0[lo:np.searchsorted(x0, a0 + 2 * EPS_SNAP, side="right")]
+        rows = rows[~answered[rows]]
+        if len(rows) > 1:
+            rows = rows[_snaps_onto(rs, h0, points[rows], near_roots[rows])]
+        rows = np.append(rows, i)
+        value[rows], condition[rows] = answers[h0].value, answers[h0].condition
+        answered[rows] = True
     if single:
         return CharacterValue(complex(value[0]), float(condition[0]))
     return CharacterValue(value, condition)
@@ -625,9 +679,7 @@ def _multiplicities_cached(rs: RootSystem, lam: Vec) -> _WeightTable:
     dim = dim_irrep(rs, lam)
     if dim > ORACLE_DIM_CAP:
         raise CapacityError(
-            f"dim {dim} exceeds the weight-multiplicity cap {ORACLE_DIM_CAP}",
-            required=dim,
-            cap=ORACLE_DIM_CAP,
+            f"dim {dim} exceeds the weight-multiplicity cap {ORACLE_DIM_CAP}"
         )
     rank = rs.rank
     pairings = [rs.root_pairings(v) for v in (lam, vadd(lam, rs.weyl_vector), *rs.simple_roots)]

@@ -331,8 +331,17 @@ def _run_spectral(cfg: RunConfig, factors, weights):
                 f"generators act on C^{gens.dim} but {rs.spec.name} needs C^{rs.ambient_dim}",
                 field="gens",
             )
+    top = cfg.options["moments"]
+    if gens.size**top <= spectral.WORD_CAP:
+        for flag in ("sample", "seed"):
+            if flag in cfg.options:
+                raise ConfigError(
+                    f"--{flag} applies to sampled orders only, and every order up to "
+                    f"{top} is enumerated: {gens.size}^{top} = {gens.size**top} words, "
+                    f"within the cap {spectral.WORD_CAP}", field=flag,
+                )
     est = spectral.spectrum_estimate(
-        rs, weights[0], gens, cfg.options["moments"],
+        rs, weights[0], gens, top,
         n_samples=cfg.options.get("sample"), seed=cfg.options.get("seed"),
     )
     rows = [["m", "moment", "km", "abs_diff"]]

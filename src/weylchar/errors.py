@@ -28,11 +28,6 @@ class CapacityError(WeylcharError):
 
     exit_code = 3
 
-    def __init__(self, message, required=None, cap=None):
-        super().__init__(message)
-        self.required = required
-        self.cap = cap
-
 
 class DomainError(WeylcharError):
     """Input outside an operation's domain (non-dominant weight, zero root, ...)."""

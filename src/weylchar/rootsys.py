@@ -89,14 +89,22 @@ def weyl_order(spec: RootSystemSpec) -> int:
             ("E", 7): 2903040, ("E", 8): 696729600}[(spec.family, n)]
 
 
+def _check_float_sum(coords) -> None:
+    """DomainError unless the type A floating coordinates sum to zero within EPS_SNAP."""
+    if abs(total := math.fsum(coords)) > EPS_SNAP and math.isfinite(total):
+        # a non-finite sum is left to the finite-coordinates check
+        raise DomainError(
+            "type A floating torus points must have zero coordinate sum, "
+            f"to within {EPS_SNAP}; the sum is {total!r}"
+        )
+
+
 def check_weyl_cap(spec: RootSystemSpec, cap: int) -> int:
     """|W| from the classification, or CapacityError if it exceeds the cap."""
     order = weyl_order(spec)
     if order > cap:
         raise CapacityError(
-            f"Weyl group of {spec.name} has order {order}, above the cap {cap}",
-            required=order,
-            cap=cap,
+            f"Weyl group of {spec.name} has order {order}, above the cap {cap}"
         )
     return order
 
@@ -280,12 +288,8 @@ class RootSystem:
             if h.exact:
                 if sum(h.coords) != 0:
                     raise DomainError("type A exact torus points must have zero coordinate sum")
-            elif abs(total := math.fsum(h.coords)) > EPS_SNAP and math.isfinite(total):
-                # a non-finite sum is left to the finite-coordinates check
-                raise DomainError(
-                    "type A floating torus points must have zero coordinate sum, "
-                    f"to within {EPS_SNAP}; the sum is {total!r}"
-                )
+            else:
+                _check_float_sum(h.coords)
         return h
 
     def fundamental_weights(self) -> tuple[Vec, ...]:
@@ -360,6 +364,15 @@ class RootSystem:
             )
         if not np.isfinite(points).all():
             raise DomainError("floating torus points need finite coordinates")
+        if self.spec.family == "A":
+            # Every row gets validate_point's sum check.  A numpy row sum is
+            # within n * 2**-53 * sum|x| of the correctly rounded fsum, so
+            # only rows it cannot clear are summed again with fsum.
+            with np.errstate(over="ignore"):  # an infinite sum goes to fsum too
+                sums = points.sum(axis=1)
+                slack = (points.shape[1] + 1) * 2.0**-52 * np.abs(points).sum(axis=1)
+            for row in points[~(np.abs(sums) + slack <= EPS_SNAP)].tolist():
+                _check_float_sum(row)
         return ordered_dot(self._pos_forms_float, points[:, None, :])
 
     # -- Dynkin combinatorics -------------------------------------------------------

@@ -231,9 +231,7 @@ def moment_exact(rs: RootSystem, lam, gens: GeneratorSet, m: int) -> float:
     n_words = gens.size**m
     if n_words > WORD_CAP:
         raise CapacityError(
-            f"{n_words} words exceed the cap {WORD_CAP}; use moment_sampled",
-            required=n_words,
-            cap=WORD_CAP,
+            f"{n_words} words exceed the cap {WORD_CAP}; use moment_sampled"
         )
     d = dim_irrep(rs, lam)
     terms = np.concatenate([_char_ratios(rs, lam, block, d)
@@ -271,7 +269,7 @@ def moment_sampled(
     need, have = 24 * n_samples, physical_memory()
     if need > have:
         raise CapacityError(f"{n_samples} samples take about {need} bytes, above the "
-                            f"{have} bytes of physical memory", required=need, cap=have)
+                            f"{have} bytes of physical memory")
     d = dim_irrep(rs, lam)
     rng = np.random.Generator(np.random.Philox(seed))
     mats = np.stack(gens.elements)
@@ -381,9 +379,8 @@ def spectrum_estimate(
         else:
             if n_samples is None or seed is None:
                 raise CapacityError(
-                    f"moment {m} exceeds the word cap; pass n_samples and seed",
-                    required=gens.size**m,
-                    cap=WORD_CAP,
+                    f"moment {m} takes {gens.size**m} words, above the cap {WORD_CAP}; "
+                    "pass n_samples and seed"
                 )
             val, err = moment_sampled(rs, lam, gens, m, n_samples, _stream_seed(seed, m))
             rows.append((m, val, err))

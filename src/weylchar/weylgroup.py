@@ -164,8 +164,7 @@ def generate_weyl_group(rs: RootSystem, cap: int | None = None) -> WeylGroup:
     if need > have:
         raise CapacityError(
             f"enumerating the Weyl group of {rs.spec.name} takes about {need} bytes, "
-            f"above the {have} bytes of physical memory",
-            required=need, cap=have,
+            f"above the {have} bytes of physical memory"
         )
     stack, positivity, levels = _closure(rs, expected)
     if len(stack) != expected:

@@ -370,7 +370,7 @@ def test_criterion_13_cli_determinism(capsys):
             ["sweep", "--group", "A2", "--weight", "1,1",
              "--point", "pi/5:pi/5:-2pi/5", "--kmax", "6", "--threads", threads],
             ["spectral", "--group", "A1", "--l", "3", "--moments", "3",
-             "--sample", "400", "--seed", "11", "--threads", threads],
+             "--threads", threads],
         ):
             code = cli_main(argv)
             assert code == 0

@@ -8,14 +8,20 @@ also guard the order of every float operation.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weylchar import build_root_system, spectral
-from weylchar.charcalc import character, dim_irrep
+from weylchar import build_root_system, charcalc, spectral
+from weylchar.charcalc import (
+    SNAP_MAX_DENOMINATOR, char_singular, character, dim_irrep, snap_to_exact,
+)
 from weylchar.cli import main as cli_main
-from weylchar.errors import DomainError, SnapError
+from weylchar.errors import DomainError, SnapError, WeylcharError
+from weylchar.rootsys import EPS_SNAP
 from weylchar.torus import float_point
 
 A1 = build_root_system("A1")
@@ -122,8 +128,7 @@ def test_spectral_cli_documents_pinned(capsys):
             ["1.0", "-0.022511476987514628", "0.23863192628515312", "-0.019379065977175505",
              "0.10368880019891988", "-0.012587455707841236", "0.051049893862402065"],
             "0.8524945279415942"),
-        ("spectral", "--group", "A1", "--l", "3", "--moments", "3", "--sample", "400",
-         "--seed", "11"): (
+        ("spectral", "--group", "A1", "--l", "3", "--moments", "3"): (
             ["1.0", "-0.180341524364848", "0.2765488281273716", "-0.15192977441156935"],
             "0.8945827491937212"),
     }
@@ -167,17 +172,142 @@ def test_conjugacy_phases_stack_equals_rows():
         assert np.array_equal(row.view(np.uint64), np.array(single.coords).view(np.uint64))
 
 
-def test_float_character_stack_equals_rows():
+def test_float_character_stack_equals_rows(monkeypatch):
     gens = spectral.catalog_su2_free_pair()
     words = _all_words(gens, 4)
     phases = spectral.conjugacy_phases(np.stack([_product(gens, w) for w in words]))
+    snaps, snap = [], charcalc.snap_to_exact
+
+    def counted_snap(*args, **kwargs):
+        snaps.append(snap(*args, **kwargs))
+        return snaps[-1]
+
+    monkeypatch.setattr(charcalc, "snap_to_exact", counted_snap)
     stacked = character(A1, LAM1, phases)
+    monkeypatch.undo()
+    # one snap per distinct snapped point, not one per near-wall row
+    assert len(snaps) == len(set(snaps)) == 1
     singles = [character(A1, LAM1, float_point(row)) for row in phases]
     assert (_bits(stacked.value) == _bits([cv.value for cv in singles])).all()
     assert stacked.condition.tolist() == [cv.condition for cv in singles]
     # identity-reducing words are snapped onto h = 0, where chi = dim
     snapped = stacked.value == dim_irrep(A1, LAM1)
     assert 0 < snapped.sum() < len(words)
+
+
+#: Groups and weights of the batched-snap equivalence test.
+SNAP_CASES = {"A2": (1, 1), "B3": (1, 0, 1), "G2": (1, 0)}
+
+
+@st.composite
+def _snap_stacks(draw):
+    """A float stack mixing regular rows, rows on or near several strata, rows
+    EPS_SNAP * (1 +- 1e-3) off a wall, rows at the rationalization margin
+    0.25/(qN), and rows that cannot snap, by displacement or by landing.
+
+    Points are pi * sum_i t_i w_i over the fundamental coweights w_i, so the
+    simple root a_j pairs to pi * t_j and t_j in 2Z puts the point on a wall.
+    """
+    name = draw(st.sampled_from(sorted(SNAP_CASES)))
+    rs = build_root_system(name)
+    w = rs.fundamental_coweights()
+    w_f = np.array([[float(x) for x in v] for v in w])
+    r = rs.rank
+
+    def stratum(denoms, top):
+        q = draw(st.sampled_from(denoms))
+        t = [Fraction(draw(st.integers(-top, top)), q) for _ in range(r)]
+        j = draw(st.integers(0, r - 1))
+        t[j] = Fraction(draw(st.sampled_from((0, 2, -2))))
+        c = [sum((ti * v[k] for ti, v in zip(t, w)), Fraction(0)) for k in range(rs.ambient_dim)]
+        return c, j
+
+    small = [stratum((1, 2, 3, 4, 5, 7, 12), 12) for _ in range(draw(st.integers(1, 3)))]
+    big = stratum((997, 4001, 99991, 100003), 300_000)  # denominators where 0.25/(qN) binds
+    generic = st.floats(-3, 3, allow_nan=False)
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        # rows that cannot snap end the call, so they are drawn less often
+        kind = draw(st.sampled_from(("regular", "stratum", "stratum", "wall", "wall", "margin",
+                                     "margin", "margin", "moved", "unlanded")))
+        c, j = big if kind == "margin" else draw(st.sampled_from(small))
+        on = np.array([math.pi * float(x) for x in c])
+        if kind == "regular":
+            row = math.pi * (np.array([draw(generic) for _ in range(r)]) @ w_f)
+        elif kind == "stratum":
+            jitter = st.sampled_from((0.0, 1e-15, -1e-13, 3e-12))
+            row = on + np.array([draw(jitter) for _ in on])
+        elif kind == "wall":
+            off = EPS_SNAP * draw(st.sampled_from((1 - 1e-3, 1 + 1e-3, -1 + 1e-3, -1 - 1e-3)))
+            row = on + off * w_f[j]
+        elif kind == "margin":
+            f = st.sampled_from((0.0, 0.9, -0.99, 1.01, -1.1, 2.1, -2.3, 2.5))
+            y = [x + draw(f) * Fraction(1, 4 * x.denominator * SNAP_MAX_DENOMINATOR) for x in c]
+            row = np.array([math.pi * float(v) for v in y])
+            if rs.spec.family == "A":
+                row[-1] = -row[:-1].sum()
+        elif kind == "moved":
+            row = on + 1e-8 * w_f[(j + 1) % r]  # stays on the wall of a_j, off the rationals
+        else:
+            t = np.array([draw(generic) for _ in range(r)])
+            t[j] = draw(st.sampled_from((3e-10, -5e-10))) / math.pi
+            row = math.pi * (t @ w_f)
+        rows.append(row)
+    return rs, rs.weight_from_fundamental(SNAP_CASES[name]), np.array(rows)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except WeylcharError as exc:
+        return exc
+
+
+def _per_row(rs, lam, points):
+    """The reference: near-wall rows snapped and evaluated one at a time, in row order."""
+    out = []
+    for row, near in zip(points, rs.near_walls(points)):
+        if near.any():
+            out.append(char_singular(rs, lam, snap_to_exact(rs, float_point(row))))
+        else:
+            out.append(character(rs, lam, float_point(row)))
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_snap_stacks())
+def test_batched_snap_equals_a_per_row_snap(case):
+    rs, lam, points = case
+    want = _outcome(lambda: _per_row(rs, lam, points))
+    got = _outcome(lambda: character(rs, lam, points))
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    assert not isinstance(got, Exception), got
+    assert (_bits(got.value) == _bits([cv.value for cv in want])).all()
+    assert np.array_equal(got.condition.view(np.uint64),
+                          np.array([cv.condition for cv in want]).view(np.uint64))
+
+
+def test_a_row_matching_the_snapped_point_with_a_near_root_off_it_still_raises():
+    # h0 = pi * (a/q, b/r, b/r, -(a/q + 2b/r)) with a r + b q = 1: e2 - e3 lands,
+    # and e1 - e4 pairs to 2 pi/(q r) = 1.46e-9, just outside the snap tolerance.
+    # Moving the reconstructed last coordinate by 8e-10 brings e1 - e4 within it:
+    # the second row matches h0 coordinate by coordinate, yet cannot snap.
+    q, r = 65537, 65539
+    a = pow(r, -1, q)
+    b = (1 - a * r) // q
+    c = [Fraction(a, q), Fraction(b, r), Fraction(b, r), -Fraction(a, q) - 2 * Fraction(b, r)]
+    on = [math.pi * float(x) for x in c]
+    points = np.array([on, on[:3] + [on[3] + 8e-10]])
+    rs = build_root_system("A3")
+    lam = rs.weight_from_fundamental((1, 0, 1))
+    e1_e4 = rs.positive_roots.index((1, 0, 0, -1))
+    assert rs.near_walls(points)[:, e1_e4].tolist() == [False, True]
+    want = _outcome(lambda: _per_row(rs, lam, points))
+    got = _outcome(lambda: character(rs, lam, points))
+    assert isinstance(want, SnapError)
+    assert (type(got), str(got)) == (type(want), str(want))
 
 
 def test_moment_over_many_chunks_equals_per_word_sum(monkeypatch):
@@ -207,6 +337,14 @@ def test_character_stack_checks_its_shape_and_values():
         character(A2, LAM2, np.zeros((4, 2)))
     with pytest.raises(DomainError):
         character(A2, LAM2, np.array([[0.3, math.inf, -0.3]]))
+    # Every row of a type A stack gets the single point's sum check: a regular
+    # row, and a near-wall row that the snap of the row before it would answer.
+    for rows in ([[0.1, 0.2, 0.3]], [[0.0, 0.0, 0.0], [9e-10, 9e-10, 0.0]]):
+        with pytest.raises(DomainError) as want:
+            character(A2, LAM2, float_point(rows[-1]))
+        with pytest.raises(DomainError) as got:
+            character(A2, LAM2, np.array(rows))
+        assert str(got.value) == str(want.value)
 
 
 def test_ordered_dot_on_an_int8_stack_equals_its_float64_form():

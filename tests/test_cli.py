@@ -383,6 +383,10 @@ def test_cap_weyl_env_below_one_or_not_an_integer_is_a_config_error(capsys, monk
     # --seed and --cap-weyl on a subcommand that would ignore them
     (["dim", "--group", "A2", "--weight", "1,1", "--seed", "1"], "argv"),
     (["roots", "--group", "A2", "--cap-weyl", "5"], "argv"),
+    # --seed or --sample where every order is enumerated and no word is drawn
+    (["spectral", "--group", "A1", "--l", "1", "--moments", "3", "--seed", "4"], "seed"),
+    (["spectral", "--group", "A1", "--l", "3", "--moments", "3", "--sample", "400",
+      "--seed", "11"], "sample"),
 ])
 def test_missing_or_malformed_options_give_typed_errors(capsys, argv, field):
     jsonschema = pytest.importorskip("jsonschema")
