@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ConfigError, WeylcharError
+from .errors import CapacityError, ConfigError, DomainError, WeylcharError
 from .rootsys import RootSystem, build_root_system, check_weyl_cap, weyl_order
 from .torus import TorusPoint, exact_point, float_point
 
@@ -57,7 +57,9 @@ def parse_group(text: str) -> list[RootSystem]:
         raise ConfigError(f"cannot parse group {text!r}: empty factor", field="group")
     try:
         return [build_root_system(p) for p in parts]
-    except ConfigError as exc:  # the only WeylcharError build_root_system raises
+    except CapacityError:  # a root system beyond physical memory
+        raise
+    except ConfigError as exc:
         raise ConfigError(str(exc), field="group") from exc
     except Exception as exc:
         raise ConfigError(f"cannot parse group {text!r}: {exc}", field="group") from exc
@@ -212,9 +214,14 @@ def _run_dim(cfg: RunConfig, factors, weights):
 def _run_char(cfg: RunConfig, factors, weights, points):
     from . import charcalc
 
+    total_dim = math.prod(charcalc.dim_irrep(rs, lam) for rs, lam in zip(factors, weights))
+    if total_dim > sys.float_info.max:  # |chi| / dim is reported as a float
+        raise DomainError(
+            f"char reports |chi|/dim as a float, so dim may be at most the largest float "
+            f"{sys.float_info.max!r}; dim is at least 2**{total_dim.bit_length() - 1}"
+        )
     value = 1 + 0j
     condition = 0.0
-    total_dim = 1
     deg_count = 0
     for rs, lam, h in zip(factors, weights, points):
         if not h.exact:
@@ -227,10 +234,8 @@ def _run_char(cfg: RunConfig, factors, weights, points):
             deg_count += len(split.deg)
         else:
             cv = charcalc.character(rs, lam, h)
-        d = charcalc.dim_irrep(rs, lam)
         condition = abs(value) * cv.condition + abs(cv.value) * condition
         value *= cv.value
-        total_dim *= d
     result = {
         "value": {"re": value.real, "im": value.imag},
         "dim": total_dim,

@@ -8,12 +8,16 @@ Cartan form normalized so long roots have squared length 2.  Only ratios
 of pairings enter any downstream formula, so the normalization is free.
 Roots have integer coordinates in both kinds of basis, so a root system
 is built from integer rows with integer matrix products; its public data
-are exact tuples of Fractions.
+are exact tuples of Fractions.  Weights given by fundamental coordinates
+are formed from the integer rows of the fundamental weights: sum a_i omega_i
+is one integer product of the coefficients' numerators, over their common
+denominator, with those rows, and one Fraction per coordinate at the end.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -28,12 +32,18 @@ from .exactlin import (
     vzero,
 )
 from .torus import TorusPoint
-from .utils import fold_angle, ordered_dot
+from .utils import fold_angle, ordered_dot, physical_memory
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
 #: Floating pairings within this distance of 2*pi*Z count as degenerate.
 EPS_SNAP = 1e-9
+
+_NOT_FINITE = "floating torus points need finite coordinates"
+
+#: Peak bytes a root-system build takes per entry (positive root x ambient
+#: coordinate) of its root tables: 128-134 measured on A100, B100 and A150.
+BUILD_BYTES_PER_ENTRY = 128
 
 _EXCEPTIONAL_CARTAN = {
     # 2(a_i|a_j)/(a_j|a_j); rows indexed by i.
@@ -89,10 +99,21 @@ def weyl_order(spec: RootSystemSpec) -> int:
             ("E", 7): 2903040, ("E", 8): 696729600}[(spec.family, n)]
 
 
+def _beyond_float_range(what: str) -> DomainError:
+    """The refusal of a finite floating point whose `what` leaves the float range."""
+    return DomainError(
+        f"floating torus point out of range: {what} overflows the largest float "
+        f"{sys.float_info.max!r}"
+    )
+
+
 def _check_float_sum(coords) -> None:
-    """DomainError unless the type A floating coordinates sum to zero within EPS_SNAP."""
-    if abs(total := math.fsum(coords)) > EPS_SNAP and math.isfinite(total):
-        # a non-finite sum is left to the finite-coordinates check
+    """DomainError unless the finite type A floating coordinates sum to zero within EPS_SNAP."""
+    try:
+        total = math.fsum(coords)
+    except OverflowError:  # a partial sum left the float range
+        raise _beyond_float_range("the coordinate sum") from None
+    if abs(total) > EPS_SNAP:
         raise DomainError(
             "type A floating torus points must have zero coordinate sum, "
             f"to within {EPS_SNAP}; the sum is {total!r}"
@@ -191,9 +212,12 @@ class RootSystem:
         self.root_coeffs = dict(zip(self.positive_roots, map(tuple, coeffs[order].tolist())))
         self.weyl_vector = _fraction_rows([self._pos_rows.sum(axis=0)], 2)[0]
         self._coweights = tuple(_fraction_rows(cow, cow_den))
-        self._fundamental_weights = tuple(_fraction_rows(
-            *_over_least_den(cow * norms[:, None], 2 * self._gram_den * cow_den)
-        ))
+        # omega_i = w_i (a_i|a_i) / 2 as integer rows over one denominator;
+        # their columns give Sum_i a_i omega_i as one integer product.
+        fund, self._fund_den = _over_least_den(cow * norms[:, None],
+                                               2 * self._gram_den * cow_den)
+        self._fund_cols = tuple(map(tuple, fund.T.tolist()))
+        self._fundamental_weights = tuple(_fraction_rows(fund, self._fund_den))
         self._pos_set = frozenset(self.positive_roots)
         self._root_set = self._pos_set | frozenset(_fraction_rows(-self._pos_rows))
         index = dict(zip(map(tuple, self._pos_rows.tolist()), range(len(rows))))
@@ -284,6 +308,8 @@ class RootSystem:
             raise DomainError(
                 f"torus point has {h.dim} coordinates, ambient needs {self.ambient_dim}"
             )
+        if not (h.exact or all(map(math.isfinite, h.coords))):
+            raise DomainError(_NOT_FINITE)
         if self.spec.family == "A":
             if h.exact:
                 if sum(h.coords) != 0:
@@ -301,14 +327,16 @@ class RootSystem:
         return self._coweights
 
     def weight_from_fundamental(self, coeffs) -> Vec:
-        """Ambient weight Sum a_i omega_i from fundamental coordinates."""
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) != self.rank:
+        """Ambient weight Sum a_i omega_i from fundamental coordinates.
+
+        The coefficients are read like `exactlin.common_denominator` reads
+        them; the result is a tuple of Fractions.
+        """
+        nums, den = common_denominator(coeffs)
+        if len(nums) != self.rank:
             raise DomainError(f"expected {self.rank} fundamental coordinates")
-        v = vzero(self.ambient_dim)
-        for c, w in zip(coeffs, self.fundamental_weights()):
-            v = vadd(v, vscale(c, w))
-        return v
+        den *= self._fund_den
+        return tuple(Fraction(sum(map(mul, col, nums)), den) for col in self._fund_cols)
 
     def coroot(self, alpha) -> Vec:
         return vscale(2 / self.norm2(alpha), alpha)
@@ -355,7 +383,10 @@ class RootSystem:
         """(alpha|h) for every floating point h (rows of radians) and positive root alpha.
 
         Returns an (N, #positive roots) array.  Each pairing is the float
-        sum of float(G alpha)_j * h_j, added in coordinate order.
+        sum of float(G alpha)_j * h_j, added in coordinate order.  Points
+        with a non-finite coordinate, or with a pairing (or, in type A, a
+        partial coordinate sum) beyond the float range, are refused with a
+        DomainError, a single point and any row of a stack alike.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.ambient_dim:
@@ -363,7 +394,7 @@ class RootSystem:
                 f"torus points need {self.ambient_dim} coordinates"
             )
         if not np.isfinite(points).all():
-            raise DomainError("floating torus points need finite coordinates")
+            raise DomainError(_NOT_FINITE)
         if self.spec.family == "A":
             # Every row gets validate_point's sum check.  A numpy row sum is
             # within n * 2**-53 * sum|x| of the correctly rounded fsum, so
@@ -373,7 +404,11 @@ class RootSystem:
                 slack = (points.shape[1] + 1) * 2.0**-52 * np.abs(points).sum(axis=1)
             for row in points[~(np.abs(sums) + slack <= EPS_SNAP)].tolist():
                 _check_float_sum(row)
-        return ordered_dot(self._pos_forms_float, points[:, None, :])
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairings = ordered_dot(self._pos_forms_float, points[:, None, :])
+        if not np.isfinite(pairings).all():
+            raise _beyond_float_range("a root pairing (alpha|h)")
+        return pairings
 
     # -- Dynkin combinatorics -------------------------------------------------------
 
@@ -542,9 +577,25 @@ def _exceptional_data(spec: RootSystemSpec):
     return simple, list(roots), gram
 
 
+def _check_build_memory(spec: RootSystemSpec) -> None:
+    """CapacityError when building `spec` would take more than physical memory.
+
+    The estimate is BUILD_BYTES_PER_ENTRY times the entries of one root
+    table, positive roots times ambient coordinates; nothing is allocated.
+    """
+    entries = positive_root_count(spec) * (spec.rank + 1 if spec.family == "A" else spec.rank)
+    need, have = BUILD_BYTES_PER_ENTRY * entries, physical_memory()
+    if need > have:
+        raise CapacityError(
+            f"root system {spec.name} needs about {need} bytes for its tables "
+            f"({entries} root entries), above the {have} bytes of physical memory"
+        )
+
+
 @lru_cache(maxsize=None)
 def _build_cached(family: str, rank: int) -> RootSystem:
     spec = RootSystemSpec(family, rank)
+    _check_build_memory(spec)
     if family in ("A", "B", "C", "D"):
         simple, positive, gram = _classical_data(spec)
     else:

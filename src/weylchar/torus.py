@@ -49,8 +49,12 @@ class TorusPoint:
 
 
 def exact_point(coeffs) -> TorusPoint:
-    """Torus point h = pi * coeffs with exact rational coefficients."""
-    return TorusPoint(tuple(Fraction(c) for c in coeffs), True)
+    """Torus point h = pi * coeffs with exact rational coefficients.
+
+    `Fraction` entries are kept as they are; any other entry goes through
+    `Fraction`.
+    """
+    return TorusPoint(tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs), True)
 
 
 def float_point(radians) -> TorusPoint:

@@ -347,6 +347,22 @@ def test_character_stack_checks_its_shape_and_values():
         assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("name, rows", [
+    ("A2", [[0.1, 0.2, -0.3], [1e308, -1e308, 0.0]]),  # a pairing overflows
+    ("A2", [[0.1, 0.2, -0.3], [1e308, 1e308, -1e308]]),  # a partial coordinate sum overflows
+    ("B2", [[0.1, 0.2], [1e308, 1e308]]),
+])
+def test_stack_row_beyond_the_float_range_is_refused_like_a_single_point(name, rows):
+    rs = build_root_system(name)
+    lam = rs.weight_from_fundamental((1, 1))
+    with pytest.raises(DomainError) as want:
+        character(rs, lam, float_point(rows[-1]))
+    with pytest.raises(DomainError) as got:
+        character(rs, lam, np.array(rows))
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("floating torus point out of range")
+
+
 def test_ordered_dot_on_an_int8_stack_equals_its_float64_form():
     # The float Weyl sum hands the int8 stack to ordered_dot unconverted;
     # promoting one column at a time must give the bits of the float64 copy.

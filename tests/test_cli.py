@@ -435,6 +435,59 @@ def test_non_finite_float_point_is_a_domain_error(capsys):
     assert code == 4 and doc["error"]["code"] == "DomainError"
 
 
+def _error_document(capsys, argv, code, kind):
+    """The schema-valid error document of argv, which must exit `code` with a `kind` error."""
+    jsonschema = pytest.importorskip("jsonschema")
+    schema_dir = Path(__file__).resolve().parents[1] / "docs" / "schemas"
+    got, doc = run_json(capsys, *argv)
+    assert (got, doc["error"]["code"]) == (code, kind)
+    jsonschema.validate(doc, json.loads((schema_dir / "error.schema.json").read_text()))
+    return doc["error"]
+
+
+@pytest.mark.parametrize("argv, overflow", [
+    # pairing e1 - e2 = 2e308; was exit 0 with NaN value, condition and normalized_abs
+    (["--group", "A2", "--point=1e308:-1e308:0"], "a root pairing (alpha|h)"),
+    # the partial sum 2e308; was an OverflowError traceback from fsum
+    (["--group", "A2", "--point=1e308:1e308:-1e308"], "the coordinate sum"),
+    # pairing e1 + e2 = 2e308; was exit 0 with value 16 = dim, snapped onto the centre
+    (["--group", "B2", "--point=1e308:1e308"], "a root pairing (alpha|h)"),
+])
+def test_float_point_beyond_the_float_range_is_a_domain_error(capsys, argv, overflow):
+    err = _error_document(capsys, ["char", "--weight", "1,1", *argv], 4, "DomainError")
+    assert err["message"] == (f"floating torus point out of range: {overflow} overflows "
+                              "the largest float 1.7976931348623157e+308")
+
+
+@pytest.mark.parametrize("point", ["--point=0.1:0.2:-0.3", "--point=pi/7:pi/11:-18pi/77"])
+def test_char_of_a_weight_whose_dimension_overflows_a_float_is_a_domain_error(capsys, point):
+    # were OverflowError tracebacks: float(lam + rho) on the float path, and
+    # |chi| / dim on the exact one
+    err = _error_document(capsys, ["char", "--group", "A2", "--weight", "1e400,1", point],
+                          4, "DomainError")
+    assert "the largest float 1.7976931348623157e+308" in err["message"]
+    code, doc = run_json(capsys, "dim", "--group", "A2", "--weight", "1e400,1")
+    assert code == 0
+    assert doc["result"]["dim"] == (10**400 + 1) * 2 * (10**400 + 3) // 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["dim", "--group", "A1000000", "--weight", "1"],  # was a ConfigError: numpy's 7.28 TiB
+    ["roots", "--group", "D100000"],
+    ["char", "--group", "B200000xA1", "--weight", "1", "--point=pi"],
+])
+def test_root_system_past_physical_memory_refuses_before_any_allocation(capsys, monkeypatch,
+                                                                        argv):
+    from weylchar import rootsys
+
+    def no_tables(*args, **kwargs):
+        raise AssertionError("root tables were allocated")
+
+    monkeypatch.setattr(rootsys, "_classical_data", no_tables)
+    err = _error_document(capsys, argv, 3, "CapacityError")
+    assert "bytes of physical memory" in err["message"]
+
+
 @pytest.mark.parametrize("point, kind", [
     ("pi/3:2pi/3:pi", "exact"),
     ("1.0:2.0:3.0", "floating"),  # was evaluated at -1:0:1

@@ -6,14 +6,16 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylchar import build_root_system, exact_point
-from weylchar.errors import ConfigError, DomainError, StructureError
+from weylchar.errors import CapacityError, ConfigError, DomainError, StructureError
 from weylchar.exactlin import (
     adjugate, common_denominator, mat_vec, solve, span_coefficients, vadd, vscale,
 )
-from weylchar.rootsys import RootSystemSpec, positive_root_count
-from weylchar.weylgroup import reflect
+from weylchar.rootsys import RootSystemSpec, positive_root_count, weyl_order
+from weylchar.weylgroup import DEFAULT_WEYL_CAP, reflect
 
 from _helpers import random_rational_vector, rng_for
 
@@ -303,6 +305,69 @@ def test_integer_root_data_matches_fraction_references(name):
     want = np.array([[float(x) for x in f] for f in forms])
     assert rs._pos_forms_float.dtype == want.dtype
     assert rs._pos_forms_float.tobytes() == want.tobytes()
+
+
+def _fraction_weight(rs, coeffs):
+    """Sum a_i omega_i as a Fraction vector sum: the reference of weight_from_fundamental."""
+    v = (F(0),) * rs.ambient_dim
+    for c, w in zip(coeffs, rs.fundamental_weights()):
+        v = vadd(v, vscale(c, w))
+    return v
+
+
+#: Every spec whose Weyl group the default cap admits, and E8.
+CAPPED_SPECS = [f"{fam}{n}" for fam, ranks in (("A", range(1, 10)), ("B", range(2, 9)),
+                                               ("C", range(2, 9)), ("D", range(2, 10)),
+                                               ("E", (6, 7)), ("F", (4,)), ("G", (2,)))
+                for n in ranks if weyl_order(RootSystemSpec(fam, n)) <= DEFAULT_WEYL_CAP]
+_COEFFS = st.one_of(st.integers(-10**30, 10**30), st.fractions(max_denominator=10**6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), name=st.sampled_from(CAPPED_SPECS + ["E8"]))
+def test_weight_from_fundamental_equals_the_fraction_sum(data, name):
+    rs = build_root_system(name)
+    coeffs = data.draw(st.lists(_COEFFS, min_size=rs.rank, max_size=rs.rank))
+    lam = rs.weight_from_fundamental(coeffs)
+    assert type(lam) is tuple and all(type(x) is F for x in lam)
+    assert lam == _fraction_weight(rs, coeffs)
+
+
+def test_weight_from_fundamental_reads_any_rational_and_checks_the_rank():
+    rs = build_root_system("G2")
+    coeffs = (np.int64(3), "-5/7")
+    assert rs.weight_from_fundamental(coeffs) == _fraction_weight(rs, (3, F(-5, 7)))
+    assert rs.weight_from_fundamental((0, 0)) == (F(0), F(0))
+    with pytest.raises(DomainError, match="expected 2 fundamental coordinates"):
+        rs.weight_from_fundamental((1, 2, 3))
+
+
+def test_exact_point_keeps_fraction_entries_and_converts_the_rest():
+    entries = (F(1, 3), F(-2, 5), F(0))
+    assert all(a is b for a, b in zip(exact_point(entries).coords, entries))
+    h = exact_point((1, "2/3", 0.5, F(7)))
+    assert h.coords == (F(1), F(2, 3), F(1, 2), F(7)) and h.exact
+    assert all(type(x) is F for x in h.coords)
+    with pytest.raises(ValueError):
+        exact_point(("one",))
+
+
+def test_root_system_past_physical_memory_refuses_before_any_allocation(monkeypatch):
+    from weylchar import rootsys
+
+    def no_tables(*args, **kwargs):
+        raise AssertionError("root tables were allocated")
+
+    monkeypatch.setattr(rootsys, "_classical_data", no_tables)
+    monkeypatch.setattr(rootsys, "_exceptional_data", no_tables)
+    with pytest.raises(CapacityError, match=r"A1000000 needs about 64000128000064000000 bytes "
+                                            r"for its tables \(500001000000500000 root entries\)"):
+        build_root_system("A1000000")
+    # the bound is physical memory itself: A37 has 703 * 38 entries
+    need = rootsys.BUILD_BYTES_PER_ENTRY * 703 * 38
+    monkeypatch.setattr(rootsys, "physical_memory", lambda: need - 1)
+    with pytest.raises(CapacityError, match=f"needs about {need} bytes"):
+        build_root_system("A37")
 
 
 def test_roots_documents_are_unchanged(capsys):
