@@ -76,9 +76,9 @@ from operator import mul
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, SingularPointError, SnapError
-from .exactlin import Vec, common_denominator, int_dtype, int_matvec, vadd, vscale, vsub, vsum
-from .rootsys import EPS_SNAP, DegenerateSplit, RootSystem, RootSystemSpec, weyl_order
+from .errors import CapacityError, ConfigError, DomainError, SingularPointError, SnapError
+from .exactlin import Vec, common_denominator, int_dtype, int_matvec, vadd
+from .rootsys import EPS_SNAP, DegenerateSplit, RootSystem, RootSystemSpec, positive_root_count
 from .torus import TorusPoint, exact_point, float_point
 from .utils import (
     as_complex, cmul, cquot, fold_angle, ordered_dot, pairwise_sum, sin_half_angle, sin_half_pi,
@@ -117,9 +117,7 @@ def dim_irrep(rs: RootSystem, lam) -> int:
     prod_a (lam + rho|a) / (rho|a) over the positive roots, on the
     root system's integer pairings.
     """
-    lam = rs.validate_weight(lam)
-    if not rs.is_dominant_integral(lam):
-        raise DomainError(f"{lam} is not a dominant integral weight for {rs.spec.name}")
+    lam = _dominant(rs, lam)
     eta, eta_den = rs.root_pairings(vadd(lam, rs.weyl_vector))
     rho, rho_den = rs.root_pairings(rs.weyl_vector)
     d = Fraction(math.prod(eta) * rho_den ** len(eta), math.prod(rho) * eta_den ** len(eta))
@@ -186,7 +184,7 @@ def _phase_sum(exps: np.ndarray, coeffs: np.ndarray, d: int) -> complex:
 def _dominant(rs: RootSystem, lam) -> Vec:
     lam = rs.validate_weight(lam)
     if not rs.is_dominant_integral(lam):
-        raise DomainError(f"{lam} is not dominant integral for {rs.spec.name}")
+        raise DomainError(f"{lam} is not a dominant integral weight for {rs.spec.name}")
     return lam
 
 
@@ -538,112 +536,76 @@ def character(rs: RootSystem, lam, h) -> CharacterValue:
 
 
 @dataclass(frozen=True)
-class SubsystemComponent:
-    """A connected component of a degenerate root subsystem."""
-
-    family: str
-    rank: int
-    weyl_order: int
-
-    @property
-    def name(self) -> str:
-        return f"{self.family}{self.rank}"
-
-
-@dataclass(frozen=True)
 class EffectiveSubsystem:
-    """Root subsystem spanned by (an image of) the degenerate roots."""
+    """Root subsystem spanned by (an image of) the degenerate roots.
 
-    simple_roots: tuple
-    rho: Vec
+    `components` are its simple factors, as `RootSystemSpec`s.
+    """
+
     components: tuple
-
-
-def _classify_component(rs: RootSystem, positive, simple) -> tuple[str, int, int]:
-    r = len(simple)
-    c = len(positive)
-    norms = sorted({rs.norm2(a) for a in positive})
-    if len(norms) == 1:
-        if c == r * (r + 1) // 2:
-            fam = "A"
-        elif c == r * (r - 1):
-            fam = "D"
-        else:
-            fam = "E"
-            if (r, c) not in {(6, 36), (7, 63), (8, 120)}:
-                raise AssertionError(f"unclassifiable simply-laced component r={r} c={c}")
-    else:
-        ratio = norms[-1] / norms[0]
-        if ratio == 3:
-            fam = "G"
-        elif (r, c) == (4, 24):
-            fam = "F"
-        else:
-            short = sum(1 for a in positive if rs.norm2(a) == norms[0])
-            lng = c - short
-            if r == 2:
-                fam = "B"  # B2 and C2 are isomorphic; pick B by convention
-            elif short == r:
-                fam = "B"
-            elif lng == r:
-                fam = "C"
-            else:
-                raise AssertionError(f"unclassifiable two-length component r={r} c={c}")
-    return fam, r, weyl_order(RootSystemSpec(fam, r))
 
 
 def effective_subsystem(rs: RootSystem, image_roots) -> EffectiveSubsystem:
     """Decompose a (possibly Weyl-transported) degenerate root set.
 
     The input is a positive system of a closed subsystem of the roots of
-    rs, e.g. b applied to the degenerate positive roots.  Components are
-    the connectivity classes under mutual non-orthogonality, largest
-    first; each carries its classification.
+    rs, e.g. b applied to the degenerate positive roots, and it is read on
+    the integer root rows.  Components are the classes of the input under
+    non-orthogonality, on one integer pairing matrix, largest first and
+    then by their sorted roots.  A component of c roots has rank r, the
+    number of its roots that are not the sum of two of its roots; r, c and
+    the root lengths name its type (B2 = C2 as B2), which must have c
+    positive roots.
     """
-    roots = [tuple(Fraction(x) for x in r) for r in image_roots]
-    root_set = set(roots)
-    for r in roots:
-        if not rs.is_root(r):
-            raise DomainError(f"{r} is not a root of {rs.spec.name}")
-        if tuple(-x for x in r) in root_set:
-            raise DomainError("input contains a root together with its negative")
-    full = root_set | {tuple(-x for x in r) for r in roots}
-    for x in roots:
-        for y in roots:
-            for cand in (vadd(x, y), vsub(x, y)):
-                if rs.is_root(cand) and cand not in full:
-                    raise DomainError(
-                        f"input not closed: {x} and {y} combine to root {cand} "
-                        "outside the set"
-                    )
-
-    # Connected components under non-orthogonality.
-    remaining = set(roots)
-    comps = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            x = frontier.pop()
-            for y in list(remaining - comp):
-                if rs.inner(x, y) != 0:
-                    comp.add(y)
-                    frontier.append(y)
-        comps.append(sorted(comp))
-        remaining -= comp
-    comps.sort(key=lambda comp: (-len(comp), comp))
-
+    n = len(rs._pos_rows)
+    signed = np.concatenate([rs._pos_rows, -rs._pos_rows])
+    index = {r: i for i, r in enumerate(map(tuple, signed.tolist()))}
+    picked = set()
+    for r in image_roots:
+        if (i := index.get(tuple(r))) is None:
+            raise DomainError(f"{tuple(r)} is not a root of {rs.spec.name}")
+        picked.add(i)
+    idx = sorted(picked)
+    inside = {i % n for i in idx}
+    if len(inside) < len(idx):
+        raise DomainError("input contains a root together with its negative")
+    roots = signed[idx]
+    simple = np.empty(len(idx), dtype=bool)
+    for k, x in enumerate(roots):
+        # x + y and x - y for every input root y: the roots among them must
+        # be input roots up to sign, and x is simple unless an x - y is one
+        combined = np.concatenate([x + roots, x - roots]).tolist()
+        cand = [index.get(c, -1) for c in map(tuple, combined)]
+        for j in cand:
+            if j >= 0 and j % n not in inside:
+                raise DomainError(f"input not closed: {x.tolist()} and an input root "
+                                  f"combine to the root {signed[j].tolist()} outside the set")
+        simple[k] = picked.isdisjoint(cand[len(idx):])
+    pair = roots @ np.array(rs._gram_int, dtype=np.int64) @ roots.T
+    linked, left, comps = pair != 0, np.ones(len(idx), dtype=bool), []
+    while left.any():
+        comp = linked[np.argmax(left)]
+        while (grown := linked[comp].any(axis=0)).sum() > comp.sum():
+            comp = grown
+        comps.append(comp)
+        left &= ~comp
+    comps.sort(key=lambda comp: (-comp.sum(), sorted(map(tuple, roots[comp].tolist()))))
     components = []
-    all_simple = []
     for comp in comps:
-        cset = set(comp)
-        # A member is simple for the component iff it is not a sum of two members.
-        simple = [r for r in comp if not any(vsub(r, s) in cset for s in comp if s != r)]
-        all_simple += simple
-        components.append(SubsystemComponent(*_classify_component(rs, comp, simple)))
-    rho = vscale(Fraction(1, 2), vsum(roots, rs.ambient_dim))
-    return EffectiveSubsystem(tuple(all_simple), rho, tuple(components))
+        norms, r, c = pair.diagonal()[comp].tolist(), int(simple[comp].sum()), int(comp.sum())
+        lo, hi = min(norms), max(norms)
+        if lo == hi:
+            fam = "A" if c == r * (r + 1) // 2 else "D" if c == r * (r - 1) else "E"
+        else:
+            fam = "G" if hi == 3 * lo else "F" if c == 24 else "B" if norms.count(lo) == r else "C"
+        try:
+            spec = RootSystemSpec(fam, r)
+        except ConfigError:
+            spec = None
+        if spec is None or positive_root_count(spec) != c:
+            raise AssertionError(f"unclassifiable component of rank {r} with {c} roots")
+        components.append(spec)
+    return EffectiveSubsystem(tuple(components))
 
 
 # ---------------------------------------------------------------------------

@@ -160,8 +160,14 @@ class RunConfig:
         return {"subcommand": self.subcommand, "group": self.group, **self.options}
 
 
-def _fmt_fraction_vec(v):
-    return [str(Fraction(x)) for x in v]
+def _float_range_dim(sub: str, dim: int) -> int:
+    """dim, or a DomainError when it leaves the float range, where `sub` divides chi by it."""
+    if dim > sys.float_info.max:
+        raise DomainError(
+            f"{sub} computes chi/dim as a float, so dim may be at most the largest float "
+            f"{sys.float_info.max!r}; dim is at least 2**{dim.bit_length() - 1}"
+        )
+    return dim
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +212,7 @@ def _run_dim(cfg: RunConfig, factors, weights):
         per.append(d)
         total *= d
     result = {"dim": total, "factor_dims": per,
-              "weights_ambient": [_fmt_fraction_vec(w) for w in weights]}
+              "weights_ambient": [list(map(Fraction, w)) for w in weights]}
     rows = [["dim"], [total]]
     return result, rows
 
@@ -214,12 +220,8 @@ def _run_dim(cfg: RunConfig, factors, weights):
 def _run_char(cfg: RunConfig, factors, weights, points):
     from . import charcalc
 
-    total_dim = math.prod(charcalc.dim_irrep(rs, lam) for rs, lam in zip(factors, weights))
-    if total_dim > sys.float_info.max:  # |chi| / dim is reported as a float
-        raise DomainError(
-            f"char reports |chi|/dim as a float, so dim may be at most the largest float "
-            f"{sys.float_info.max!r}; dim is at least 2**{total_dim.bit_length() - 1}"
-        )
+    total_dim = _float_range_dim("char", math.prod(
+        charcalc.dim_irrep(rs, lam) for rs, lam in zip(factors, weights)))
     value = 1 + 0j
     condition = 0.0
     deg_count = 0
@@ -249,7 +251,7 @@ def _run_char(cfg: RunConfig, factors, weights, points):
 
 
 def _run_sweep(cfg: RunConfig, factors, weights, points):
-    from . import asymptotics
+    from . import asymptotics, charcalc
 
     ks = cfg.options["schedule"]
     if cfg.options.get("counterexample"):
@@ -267,8 +269,11 @@ def _run_sweep(cfg: RunConfig, factors, weights, points):
     else:
         if len(factors) != 1:
             raise ConfigError("plain sweeps take a single simple group", field="group")
-        path = asymptotics.WeightPath.ray(factors[0], weights[0], ks)
-        rep = asymptotics.normalized_char_sweep(factors[0], path, points[0])
+        rs = factors[0]
+        path = asymptotics.WeightPath.ray(rs, weights[0], ks)
+        # dim grows with k, so the largest k has the largest
+        _float_range_dim("sweep", charcalc.dim_irrep(rs, [max(ks) * x for x in path.base]))
+        rep = asymptotics.normalized_char_sweep(rs, path, points[0])
     entries = [
         {"k": k, "dim": d, "ratio_abs": r,
          "bound": (rep.bound_constant / asymptotics.weight_inf_norm(lam)
@@ -301,24 +306,27 @@ def _run_certificate(cfg: RunConfig, factors, weights, points):
     split = rs.degenerate_split(points[0])
     cert = asymptotics.divergence_certificate(rs, split, weights[0])
     result = {
-        "root": _fmt_fraction_vec(cert.root),
-        "growth": str(cert.growth),
-        "base_pairing": str(cert.base_pairing),
+        "root": list(map(Fraction, cert.root)),
+        "growth": Fraction(cert.growth),
+        "base_pairing": Fraction(cert.base_pairing),
         "construction": cert.construction,
         "chain": list(cert.chain),
         "degenerate_roots": len(split.deg),
     }
     rows = [["construction", "root", "growth"],
-            [cert.construction, " ".join(result["root"]), result["growth"]]]
+            [cert.construction, " ".join(map(str, cert.root)), result["growth"]]]
     return result, rows
 
 
 def _run_spectral(cfg: RunConfig, factors, weights):
     if len(factors) != 1:
         raise ConfigError("spectral takes a single simple group", field="group")
-    from . import spectral
-
     rs = factors[0]
+    if rs.spec.family != "A":  # generators are unitary matrices, their phases SU(N) points
+        raise ConfigError(f"spectral runs on SU(N), type A only, not {rs.spec.name}",
+                          field="group")
+    from . import charcalc, spectral
+
     gens_src = cfg.options.get("gens", "catalog")
     if gens_src == "catalog":
         gens = spectral.catalog_su2_free_pair()
@@ -345,6 +353,7 @@ def _run_spectral(cfg: RunConfig, factors, weights):
                     f"{top} is enumerated: {gens.size}^{top} = {gens.size**top} words, "
                     f"within the cap {spectral.WORD_CAP}", field=flag,
                 )
+    _float_range_dim("spectral", charcalc.dim_irrep(rs, weights[0]))
     est = spectral.spectrum_estimate(
         rs, weights[0], gens, top,
         n_samples=cfg.options.get("sample"), seed=cfg.options.get("seed"),
@@ -427,22 +436,35 @@ def run(cfg: RunConfig) -> dict:
 
 
 def render(doc: dict, fmt: str) -> str:
+    """The document as text: its weights, dims and pairings become text here.
+
+    The result keeps them as ints and Fractions, and a Fraction is written
+    as its string.  A number with more digits than
+    `sys.get_int_max_str_digits()` allows is a DomainError: the limit is
+    the interpreter's, and it is left as it is.
+    """
     rows = doc.pop("_csv_rows", None)
-    if fmt == "json":
-        return json.dumps(doc, sort_keys=True, indent=2, default=str) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        for row in rows:
-            writer.writerow(row)
-        return buf.getvalue()
-    if fmt == "table":
-        widths = [max(len(str(r[i])) for r in rows) for i in range(len(rows[0]))]
-        lines = [
-            "  ".join(str(c).ljust(w) for c, w in zip(row, widths)).rstrip()
-            for row in rows
-        ]
-        return "\n".join(lines) + "\n"
+    try:
+        if fmt == "json":
+            return json.dumps(doc, sort_keys=True, indent=2, default=str) + "\n"
+        if fmt == "csv":
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            for row in rows:
+                writer.writerow(row)
+            return buf.getvalue()
+        if fmt == "table":
+            widths = [max(len(str(r[i])) for r in rows) for i in range(len(rows[0]))]
+            lines = [
+                "  ".join(str(c).ljust(w) for c, w in zip(row, widths)).rstrip()
+                for row in rows
+            ]
+            return "\n".join(lines) + "\n"
+    except ValueError:  # int-to-str conversion past the digit limit
+        raise DomainError(
+            f"the document holds a number of more than sys.get_int_max_str_digits() = "
+            f"{sys.get_int_max_str_digits()} decimal digits, which cannot be written"
+        ) from None
     raise ConfigError(f"unknown format {fmt!r}", field="format")
 
 

@@ -42,13 +42,6 @@ def vzero(n: int) -> Vec:
     return (Fraction(0),) * n
 
 
-def vsum(vectors, dim: int) -> Vec:
-    out = vzero(dim)
-    for v in vectors:
-        out = vadd(out, v)
-    return out
-
-
 def dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(x, y, strict=True)), Fraction(0))
 

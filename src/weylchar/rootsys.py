@@ -219,7 +219,6 @@ class RootSystem:
         self._fund_cols = tuple(map(tuple, fund.T.tolist()))
         self._fundamental_weights = tuple(_fraction_rows(fund, self._fund_den))
         self._pos_set = frozenset(self.positive_roots)
-        self._root_set = self._pos_set | frozenset(_fraction_rows(-self._pos_rows))
         index = dict(zip(map(tuple, self._pos_rows.tolist()), range(len(rows))))
         self._simple_index = [index[r] for r in map(tuple, simple.tolist())]
         simple_coroots = self._coroot_rows[self._simple_index]
@@ -260,9 +259,6 @@ class RootSystem:
 
     def norm2(self, x) -> Fraction:
         return self.inner(x, x)
-
-    def is_root(self, x) -> bool:
-        return tuple(x) in self._root_set
 
     def is_positive_root(self, x) -> bool:
         return tuple(x) in self._pos_set

@@ -92,6 +92,17 @@ def fixed_members(rs, group, h0):
     return tuple(np.flatnonzero(((diff @ omega) % (2 * d * den) == 0).all(axis=1)).tolist())
 
 
+def subsystem_simple_roots(roots):
+    """The simple roots of a positive system: its roots that are not the sum of two of its roots.
+
+    The reference for the simple degenerate roots `weylgroup.stabilizer`
+    reads off the root data.
+    """
+    roots = set(map(tuple, roots))
+    return {r for r in roots
+            if not any(tuple(x - y for x, y in zip(r, s)) in roots for s in roots)}
+
+
 def scan_transversal(group, w0):
     """Indices of W0's coset representatives, by a blocked scan of the int8 stack.
 

@@ -212,7 +212,7 @@ def test_criterion_06_stabilizer_centralizer_structure():
             sub = effective_subsystem(rs, rs.degenerate_split(st.point).deg)
             expected = 1
             for comp in sub.components:
-                expected *= comp.weyl_order
+                expected *= weyl_order(comp)
             if w0.order != expected:
                 ok = False
     rs = build_root_system("A4")

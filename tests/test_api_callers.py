@@ -36,11 +36,7 @@ KEEP = {
 }
 
 #: Dataclass fields without a reader in the library or the benchmark, and why each stays.
-KEEP_FIELDS = {
-    "SubsystemComponent.weyl_order": "the component orders whose product acceptance "
-                                     "criterion 06 and the stabilizer tests compare with |W0|",
-    "EffectiveSubsystem.rho": "the subsystem's Weyl vector, which test_charcalc checks",
-}
+KEEP_FIELDS = {}
 
 
 def _docstrings(tree):

@@ -4,6 +4,7 @@ import cmath
 import hashlib
 import math
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from weylchar.charcalc import (
     weight_multiplicities,
 )
 from weylchar.errors import CapacityError, DomainError, SingularPointError, SnapError
-from weylchar.exactlin import _normal_solve, vscale, vzero
+from weylchar.exactlin import _normal_solve, vzero
+from weylchar.rootsys import weyl_order
 from weylchar.weylgroup import coset_transversal, generate_weyl_group, stabilizer
 from weylchar.asymptotics import alcove_stratum_points
 
@@ -191,7 +193,6 @@ def test_su3_coset_subdimensions_match_paper_structure():
     exps, coeffs, d, abs_sum = _SingularEvaluator(rs, split).exponents(rs.weyl_vector)
     assert (exps.tolist(), coeffs.tolist(), d, abs_sum) == ([0, 4, 6], [-4, 2, 2], 5, 8.0)
     assert sub.components[0].name == "A1"
-    assert sub.rho == vscale(F(1, 2), rs.simple_roots[0])
 
 
 def test_singular_against_oracle_alcove_strata():
@@ -263,8 +264,23 @@ def test_effective_weight_integrality_over_all_cosets():
             for b in trans.tolist():
                 image = [apply_matrix(group.stack[b], a) for a in split.deg]
                 sub = effective_subsystem(rs, image)
-                assert math.prod(c.weyl_order for c in sub.components) == w0.order
-                assert len(sub.simple_roots) == len(w0.roots)
+                assert math.prod(weyl_order(c) for c in sub.components) == w0.order
+                assert sum(c.rank for c in sub.components) == len(w0.roots)
+
+
+@pytest.mark.parametrize("name", ["A1", "A5", "B5", "C5", "D5", "D6", "B8", "C8", "D8",
+                                  "G2", "F4", "E6", "E7", "E8"])
+def test_effective_subsystem_orders_are_the_stabilizer_orders_on_every_alcove_stratum(name):
+    # reaches E, F, D5+ and rank >= 5 B and C components; the stand-in group
+    # carries only |W|, so no group is enumerated
+    rs = build_root_system(name)
+    group = SimpleNamespace(order=weyl_order(rs.spec))
+    for st in alcove_stratum_points(rs):
+        split = rs.degenerate_split(st.point)
+        w0 = stabilizer(rs, group, st.point, split=split)
+        sub = effective_subsystem(rs, split.deg)
+        assert math.prod(weyl_order(c) for c in sub.components) == w0.order
+        assert sum(c.rank for c in sub.components) == len(w0.roots)
 
 
 def test_effective_subsystem_decomposition_su5():
@@ -285,7 +301,7 @@ def test_effective_subsystem_empty():
     rs = build_root_system("A2")
     sub = effective_subsystem(rs, [])
     assert sub.components == ()
-    assert math.prod(c.weyl_order for c in sub.components) == 1
+    assert math.prod(weyl_order(c) for c in sub.components) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
@@ -23,6 +24,8 @@ from weylchar.cli import (
 )
 from weylchar.errors import ConfigError
 from weylchar.rootsys import build_root_system, weyl_order
+
+FREE_PAIR = str(Path(__file__).resolve().parents[1] / "docs" / "examples" / "free_pair.json")
 
 
 def run_cli(capsys, *argv):
@@ -387,6 +390,9 @@ def test_cap_weyl_env_below_one_or_not_an_integer_is_a_config_error(capsys, monk
     (["spectral", "--group", "A1", "--l", "1", "--moments", "3", "--seed", "4"], "seed"),
     (["spectral", "--group", "A1", "--l", "3", "--moments", "3", "--sample", "400",
       "--seed", "11"], "sample"),
+    # spectral reads eigenphases of unitary matrices as SU(N) points: type A only
+    *[(["spectral", "--group", g, "--weight", "1,0", "--gens", FREE_PAIR, "--moments", "4"],
+       "group") for g in ("B2", "C2", "G2")],
 ])
 def test_missing_or_malformed_options_give_typed_errors(capsys, argv, field):
     jsonschema = pytest.importorskip("jsonschema")
@@ -469,6 +475,33 @@ def test_char_of_a_weight_whose_dimension_overflows_a_float_is_a_domain_error(ca
     code, doc = run_json(capsys, "dim", "--group", "A2", "--weight", "1e400,1")
     assert code == 0
     assert doc["result"]["dim"] == (10**400 + 1) * 2 * (10**400 + 3) // 2
+
+
+@pytest.mark.parametrize("argv", [
+    # the dim at the largest k of a plain sweep, on the float and the exact path
+    ["sweep", "--group", "A2", "--weight", "1e400,1", "--point=0.1:0.2:-0.3", "--kmax", "2"],
+    ["sweep", "--group", "A2", "--weight", "1e300,1", "--point=pi/5:pi/5:-2pi/5",
+     "--kmax", "2"],
+    ["spectral", "--group", "A1", "--weight", "1e400", "--moments", "2"],
+])
+def test_sweep_and_spectral_refuse_a_dimension_beyond_the_float_range(capsys, argv):
+    # were OverflowError tracebacks, exit 1
+    err = _error_document(capsys, argv, 4, "DomainError")
+    assert "the largest float 1.7976931348623157e+308" in err["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dim", "--group", "A2", "--weight", "1e5000,1"],
+    ["dim", "--group", "A2", "--weight", "1e5000,1", "--format", "csv"],
+    ["certificate", "--group", "A2", "--weight", "1,1e5000", "--point=pi/5:pi/5:-2pi/5"],
+])
+def test_a_number_past_the_int_to_str_digit_limit_is_a_domain_error(capsys, argv):
+    # were ValueError tracebacks from int-to-str conversion, exit 1
+    err = _error_document(capsys, argv, 4, "DomainError")
+    assert f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}" in err["message"]
+    # the limit is refused, not raised: a dim just within it prints in full
+    code, doc = run_json(capsys, "dim", "--group", "A1", "--weight", str(10**4299 - 2))
+    assert code == 0 and doc["result"]["dim"] == 10**4299 - 1
 
 
 @pytest.mark.parametrize("argv", [
