@@ -69,6 +69,7 @@ the Fraction form of the same rational gave, and the residues r / D in
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -78,8 +79,10 @@ import numpy as np
 
 from .errors import CapacityError, ConfigError, DomainError, SingularPointError, SnapError
 from .exactlin import Vec, common_denominator, int_dtype, int_matvec, vadd
-from .rootsys import EPS_SNAP, DegenerateSplit, RootSystem, RootSystemSpec, positive_root_count
-from .torus import TorusPoint, exact_point, float_point
+from .rootsys import (
+    EPS_SNAP, DegenerateSplit, RootSystem, RootSystemSpec, _beyond_float_range, positive_root_count,
+)
+from .torus import TorusPoint, exact_point
 from .utils import (
     as_complex, cmul, cquot, fold_angle, ordered_dot, pairwise_sum, sin_half_angle, sin_half_pi,
 )
@@ -92,10 +95,6 @@ ORACLE_DIM_CAP = 100_000
 
 #: Denominator bound for rationalizing snapped floating points.
 SNAP_MAX_DENOMINATOR = 10**6
-
-#: Entries (point x Weyl element x coordinate) per block of the float Weyl
-#: sum; bounds its working arrays at a few MB whatever the stack size.
-FLOAT_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -184,7 +183,12 @@ def _phase_sum(exps: np.ndarray, coeffs: np.ndarray, d: int) -> complex:
 def _dominant(rs: RootSystem, lam) -> Vec:
     lam = rs.validate_weight(lam)
     if not rs.is_dominant_integral(lam):
-        raise DomainError(f"{lam} is not a dominant integral weight for {rs.spec.name}")
+        # repr(lam) unless a coordinate of b bits may pass the int-to-str digit limit
+        limit = sys.get_int_max_str_digits()
+        bits = max(max(abs(x.numerator), x.denominator).bit_length() for x in lam)
+        shown = lam if not limit or int(bits * math.log10(2)) + 1 <= limit else \
+            f"a weight with a coordinate of more than {limit} digits"
+        raise DomainError(f"{shown} is not a dominant integral weight for {rs.spec.name}")
     return lam
 
 
@@ -245,17 +249,17 @@ def _char_regular_exact(rs: RootSystem, eta: Vec, split: DegenerateSplit) -> Cha
 
 
 def _char_regular_float(
-    rs: RootSystem, eta: Vec, points: np.ndarray, pairings: np.ndarray
+    rs: RootSystem, eta: Vec, point: np.ndarray, pairings: np.ndarray
 ) -> CharacterValue:
-    """Weyl character formula at a stack of regular floating points.
+    """Weyl character formula at one regular floating point.
 
-    `points` is an (N, n) array of radians and `pairings` its
-    `rs.float_pairings`, which give the Weyl denominator.  Returns a
-    CharacterValue of (N,) arrays.  The W*h products and the phases are
-    summed coordinate by coordinate (`ordered_dot`), the signed terms by
-    `pairwise_sum` over W in enumeration order, and complex products and
-    the quotient follow Python's arithmetic, so each row has the bits of a
-    per-point loop over W, whatever the stack around it.
+    `point` is an (n,) array of radians and `pairings` its
+    `rs.float_pairings`, which give the Weyl denominator.  The W*h
+    products and the phases are summed coordinate by coordinate
+    (`ordered_dot`), the signed terms by `pairwise_sum` over W in
+    enumeration order, and complex products and the quotient follow
+    Python's arithmetic.  A point whose phases (eta|w h) leave the float
+    range is refused with a DomainError.
     """
     group = cached_weyl_group(rs)
     eta_f = [float(x) for x in eta]
@@ -263,19 +267,17 @@ def _char_regular_float(
         geta = eta_f
     else:
         geta = ordered_dot([[float(g) for g in row] for row in rs.gram], eta_f)
-    signs = group.signs.astype(float)
-    block = max(1, FLOAT_BLOCK // (group.order * rs.ambient_dim))
-    num = np.empty(len(points), dtype=complex)
-    for lo in range(0, len(points), block):
-        wh = ordered_dot(group.stack, points[lo:lo + block, None, None, :])  # (b, |W|, n)
-        phase = fold_angle(ordered_dot(geta, wh))
-        terms = cmul(signs, as_complex(np.cos(phase), np.sin(phase)))
-        num[lo:lo + block] = pairwise_sum(terms.T)
-    den = np.ones(len(points), dtype=complex)
-    for p in pairings.T:
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = ordered_dot(geta, ordered_dot(group.stack, point))  # (eta|w h), w in W
+    if not np.isfinite(phase).all():
+        raise _beyond_float_range("a phase (eta|w h)")
+    phase = fold_angle(phase)
+    num = pairwise_sum(cmul(group.signs.astype(float), as_complex(np.cos(phase), np.sin(phase))))
+    den = 1 + 0j
+    for p in pairings:
         den = cmul(den, cmul(2j, sin_half_angle(p)))
-    value = cquot(num, den)
-    condition = group.order / np.hypot(den.real, den.imag) * _MACHINE_EPS
+    value = complex(cquot(num, den))
+    condition = float(group.order / np.hypot(den.real, den.imag) * _MACHINE_EPS)
     return CharacterValue(value, condition)
 
 
@@ -284,16 +286,14 @@ def _char_regular_float(
 # ---------------------------------------------------------------------------
 
 
-def snap_to_exact(rs: RootSystem, h: TorusPoint, *, near=None) -> TorusPoint:
+def snap_to_exact(rs: RootSystem, h: TorusPoint) -> TorusPoint:
     """Rationalize a floating point onto its singular stratum, or fail loudly.
 
     Coordinates are reconstructed as rationals with denominator at most
     1e6 (type A reconstructs the last coordinate from the sum-zero
     constraint).  The snap succeeds only if the reconstruction moves every
     coordinate by less than the snap tolerance and turns every
-    near-degenerate pairing into an exact one.  `near` flags, per positive
-    root, whether its pairing with h is within the snap tolerance of
-    2*pi*Z, when the caller has it.
+    near-degenerate pairing into an exact one.
     """
     if h.exact:
         return h
@@ -314,43 +314,14 @@ def snap_to_exact(rs: RootSystem, h: TorusPoint, *, near=None) -> TorusPoint:
                 f"<= {SNAP_MAX_DENOMINATOR}"
             )
     snapped = exact_point(coeffs)
-    if near is None:
-        near = rs.near_walls([rad])[0]
     pairings, den = rs.root_pairings(snapped.coords)
-    for a, d, p in zip(rs.positive_roots, near.tolist(), pairings):
+    for a, d, p in zip(rs.positive_roots, rs.near_walls(rad).tolist(), pairings):
         if d and p % (2 * den):
             raise SnapError(
                 f"cannot rationalize {h}: near-degenerate root {a} does not "
                 "land exactly on the stratum after reconstruction"
             )
     return snapped
-
-
-def _snaps_onto(rs: RootSystem, h0: TorusPoint, points: np.ndarray, near: np.ndarray):
-    """Rows of `points` that `snap_to_exact` provably maps onto h0 = pi * c without error.
-
-    `near` is the rows' `near_walls`.  A row passes when (1) every
-    rationalized coordinate (the head in type A) has |x/pi - c_i| below
-    0.25/(q_i N), N = SNAP_MAX_DENOMINATOR and q_i the denominator of c_i,
-    after a 2**-52 |c_i| allowance for the rounding of float(c_i);
-    (2) every coordinate has |pi * float(c_i) - x| <= EPS_SNAP; and (3)
-    every near root of the row has an exact pairing with h0 in 2*pi*Z.
-    Distinct fractions of denominators <= N lie at least 1/(q_i N) apart,
-    so under (1) c_i is the unique closest such fraction to x/pi and
-    `Fraction.limit_denominator` returns it; (2) and (3) are the snap's own
-    checks, with the same float operations.  A row that fails may still
-    snap onto h0: the test is sufficient, not necessary.
-    """
-    c = h0.coords
-    k = len(c) - 1 if rs.spec.family == "A" else len(c)
-    c_f = np.array([float(x) for x in c])
-    q = np.array([x.denominator for x in c[:k]], dtype=float)
-    y = points[:, :k] / math.pi
-    closest = np.abs(y - c_f[:k]) + 2.0**-52 * np.abs(c_f[:k]) < 0.25 / (q * SNAP_MAX_DENOMINATOR)
-    moved = np.abs(math.pi * c_f - points) <= EPS_SNAP
-    pairings, den = rs.root_pairings(c)
-    off = np.array([p % (2 * den) != 0 for p in pairings])
-    return closest.all(axis=1) & moved.all(axis=1) & ~(near & off).any(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -465,69 +436,24 @@ def char_singular(
     return _cached_evaluator(rs, split).evaluate(lam)
 
 
-def character(rs: RootSystem, lam, h) -> CharacterValue:
+def character(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
     """Evaluate the character at any torus point, dispatching on degeneracy.
 
-    `h` is a TorusPoint, or a stack of floating points as an (N, n) array
-    of radians; a stack gives a CharacterValue of (N,) arrays whose row i
-    is character(rs, lam, float_point(h[i])), and every row of a type A
-    stack is checked like a single point before any evaluation.  A
-    floating point is regular unless some root pairing lies within
-    EPS_SNAP of 2*pi*Z: the regular rows share one `_char_regular_float`
-    call.  The near-wall rows are answered one snapped point at a time:
-    the first unanswered row goes through `snap_to_exact`, its point h0 is
-    evaluated once by `char_singular`, and one numpy pass (`_snaps_onto`)
-    gives h0's value to every other unanswered row that provably snaps
-    onto h0 without error, the same value and condition a per-row snap
-    would give.  The pass reads only the rows whose first coordinate is
-    within reach of h0's, one slice of the near-wall rows sorted once by
-    that coordinate, so a stack of many distinct points is not rescanned
-    per point.  Rows left over take a later turn, in row order, so the
-    first row that cannot snap raises the per-row SnapError.  An exact
-    point goes to `char_singular`, which computes its degenerate split
-    once and also serves regular points.
+    An exact point goes to `char_singular`, which computes its degenerate
+    split once and also serves regular points.  A floating point is
+    regular unless some root pairing lies within EPS_SNAP of 2*pi*Z:
+    a regular point goes to `_char_regular_float`, a near-wall point
+    through `snap_to_exact` to `char_singular`.
     """
-    single = isinstance(h, TorusPoint)
-    if single:
-        if h.exact:
-            return char_singular(rs, lam, h)
-        rs.validate_point(h)
-    points = np.array([h.coords]) if single else np.asarray(h, dtype=float)
-    pairings = rs.float_pairings(points)
-    near_roots = np.abs(fold_angle(pairings)) < EPS_SNAP
-    near = near_roots.any(axis=1)
-    value = np.empty(len(points), dtype=complex)
-    condition = np.empty(len(points))
-    if not near.all():
-        eta = vadd(_dominant(rs, lam), rs.weyl_vector)
-        cv = _char_regular_float(rs, eta, points[~near], pairings[~near])
-        value[~near], condition[~near] = cv.value, cv.condition
-    todo = np.flatnonzero(near)
-    # A row that passes h0's displacement check has x_0 within EPS_SNAP of
-    # a0 = pi * c_0, so it lies in the closed slice a0 -+ 2 EPS_SNAP of the
-    # rows sorted by x_0 (closed: at a large a0 both ends round to a0).
-    by_x0 = todo[np.argsort(points[todo, 0], kind="stable")]
-    x0 = points[by_x0, 0]
-    answered = ~near
-    answers = {}
-    for i in todo.tolist():
-        if answered[i]:
-            continue
-        h0 = snap_to_exact(rs, float_point(points[i]), near=near_roots[i])
-        if h0 not in answers:
-            answers[h0] = char_singular(rs, lam, h0)
-        a0 = math.pi * float(h0.coords[0])
-        lo = np.searchsorted(x0, a0 - 2 * EPS_SNAP)
-        rows = by_x0[lo:np.searchsorted(x0, a0 + 2 * EPS_SNAP, side="right")]
-        rows = rows[~answered[rows]]
-        if len(rows) > 1:
-            rows = rows[_snaps_onto(rs, h0, points[rows], near_roots[rows])]
-        rows = np.append(rows, i)
-        value[rows], condition[rows] = answers[h0].value, answers[h0].condition
-        answered[rows] = True
-    if single:
-        return CharacterValue(complex(value[0]), float(condition[0]))
-    return CharacterValue(value, condition)
+    if h.exact:
+        return char_singular(rs, lam, h)
+    rs.validate_point(h)
+    pairings = rs.float_pairings(h.coords)
+    near = np.abs(fold_angle(pairings)) < EPS_SNAP
+    if near.any():
+        return char_singular(rs, lam, snap_to_exact(rs, h))
+    eta = vadd(_dominant(rs, lam), rs.weyl_vector)
+    return _char_regular_float(rs, eta, np.array(h.coords), pairings)
 
 
 # ---------------------------------------------------------------------------

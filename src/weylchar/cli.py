@@ -227,9 +227,8 @@ def _run_char(cfg: RunConfig, factors, weights, points):
     deg_count = 0
     for rs, lam, h in zip(factors, weights, points):
         if not h.exact:
-            near = rs.near_walls([h.coords])[0]
-            if near.any():  # what character() evaluates: the snapped exact point
-                h = charcalc.snap_to_exact(rs, h, near=near)
+            if rs.near_walls(h.coords).any():  # what character() evaluates: the snapped point
+                h = charcalc.snap_to_exact(rs, h)
         if h.exact:
             split = rs.degenerate_split(h)
             cv = charcalc.char_singular(rs, lam, h, split=split)

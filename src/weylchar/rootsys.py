@@ -366,42 +366,32 @@ class RootSystem:
             for a, p in zip(self.positive_roots, pairings):
                 (ndeg if p % (2 * den) else deg).append(a)
             return DegenerateSplit(h0, tuple(deg), tuple(ndeg), tuple(pairings), den)
-        for a, d in zip(self.positive_roots, self.near_walls([h0.coords])[0].tolist()):
+        for a, d in zip(self.positive_roots, self.near_walls(h0.coords).tolist()):
             (deg if d else ndeg).append(a)
         return DegenerateSplit(h0, tuple(deg), tuple(ndeg))
 
-    def near_walls(self, points) -> np.ndarray:
-        """Per floating point (rows of radians) and positive root alpha: whether
-        (alpha|h) lies within the snap tolerance of 2*pi*Z."""
-        return np.abs(fold_angle(self.float_pairings(points))) < EPS_SNAP
+    def near_walls(self, coords) -> np.ndarray:
+        """Per positive root alpha: whether (alpha|h) lies within the snap
+        tolerance of 2*pi*Z, for the floating point h of radians `coords`."""
+        return np.abs(fold_angle(self.float_pairings(coords))) < EPS_SNAP
 
-    def float_pairings(self, points) -> np.ndarray:
-        """(alpha|h) for every floating point h (rows of radians) and positive root alpha.
+    def float_pairings(self, coords) -> np.ndarray:
+        """(alpha|h) for the floating point h of radians `coords`, per positive root alpha.
 
-        Returns an (N, #positive roots) array.  Each pairing is the float
-        sum of float(G alpha)_j * h_j, added in coordinate order.  Points
-        with a non-finite coordinate, or with a pairing (or, in type A, a
-        partial coordinate sum) beyond the float range, are refused with a
-        DomainError, a single point and any row of a stack alike.
+        Each pairing is the float sum of float(G alpha)_j * h_j, added in
+        coordinate order.  A point with a non-finite coordinate, or with a
+        pairing (or, in type A, a partial coordinate sum) beyond the float
+        range, is refused with a DomainError.
         """
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != self.ambient_dim:
-            raise DomainError(
-                f"torus points need {self.ambient_dim} coordinates"
-            )
-        if not np.isfinite(points).all():
+        point = np.asarray(coords, dtype=float)
+        if point.shape != (self.ambient_dim,):
+            raise DomainError(f"torus points need {self.ambient_dim} coordinates")
+        if not np.isfinite(point).all():
             raise DomainError(_NOT_FINITE)
         if self.spec.family == "A":
-            # Every row gets validate_point's sum check.  A numpy row sum is
-            # within n * 2**-53 * sum|x| of the correctly rounded fsum, so
-            # only rows it cannot clear are summed again with fsum.
-            with np.errstate(over="ignore"):  # an infinite sum goes to fsum too
-                sums = points.sum(axis=1)
-                slack = (points.shape[1] + 1) * 2.0**-52 * np.abs(points).sum(axis=1)
-            for row in points[~(np.abs(sums) + slack <= EPS_SNAP)].tolist():
-                _check_float_sum(row)
+            _check_float_sum(point.tolist())
         with np.errstate(over="ignore", invalid="ignore"):
-            pairings = ordered_dot(self._pos_forms_float, points[:, None, :])
+            pairings = ordered_dot(self._pos_forms_float, point)
         if not np.isfinite(pairings).all():
             raise _beyond_float_range("a root pairing (alpha|h)")
         return pairings

@@ -24,12 +24,10 @@ def physical_memory() -> int:
 
 
 def pairwise_sum(values):
-    """Deterministic pairwise (tree) reduction along the first axis.
+    """Deterministic pairwise (tree) sum of a sequence of numbers, as a Python number.
 
     The reduction order depends only on the input order, never on chunking
-    or thread count, so repeated runs are bit-identical.  A sequence of
-    numbers sums to a Python number; an (N, ...) array sums along its
-    first axis, elementwise over the others, with the same tree.
+    or thread count, so repeated runs are bit-identical.
     """
     vals = np.asarray(values)
     if len(vals) == 0:
@@ -37,7 +35,7 @@ def pairwise_sum(values):
     while len(vals) > 1:
         pairs = vals[0:len(vals) - 1:2] + vals[1::2]
         vals = np.concatenate([pairs, vals[-1:]]) if len(vals) % 2 else pairs
-    return vals[0] if vals.ndim > 1 else vals.tolist()[0]
+    return vals.tolist()[0]
 
 
 def ordered_dot(a, b) -> np.ndarray:

@@ -11,8 +11,12 @@ not count.  Docstrings and comments do not count, and neither do tests,
 alone are listed in KEEP, each with its reason.
 
 Likewise each field of a dataclass in `src/weylchar/*.py` must be read as
-an attribute (`x.field`, loaded, not stored) in that code; fields read by
-the tests alone are listed in KEEP_FIELDS as `Class.field`, with the reason.
+an attribute (`x.field`, loaded, not stored) in that code, on a receiver
+`x` whose class is the field's own: an attribute of another class that
+shares the field's name does not count.  The class of a receiver is
+inferred per function, without running anything (`FieldReads`); a read
+whose receiver cannot be typed does not count either.  Fields read by the
+tests alone are listed in KEEP_FIELDS as `Class.field`, with the reason.
 """
 
 import ast
@@ -117,11 +121,143 @@ def dataclass_fields(path):
             if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
 
 
+class FieldReads:
+    """The `Class.attr` loads in the caller code whose receiver's class is inferred.
+
+    Classes are those defined at the top level of the caller files.  A
+    receiver is typed by these rules, applied per function to its names
+    (flow-insensitively, the last binding winning) and recursively to
+    expressions:
+
+    - `self`, the first parameter of a method, is its class; a parameter
+      or an annotated assignment takes the class its annotation names
+      (`C`, `"C"`, `mod.C`, `C | None`);
+    - `C(...)` is a C, and a call to a function or method whose every
+      definition of that name returns `C` is a C;
+    - `x.attr` takes the class of attr's annotation in x's class (a field
+      or a property);
+    - a container annotated `list[C]` or `tuple[C, ...]` (a return value or
+      a field), or a list that a C is appended to, holds Cs: its items,
+      `x[i]`, `choice(x)` and the targets of loops and comprehensions
+      over it are Cs.
+    """
+
+    def __init__(self, paths):
+        self.trees = [ast.parse(path.read_text(), str(path)) for path in paths]
+        defs = [node for tree in self.trees for node in tree.body if isinstance(node, ast.ClassDef)]
+        self.classes = {node.name for node in defs}
+        self.attrs = {}  # class -> attr -> (class, element class)
+        for node in defs:
+            table = self.attrs.setdefault(node.name, {})
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    table[item.target.id] = self._annotation(item.annotation)
+                elif isinstance(item, ast.FunctionDef) and "property" in map(
+                        ast.unparse, item.decorator_list):
+                    table[item.name] = self._annotation(item.returns)
+        self.returns = {}  # function or method name -> (class, element class), or None
+        for tree in self.trees:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef):
+                    got = self._annotation(node.returns)
+                    self.returns[node.name] = (got if self.returns.get(node.name, got) == got
+                                               else (None, None))
+        self.found = set()
+        for tree in self.trees:
+            self._scope(tree.body, {}, {})
+
+    def _annotation(self, node):
+        """(class, element class) that an annotation names, each None if it names none."""
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            node = ast.parse(node.value, mode="eval").body
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            return (name if name in self.classes else None), None
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+            got = {self._annotation(node.left), self._annotation(node.right)} - {(None, None)}
+            return got.pop() if len(got) == 1 else (None, None)
+        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id in ("list", "tuple")):
+            item = node.slice.elts[0] if isinstance(node.slice, ast.Tuple) else node.slice
+            return None, self._annotation(item)[0]
+        return None, None
+
+    def _type(self, node, env):
+        """(class, element class) of an expression under env: name -> (class, element class)."""
+        if isinstance(node, ast.Name):
+            return env.get(node.id, (None, None))
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in self.classes:
+                return name, None
+            if name == "choice" and node.args:
+                return self._type(node.args[0], env)[1], None
+            return self.returns.get(name, (None, None))
+        if isinstance(node, ast.Attribute):
+            owner = self._type(node.value, env)[0]
+            return self.attrs.get(owner, {}).get(node.attr, (None, None))
+        if isinstance(node, ast.Subscript):
+            return self._type(node.value, env)[1], None
+        return None, None
+
+    def _scope(self, body, env, params):
+        """Type the names bound in a function (or module) body, then record its reads."""
+        env = {**env, **params}
+        nodes, inner = [], []
+        stack = list(body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                inner.append(node)
+                continue
+            nodes.append(node)
+            stack.extend(ast.iter_child_nodes(node))
+        nodes.reverse()
+        for _ in range(2):  # a second pass types names bound from names typed later
+            for node in nodes:
+                if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                    got = self._type(node.value, env)
+                    if isinstance(node, ast.AnnAssign) and got == (None, None):
+                        got = self._annotation(node.annotation)
+                    for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                        if isinstance(target, ast.Name) and got != (None, None):
+                            env[target.id] = got
+                elif isinstance(node, (ast.For, ast.comprehension)):
+                    item = self._type(node.iter, env)[1]
+                    if isinstance(node.target, ast.Name) and item:
+                        env[node.target.id] = (item, None)
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "append" and isinstance(node.func.value, ast.Name)
+                      and node.args):
+                    item = self._type(node.args[0], env)[0]
+                    if item:
+                        env[node.func.value.id] = (None, item)
+        for node in nodes:
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                owner = self._type(node.value, env)[0]
+                if owner:
+                    self.found.add(f"{owner}.{node.attr}")
+        for node in inner:
+            methods = node.body if isinstance(node, ast.ClassDef) else [node]
+            for fn in methods:
+                if isinstance(fn, ast.FunctionDef):
+                    self._scope(fn.body, env, self._params(fn, node))
+
+    def _params(self, fn, owner):
+        args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        out = {a.arg: self._annotation(a.annotation) for a in args}
+        decorators = set(map(ast.unparse, fn.decorator_list))
+        if isinstance(owner, ast.ClassDef) and args and not decorators & {"staticmethod",
+                                                                          "classmethod"}:
+            out[args[0].arg] = (owner.name, None)
+        return out
+
+
 def unread_fields():
-    read = {node.attr for path in CALLERS for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    read = FieldReads(CALLERS).found
     return [f"{path.name}:{line} {field}" for path in LIBRARY
-            for field, line in dataclass_fields(path) if field.split(".")[1] not in read]
+            for field, line in dataclass_fields(path) if field not in read]
 
 
 def test_every_dataclass_field_is_read_by_the_library_or_benchmark():

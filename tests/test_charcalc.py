@@ -452,6 +452,25 @@ def test_snap_failure_is_loud():
         char_singular(rs, rs.weyl_vector, bad)
 
 
+def test_snap_refuses_a_near_root_that_does_not_land():
+    # h0 = pi * (a/q, b/r, b/r, -(a/q + 2b/r)) with a r + b q = 1: e2 - e3 lands,
+    # and e1 - e4 pairs to 2 pi/(q r) = 1.46e-9, just outside the snap tolerance.
+    # Moving the last coordinate by 8e-10 brings e1 - e4 within it, while every
+    # coordinate still rationalizes back onto h0, where e1 - e4 is off its wall.
+    q, r = 65537, 65539
+    a = pow(r, -1, q)
+    b = (1 - a * r) // q
+    c = [F(a, q), F(b, r), F(b, r), -F(a, q) - 2 * F(b, r)]
+    on = [math.pi * float(x) for x in c]
+    rs = build_root_system("A3")
+    e1_e4 = rs.positive_roots.index((1, 0, 0, -1))
+    assert not rs.near_walls(on)[e1_e4]
+    moved = float_point(on[:3] + [on[3] + 8e-10])
+    assert rs.near_walls(moved.coords)[e1_e4]
+    with pytest.raises(SnapError, match="does not land exactly"):
+        character(rs, rs.weight_from_fundamental((1, 0, 1)), moved)
+
+
 def test_near_singular_detection():
     rs = build_root_system("A2")
     assert rs.degenerate_split(float_point([0.3, 0.3, -0.6])).deg

@@ -465,6 +465,17 @@ def test_float_point_beyond_the_float_range_is_a_domain_error(capsys, argv, over
                               "the largest float 1.7976931348623157e+308")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--group", "B2", "--weight", "0,1", "--point=pi/2:-1e308"],
+    ["--group", "A1", "--weight", "2", "--point=1.7e308"],
+])
+def test_float_point_whose_weyl_phases_overflow_is_a_domain_error(capsys, argv):
+    # the root pairings are finite, but some (eta|w h) is not: were exit 0 with NaN
+    err = _error_document(capsys, ["char", *argv], 4, "DomainError")
+    assert err["message"] == ("floating torus point out of range: a phase (eta|w h) overflows "
+                              "the largest float 1.7976931348623157e+308")
+
+
 @pytest.mark.parametrize("point", ["--point=0.1:0.2:-0.3", "--point=pi/7:pi/11:-18pi/77"])
 def test_char_of_a_weight_whose_dimension_overflows_a_float_is_a_domain_error(capsys, point):
     # were OverflowError tracebacks: float(lam + rho) on the float path, and
@@ -502,6 +513,25 @@ def test_a_number_past_the_int_to_str_digit_limit_is_a_domain_error(capsys, argv
     # the limit is refused, not raised: a dim just within it prints in full
     code, doc = run_json(capsys, "dim", "--group", "A1", "--weight", str(10**4299 - 2))
     assert code == 0 and doc["result"]["dim"] == 10**4299 - 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["dim", "--group", "A2", "--weight=-1e5000,1"],
+    ["char", "--group", "A2", "--weight=-1e5000,1", "--point=pi/5:pi/5:-2pi/5"],
+])
+def test_a_non_dominant_weight_past_the_digit_limit_is_a_domain_error(capsys, argv):
+    # were ValueError tracebacks from the repr of the weight in the dominance refusal
+    err = _error_document(capsys, argv, 4, "DomainError")
+    assert err["message"] == (f"a weight with a coordinate of more than "
+                              f"{sys.get_int_max_str_digits()} digits is not a dominant "
+                              "integral weight for A2")
+
+
+@pytest.mark.parametrize("l", ["1e300", "237265"])
+def test_spectral_refuses_a_weight_past_the_trace_kernel_bound(capsys, l):
+    err = _error_document(capsys, ["spectral", "--group", "A1", "--l", l, "--moments", "2"],
+                          4, "DomainError")
+    assert err["message"].endswith("lambda_1 = lam_1 - lam_N must be at most 474529")
 
 
 @pytest.mark.parametrize("argv", [
@@ -647,6 +677,12 @@ def test_subcommands_import_only_the_modules_they_use(argv, absent):
 #: A small valid --weight and --point per group.
 _FUZZ_GROUPS = {"A1": ("2", "pi/3"), "A2": ("1,1", "pi/5:pi/5:-2pi/5"), "B2": ("0,1", "pi/2:0")}
 
+#: Huge entries, one of which may replace an entry of --weight, --point or --l:
+#: past the float range, past the int-to-str digit limit, and at both signs.
+_FUZZ_HUGE = {"weight": ("1e300", "-1e300", "1e400", "1e5000", "-1e5000"),
+              "l": ("1e300", "-1e400", "1e5000"),
+              "point": ("1e300", "-1e308", "1.7e308", "1e5000", "-1e5000")}
+
 #: Small valid values per option; --group, --weight and --point come from the group.
 _FUZZ_VALUES = {
     "format": ("json",), "seed": ("1",), "threads": ("1",), "cap_weyl": ("1", "8"),
@@ -679,6 +715,12 @@ def _argv(draw, options):
             keep = draw(st.booleans())
         if keep and takes_value:
             value = values.get(dest) or draw(st.sampled_from(_FUZZ_VALUES[dest]))
+            if dest in _FUZZ_HUGE and draw(st.booleans()):
+                sep = ":" if dest == "point" else ","
+                entries = value.split(sep)
+                entries[draw(st.integers(0, len(entries) - 1))] = \
+                    draw(st.sampled_from(_FUZZ_HUGE[dest]))
+                value = sep.join(entries)
             argv.append(f"{flag}={value}")
         elif keep:
             argv.append(flag)
@@ -693,6 +735,10 @@ def _argv(draw, options):
 _OPTIONS = _fuzz_options()
 
 
+def _not_a_json_number(name):
+    raise AssertionError(f"the document holds {name}, which JSON has no number for")
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(argv=_argv(_OPTIONS))
 def test_every_argv_gets_a_schema_valid_document(argv):
@@ -700,7 +746,7 @@ def test_every_argv_gets_a_schema_valid_document(argv):
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
         code = main(argv)
-    doc = json.loads(out.getvalue())
+    doc = json.loads(out.getvalue(), parse_constant=_not_a_json_number)
     schema_dir = Path(__file__).resolve().parents[1] / "docs" / "schemas"
     name = argv[0] if code == 0 else "error"
     assert code in (0, 2, 3, 4)

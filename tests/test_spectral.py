@@ -29,7 +29,7 @@ from weylchar.spectral import (
     norm_estimate,
     spectrum_estimate,
 )
-from weylchar.utils import pairwise_sum, physical_memory
+from weylchar.utils import cquot, pairwise_sum, physical_memory
 
 from _helpers import generator_set_to_json, reduce_word, rng_for
 
@@ -96,6 +96,123 @@ def test_phases_reject_bad_matrices():
         conjugacy_phases(np.eye(2) * 2.0)
     with pytest.raises(DomainError):
         conjugacy_phases(np.diag([1j, 1j]))  # det = -1
+
+
+# ---------------------------------------------------------------------------
+# the trace kernel
+# ---------------------------------------------------------------------------
+
+
+def _kernel_bound(parts, n):
+    """The trace kernel's stated error bound on |error| / dim."""
+    return math.factorial(n) * (parts[0] + n) ** n * 2.0**-52
+
+
+def _dim_a(parts, n):
+    """dim of the SU(n) irrep of a partition: prod_{i<j} (l_i - l_j + j - i) / (j - i)."""
+    lam = list(parts) + [0] * (n - len(parts))
+    pairs = list(itertools.combinations(range(n), 2))
+    return math.prod(lam[i] - lam[j] + j - i for i, j in pairs) // math.prod(j - i
+                                                                             for i, j in pairs)
+
+
+def _schur_mp(g, parts):
+    """s_lambda of the eigenvalues of g in 40-digit arithmetic: eigenvalues by
+    mpmath.eig, h_k by adding one variable at a time, then Jacobi-Trudi."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        eigs, _ = mpmath.eig(mpmath.matrix(g.tolist()))
+        h = [mpmath.mpc(1)] + [mpmath.mpc(0)] * (parts[0] + len(parts))
+        for x in eigs:
+            for k in range(1, len(h)):
+                h[k] += x * h[k - 1]
+        ell = len(parts)
+        mat = mpmath.matrix(ell, ell)
+        for i in range(ell):
+            for j in range(ell):
+                k = parts[i] - i + j
+                mat[i, j] = h[k] if k >= 0 else 0
+        return complex(mpmath.det(mat))
+
+
+def _accuracy_words(n, seed):
+    """Haar words, identity-reducing words and words within 1e-8 of a wall, in SU(n)."""
+    gens = haar_generator_set(n, 4, seed)
+    g = gens.elements
+    haar = [g[0], g[1] @ g[2], g[0] @ g[1] @ g[2] @ g[3]]
+    reducing = [g[0] @ g[0].conj().T, g[1] @ g[2] @ g[2].conj().T @ g[1].conj().T,
+                g[3] @ g[0] @ g[3].conj().T @ g[0].conj().T @ g[0] @ g[3] @ g[0].conj().T
+                @ g[3].conj().T]
+    rng = np.random.default_rng(seed)
+    walls = []
+    for gap in (1e-8, -3e-9, 1e-12):
+        theta = rng.uniform(-3, 3, n)
+        theta[1] = theta[0] + gap
+        theta -= theta.mean()
+        walls.append(g[0] @ np.diag(np.exp(1j * theta)) @ g[0].conj().T)
+    return np.array(haar + reducing + walls)
+
+
+@pytest.mark.parametrize("n, partitions", [
+    (2, [(1,), (20,), (77,), (200,)]),
+    (3, [(1,), (2, 1), (20, 7), (200,), (200, 100), (200, 200)]),
+    (4, [(1,), (3, 2, 1), (20, 20, 20), (200,), (200, 150, 3), (200, 200, 200)]),
+])
+def test_trace_kernel_within_its_bound_of_40_digit_arithmetic(n, partitions):
+    words = _accuracy_words(n, 11 * n)
+    for parts in partitions:
+        got = spectral._trace_characters(words, parts)
+        bound = _kernel_bound(parts, n)
+        dim = _dim_a(parts, n)
+        for g, value in zip(words, got):
+            assert abs(value - _schur_mp(g, parts)) / dim <= bound, (n, parts)
+
+
+#: The benchmark's weights: the A1 catalog-pair weight and the A2 Haar-set weights.
+BENCH_WEIGHTS = [("A1", (20,)), ("A2", (1, 0)), ("A2", (1, 1)), ("A2", (2, 0)), ("A2", (2, 1))]
+
+
+@pytest.mark.parametrize("name, weight", BENCH_WEIGHTS)
+def test_trace_kernel_agrees_with_the_eigenphase_character(name, weight):
+    rs = build_root_system(name)
+    lam = rs.weight_from_fundamental(weight)
+    if name == "A1":
+        gens = catalog_su2_free_pair()
+    else:
+        haar = haar_generator_set(3, 2, 5)
+        gens = generator_set(haar.elements + tuple(g.conj().T for g in haar.elements))
+    words = np.concatenate(list(spectral._word_blocks(gens, 4)))
+    got = spectral._trace_characters(words, spectral._kernel_parts(rs, lam))
+    dim = dim_irrep(rs, lam)
+    for w, value in zip(words, got):
+        assert abs(value - character(rs, lam, conjugacy_phases(w)).value) <= 1e-12 * dim
+
+
+def test_trace_kernel_of_the_trivial_weight_is_one():
+    words = np.stack(catalog_su2_free_pair().elements)
+    assert spectral._trace_characters(words, ()).tolist() == [1.0] * 4
+
+
+@pytest.mark.parametrize("name", ["B2", "C2", "G2", "A2"])
+def test_moments_need_the_type_a_group_of_the_generators(name):
+    rs = build_root_system(name)
+    gens = catalog_su2_free_pair()  # SU(2): only A1 fits
+    lam = rs.weight_from_fundamental((1,) + (0,) * (rs.rank - 1))
+    for call in (lambda: moment_exact(rs, lam, gens, 2),
+                 lambda: moment_sampled(rs, lam, gens, 2, 500, seed=1),
+                 lambda: spectrum_estimate(rs, lam, gens, 2)):
+        with pytest.raises(DomainError, match=f"root system A1, not {name}"):
+            call()
+
+
+def test_weights_past_the_kernel_bound_are_refused():
+    gens = catalog_su2_free_pair()
+    most = int((spectral.KERNEL_TOL * 2**52 / 2) ** 0.5) - 2
+    assert _kernel_bound((most,), 2) <= spectral.KERNEL_TOL < _kernel_bound((most + 1,), 2)
+    assert spectral._kernel_parts(RS1, (F(most, 2), F(-most, 2))) == (most,)
+    for l in (F(most + 1, 2), F(10**300), F(10**5000)):
+        with pytest.raises(DomainError, match=f"must be at most {most}$"):
+            moment_exact(RS1, su2_weight(l), gens, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +349,9 @@ def test_sampled_words_drawn_per_block_are_the_one_shot_draw(m):
             stack = stack @ mats[block[:, i]]
             if (i + 1) % spectral.UNITARIZE_EVERY == 0:
                 stack = spectral._unitarize(stack)
-        vals += spectral._char_ratios(RS1, lam, stack, dim_irrep(RS1, lam)).real.tolist()
+        parts = spectral._kernel_parts(RS1, lam)
+        d = dim_irrep(RS1, lam)
+        vals += cquot(spectral._trace_characters(stack, parts), d).real.tolist()
     mean = pairwise_sum(vals) / n
     var = pairwise_sum([(v - mean) ** 2 for v in vals]) / (n - 1)
     assert moment_sampled(RS1, lam, gens, m, n, seed=21) == (mean, math.sqrt(var / n))
