@@ -39,7 +39,7 @@ UNITARIZE_EVERY = 16
 
 _UNITARY_TOL = 1e-10
 
-#: Weights whose trace-kernel error bound exceeds this fraction of the dimension are refused.
+#: Weights whose trace-kernel `_kernel_error` exceeds this fraction of the dimension are refused.
 KERNEL_TOL = 1e-4
 
 
@@ -160,8 +160,8 @@ def conjugacy_phases(g: np.ndarray):
 def _unitarize(stack: np.ndarray) -> np.ndarray:
     """The polar (unitary) factor of every matrix of a stack.
 
-    Long products drift off the unitary group; re-unitarizing keeps phase
-    extraction accurate.
+    Long products drift off the unitary group; re-unitarizing keeps their
+    traces accurate.
     """
     u, _, vh = np.linalg.svd(stack)
     return u @ vh
@@ -216,24 +216,58 @@ def _check_su(rs: RootSystem, gens: GeneratorSet) -> None:
                           f"root system A{gens.dim - 1}, not {rs.spec.name}")
 
 
-def _kernel_parts(rs: RootSystem, lam) -> tuple[int, ...]:
-    """The partition lam_i - lam_N (zero parts dropped) of a dominant A_{N-1} weight.
+def _kernel_error(n: int, parts: tuple[int, ...]) -> float:
+    """The trace kernel's error bound on |chi - chi_exact| / dim, for a partition of SU(n).
 
-    A weight whose trace-kernel error bound N! (lambda_1 + N)^N 2**-52
-    exceeds KERNEL_TOL of the dimension is refused with a DomainError.
+    A first-order rounding model: the computed h_k are those of H(t) (1 + sum_j d_j t^j),
+    |d_j| <= n 2**n 2**-52 C(j + n - 1, n - 1) (n terms a step, sum |e_i| <= 2**n, |h_j| <=
+    C(j + n - 1, n - 1)), and d_j t^j moves chi by d_j times a signed sum of s_mu, |s_mu| <=
+    dim mu, over the mu left by removing a border strip of size j from lambda (Macdonald
+    I.3, I.7): a bead of beta_i = lambda_i + n - i moves to a free beta_i - j >= 0, and dim
+    mu / dim lambda = prod_(a != i) |beta_i - j - beta_a| / |beta_i - beta_a|.  The
+    determinant's rounding is left out; against 40-digit arithmetic the error stays under a
+    twelfth of the bound on SU(2)-SU(9), closest at identity-reducing words.  lambda_1 past
+    10**6, where no bound is below 1e-4, gives inf without the sums.
+    """
+    if parts and parts[0] > 10**6:
+        return math.inf
+    beta = [x + n - 1 - i for i, x in enumerate(list(parts) + [0] * (n - len(parts)))]
+    h_one = np.ones(beta[0] + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf or nan
+        for _ in range(n - 1):
+            h_one = np.cumsum(h_one)  # h_one[j] = C(j + n - 1, n - 1), h_j at the identity
+        strips = 0.0
+        for i, b in enumerate(beta):
+            j = np.arange(1, b + 1)
+            ratio = np.ones(b)
+            for a, c in enumerate(beta):
+                if a != i:
+                    ratio *= np.abs(b - j - c) / abs(b - c)
+            strips += h_one[j] @ ratio
+        return float(np.ldexp(n * strips, n - 52))
+
+
+def _kernel_parts(rs: RootSystem, lam) -> tuple[tuple[int, ...], bool]:
+    """(parts, conj): the arguments after the stack of `_trace_characters` for a weight.
+
+    Of the weight's partition lambda_i = lam_i - lam_N and its dual lambda_1 - lambda_(N+1-i),
+    whose character is the conjugate, the one with the smaller `_kernel_error` is taken.  A
+    weight whose smaller bound exceeds KERNEL_TOL is refused with a DomainError.
     """
     n = rs.ambient_dim
-    parts = tuple(p for p in (int(x - lam[-1]) for x in lam[:-1]) if p)
-    most = max(int((KERNEL_TOL * 2**52 / math.factorial(n)) ** (1 / n)) - n, 0)
-    if parts and parts[0] > most:
+    lam = [int(x - lam[-1]) for x in lam]
+    own = tuple(p for p in lam[:-1] if p)
+    dual = tuple(p for p in (lam[0] - x for x in lam[:0:-1]) if p)
+    error, parts, is_dual = min((_kernel_error(n, own), own, False),
+                                (_kernel_error(n, dual), dual, True), key=lambda c: c[0])
+    if not error <= KERNEL_TOL:  # a nan bound is refused too
         raise DomainError(f"weight out of range for the trace kernel of {rs.spec.name}: its "
-                          f"error bound N! (lambda_1 + N)^N 2^-52 exceeds {KERNEL_TOL} of the "
-                          f"dimension, so lambda_1 = lam_1 - lam_N must be at most {most}")
-    return parts
+                          f"error bound exceeds {KERNEL_TOL} of the dimension")
+    return parts, is_dual
 
 
-def _trace_characters(stack: np.ndarray, parts: tuple[int, ...]) -> np.ndarray:
-    """chi_lambda(g) for every g of an (W, N, N) stack of SU(N) matrices, from traces.
+def _trace_characters(stack: np.ndarray, parts: tuple[int, ...], conj=False) -> np.ndarray:
+    """chi_lambda(g), or its conjugate, for every g of an (W, N, N) stack of SU(N) matrices.
 
     chi_lambda, for the partition lambda = parts (l <= N - 1 parts), is a
     polynomial in p_k = tr g^k (Macdonald, Symmetric Functions and Hall
@@ -244,18 +278,12 @@ def _trace_characters(stack: np.ndarray, parts: tuple[int, ...]) -> np.ndarray:
     det(h_{lambda_i - i + j}) (Jacobi-Trudi), in closed form for l <= 2.
     Every g must be unitary with e_N = 1, within 1e-10, or DomainError is
     raised.  A word costs about (lambda_1 + l) N complex multiply-adds, each
-    from real and imaginary parts (`cmul`): its value has the same bits in
-    any stack.
-
-    |error| <= dim N! (lambda_1 + N)^N 2**-52.  Degenerate words (equal
-    eigenvalues, e.g. identity-reducing ones) are the worst: a relative
-    rounding d in e_i moves h_k there by d C(k + 2N - 1, 2N - 1) against
-    h_k = C(k + N - 1, N - 1), and determinants with many equal rows cancel
-    further.  Measured against 40-digit arithmetic the error is under a
-    tenth of the bound on SU(2)-SU(4) at lambda_1 <= 200, and at most a
-    twelfth on SU(5)-SU(9) at lambda_1 <= 60.
+    formed from real and imaginary parts as `cmul` forms it (the recurrence
+    on separate real and imaginary arrays): its value has the same bits in
+    any stack.  Its error is bounded by `_kernel_error`.  With conj, the
+    conjugate is returned: chi of the dual weight.
     """
-    n = stack.shape[-1]
+    n, w = stack.shape[-1], len(stack)
     gram = stack @ stack.conj().swapaxes(-1, -2)
     if (np.abs(gram - np.eye(n)).max(axis=(-2, -1)) > _UNITARY_TOL).any():
         raise DomainError(f"a word product is not unitary within {_UNITARY_TOL}")
@@ -265,7 +293,7 @@ def _trace_characters(stack: np.ndarray, parts: tuple[int, ...]) -> np.ndarray:
         p.append(np.einsum("nii->n", power))
     p.append(np.einsum("nij,nji->n", power, stack))
     signed_p = [x if k % 2 else -x for k, x in enumerate(p, 1)]  # (-1)^(k-1) p_k
-    e = [np.ones(len(stack), dtype=complex)]
+    e = [np.ones(w, dtype=complex)]
     for k in range(1, n + 1):
         acc = sum(map(cmul, e[::-1], signed_p[:k]))
         e.append(as_complex(acc.real / k, acc.imag / k))
@@ -274,22 +302,31 @@ def _trace_characters(stack: np.ndarray, parts: tuple[int, ...]) -> np.ndarray:
     if not parts:
         return e[0]
     signed_e = [x if i % 2 else -x for i, x in enumerate(e[1:], 1)]  # (-1)^(i-1) e_i
+    er, ei = [x.real.copy() for x in signed_e], [x.imag.copy() for x in signed_e]
     ell = len(parts)
     index = [[parts[i] - i + j for j in range(ell)] for i in range(ell)]
     need = {k for row in index for k in row}
-    h, window = {0: e[0]}, [e[0]]  # window: h_{k-1}, h_{k-2}, ..., at most N of them
+    h = {0: e[0]}
+    hr, hi = [np.ones(w)], [np.zeros(w)]  # h_{k-1}, h_{k-2}, ..., at most N of them
+    t, u = np.empty(w), np.empty(w)
     for k in range(1, parts[0] + ell):
-        window = [sum(map(cmul, signed_e, window))] + window[:n - 1]
+        re, im = np.zeros(w), np.zeros(w)
+        for ar, ai, br, bi in zip(er, ei, hr, hi):  # re + i im += (ar + i ai)(br + i bi)
+            re += np.subtract(np.multiply(ar, br, out=t), np.multiply(ai, bi, out=u), out=t)
+            im += np.add(np.multiply(ar, bi, out=t), np.multiply(ai, br, out=u), out=t)
+        hr, hi = [re] + hr[:n - 1], [im] + hi[:n - 1]
         if k in need:
-            h[k] = window[0]
-    zero = np.zeros(len(stack), dtype=complex)
+            h[k] = as_complex(re, im)
+    zero = np.zeros(w, dtype=complex)
     entry = [[h[k] if k >= 0 else zero for k in row] for row in index]
     if ell == 1:
-        return entry[0][0]
-    if ell == 2:
+        chi = entry[0][0]
+    elif ell == 2:
         (a, b), (c, d) = entry
-        return cmul(a, d) - cmul(b, c)
-    return np.linalg.det(np.stack([np.stack(row, axis=-1) for row in entry], axis=-2))
+        chi = cmul(a, d) - cmul(b, c)
+    else:
+        chi = np.linalg.det(np.stack([np.stack(row, axis=-1) for row in entry], axis=-2))
+    return chi.conj() if conj else chi
 
 
 def moment_exact(rs: RootSystem, lam, gens: GeneratorSet, m: int) -> float:
@@ -306,8 +343,8 @@ def moment_exact(rs: RootSystem, lam, gens: GeneratorSet, m: int) -> float:
             f"{n_words} words exceed the cap {WORD_CAP}; use moment_sampled"
         )
     d = dim_irrep(rs, lam)
-    parts = _kernel_parts(rs, lam)
-    terms = np.concatenate([cquot(_trace_characters(block, parts), d)
+    kernel = _kernel_parts(rs, lam)
+    terms = np.concatenate([cquot(_trace_characters(block, *kernel), d)
                             for block in _word_blocks(gens, m)])
     total = pairwise_sum(terms) / n_words
     if gens.symmetric and abs(total.imag) >= 1e-8:
@@ -345,7 +382,7 @@ def moment_sampled(
         raise CapacityError(f"{n_samples} samples take about {need} bytes, above the "
                             f"{have} bytes of physical memory")
     d = dim_irrep(rs, lam)
-    parts = _kernel_parts(rs, lam)
+    kernel = _kernel_parts(rs, lam)
     rng = np.random.Generator(np.random.Philox(seed))
     mats = np.stack(gens.elements)
     vals = np.empty(n_samples)
@@ -356,7 +393,7 @@ def moment_sampled(
             stack = stack @ mats[chunk[:, i]]
             if (i + 1) % UNITARIZE_EVERY == 0:
                 stack = _unitarize(stack)
-        vals[lo:lo + len(chunk)] = cquot(_trace_characters(stack, parts), d).real
+        vals[lo:lo + len(chunk)] = cquot(_trace_characters(stack, *kernel), d).real
     mean = pairwise_sum(vals) / n_samples
     var = pairwise_sum((vals - mean) ** 2) / (n_samples - 1)
     return mean, math.sqrt(var / n_samples)

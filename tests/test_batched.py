@@ -159,8 +159,8 @@ def test_moment_over_many_chunks_equals_per_word_sum(monkeypatch):
     monkeypatch.setattr(spectral, "WORD_CHUNK", 64)
     gens = _a2_set(3)
     m, d = 4, dim_irrep(A2, LAM2)
-    parts = spectral._kernel_parts(A2, LAM2)
-    ratios = [cquot(spectral._trace_characters(_product(gens, w)[None], parts), d)[0]
+    kernel = spectral._kernel_parts(A2, LAM2)
+    ratios = [cquot(spectral._trace_characters(_product(gens, w)[None], *kernel), d)[0]
               for w in _all_words(gens, m)]
 
     want = (pairwise_sum(ratios) / len(ratios)).real

@@ -527,11 +527,28 @@ def test_a_non_dominant_weight_past_the_digit_limit_is_a_domain_error(capsys, ar
                               "integral weight for A2")
 
 
-@pytest.mark.parametrize("l", ["1e300", "237265"])
+@pytest.mark.parametrize("l", ["1e300", "290589"])
 def test_spectral_refuses_a_weight_past_the_trace_kernel_bound(capsys, l):
     err = _error_document(capsys, ["spectral", "--group", "A1", "--l", l, "--moments", "2"],
                           4, "DomainError")
-    assert err["message"].endswith("lambda_1 = lam_1 - lam_N must be at most 474529")
+    assert err["message"] == ("weight out of range for the trace kernel of A1: its error "
+                              "bound exceeds 0.0001 of the dimension")
+
+
+@pytest.mark.parametrize("group, weight", [("A5", "24,0,0,0,0"), ("A8", "1,0,0,0,0,0,0,1")])
+def test_spectral_runs_small_weights_of_larger_su_n(capsys, tmp_path, group, weight):
+    # were refused with exit 4 by a bound that grew as N! (lambda_1 + N)^N
+    from weylchar.spectral import haar_generator_set
+
+    from _helpers import generator_set_to_json
+
+    n = int(group[1:]) + 1
+    path = tmp_path / "haar.json"
+    path.write_text(json.dumps(generator_set_to_json(haar_generator_set(n, 2, seed=n))))
+    code, doc = run_json(capsys, "spectral", "--group", group, "--weight", weight,
+                         "--moments", "2", "--gens", str(path))
+    assert code == 0
+    assert [row["m"] for row in doc["result"]["moments"]] == [0, 1, 2]
 
 
 @pytest.mark.parametrize("argv", [

@@ -103,11 +103,6 @@ def test_phases_reject_bad_matrices():
 # ---------------------------------------------------------------------------
 
 
-def _kernel_bound(parts, n):
-    """The trace kernel's stated error bound on |error| / dim."""
-    return math.factorial(n) * (parts[0] + n) ** n * 2.0**-52
-
-
 def _dim_a(parts, n):
     """dim of the SU(n) irrep of a partition: prod_{i<j} (l_i - l_j + j - i) / (j - i)."""
     lam = list(parts) + [0] * (n - len(parts))
@@ -157,15 +152,40 @@ def _accuracy_words(n, seed):
     (2, [(1,), (20,), (77,), (200,)]),
     (3, [(1,), (2, 1), (20, 7), (200,), (200, 100), (200, 200)]),
     (4, [(1,), (3, 2, 1), (20, 20, 20), (200,), (200, 150, 3), (200, 200, 200)]),
+    (5, [(1,), (5, 3), (60, 30), (20, 16, 12, 8)]),
+    (7, [(1,), (1, 1, 1, 1, 1, 1), (20, 11), (60, 50, 40, 30)]),
+    (9, [(1,), (5, 4, 3, 2), (58, 29), (60,)]),
 ])
 def test_trace_kernel_within_its_bound_of_40_digit_arithmetic(n, partitions):
     words = _accuracy_words(n, 11 * n)
     for parts in partitions:
         got = spectral._trace_characters(words, parts)
-        bound = _kernel_bound(parts, n)
+        bound = spectral._kernel_error(n, parts)
         dim = _dim_a(parts, n)
         for g, value in zip(words, got):
             assert abs(value - _schur_mp(g, parts)) / dim <= bound, (n, parts)
+
+
+def test_kernel_error_of_a_single_su2_row_is_its_closed_form():
+    # strips of size j leave (k - j), of dim k - j + 1; h_j = j + 1 at the identity
+    for k in (1, 7, 200):
+        strips = sum((j + 1) * (k - j + 1) for j in range(1, k + 1)) / (k + 1)
+        assert spectral._kernel_error(2, (k,)) == pytest.approx((8 * strips + 1) * 2.0**-52)
+    assert spectral._kernel_error(3, ()) == 0.0
+    assert spectral._kernel_error(2, (10**6 + 1,)) == math.inf
+    assert not spectral._kernel_error(1100, (1,)) <= spectral.KERNEL_TOL  # past the float range
+
+
+@pytest.mark.parametrize("name, most", [("A1", 581177), ("A2", 10399)])
+def test_trace_kernel_at_the_largest_admitted_weight(name, most):
+    # identity-reducing words come closest to the bound, and there chi = dim
+    n = int(name[1:]) + 1
+    assert spectral._kernel_error(n, (most,)) <= spectral.KERNEL_TOL
+    assert spectral._kernel_error(n, (most + 1,)) > spectral.KERNEL_TOL
+    words = _accuracy_words(n, 11 * n)[3:6]
+    bound, dim = spectral._kernel_error(n, (most,)), _dim_a((most,), n)
+    for value in spectral._trace_characters(words, (most,)):
+        assert abs(value - dim) / dim <= bound
 
 
 #: The benchmark's weights: the A1 catalog-pair weight and the A2 Haar-set weights.
@@ -182,10 +202,39 @@ def test_trace_kernel_agrees_with_the_eigenphase_character(name, weight):
         haar = haar_generator_set(3, 2, 5)
         gens = generator_set(haar.elements + tuple(g.conj().T for g in haar.elements))
     words = np.concatenate(list(spectral._word_blocks(gens, 4)))
-    got = spectral._trace_characters(words, spectral._kernel_parts(rs, lam))
+    got = spectral._trace_characters(words, *spectral._kernel_parts(rs, lam))
     dim = dim_irrep(rs, lam)
     for w, value in zip(words, got):
         assert abs(value - character(rs, lam, conjugacy_phases(w)).value) <= 1e-12 * dim
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+def test_small_weights_of_su5_to_su9_agree_with_the_eigenphase_character(n):
+    rs = build_root_system(f"A{n - 1}")
+    haar = haar_generator_set(n, 2, 3 * n)
+    gens = generator_set(haar.elements + tuple(g.conj().T for g in haar.elements))
+    words = np.concatenate(list(spectral._word_blocks(gens, 2)))[1::3]  # g g^-1 at 7, 13
+    for weight in ((1,), (0, 1), (2,), (0,) * (n - 2) + (1,), (1,) + (0,) * (n - 3) + (1,)):
+        lam = rs.weight_from_fundamental(weight + (0,) * (n - 1 - len(weight)))
+        kernel = spectral._kernel_parts(rs, lam)
+        tol = (spectral._kernel_error(n, kernel[0]) + 1e-12) * dim_irrep(rs, lam)
+        want = [character(rs, lam, conjugacy_phases(w)).value for w in words]
+        assert np.abs(spectral._trace_characters(words, *kernel) - want).max() <= tol, weight
+
+
+def test_the_dual_partition_is_evaluated_when_its_bound_is_smaller():
+    a2, a8 = build_root_system("A2"), build_root_system("A8")
+    assert spectral._kernel_parts(a2, a2.weight_from_fundamental((2, 1))) == ((3, 1), False)
+    assert spectral._kernel_parts(a2, a2.weight_from_fundamental((0, 5))) == ((5,), True)
+    # (60^8) is refused as eight rows, but its dual is one row
+    lam = a8.weight_from_fundamental((0,) * 7 + (60,))
+    assert spectral._kernel_error(9, (60,) * 8) > spectral.KERNEL_TOL
+    assert spectral._kernel_parts(a8, lam) == ((60,), True)
+    lam = a2.weight_from_fundamental((0, 5))
+    words = _accuracy_words(3, 33)[:3]  # Haar words
+    got = spectral._trace_characters(words, *spectral._kernel_parts(a2, lam))
+    want = [character(a2, lam, conjugacy_phases(w)).value for w in words]
+    assert np.abs(got - want).max() <= 1e-12 * dim_irrep(a2, lam)
 
 
 def test_trace_kernel_of_the_trivial_weight_is_one():
@@ -207,11 +256,9 @@ def test_moments_need_the_type_a_group_of_the_generators(name):
 
 def test_weights_past_the_kernel_bound_are_refused():
     gens = catalog_su2_free_pair()
-    most = int((spectral.KERNEL_TOL * 2**52 / 2) ** 0.5) - 2
-    assert _kernel_bound((most,), 2) <= spectral.KERNEL_TOL < _kernel_bound((most + 1,), 2)
-    assert spectral._kernel_parts(RS1, (F(most, 2), F(-most, 2))) == (most,)
-    for l in (F(most + 1, 2), F(10**300), F(10**5000)):
-        with pytest.raises(DomainError, match=f"must be at most {most}$"):
+    assert spectral._kernel_parts(RS1, (F(581177, 2), F(-581177, 2))) == ((581177,), False)
+    for l in (F(581178, 2), F(10**300), F(10**5000)):
+        with pytest.raises(DomainError, match="error bound exceeds 0.0001 of the dimension$"):
             moment_exact(RS1, su2_weight(l), gens, 2)
 
 
@@ -349,9 +396,9 @@ def test_sampled_words_drawn_per_block_are_the_one_shot_draw(m):
             stack = stack @ mats[block[:, i]]
             if (i + 1) % spectral.UNITARIZE_EVERY == 0:
                 stack = spectral._unitarize(stack)
-        parts = spectral._kernel_parts(RS1, lam)
+        kernel = spectral._kernel_parts(RS1, lam)
         d = dim_irrep(RS1, lam)
-        vals += cquot(spectral._trace_characters(stack, parts), d).real.tolist()
+        vals += cquot(spectral._trace_characters(stack, *kernel), d).real.tolist()
     mean = pairwise_sum(vals) / n
     var = pairwise_sum([(v - mean) ** 2 for v in vals]) / (n - 1)
     assert moment_sampled(RS1, lam, gens, m, n, seed=21) == (mean, math.sqrt(var / n))
