@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charcalc import character, dim_irrep
+from .charcalc import character, dim_irrep, snap_to_exact
 from .errors import DomainError, StructureError
 from .exactlin import Vec, vadd, vscale, vzero
 from .rootsys import DegenerateSplit, RootSystem
@@ -84,10 +84,11 @@ def normalized_char_sweep(
 ) -> DecayReport:
     """Evaluate |chi_lambda(h0)| / dim along a weight path.
 
-    Works at regular and singular points alike (dispatching internally).
-    At the identity stratum every ratio is exactly 1 and the report is
-    flagged instead of fitted.
+    Works at regular and singular points alike (dispatching internally);
+    h0 is read once, by `snap_to_exact`.  At the identity stratum every
+    ratio is exactly 1 and the report is flagged instead of fitted.
     """
+    h0 = snap_to_exact(rs, h0)
     split = rs.degenerate_split(h0)
     identity_stratum = len(split.deg) == len(rs.positive_roots)
     rows = []

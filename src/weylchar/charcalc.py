@@ -224,16 +224,21 @@ def char_regular(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
     return character(rs, lam, h)
 
 
-def _weyl_denominator(split: DegenerateSplit) -> complex:
-    """prod 2i sin((a|h0)/2) over the non-degenerate positive roots a, in root order.
+def _weyl_denominator(sines) -> complex:
+    """prod 2i s over the sines s = sin((a|h)/2) of the non-degenerate positive roots a.
 
-    The Weyl denominator at a regular point, the coset sum's prefactor at a singular one.
+    The Weyl denominator at a regular point, exact or floating, and the coset
+    sum's prefactor at a singular one.
     """
     out = 1 + 0j
-    for p in split.pairings:
-        if p % (2 * split.den):
-            out *= 2j * sin_half_pi(p, split.den)
+    for s in sines:
+        out *= 2j * s
     return out
+
+
+def _ndeg_sines(split: DegenerateSplit) -> list[float]:
+    """sin((a|h0)/2) over the non-degenerate positive roots a of an exact split, in order."""
+    return [sin_half_pi(p, split.den) for p in split.pairings if p % (2 * split.den)]
 
 
 def _char_regular_exact(rs: RootSystem, eta: Vec, split: DegenerateSplit) -> CharacterValue:
@@ -241,26 +246,25 @@ def _char_regular_exact(rs: RootSystem, eta: Vec, split: DegenerateSplit) -> Cha
     orbit, den, signs = _exact_orbit(rs, split.torus_point.coords)
     exps, coeffs, d = _exponent_map(orbit, den, *rs.int_form(eta), signs)
     num = _phase_sum(exps, coeffs, d)
-    weyl_den = _weyl_denominator(split)
+    weyl_den = _weyl_denominator(_ndeg_sines(split))
     value = num / weyl_den
     terms_abs = int(np.abs(coeffs).sum())
     condition = terms_abs / abs(weyl_den) * _MACHINE_EPS
     return CharacterValue(value, condition)
 
 
-def _char_regular_float(
-    rs: RootSystem, eta: Vec, point: np.ndarray, pairings: np.ndarray
-) -> CharacterValue:
-    """Weyl character formula at one regular floating point.
+def _char_regular_float(rs: RootSystem, eta: Vec, h: TorusPoint) -> CharacterValue:
+    """Weyl character formula at one regular floating point h.
 
-    `point` is an (n,) array of radians and `pairings` its
-    `rs.float_pairings`, which give the Weyl denominator.  The W*h
+    The sines of half its root pairings give the Weyl denominator.  The W*h
     products and the phases are summed coordinate by coordinate
     (`ordered_dot`), the signed terms by `pairwise_sum` over W in
     enumeration order, and complex products and the quotient follow
     Python's arithmetic.  A point whose phases (eta|w h) leave the float
     range is refused with a DomainError.
     """
+    point = np.array(h.coords)
+    pairings = rs.float_pairings(point)
     group = cached_weyl_group(rs)
     eta_f = [float(x) for x in eta]
     if rs._gram_is_identity:
@@ -273,11 +277,9 @@ def _char_regular_float(
         raise _beyond_float_range("a phase (eta|w h)")
     phase = fold_angle(phase)
     num = pairwise_sum(cmul(group.signs.astype(float), as_complex(np.cos(phase), np.sin(phase))))
-    den = 1 + 0j
-    for p in pairings:
-        den = cmul(den, cmul(2j, sin_half_angle(p)))
+    den = _weyl_denominator(sin_half_angle(pairings).tolist())
     value = complex(cquot(num, den))
-    condition = float(group.order / np.hypot(den.real, den.imag) * _MACHINE_EPS)
+    condition = group.order / abs(den) * _MACHINE_EPS
     return CharacterValue(value, condition)
 
 
@@ -287,18 +289,21 @@ def _char_regular_float(
 
 
 def snap_to_exact(rs: RootSystem, h: TorusPoint) -> TorusPoint:
-    """Rationalize a floating point onto its singular stratum, or fail loudly.
+    """The point h stands for: its snap within EPS_SNAP of a wall, else h itself.
 
-    Coordinates are reconstructed as rationals with denominator at most
-    1e6 (type A reconstructs the last coordinate from the sum-zero
-    constraint).  The snap succeeds only if the reconstruction moves every
-    coordinate by less than the snap tolerance and turns every
-    near-degenerate pairing into an exact one.
+    A floating point with some root pairing within EPS_SNAP of 2*pi*Z
+    (`RootSystem.near_walls`) is rationalized, denominators at most
+    SNAP_MAX_DENOMINATOR (type A reconstructs the last coordinate from the
+    sum-zero constraint), and SnapError is raised unless that moves every
+    coordinate by less than EPS_SNAP and lands every near pairing exactly.
     """
     if h.exact:
         return h
     rs.validate_point(h)
     rad = h.coords
+    near = rs.near_walls(rad)
+    if not near.any():
+        return h
     if rs.spec.family == "A":
         head = [Fraction(x / math.pi).limit_denominator(SNAP_MAX_DENOMINATOR)
                 for x in rad[:-1]]
@@ -315,7 +320,7 @@ def snap_to_exact(rs: RootSystem, h: TorusPoint) -> TorusPoint:
             )
     snapped = exact_point(coeffs)
     pairings, den = rs.root_pairings(snapped.coords)
-    for a, d, p in zip(rs.positive_roots, rs.near_walls(rad).tolist(), pairings):
+    for a, d, p in zip(rs.positive_roots, near.tolist(), pairings):
         if d and p % (2 * den):
             raise SnapError(
                 f"cannot rationalize {h}: near-degenerate root {a} does not "
@@ -333,30 +338,29 @@ class _SingularEvaluator:
     """Cached per-(rs, h0) data for the assembled singular character.
 
     The coset sum runs over b^{-1} eta for the representatives b, given as
-    an array of indices into the Weyl group (`coset_transversal`, or any
-    other transversal).  Since W preserves the form, (b^{-1} eta|x) =
-    (eta|b x), so the representatives are applied once (`_apply`), to the
-    k degenerate roots in one product and to h0 in another, and each
-    weight then costs integer products only.  b h0 is an integer (T, n) array, and the images b a of
-    the k degenerate roots a are one int8 (T, k, n) table, `b_deg` (b a is
-    a root, so its entries are small; they are checked to fit int8).
+    an array of indices into the Weyl group (`coset_transversal`).  Since W
+    preserves the form, (b^{-1} eta|x) = (eta|b x), so the representatives
+    are applied once (`_apply`), to the k degenerate roots in one product
+    and to h0 in another, and each weight then costs integer products only.
+    b h0 is an integer (T, n) array, and the images b a of the k degenerate
+    roots a are one int8 (T, k, n) table, `b_deg` (b a is a root, so its
+    entries are small; they are checked to fit int8).
     Everything else comes from the split's integer root pairings and the
     root system's integer root rows, with no rational arithmetic.
     """
 
-    def __init__(self, rs: RootSystem, split: DegenerateSplit, transversal=None):
+    def __init__(self, rs: RootSystem, split: DegenerateSplit):
         self.rs = rs
         h0 = split.torus_point
         self.split = split
+        w0 = stabilizer(rs, h0, split=split)
         group = cached_weyl_group(rs)
-        if transversal is None:
-            transversal = coset_transversal(group, stabilizer(rs, group, h0, split=split))
-        self.transversal = transversal
+        self.transversal = transversal = coset_transversal(group, w0)
         deg = list(split.deg_index)
         # (-1)^{sum k_a}: degenerate pairings may sit at nonzero multiples of 2*pi
         k_total = sum(split.pairings[i] // (2 * split.den) for i in deg)
         self.eps = -1 if k_total % 2 else 1
-        self.prefactor = _weyl_denominator(split)
+        self.prefactor = _weyl_denominator(_ndeg_sines(split))
         reps = group.stack[transversal]
         self.b_signs = group.signs[transversal].astype(np.int64)
         roots = rs._pos_rows[deg]
@@ -418,16 +422,19 @@ def char_singular(
 ) -> CharacterValue:
     """Exact character at a singular torus point via stabilizer factorization.
 
-    A point with no degenerate root goes to the exact regular path
-    (`_char_regular_exact`); every other point, h0 = 0 included, to the
-    coset sum of the cached `_SingularEvaluator`.  Floating h0 goes through
-    the snap pipeline first and fails loudly if it cannot be rationalized.
-    `split` is `rs.degenerate_split(h0)` when the caller has it (exact h0
-    only).
+    A floating h0 is read by `snap_to_exact`, and SnapError refuses one that
+    stands for itself, a regular point.  An exact point with no degenerate
+    root goes to the exact regular path (`_char_regular_exact`); every other
+    point, h0 = 0 included, to the coset sum of the cached
+    `_SingularEvaluator`.  `split` is `rs.degenerate_split(h0)` when the
+    caller has it (exact h0 only).
     """
     lam = _dominant(rs, lam)
     if not h0.exact:
         h0 = snap_to_exact(rs, h0)
+        if not h0.exact:
+            raise SnapError(f"{h0} has no root pairing within {EPS_SNAP} of 2*pi*Z: "
+                            "it is a regular point; use character")
     rs.validate_point(h0)
     if split is None:
         split = rs.degenerate_split(h0)
@@ -439,21 +446,15 @@ def char_singular(
 def character(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
     """Evaluate the character at any torus point, dispatching on degeneracy.
 
-    An exact point goes to `char_singular`, which computes its degenerate
-    split once and also serves regular points.  A floating point is
-    regular unless some root pairing lies within EPS_SNAP of 2*pi*Z:
-    a regular point goes to `_char_regular_float`, a near-wall point
-    through `snap_to_exact` to `char_singular`.
+    A floating point is read by `snap_to_exact`.  An exact point, given or
+    snapped, goes to `char_singular`, which computes its degenerate split
+    once and also serves regular points; any other to `_char_regular_float`.
     """
-    if h.exact:
-        return char_singular(rs, lam, h)
-    rs.validate_point(h)
-    pairings = rs.float_pairings(h.coords)
-    near = np.abs(fold_angle(pairings)) < EPS_SNAP
-    if near.any():
-        return char_singular(rs, lam, snap_to_exact(rs, h))
-    eta = vadd(_dominant(rs, lam), rs.weyl_vector)
-    return _char_regular_float(rs, eta, np.array(h.coords), pairings)
+    if not h.exact:
+        h = snap_to_exact(rs, h)
+        if not h.exact:
+            return _char_regular_float(rs, vadd(_dominant(rs, lam), rs.weyl_vector), h)
+    return char_singular(rs, lam, h)
 
 
 # ---------------------------------------------------------------------------

@@ -226,9 +226,7 @@ def _run_char(cfg: RunConfig, factors, weights, points):
     condition = 0.0
     deg_count = 0
     for rs, lam, h in zip(factors, weights, points):
-        if not h.exact:
-            if rs.near_walls(h.coords).any():  # what character() evaluates: the snapped point
-                h = charcalc.snap_to_exact(rs, h)
+        h = charcalc.snap_to_exact(rs, h)
         if h.exact:
             split = rs.degenerate_split(h)
             cv = charcalc.char_singular(rs, lam, h, split=split)
@@ -299,10 +297,10 @@ def _run_sweep(cfg: RunConfig, factors, weights, points):
 def _run_certificate(cfg: RunConfig, factors, weights, points):
     if len(factors) != 1:
         raise ConfigError("certificates are defined for a single simple group", field="group")
-    from . import asymptotics
+    from . import asymptotics, charcalc
 
     rs = factors[0]
-    split = rs.degenerate_split(points[0])
+    split = rs.degenerate_split(charcalc.snap_to_exact(rs, points[0]))
     cert = asymptotics.divergence_certificate(rs, split, weights[0])
     result = {
         "root": list(map(Fraction, cert.root)),

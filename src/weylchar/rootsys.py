@@ -540,26 +540,17 @@ def _exceptional_data(spec: RootSystemSpec):
     gram = [[d[j] * cartan[i][j] for j in range(n)] for i in range(n)]
     simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
-    # Positive-root closure from the simple roots, one height at a time, using
-    # the root-string bound q = p - <beta, alpha_i^vee> on integer coefficients.
-    roots = set(simple)
-    level = simple
-    while level:
-        nxt = []
-        for beta in level:
-            for i in range(n):
-                p = 0
-                probe = list(beta)
-                probe[i] -= 1
-                while tuple(probe) in roots:
-                    p += 1
-                    probe[i] -= 1
-                if p - sum(b * cartan[j][i] for j, b in enumerate(beta)) >= 1:
-                    new = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
-                    if new not in roots:
-                        roots.add(new)
-                        nxt.append(new)
-        level = nxt
+    # Positive roots: the simple roots closed under s_i beta = beta -
+    # <beta, alpha_i^vee> alpha_i, keeping images with nonnegative coefficients.
+    roots, todo = set(simple), list(simple)
+    while todo:
+        beta = todo.pop()
+        for i in range(n):
+            c = sum(b * row[i] for b, row in zip(beta, cartan))  # <beta, alpha_i^vee>
+            image = beta[:i] + (beta[i] - c,) + beta[i + 1:]
+            if min(image) >= 0 and image not in roots:
+                roots.add(image)
+                todo.append(image)
     return simple, list(roots), gram
 
 

@@ -58,7 +58,8 @@ def exact_point(coeffs) -> TorusPoint:
 
 
 def float_point(radians) -> TorusPoint:
-    """Torus point from raw floating radians (snap-or-fail semantics apply)."""
+    """Torus point from raw floating radians, read by snap-or-fail semantics:
+    near a wall it stands for its snap, elsewhere for itself (`charcalc.snap_to_exact`)."""
     return TorusPoint(tuple(float(c) for c in radians), False)
 
 

@@ -14,9 +14,9 @@ within a length in the order of their least reduced words, the order a
 one-element-at-a-time BFS visits, which makes element order, and all
 derived from it, fully deterministic.
 
-A stabilizer is never enumerated.  It is described by the simple roots of
-its degenerate subsystem and its order, both read off the root data; the
-coset transversal is one positivity test of those simple roots against
+A stabilizer is never enumerated, nor is W to find it.  It is described
+by the simple roots of its degenerate subsystem and its order, both read
+off the root data; the coset transversal is one positivity test of those simple roots against
 the group's table of w^T G 2 rho (`WeylGroup.positivity`), which gives the
 representatives as one increasing array of indices into the stack, and
 every other use of the stabilizer goes through that array.
@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import CapacityError, ConfigError, DomainError
 from .exactlin import Vec, mat_vec, vsub
-from .rootsys import DegenerateSplit, RootSystem, check_weyl_cap
+from .rootsys import DegenerateSplit, RootSystem, check_weyl_cap, weyl_order
 from .torus import TorusPoint
 from .utils import physical_memory
 
@@ -210,16 +210,12 @@ def fixes_torus_point(rs: RootSystem, w, h0: TorusPoint) -> bool:
 
 
 def stabilizer(
-    rs: RootSystem,
-    group: WeylGroup,
-    h0: TorusPoint,
-    *,
-    split: DegenerateSplit | None = None,
+    rs: RootSystem, h0: TorusPoint, *, split: DegenerateSplit | None = None
 ) -> Stabilizer:
-    """Stabilizer of an exact torus point inside an enumerated Weyl group.
+    """Stabilizer W0 of an exact torus point, with no element of W formed.
 
     Read off the degenerate roots Phi0+ (those with (a|h0) in 2*pi*Z), with
-    no element of W0 formed.  A degenerate root a is simple when s_a keeps
+    no group enumerated.  A degenerate root a is simple when s_a keeps
     every other degenerate root b positive: (s_a b|2 rho) = (b|2 rho) -
     (c_a . b)(a|2 rho) > 0, on G 2 rho (`RootSystem._two_rho_form`).  The order is
     Macdonald's Poincare product at t = 1, |W0| = prod_a (ht0(a) + 1) /
@@ -227,8 +223,8 @@ def stabilizer(
     pairing of a with half the sum of Phi0+'s coroots, which is a's height
     in W0's own simple roots (Macdonald, Math. Ann. 199, 1972; Humphreys,
     Reflection Groups and Coxeter Groups, 3.20).  Both come from one
-    product of the coroot rows with the root rows.  `split` is
-    `rs.degenerate_split(h0)` when the caller has it.
+    product of the coroot rows with the root rows; |W0| must divide
+    `weyl_order`.  `split` is `rs.degenerate_split(h0)` when the caller has it.
     """
     rs.validate_point(h0)
     if not h0.exact:
@@ -243,7 +239,7 @@ def stabilizer(
     simple = ((moved > 0) | np.eye(len(deg), dtype=bool)).all(axis=1)
     ht0 = (pair.sum(axis=0) // 2).tolist()
     order = math.prod(h + 1 for h in ht0) // math.prod(ht0)
-    if group.order % order != 0:
+    if weyl_order(rs.spec) % order != 0:
         raise AssertionError("stabilizer order does not divide the group order")
     return Stabilizer(order, tuple(deg[simple].tolist()))
 

@@ -27,6 +27,28 @@ def su2_point(theta_coeff: F):
     return exact_point([theta_coeff / 2, -theta_coeff / 2])
 
 
+def test_near_wall_sweep_snaps_once(monkeypatch):
+    # the sweep reads its point once, and every row evaluates that snap
+    from weylchar import asymptotics, charcalc
+    from weylchar.torus import float_point
+
+    calls = []
+    snap = charcalc.snap_to_exact
+
+    def counting_snap(rs, h):
+        calls.append(h)
+        return snap(rs, h)
+
+    monkeypatch.setattr(asymptotics, "snap_to_exact", counting_snap)
+    monkeypatch.setattr(charcalc, "snap_to_exact", counting_snap)
+    rs = build_root_system("A2")
+    path = WeightPath.ray(rs, rs.weyl_vector, range(1, 7))
+    got = normalized_char_sweep(rs, path, float_point([0.3, 0.3, -0.6]))
+    assert len(calls) == 1
+    want = normalized_char_sweep(rs, path, snap(rs, float_point([0.3, 0.3, -0.6])))
+    assert got == want
+
+
 def test_su2_sweep_bound_and_rate():
     # theta = pi/2: ratio is exactly 1/(2l+1)/sin(pi/4) bounded, vanishing ~ 1/l
     rs = build_root_system("A1")

@@ -4,7 +4,6 @@ import cmath
 import hashlib
 import math
 from fractions import Fraction as F
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -230,12 +229,14 @@ def test_e7_singular_evaluator_matches_the_oracle(monkeypatch):
     assert abs(got.value - want.value) <= 1e-8 * d
 
 
-def test_transversal_independence():
+def test_transversal_independence(monkeypatch):
+    from weylchar import charcalc
+
     rng = rng_for("transversal-independence")
     rs = build_root_system("A3")
     group = generate_weyl_group(rs)
     h0 = exact_point([F(1, 5), F(1, 5), F(-1, 10), F(-3, 10)])
-    w0 = stabilizer(rs, group, h0)
+    w0 = stabilizer(rs, h0)
     trans = coset_transversal(group, w0)
     # twist every non-identity representative by a random stabilizer element
     index = {m.tobytes(): i for i, m in enumerate(group.stack)}
@@ -247,7 +248,8 @@ def test_transversal_independence():
     lam = random_dominant_weight(rs, rng, max_dim=2000)
     d = dim_irrep(rs, lam)
     a = char_singular(rs, lam, h0).value
-    b = _SingularEvaluator(rs, rs.degenerate_split(h0), twisted).evaluate(lam).value
+    monkeypatch.setattr(charcalc, "coset_transversal", lambda group, w0: twisted)
+    b = _SingularEvaluator(rs, rs.degenerate_split(h0)).evaluate(lam).value
     assert abs(a - b) < 1e-12 * d
 
 
@@ -259,7 +261,7 @@ def test_effective_weight_integrality_over_all_cosets():
         strata = [s for s in alcove_stratum_points(rs) if not s.central]
         for st in strata:
             split = rs.degenerate_split(st.point)
-            w0 = stabilizer(rs, group, st.point)
+            w0 = stabilizer(rs, st.point)
             trans = coset_transversal(group, w0)
             for b in trans.tolist():
                 image = [apply_matrix(group.stack[b], a) for a in split.deg]
@@ -271,13 +273,12 @@ def test_effective_weight_integrality_over_all_cosets():
 @pytest.mark.parametrize("name", ["A1", "A5", "B5", "C5", "D5", "D6", "B8", "C8", "D8",
                                   "G2", "F4", "E6", "E7", "E8"])
 def test_effective_subsystem_orders_are_the_stabilizer_orders_on_every_alcove_stratum(name):
-    # reaches E, F, D5+ and rank >= 5 B and C components; the stand-in group
-    # carries only |W|, so no group is enumerated
+    # reaches E, F, D5+ and rank >= 5 B and C components; the stabilizer
+    # needs no enumerated group, so none is enumerated
     rs = build_root_system(name)
-    group = SimpleNamespace(order=weyl_order(rs.spec))
     for st in alcove_stratum_points(rs):
         split = rs.degenerate_split(st.point)
-        w0 = stabilizer(rs, group, st.point, split=split)
+        w0 = stabilizer(rs, st.point, split=split)
         sub = effective_subsystem(rs, split.deg)
         assert math.prod(weyl_order(c) for c in sub.components) == w0.order
         assert sum(c.rank for c in sub.components) == len(w0.roots)
@@ -450,6 +451,24 @@ def test_snap_failure_is_loud():
         snap_to_exact(rs, bad)
     with pytest.raises(SnapError):
         char_singular(rs, rs.weyl_vector, bad)
+
+
+def test_snap_returns_a_regular_float_point_unchanged():
+    rs = build_root_system("A2")
+    h = float_point([0.3, 0.2, -0.5])
+    assert snap_to_exact(rs, h) is h
+    assert not rs.degenerate_split(h).deg
+
+
+def test_char_singular_refuses_a_regular_float_point():
+    # the point stands for itself, not for a rational point near it
+    rs = build_root_system("A2")
+    lam = rs.weight_from_fundamental((2, 1))
+    h = float_point([0.3, 0.2, -0.5])
+    with pytest.raises(SnapError, match="regular point"):
+        char_singular(rs, lam, h)
+    assert character(rs, lam, h).value == pytest.approx(
+        char_weightsum_oracle(rs, lam, h).value, abs=1e-12 * dim_irrep(rs, lam))
 
 
 def test_snap_refuses_a_near_root_that_does_not_land():

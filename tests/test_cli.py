@@ -435,6 +435,21 @@ def test_near_wall_char_snaps_once_and_splits_once(capsys, monkeypatch):
     assert doc["result"]["value"] == {"re": cv.value.real, "im": cv.value.imag}
 
 
+def test_certificate_reads_its_point_like_char(capsys):
+    # A near-wall point that does not snap is refused by certificate as by
+    # char; one that snaps certifies its snap, as the exact point does.
+    for sub in ("certificate", "char"):
+        code, doc = run_json(capsys, sub, "--group", "A2", "--weight", "1,1",
+                             "--point=1.0000000003:1:-2.0000000003")
+        assert code == 4 and doc["error"]["code"] == "SnapError"
+    code, near = run_json(capsys, "certificate", "--group", "A2", "--weight", "1,1",
+                          "--point", "0.6283185307179586:0.6283185307179587:-1.2566370614359172")
+    assert code == 0
+    code, exact = run_json(capsys, "certificate", "--group", "A2", "--weight", "1,1",
+                           "--point", "pi/5:pi/5:-2pi/5")
+    assert code == 0 and near["result"] == exact["result"]
+
+
 def test_non_finite_float_point_is_a_domain_error(capsys):
     code, doc = run_json(capsys, "char", "--group", "A2", "--weight", "1,1",
                          "--point", "inf:0:0")
