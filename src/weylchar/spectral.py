@@ -13,6 +13,7 @@ traces of its product (`_trace_characters`), with no eigenvalue or Weyl sum.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -34,7 +35,7 @@ WORD_CAP = 10**6
 #: MB (products, powers, symmetric functions), however many words it sums.
 WORD_CHUNK = 4096
 
-#: Word products are re-unitarized (polar factor) after every this many letters.
+#: Word products are re-unitarized (one Newton-Schulz step) after every this many letters.
 UNITARIZE_EVERY = 16
 
 _UNITARY_TOL = 1e-10
@@ -157,28 +158,42 @@ def conjugacy_phases(g: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The products a_w b_w of two stacks of (N, N) matrices held words-last, (N, N, ...).
+
+    Entry (i, j) is sum_k a_ik b_kj, summed in order of k: N broadcast
+    multiply-adds of numpy's complex `*` over whole word vectors.  Trailing
+    axes broadcast, so a stack of one word multiplies every word of the other.
+    """
+    out = a[:, 0, None] * b[None, 0]
+    for k in range(1, a.shape[1]):
+        out += a[:, k, None] * b[None, k]
+    return out
+
+
 def _unitarize(stack: np.ndarray) -> np.ndarray:
-    """The polar (unitary) factor of every matrix of a stack.
+    """One Newton-Schulz step X (3I - X^H X) / 2 on every word of an (N, N, W) stack.
 
     Long products drift off the unitary group; re-unitarizing keeps their
-    traces accurate.
+    traces accurate.  The step converges quadratically to the polar factor
+    (Higham, Functions of Matrices, 2008, 8.3), so from the drift of
+    UNITARIZE_EVERY letters, a few 1e-15, one step reaches rounding level.
     """
-    u, _, vh = np.linalg.svd(stack)
-    return u @ vh
+    gram = _mul(stack.conj().transpose(1, 0, 2), stack)
+    return _mul(stack, 1.5 * np.eye(len(stack))[:, :, None] - 0.5 * gram)
 
 
 def _extend(gens: np.ndarray, stack: np.ndarray, start: int, stop: int) -> np.ndarray:
     """Append letters start..stop-1 to every word of a stack, all s choices each.
 
-    Row r of the input becomes rows r*s^k .. (r+1)*s^k - 1 of the output,
-    so words stay in lexicographic order.  Products are taken one letter
-    at a time, P_k = P_{k-1} @ g, re-unitarized after every
-    UNITARIZE_EVERY-th letter, the same matmul sequence as a word built
-    on its own.
+    gens is (N, N, s) and stack (N, N, W), both words-last.  Word r of the
+    input becomes words r*s^k .. (r+1)*s^k - 1 of the output, so words stay
+    in lexicographic order.  Products are taken one letter at a time, P_k =
+    P_(k-1) g by `_mul`, re-unitarized after every UNITARIZE_EVERY-th letter.
     """
-    n = stack.shape[-1]
+    n = len(stack)
     for i in range(start, stop):
-        stack = (stack[:, None] @ gens[None]).reshape(-1, n, n)
+        stack = _mul(stack[:, :, :, None], gens[:, :, None, :]).reshape(n, n, -1)
         if (i + 1) % UNITARIZE_EVERY == 0:
             stack = _unitarize(stack)
     return stack
@@ -187,12 +202,12 @@ def _extend(gens: np.ndarray, stack: np.ndarray, start: int, stop: int) -> np.nd
 def _word_blocks(gens: GeneratorSet, m: int):
     """Products of all s^m words of length m, in lexicographic order.
 
-    Yields stacks of at most max(WORD_CHUNK, s) words.  Each word shares
-    the products of its prefixes with its neighbours: the head letters are
-    walked depth first, one product per prefix, and the last t letters
-    (s^t <= WORD_CHUNK) are expanded as one stack per head.
+    Yields (N, N, W) stacks of at most max(WORD_CHUNK, s) words.  Each word
+    shares the products of its prefixes with its neighbours: the head
+    letters are walked depth first, one product per prefix, and the last t
+    letters (s^t <= WORD_CHUNK) are expanded as one stack per head.
     """
-    mats = np.stack(gens.elements)
+    mats = np.stack(gens.elements, axis=-1)
     s = gens.size
     t = 1
     while t < m and s ** (t + 1) <= WORD_CHUNK:
@@ -204,9 +219,9 @@ def _word_blocks(gens: GeneratorSet, m: int):
             yield _extend(mats, prefix, head, m)
             return
         for j in range(s):
-            yield from walk(_extend(mats[j:j + 1], prefix, depth, depth + 1), depth + 1)
+            yield from walk(_extend(mats[:, :, j:j + 1], prefix, depth, depth + 1), depth + 1)
 
-    yield from walk(np.eye(gens.dim, dtype=complex)[None], 0)
+    yield from walk(np.eye(gens.dim, dtype=complex)[:, :, None], 0)
 
 
 def _check_su(rs: RootSystem, gens: GeneratorSet) -> None:
@@ -216,6 +231,7 @@ def _check_su(rs: RootSystem, gens: GeneratorSet) -> None:
                           f"root system A{gens.dim - 1}, not {rs.spec.name}")
 
 
+@functools.lru_cache
 def _kernel_error(n: int, parts: tuple[int, ...]) -> float:
     """The trace kernel's error bound on |chi - chi_exact| / dim, for a partition of SU(n).
 
@@ -267,7 +283,7 @@ def _kernel_parts(rs: RootSystem, lam) -> tuple[tuple[int, ...], bool]:
 
 
 def _trace_characters(stack: np.ndarray, parts: tuple[int, ...], conj=False) -> np.ndarray:
-    """chi_lambda(g), or its conjugate, for every g of an (W, N, N) stack of SU(N) matrices.
+    """chi_lambda(g), or its conjugate, for every g of an (N, N, W) stack of SU(N) matrices.
 
     chi_lambda, for the partition lambda = parts (l <= N - 1 parts), is a
     polynomial in p_k = tr g^k (Macdonald, Symmetric Functions and Hall
@@ -277,21 +293,22 @@ def _trace_characters(stack: np.ndarray, parts: tuple[int, ...], conj=False) -> 
     keeping the last N values and those the determinant reads, and chi =
     det(h_{lambda_i - i + j}) (Jacobi-Trudi), in closed form for l <= 2.
     Every g must be unitary with e_N = 1, within 1e-10, or DomainError is
-    raised.  A word costs about (lambda_1 + l) N complex multiply-adds, each
-    formed from real and imaginary parts as `cmul` forms it (the recurrence
-    on separate real and imaginary arrays): its value has the same bits in
-    any stack.  Its error is bounded by `_kernel_error`.  With conj, the
-    conjugate is returned: chi of the dual weight.
+    raised.  The Gram matrices and the powers are `_mul` products.  A word
+    costs about (lambda_1 + l) N complex multiply-adds, each formed from
+    real and imaginary parts as `cmul` forms it (the recurrence on separate
+    real and imaginary arrays): its value has the same bits in any stack.
+    Its error is bounded by `_kernel_error`.  With conj, the conjugate is
+    returned: chi of the dual weight.
     """
-    n, w = stack.shape[-1], len(stack)
-    gram = stack @ stack.conj().swapaxes(-1, -2)
-    if (np.abs(gram - np.eye(n)).max(axis=(-2, -1)) > _UNITARY_TOL).any():
+    n, w = stack.shape[0], stack.shape[-1]
+    gram = _mul(stack, stack.conj().transpose(1, 0, 2))
+    if (np.abs(gram - np.eye(n)[:, :, None]).max(axis=(0, 1)) > _UNITARY_TOL).any():
         raise DomainError(f"a word product is not unitary within {_UNITARY_TOL}")
-    power, p = stack, [np.einsum("nii->n", stack)]
+    power, p = stack, [np.einsum("iin->n", stack)]
     for _ in range(2, n):
-        power = power @ stack
-        p.append(np.einsum("nii->n", power))
-    p.append(np.einsum("nij,nji->n", power, stack))
+        power = _mul(power, stack)
+        p.append(np.einsum("iin->n", power))
+    p.append(np.einsum("ijn,jin->n", power, stack))
     signed_p = [x if k % 2 else -x for k, x in enumerate(p, 1)]  # (-1)^(k-1) p_k
     e = [np.ones(w, dtype=complex)]
     for k in range(1, n + 1):
@@ -363,11 +380,12 @@ def moment_sampled(
     reproducible from the seed alone regardless of execution order: the
     words are the rows of rng.integers(0, s, size=(n_samples, m)) for
     rng = Generator(Philox(seed)), drawn WORD_CHUNK rows at a time.  Each
-    block is multiplied letter by letter, with the same re-unitarization
-    as moment_exact.  Only the real ratios outlive a block; with the
-    squared deviations and the pairwise sums' partial sums they peak at
-    about 24 * n_samples bytes, and a CapacityError is raised before any
-    draw when that exceeds physical memory.
+    block is one (N, N, W) stack, multiplied letter by letter by `_mul`
+    from the identity, with the same re-unitarization as moment_exact.
+    Only the real ratios outlive a block; with the squared deviations and
+    the pairwise sums' partial sums they peak at about 24 * n_samples
+    bytes, and a CapacityError is raised before any draw when that exceeds
+    physical memory.
     """
     _check_su(rs, gens)
     lam = rs.validate_weight(lam)
@@ -384,13 +402,13 @@ def moment_sampled(
     d = dim_irrep(rs, lam)
     kernel = _kernel_parts(rs, lam)
     rng = np.random.Generator(np.random.Philox(seed))
-    mats = np.stack(gens.elements)
+    mats = np.stack(gens.elements, axis=-1)
     vals = np.empty(n_samples)
     for lo in range(0, n_samples, WORD_CHUNK):
         chunk = rng.integers(0, gens.size, size=(min(WORD_CHUNK, n_samples - lo), m))
-        stack = np.repeat(np.eye(gens.dim, dtype=complex)[None], len(chunk), axis=0)
+        stack = np.eye(gens.dim, dtype=complex)[:, :, None]
         for i in range(m):
-            stack = stack @ mats[chunk[:, i]]
+            stack = _mul(stack, mats[:, :, chunk[:, i]])
             if (i + 1) % UNITARIZE_EVERY == 0:
                 stack = _unitarize(stack)
         vals[lo:lo + len(chunk)] = cquot(_trace_characters(stack, *kernel), d).real

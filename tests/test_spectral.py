@@ -159,7 +159,7 @@ def _accuracy_words(n, seed):
 def test_trace_kernel_within_its_bound_of_40_digit_arithmetic(n, partitions):
     words = _accuracy_words(n, 11 * n)
     for parts in partitions:
-        got = spectral._trace_characters(words, parts)
+        got = spectral._trace_characters(np.moveaxis(words, 0, -1), parts)
         bound = spectral._kernel_error(n, parts)
         dim = _dim_a(parts, n)
         for g, value in zip(words, got):
@@ -184,7 +184,7 @@ def test_trace_kernel_at_the_largest_admitted_weight(name, most):
     assert spectral._kernel_error(n, (most + 1,)) > spectral.KERNEL_TOL
     words = _accuracy_words(n, 11 * n)[3:6]
     bound, dim = spectral._kernel_error(n, (most,)), _dim_a((most,), n)
-    for value in spectral._trace_characters(words, (most,)):
+    for value in spectral._trace_characters(np.moveaxis(words, 0, -1), (most,)):
         assert abs(value - dim) / dim <= bound
 
 
@@ -201,8 +201,8 @@ def test_trace_kernel_agrees_with_the_eigenphase_character(name, weight):
     else:
         haar = haar_generator_set(3, 2, 5)
         gens = generator_set(haar.elements + tuple(g.conj().T for g in haar.elements))
-    words = np.concatenate(list(spectral._word_blocks(gens, 4)))
-    got = spectral._trace_characters(words, *spectral._kernel_parts(rs, lam))
+    words = np.moveaxis(np.concatenate(list(spectral._word_blocks(gens, 4)), axis=-1), -1, 0)
+    got = spectral._trace_characters(np.moveaxis(words, 0, -1), *spectral._kernel_parts(rs, lam))
     dim = dim_irrep(rs, lam)
     for w, value in zip(words, got):
         assert abs(value - character(rs, lam, conjugacy_phases(w)).value) <= 1e-12 * dim
@@ -213,13 +213,15 @@ def test_small_weights_of_su5_to_su9_agree_with_the_eigenphase_character(n):
     rs = build_root_system(f"A{n - 1}")
     haar = haar_generator_set(n, 2, 3 * n)
     gens = generator_set(haar.elements + tuple(g.conj().T for g in haar.elements))
-    words = np.concatenate(list(spectral._word_blocks(gens, 2)))[1::3]  # g g^-1 at 7, 13
+    words = np.moveaxis(np.concatenate(list(spectral._word_blocks(gens, 2)), axis=-1), -1, 0)
+    words = words[1::3]  # g g^-1 at 7, 13
     for weight in ((1,), (0, 1), (2,), (0,) * (n - 2) + (1,), (1,) + (0,) * (n - 3) + (1,)):
         lam = rs.weight_from_fundamental(weight + (0,) * (n - 1 - len(weight)))
         kernel = spectral._kernel_parts(rs, lam)
         tol = (spectral._kernel_error(n, kernel[0]) + 1e-12) * dim_irrep(rs, lam)
         want = [character(rs, lam, conjugacy_phases(w)).value for w in words]
-        assert np.abs(spectral._trace_characters(words, *kernel) - want).max() <= tol, weight
+        got = spectral._trace_characters(np.moveaxis(words, 0, -1), *kernel)
+        assert np.abs(got - want).max() <= tol, weight
 
 
 def test_the_dual_partition_is_evaluated_when_its_bound_is_smaller():
@@ -232,14 +234,14 @@ def test_the_dual_partition_is_evaluated_when_its_bound_is_smaller():
     assert spectral._kernel_parts(a8, lam) == ((60,), True)
     lam = a2.weight_from_fundamental((0, 5))
     words = _accuracy_words(3, 33)[:3]  # Haar words
-    got = spectral._trace_characters(words, *spectral._kernel_parts(a2, lam))
+    got = spectral._trace_characters(np.moveaxis(words, 0, -1), *spectral._kernel_parts(a2, lam))
     want = [character(a2, lam, conjugacy_phases(w)).value for w in words]
     assert np.abs(got - want).max() <= 1e-12 * dim_irrep(a2, lam)
 
 
 def test_trace_kernel_of_the_trivial_weight_is_one():
     words = np.stack(catalog_su2_free_pair().elements)
-    assert spectral._trace_characters(words, ()).tolist() == [1.0] * 4
+    assert spectral._trace_characters(np.moveaxis(words, 0, -1), ()).tolist() == [1.0] * 4
 
 
 @pytest.mark.parametrize("name", ["B2", "C2", "G2", "A2"])
@@ -387,17 +389,20 @@ def test_sampled_words_drawn_per_block_are_the_one_shot_draw(m):
     n = 2 * spectral.WORD_CHUNK + 5
     rng = np.random.Generator(np.random.Philox(21))
     words = rng.integers(0, gens.size, size=(n, m))
-    mats = np.stack(gens.elements)
+    letters = [g[:, :, None] for g in gens.elements]
     vals = []
     for lo in range(0, n, spectral.WORD_CHUNK):
-        block = words[lo:lo + spectral.WORD_CHUNK]
-        stack = np.repeat(np.eye(2, dtype=complex)[None], len(block), axis=0)
-        for i in range(m):
-            stack = stack @ mats[block[:, i]]
-            if (i + 1) % spectral.UNITARIZE_EVERY == 0:
-                stack = spectral._unitarize(stack)
+        chains = []  # each word's product, a one-word stack built on its own
+        for word in words[lo:lo + spectral.WORD_CHUNK]:
+            chain = np.eye(2, dtype=complex)[:, :, None]
+            for i, letter in enumerate(word):
+                chain = spectral._mul(chain, letters[letter])
+                if (i + 1) % spectral.UNITARIZE_EVERY == 0:
+                    chain = spectral._unitarize(chain)
+            chains.append(chain)
         kernel = spectral._kernel_parts(RS1, lam)
         d = dim_irrep(RS1, lam)
+        stack = np.concatenate(chains, axis=-1)
         vals += cquot(spectral._trace_characters(stack, *kernel), d).real.tolist()
     mean = pairwise_sum(vals) / n
     var = pairwise_sum([(v - mean) ** 2 for v in vals]) / (n - 1)
