@@ -9,6 +9,9 @@ the Kesten-McKay law supported on [-2 sqrt(s-1)/s, 2 sqrt(s-1)/s].
 
 The groups are SU(N), type A_{N-1}: each word's character is read off the
 traces of its product (`_trace_characters`), with no eigenvalue or Weyl sum.
+A word and its rotations are conjugate, so `moment_exact` evaluates one
+character per cyclic class of words (`_necklaces`), about s^m / m of them;
+`moment_sampled` multiplies its random words two letters at a time.
 """
 
 from __future__ import annotations
@@ -242,24 +245,32 @@ def _kernel_error(n: int, parts: tuple[int, ...]) -> float:
     I.3, I.7): a bead of beta_i = lambda_i + n - i moves to a free beta_i - j >= 0, and dim
     mu / dim lambda = prod_(a != i) |beta_i - j - beta_a| / |beta_i - beta_a|.  The
     determinant's rounding is left out; against 40-digit arithmetic the error stays under a
-    twelfth of the bound on SU(2)-SU(9), closest at identity-reducing words.  lambda_1 past
-    10**6, where no bound is below 1e-4, gives inf without the sums.
+    twelfth of the bound on SU(2)-SU(9), closest at identity-reducing words.  The empty
+    partition, whose character is exactly 1, has bound 0.  lambda_1 past 10**6, where no
+    bound is below 1e-4, and n with n 2**(n - 52) past the float range give inf without the
+    sums.  Each bead's product over a != i is one array product, in order of a, taken over
+    slices of j so that its temporaries stay near a MB.
     """
-    if parts and parts[0] > 10**6:
+    if not parts:
+        return 0.0
+    if parts[0] > 10**6 or n + n.bit_length() >= 1077:  # n 2**(n - 52) >= 2**1024
         return math.inf
-    beta = [x + n - 1 - i for i, x in enumerate(list(parts) + [0] * (n - len(parts)))]
+    beta = np.array([x + n - 1 - i for i, x in enumerate(list(parts) + [0] * (n - len(parts)))])
     h_one = np.ones(beta[0] + 1)
+    step = 2**17 // n  # at least 123 columns: n < 1066 here
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf or nan
         for _ in range(n - 1):
             h_one = np.cumsum(h_one)  # h_one[j] = C(j + n - 1, n - 1), h_j at the identity
         strips = 0.0
-        for i, b in enumerate(beta):
-            j = np.arange(1, b + 1)
-            ratio = np.ones(b)
-            for a, c in enumerate(beta):
-                if a != i:
-                    ratio *= np.abs(b - j - c) / abs(b - c)
-            strips += h_one[j] @ ratio
+        for i, b in enumerate(beta.tolist()):
+            others = np.delete(beta, i)[:, None]
+            gap = np.abs(b - others)
+            ratio = np.empty(b)
+            for lo in range(0, b, step):
+                j = np.arange(lo + 1, min(lo + step, b) + 1)
+                np.multiply.reduce(np.abs(b - j - others) / gap, axis=0,
+                                   out=ratio[lo:lo + step])
+            strips += h_one[np.arange(1, b + 1)] @ ratio
         return float(np.ldexp(n * strips, n - 52))
 
 
@@ -294,12 +305,16 @@ def _trace_characters(stack: np.ndarray, parts: tuple[int, ...], conj=False) -> 
     det(h_{lambda_i - i + j}) (Jacobi-Trudi), in closed form for l <= 2.
     Every g must be unitary with e_N = 1, within 1e-10, or DomainError is
     raised.  The Gram matrices and the powers are `_mul` products.  A word
-    costs about (lambda_1 + l) N complex multiply-adds, each formed from
-    real and imaginary parts as `cmul` forms it (the recurrence on separate
-    real and imaginary arrays): its value has the same bits in any stack.
-    Its error is bounded by `_kernel_error`.  With conj, the conjugate is
-    returned: chi of the dual weight.
+    costs about (lambda_1 + l) N complex multiply-adds.  The recurrence
+    holds the last N values of h as (N, W) real and imaginary arrays, and
+    each step is a few whole-array calls whatever N is: the N terms, formed
+    from real and imaginary parts as `cmul` forms them, then added in order
+    of i by one reduction over axis 0.  A word's value has the same bits in
+    any stack, of any width or memory layout.  Its error is bounded by
+    `_kernel_error`.  With conj, the conjugate is returned: chi of the dual
+    weight.
     """
+    stack = np.ascontiguousarray(stack)  # einsum's order of summation follows the layout
     n, w = stack.shape[0], stack.shape[-1]
     gram = _mul(stack, stack.conj().transpose(1, 0, 2))
     if (np.abs(gram - np.eye(n)[:, :, None]).max(axis=(0, 1)) > _UNITARY_TOL).any():
@@ -319,21 +334,32 @@ def _trace_characters(stack: np.ndarray, parts: tuple[int, ...], conj=False) -> 
     if not parts:
         return e[0]
     signed_e = [x if i % 2 else -x for i, x in enumerate(e[1:], 1)]  # (-1)^(i-1) e_i
-    er, ei = [x.real.copy() for x in signed_e], [x.imag.copy() for x in signed_e]
+    er, ei = np.array([x.real for x in signed_e]), np.array([x.imag for x in signed_e])
     ell = len(parts)
     index = [[parts[i] - i + j for j in range(ell)] for i in range(ell)]
     need = {k for row in index for k in row}
     h = {0: e[0]}
-    hr, hi = [np.ones(w)], [np.zeros(w)]  # h_{k-1}, h_{k-2}, ..., at most N of them
-    t, u = np.empty(w), np.empty(w)
+    # h_k is row pos of hist_re, hist_im, and h_(k-1), ..., h_(k-N) are the N rows below it
+    # (h_0 = 1, h_(-1) = ... = 0); every `ring` steps the last N rows move back to the top.
+    # A short ring keeps the rows in cache: at W = 4096, 16 rows took a third longer.
+    ring = max(n, 4)
+    hist_re, hist_im = np.zeros((ring + n, w)), np.zeros((ring + n, w))
+    hist_re[ring] = 1.0
+    t, u = np.empty((n, w)), np.empty((n, w))
+    pos = ring
     for k in range(1, parts[0] + ell):
-        re, im = np.zeros(w), np.zeros(w)
-        for ar, ai, br, bi in zip(er, ei, hr, hi):  # re + i im += (ar + i ai)(br + i bi)
-            re += np.subtract(np.multiply(ar, br, out=t), np.multiply(ai, bi, out=u), out=t)
-            im += np.add(np.multiply(ar, bi, out=t), np.multiply(ai, br, out=u), out=t)
-        hr, hi = [re] + hr[:n - 1], [im] + hi[:n - 1]
+        if pos == 0:
+            hist_re[ring:], hist_im[ring:] = hist_re[:n], hist_im[:n]
+            pos = ring
+        pos -= 1
+        hr, hi = hist_re[pos + 1:pos + 1 + n], hist_im[pos + 1:pos + 1 + n]
+        # term i is (-1)^(i-1) e_i h_(k-i) as `cmul` forms it; the terms add in order of i
+        np.subtract(np.multiply(er, hr, out=t), np.multiply(ei, hi, out=u), out=t)
+        np.add.reduce(t, axis=0, initial=0.0, out=hist_re[pos])
+        np.add(np.multiply(er, hi, out=t), np.multiply(ei, hr, out=u), out=t)
+        np.add.reduce(t, axis=0, initial=0.0, out=hist_im[pos])
         if k in need:
-            h[k] = as_complex(re, im)
+            h[k] = as_complex(hist_re[pos], hist_im[pos])
     zero = np.zeros(w, dtype=complex)
     entry = [[h[k] if k >= 0 else zero for k in row] for row in index]
     if ell == 1:
@@ -346,8 +372,39 @@ def _trace_characters(stack: np.ndarray, parts: tuple[int, ...], conj=False) -> 
     return chi.conj() if conj else chi
 
 
+@functools.lru_cache(maxsize=1024)  # every block of most moments: 243 for s = 3, m = 12
+def _necklaces(s: int, m: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(offset, size): the words among lo..hi-1 that are the least of their rotations.
+
+    A word is its base-s code, first letter most significant; its rotation by
+    k letters, g_(k+1)...g_m g_1...g_k, has code (c mod s^(m-k)) s^k + c div
+    s^(m-k).  A rotation is a conjugate, g_1^-1 (g_1...g_m) g_1, so every word
+    of a cyclic class (a necklace) has one character.  offset lists the least
+    words as offsets from lo, in order, and size the number of words in each
+    one's class, its primitive period; over all of 0..s^m - 1 the sizes sum to
+    s^m (Ruskey, Savage & Wang, J. Algorithms 13, 1992, count the classes).
+    """
+    code = np.arange(lo, hi)
+    least = np.ones(hi - lo, dtype=bool)
+    size = np.full(hi - lo, m)
+    for k in range(m - 1, 0, -1):
+        rot = code % s ** (m - k) * s**k + code // s ** (m - k)
+        least &= code <= rot
+        size[rot == code] = k
+    offset = np.flatnonzero(least)
+    size = size[offset]
+    offset.flags.writeable = size.flags.writeable = False  # the cache hands them to every caller
+    return offset, size
+
+
 def moment_exact(rs: RootSystem, lam, gens: GeneratorSet, m: int) -> float:
-    """m-th spectral moment by full word enumeration (lexicographic order)."""
+    """m-th spectral moment as a sum over the cyclic classes of the s^m words.
+
+    The words' products come from `_word_blocks`, in lexicographic order;
+    of each block only the least word of each class (`_necklaces`) goes to
+    `_trace_characters`, weighted by its class size: about s^m / m
+    characters, and the terms are summed pairwise in the words' order.
+    """
     _check_su(rs, gens)
     lam = rs.validate_weight(lam)
     if m < 0:
@@ -361,9 +418,14 @@ def moment_exact(rs: RootSystem, lam, gens: GeneratorSet, m: int) -> float:
         )
     d = dim_irrep(rs, lam)
     kernel = _kernel_parts(rs, lam)
-    terms = np.concatenate([cquot(_trace_characters(block, *kernel), d)
-                            for block in _word_blocks(gens, m)])
-    total = pairwise_sum(terms) / n_words
+    terms, lo = [], 0
+    for block in _word_blocks(gens, m):
+        hi = lo + block.shape[-1]
+        offset, size = _necklaces(gens.size, m, lo, hi)
+        ratio = cquot(_trace_characters(np.take(block, offset, axis=-1), *kernel), d)
+        terms.append(as_complex(size * ratio.real, size * ratio.imag))
+        lo = hi
+    total = pairwise_sum(np.concatenate(terms)) / n_words
     if gens.symmetric and abs(total.imag) >= 1e-8:
         raise AssertionError(
             f"imaginary residue {total.imag} too large for a symmetric set"
@@ -380,12 +442,15 @@ def moment_sampled(
     reproducible from the seed alone regardless of execution order: the
     words are the rows of rng.integers(0, s, size=(n_samples, m)) for
     rng = Generator(Philox(seed)), drawn WORD_CHUNK rows at a time.  Each
-    block is one (N, N, W) stack, multiplied letter by letter by `_mul`
-    from the identity, with the same re-unitarization as moment_exact.
-    Only the real ratios outlive a block; with the squared deviations and
-    the pairwise sums' partial sums they peak at about 24 * n_samples
-    bytes, and a CapacityError is raised before any draw when that exceeds
-    physical memory.
+    block is one (N, N, W) stack, multiplied two letters at a time: the s^2
+    products g_a g_b are formed once by `_mul`, a word of odd length starts
+    from its first letter and an even one from its first pair, and each
+    further pair is one `_mul`, so m letters cost about m/2 products.  A
+    stack is re-unitarized whenever its letter count passes a multiple of
+    UNITARIZE_EVERY.  Only the real ratios outlive a block; with the
+    squared deviations and the pairwise sums' partial sums they peak at
+    about 24 * n_samples bytes, and a CapacityError is raised before any
+    draw when that exceeds physical memory.
     """
     _check_su(rs, gens)
     lam = rs.validate_weight(lam)
@@ -402,14 +467,20 @@ def moment_sampled(
     d = dim_irrep(rs, lam)
     kernel = _kernel_parts(rs, lam)
     rng = np.random.Generator(np.random.Philox(seed))
+    s, n = gens.size, gens.dim
     mats = np.stack(gens.elements, axis=-1)
+    pairs = _mul(mats[:, :, :, None], mats[:, :, None, :]).reshape(n, n, s * s)
     vals = np.empty(n_samples)
     for lo in range(0, n_samples, WORD_CHUNK):
-        chunk = rng.integers(0, gens.size, size=(min(WORD_CHUNK, n_samples - lo), m))
-        stack = np.eye(gens.dim, dtype=complex)[:, :, None]
-        for i in range(m):
-            stack = _mul(stack, mats[:, :, chunk[:, i]])
-            if (i + 1) % UNITARIZE_EVERY == 0:
+        chunk = rng.integers(0, s, size=(min(WORD_CHUNK, n_samples - lo), m))
+        first = 2 - m % 2  # letters before the first pair
+        if first == 1:
+            stack = np.take(mats, chunk[:, 0], axis=-1)
+        else:
+            stack = np.take(pairs, chunk[:, 0] * s + chunk[:, 1], axis=-1)
+        for i in range(first, m, 2):  # letters i and i + 1
+            stack = _mul(stack, np.take(pairs, chunk[:, i] * s + chunk[:, i + 1], axis=-1))
+            if (i + 2) // UNITARIZE_EVERY > i // UNITARIZE_EVERY:
                 stack = _unitarize(stack)
         vals[lo:lo + len(chunk)] = cquot(_trace_characters(stack, *kernel), d).real
     mean = pairwise_sum(vals) / n_samples

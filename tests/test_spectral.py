@@ -29,7 +29,7 @@ from weylchar.spectral import (
     norm_estimate,
     spectrum_estimate,
 )
-from weylchar.utils import cquot, pairwise_sum, physical_memory
+from weylchar.utils import as_complex, cmul, cquot, pairwise_sum, physical_memory
 
 from _helpers import generator_set_to_json, reduce_word, rng_for
 
@@ -171,9 +171,16 @@ def test_kernel_error_of_a_single_su2_row_is_its_closed_form():
     for k in (1, 7, 200):
         strips = sum((j + 1) * (k - j + 1) for j in range(1, k + 1)) / (k + 1)
         assert spectral._kernel_error(2, (k,)) == pytest.approx((8 * strips + 1) * 2.0**-52)
-    assert spectral._kernel_error(3, ()) == 0.0
+    assert spectral._kernel_error(3, ()) == spectral._kernel_error(600, ()) == 0.0
     assert spectral._kernel_error(2, (10**6 + 1,)) == math.inf
-    assert not spectral._kernel_error(1100, (1,)) <= spectral.KERNEL_TOL  # past the float range
+    assert spectral._kernel_error(1100, (1,)) == math.inf  # n 2**(n - 52) past the float range
+
+
+@pytest.mark.parametrize("n, most", [(2, 581177), (3, 10399), (4, 1553), (5, 524), (6, 261),
+                                     (7, 161), (8, 112), (9, 85)])
+def test_longest_admitted_single_rows(n, most):
+    bound = spectral._kernel_error
+    assert bound(n, (most,)) <= spectral.KERNEL_TOL < bound(n, (most + 1,))
 
 
 @pytest.mark.parametrize("name, most", [("A1", 581177), ("A2", 10399)])
@@ -237,6 +244,75 @@ def test_the_dual_partition_is_evaluated_when_its_bound_is_smaller():
     got = spectral._trace_characters(np.moveaxis(words, 0, -1), *spectral._kernel_parts(a2, lam))
     want = [character(a2, lam, conjugacy_phases(w)).value for w in words]
     assert np.abs(got - want).max() <= 1e-12 * dim_irrep(a2, lam)
+
+
+def _loop_characters(stack, parts):
+    """chi for a partition of at most two rows, with the h recurrence as a loop over its
+    terms, each term's real and imaginary parts added one array at a time (the reference)."""
+    n, w = stack.shape[0], stack.shape[-1]
+    power, p = stack, [np.einsum("iin->n", stack)]
+    for _ in range(2, n):
+        power = spectral._mul(power, stack)
+        p.append(np.einsum("iin->n", power))
+    p.append(np.einsum("ijn,jin->n", power, stack))
+    signed_p = [x if k % 2 else -x for k, x in enumerate(p, 1)]
+    e = [np.ones(w, dtype=complex)]
+    for k in range(1, n + 1):
+        acc = sum(map(cmul, e[::-1], signed_p[:k]))
+        e.append(as_complex(acc.real / k, acc.imag / k))
+    h, hr, hi = [e[0]], [np.ones(w)], [np.zeros(w)]  # h_(k-1), h_(k-2), ..., at most N
+    for k in range(1, parts[0] + len(parts)):
+        re, im = np.zeros(w), np.zeros(w)
+        for i, (br, bi) in enumerate(zip(hr, hi), 1):
+            a = e[i] if i % 2 else -e[i]
+            re += a.real * br - a.imag * bi
+            im += a.real * bi + a.imag * br
+        hr, hi = [re] + hr[:n - 1], [im] + hi[:n - 1]
+        h.append(as_complex(re, im))
+    if len(parts) == 1:
+        return h[parts[0]]
+    (a, b), (c, d) = [[h[k] if k >= 0 else 0j for k in (x - i, x - i + 1)]
+                      for i, x in enumerate(parts)]
+    return cmul(a, d) - cmul(b, c)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_trace_kernel_has_the_bits_of_the_term_by_term_recurrence(n):
+    # more than 16 steps move the last N values of h back to the top of its buffer
+    words = np.ascontiguousarray(np.moveaxis(_accuracy_words(n, 5 * n), 0, -1))
+    words = np.concatenate([np.eye(n, dtype=complex)[:, :, None], words], axis=-1)
+    for parts in ((1,), (2,), (n + 1,), (40,), (1, 1), (20, 7)):
+        got = spectral._trace_characters(words, parts)
+        assert np.array_equal(got.view(np.uint64), _loop_characters(words, parts).view(np.uint64))
+    # and whatever the memory layout of the stack
+    got = spectral._trace_characters(np.asfortranarray(words), (20, 7))
+    assert np.array_equal(got.view(np.uint64), _loop_characters(words, (20, 7)).view(np.uint64))
+
+
+def _loop_kernel_error(n, parts):
+    """_kernel_error with each bead's product taken one factor at a time (the reference)."""
+    beta = [x + n - 1 - i for i, x in enumerate(list(parts) + [0] * (n - len(parts)))]
+    h_one = np.ones(beta[0] + 1)
+    for _ in range(n - 1):
+        h_one = np.cumsum(h_one)
+    strips = 0.0
+    for i, b in enumerate(beta):
+        j = np.arange(1, b + 1)
+        ratio = np.ones(b)
+        for a, c in enumerate(beta):
+            if a != i:
+                ratio *= np.abs(b - j - c) / abs(b - c)
+        strips += h_one[j] @ ratio
+    return float(np.ldexp(n * strips, n - 52))
+
+
+@pytest.mark.parametrize("n, parts", [
+    (2, (581177,)), (2, (581178,)), (3, (10399,)), (3, (10400,)), (4, (1553,)), (5, (524,)),
+    (6, (261,)), (7, (161,)), (8, (112,)), (9, (85,)), (9, (86,)), (3, (200, 100)),
+    (4, (200, 150, 3)), (9, (60,) * 8), (34, (1,)), (40, (5000,)),  # 2 slices of j
+])
+def test_kernel_error_has_the_bits_of_the_factor_by_factor_product(n, parts):
+    assert spectral._kernel_error(n, parts) == _loop_kernel_error(n, parts)
 
 
 def test_trace_kernel_of_the_trivial_weight_is_one():
@@ -380,24 +456,29 @@ def test_negative_orders_and_seeds_are_domain_errors():
         spectrum_estimate(RS1, lam, gens, -1)
 
 
-@pytest.mark.parametrize("m", [3, 17])
+@pytest.mark.parametrize("m", [3, 17, 18])
 def test_sampled_words_drawn_per_block_are_the_one_shot_draw(m):
-    # Three blocks, the last of 5 words; odd m makes the last block's letter
-    # count odd.  The documented stream is one (n, m) draw from Philox(seed).
+    # Three blocks, the last of 5 words.  The documented stream is one (n, m)
+    # draw from Philox(seed); each word is multiplied two letters at a time,
+    # after its first letter when m is odd, and re-unitarized once its letter
+    # count passes 16 (at 17 letters for m = 17, at 16 for m = 18).
     gens = catalog_su2_free_pair()
     lam = su2_weight(3)
     n = 2 * spectral.WORD_CHUNK + 5
     rng = np.random.Generator(np.random.Philox(21))
     words = rng.integers(0, gens.size, size=(n, m))
     letters = [g[:, :, None] for g in gens.elements]
+    pairs = {(a, b): spectral._mul(x, y) for (a, x), (b, y)
+             in itertools.product(enumerate(letters), repeat=2)}
+    first = 2 - m % 2
     vals = []
     for lo in range(0, n, spectral.WORD_CHUNK):
         chains = []  # each word's product, a one-word stack built on its own
         for word in words[lo:lo + spectral.WORD_CHUNK]:
-            chain = np.eye(2, dtype=complex)[:, :, None]
-            for i, letter in enumerate(word):
-                chain = spectral._mul(chain, letters[letter])
-                if (i + 1) % spectral.UNITARIZE_EVERY == 0:
+            chain = letters[word[0]] if first == 1 else pairs[word[0], word[1]]
+            for i in range(first, m, 2):
+                chain = spectral._mul(chain, pairs[word[i], word[i + 1]])
+                if (i + 2) // spectral.UNITARIZE_EVERY > i // spectral.UNITARIZE_EVERY:
                     chain = spectral._unitarize(chain)
             chains.append(chain)
         kernel = spectral._kernel_parts(RS1, lam)
