@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charcalc import character, dim_irrep, snap_to_exact
+from .charcalc import char_snapped, character, dim_irrep, snap_to_exact
 from .errors import DomainError, StructureError
 from .exactlin import Vec, vadd, vscale, vzero
 from .rootsys import DegenerateSplit, RootSystem
@@ -84,20 +84,21 @@ def normalized_char_sweep(
 ) -> DecayReport:
     """Evaluate |chi_lambda(h0)| / dim along a weight path.
 
-    Works at regular and singular points alike (dispatching internally);
-    h0 is read once, by `snap_to_exact`.  At the identity stratum every
-    ratio is exactly 1 and the report is flagged instead of fitted.
+    Works at regular and singular points alike (`char_snapped`); h0 is
+    read once, by `snap_to_exact`.  At the identity stratum every ratio is
+    exactly 1 and the report is flagged instead of fitted; a floating point
+    left by the snap is near no wall, so it is never there.
     """
     h0 = snap_to_exact(rs, h0)
-    split = rs.degenerate_split(h0)
-    identity_stratum = len(split.deg) == len(rs.positive_roots)
+    identity_stratum = h0.exact and (
+        len(rs.degenerate_split(h0).deg) == len(rs.positive_roots))
     rows = []
     for k, lam in path.weights():
         d = dim_irrep(rs, lam)
         if identity_stratum:
             ratio = 1.0
         else:
-            cv = character(rs, lam, h0)
+            cv = char_snapped(rs, lam, h0)
             ratio = abs(cv.value) / d
         rows.append((k, lam, d, ratio))
     rows.sort(key=lambda r: r[2])

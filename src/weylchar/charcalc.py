@@ -114,11 +114,11 @@ def dim_irrep(rs: RootSystem, lam) -> int:
     """Exact dimension of the irrep with highest weight lam (Weyl formula).
 
     prod_a (lam + rho|a) / (rho|a) over the positive roots, on the
-    root system's integer pairings.
+    root system's integer pairings (those of rho are built with it).
     """
     lam = _dominant(rs, lam)
     eta, eta_den = rs.root_pairings(vadd(lam, rs.weyl_vector))
-    rho, rho_den = rs.root_pairings(rs.weyl_vector)
+    rho, rho_den = rs.rho_pairings
     d = Fraction(math.prod(eta) * rho_den ** len(eta), math.prod(rho) * eta_den ** len(eta))
     if d.denominator != 1 or d <= 0:
         raise AssertionError(f"dimension formula gave non-positive-integer {d}")
@@ -446,15 +446,22 @@ def char_singular(
 def character(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
     """Evaluate the character at any torus point, dispatching on degeneracy.
 
-    A floating point is read by `snap_to_exact`.  An exact point, given or
-    snapped, goes to `char_singular`, which computes its degenerate split
-    once and also serves regular points; any other to `_char_regular_float`.
+    The point is read by `snap_to_exact`, then evaluated by `char_snapped`.
     """
-    if not h.exact:
-        h = snap_to_exact(rs, h)
-        if not h.exact:
-            return _char_regular_float(rs, vadd(_dominant(rs, lam), rs.weyl_vector), h)
-    return char_singular(rs, lam, h)
+    return char_snapped(rs, lam, snap_to_exact(rs, h))
+
+
+def char_snapped(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
+    """The character at a point `snap_to_exact` has already read, which is not read again.
+
+    An exact point goes to `char_singular`, which computes its degenerate
+    split once and also serves regular points; a floating one, which stands
+    for itself, to `_char_regular_float`.  Callers that evaluate many
+    weights at one point snap it once and call this.
+    """
+    if h.exact:
+        return char_singular(rs, lam, h)
+    return _char_regular_float(rs, vadd(_dominant(rs, lam), rs.weyl_vector), h)
 
 
 # ---------------------------------------------------------------------------

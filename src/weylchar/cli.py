@@ -232,7 +232,7 @@ def _run_char(cfg: RunConfig, factors, weights, points):
             cv = charcalc.char_singular(rs, lam, h, split=split)
             deg_count += len(split.deg)
         else:
-            cv = charcalc.character(rs, lam, h)
+            cv = charcalc.char_snapped(rs, lam, h)
         condition = abs(value) * cv.condition + abs(cv.value) * condition
         value *= cv.value
     result = {

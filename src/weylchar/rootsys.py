@@ -211,6 +211,8 @@ class RootSystem:
         self.positive_roots = tuple(_fraction_rows(self._pos_rows))
         self.root_coeffs = dict(zip(self.positive_roots, map(tuple, coeffs[order].tolist())))
         self.weyl_vector = _fraction_rows([self._pos_rows.sum(axis=0)], 2)[0]
+        # (alpha|rho) = p / D, read by every Weyl dimension
+        self.rho_pairings = self.root_pairings(self.weyl_vector)
         self._coweights = tuple(_fraction_rows(cow, cow_den))
         # omega_i = w_i (a_i|a_i) / 2 as integer rows over one denominator;
         # their columns give Sum_i a_i omega_i as one integer product.

@@ -10,8 +10,10 @@ the Kesten-McKay law supported on [-2 sqrt(s-1)/s, 2 sqrt(s-1)/s].
 The groups are SU(N), type A_{N-1}: each word's character is read off the
 traces of its product (`_trace_characters`), with no eigenvalue or Weyl sum.
 A word and its rotations are conjugate, so `moment_exact` evaluates one
-character per cyclic class of words (`_necklaces`), about s^m / m of them;
-`moment_sampled` multiplies its random words two letters at a time.
+character per cyclic class of words, about s^m / m of them, and multiplies
+only the least word of each class and the words that can begin one
+(`_class_products`); `moment_sampled` multiplies its random words two
+letters at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .charcalc import character, dim_irrep  # noqa: F401
 from .errors import CapacityError, DomainError
 from .rootsys import RootSystem
 from .torus import float_point
-from .utils import as_complex, cmul, cquot, pairwise_sum, physical_memory
+from .utils import as_complex, cmul, pairwise_sum, physical_memory
 
 #: moment_exact enumerates at most this many words; beyond it, sample.
 WORD_CAP = 10**6
@@ -186,45 +188,80 @@ def _unitarize(stack: np.ndarray) -> np.ndarray:
     return _mul(stack, 1.5 * np.eye(len(stack))[:, :, None] - 0.5 * gram)
 
 
-def _extend(gens: np.ndarray, stack: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Append letters start..stop-1 to every word of a stack, all s choices each.
+@functools.lru_cache(maxsize=32)
+def _prenecklace_plan(s: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """(parent, letter, size, start): the words `_class_products` multiplies, s letters, length m.
 
-    gens is (N, N, s) and stack (N, N, W), both words-last.  Word r of the
-    input becomes words r*s^k .. (r+1)*s^k - 1 of the output, so words stay
-    in lexicographic order.  Products are taken one letter at a time, P_k =
-    P_(k-1) g by `_mul`, re-unitarized after every UNITARIZE_EVERY-th letter.
+    They are the prenecklaces of lengths 1..m-1, the words that begin the
+    least word of some cyclic class, and the necklaces of length m, the
+    least words of the classes (Ruskey, Savage & Wang, J. Algorithms 13,
+    1992).  A prenecklace p of length k and period q extends only by
+    letters j >= p[k-q]: the period stays q when j = p[k-q] and becomes
+    k + 1 otherwise, and a word of length m is a necklace iff q divides m,
+    with q its class size.  The words of length k are rows
+    start[k-1]:start[k] of parent and letter, in lexicographic order: word
+    parent[i] of length k-1, then letter[i].  size holds the class sizes,
+    which sum to s^m.  Each level is a few integer array operations; p[k-q]
+    is a digit of p's base-s code.  The arrays are read-only, since the
+    cache hands them to every caller.  They take 16 bytes a word and 8 a
+    class; the largest entry with s^m <= WORD_CAP and s > 1, s = 10**6 and
+    m = 1, holds 24 MB; a set of one letter takes about 50 bytes a letter of m.
     """
-    n = len(stack)
-    for i in range(start, stop):
-        stack = _mul(stack[:, :, :, None], gens[:, :, None, :]).reshape(n, n, -1)
-        if (i + 1) % UNITARIZE_EVERY == 0:
-            stack = _unitarize(stack)
-    return stack
+    code, period = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)  # the empty word
+    parent, letter, start = [], [], [0]
+    for k in range(m):
+        ref = code // s ** (period - 1) % s  # p[k-q]
+        count = s - ref
+        par = np.repeat(np.arange(len(code)), count)
+        ref = ref[par]
+        new = ref + np.arange(len(par)) - (np.cumsum(count) - count)[par]
+        period = np.where(new == ref, period[par], k + 1)
+        code = code[par] * s + new
+        if k + 1 == m:
+            keep = np.flatnonzero(m % period == 0)
+            par, new, period = par[keep], new[keep], period[keep]
+        parent.append(par)
+        letter.append(new)
+        start.append(start[-1] + len(par))
+    out = np.concatenate(parent), np.concatenate(letter), period
+    for a in out:
+        a.flags.writeable = False
+    return (*out, tuple(start))
 
 
-def _word_blocks(gens: GeneratorSet, m: int):
-    """Products of all s^m words of length m, in lexicographic order.
+def _class_products(gens: GeneratorSet, m: int):
+    """Products of the least words of the cyclic classes of length m, with the class sizes.
 
-    Yields (N, N, W) stacks of at most max(WORD_CHUNK, s) words.  Each word
-    shares the products of its prefixes with its neighbours: the head
-    letters are walked depth first, one product per prefix, and the last t
-    letters (s^t <= WORD_CHUNK) are expanded as one stack per head.
+    Yields ((N, N, W) products, sizes) in lexicographic order of the words.
+    Every word of `_prenecklace_plan` is one product, its prefix's times its
+    last letter: each level is `_mul(np.take(prefixes, parent), np.take(gens,
+    letter))`, from the identity on, re-unitarized after every
+    UNITARIZE_EVERY-th letter, so each word is the chain P_k = P_(k-1) g one
+    letter at a time.  The levels are walked depth first over contiguous
+    ranges of at most max(WORD_CHUNK, s) words, one range held per level: a
+    few MB of products up to WORD_CAP.
     """
+    parent, letter, size, start = _prenecklace_plan(gens.size, m)
     mats = np.stack(gens.elements, axis=-1)
-    s = gens.size
-    t = 1
-    while t < m and s ** (t + 1) <= WORD_CHUNK:
-        t += 1
-    head = m - t
-
-    def walk(prefix, depth):
-        if depth == head:
-            yield _extend(mats, prefix, head, m)
-            return
-        for j in range(s):
-            yield from walk(_extend(mats[:, :, j:j + 1], prefix, depth, depth + 1), depth + 1)
-
-    yield from walk(np.eye(gens.dim, dtype=complex)[:, :, None], 0)
+    width = max(WORD_CHUNK, gens.size)
+    # (k, products of words lo.. of length k, lo, then words a..end of length k + 1 to form)
+    todo = [(0, np.eye(gens.dim, dtype=complex)[:, :, None], 0, 0, gens.size)]
+    while todo:
+        k, prefixes, lo, a, end = todo.pop()
+        b = min(a + width, end)
+        if b < end:
+            todo.append((k, prefixes, lo, b, end))
+        rows = slice(start[k] + a, start[k] + b)
+        words = _mul(np.take(prefixes, parent[rows] - lo, axis=-1),
+                     np.take(mats, letter[rows], axis=-1))
+        if (k + 1) % UNITARIZE_EVERY == 0:
+            words = _unitarize(words)
+        if k + 1 == m:
+            yield words, size[a:b]
+            continue
+        below, above = np.searchsorted(parent[start[k + 1]:start[k + 2]], (a, b)).tolist()
+        if below < above:
+            todo.append((k + 1, words, a, below, above))
 
 
 def _check_su(rs: RootSystem, gens: GeneratorSet) -> None:
@@ -293,6 +330,16 @@ def _kernel_parts(rs: RootSystem, lam) -> tuple[tuple[int, ...], bool]:
     return parts, is_dual
 
 
+@functools.lru_cache(maxsize=256)
+def _weight_data(rs: RootSystem, lam: tuple) -> tuple[int, tuple[int, ...], bool]:
+    """(dim, parts, conj) of a checked weight: the dimension and the `_kernel_parts`.
+
+    Every moment of the weight reads them first; a weight that either
+    refuses raises each time, since the cache keeps no exception.
+    """
+    return dim_irrep(rs, lam), *_kernel_parts(rs, lam)
+
+
 def _trace_characters(stack: np.ndarray, parts: tuple[int, ...], conj=False) -> np.ndarray:
     """chi_lambda(g), or its conjugate, for every g of an (N, N, W) stack of SU(N) matrices.
 
@@ -305,14 +352,16 @@ def _trace_characters(stack: np.ndarray, parts: tuple[int, ...], conj=False) -> 
     det(h_{lambda_i - i + j}) (Jacobi-Trudi), in closed form for l <= 2.
     Every g must be unitary with e_N = 1, within 1e-10, or DomainError is
     raised.  The Gram matrices and the powers are `_mul` products.  A word
-    costs about (lambda_1 + l) N complex multiply-adds.  The recurrence
-    holds the last N values of h as (N, W) real and imaginary arrays, and
-    each step is a few whole-array calls whatever N is: the N terms, formed
-    from real and imaginary parts as `cmul` forms them, then added in order
-    of i by one reduction over axis 0.  A word's value has the same bits in
-    any stack, of any width or memory layout.  Its error is bounded by
-    `_kernel_error`.  With conj, the conjugate is returned: chi of the dual
-    weight.
+    costs about (lambda_1 + l) N complex multiply-adds.  Both sums run on
+    real and imaginary rows stacked in one array: each term is formed as
+    `cmul` forms it and the terms are added in order of i, from 0, by one
+    reduction, so a step is a few whole-array calls whatever N is: Newton's
+    on (k, 2, W) terms, and the recurrence on a (2, ring + N, W) history of
+    h, four calls a step.  A word's value has the same bits in any stack of
+    two or more words, of any memory layout; in a stack of one word numpy's
+    einsum, and for N >= 8 its reductions, sum in another order.  The error
+    is bounded by `_kernel_error`.  With conj, the conjugate is returned:
+    chi of the dual weight.
     """
     stack = np.ascontiguousarray(stack)  # einsum's order of summation follows the layout
     n, w = stack.shape[0], stack.shape[-1]
@@ -324,42 +373,65 @@ def _trace_characters(stack: np.ndarray, parts: tuple[int, ...], conj=False) -> 
         power = _mul(power, stack)
         p.append(np.einsum("iin->n", power))
     p.append(np.einsum("ijn,jin->n", power, stack))
-    signed_p = [x if k % 2 else -x for k, x in enumerate(p, 1)]  # (-1)^(k-1) p_k
-    e = [np.ones(w, dtype=complex)]
+    # Newton's identities on (N, 2, W) rows: (re, im) of (-1)^(i-1) p_i and its partner
+    # (-im, re), so that e (re, im) times p, as `cmul` forms it, is re(e) (re, im) of p plus
+    # im(e) (-im, re) of p: a - b is a + (-b) exactly.
+    sign = np.array([(-1.0) ** i for i in range(n)])[:, None]  # (-1)^(i-1), i = 1..N
+    p = np.array(p)
+    signed_p, partner = np.empty((n, 2, w)), np.empty((n, 2, w))
+    np.multiply(p.real, sign, out=signed_p[:, 0])
+    np.multiply(p.imag, sign, out=signed_p[:, 1])
+    np.negative(signed_p[:, 1], out=partner[:, 0])
+    partner[:, 1] = signed_p[:, 0]
+    e = np.zeros((n + 1, 2, w))  # (re, im) of e_0, ..., e_N
+    e[0, 0] = 1.0
+    t, u = np.empty((n, 2, w)), np.empty((n, 2, w))
     for k in range(1, n + 1):
-        acc = sum(map(cmul, e[::-1], signed_p[:k]))
-        e.append(as_complex(acc.real / k, acc.imag / k))
-    if (np.abs(e[n] - 1) > _UNITARY_TOL).any():
+        prev, tk, uk = e[k - 1::-1], t[:k], u[:k]  # e_(k-1), ..., e_0 against p_1, ..., p_k
+        np.multiply(prev[:, :1], signed_p[:k], out=tk)
+        np.multiply(prev[:, 1:], partner[:k], out=uk)
+        np.add(tk, uk, out=tk)
+        np.add.reduce(tk, axis=0, initial=0.0, out=e[k])  # in order of i from 0
+        e[k] /= k
+    if (np.hypot(e[n, 0] - 1.0, e[n, 1]) > _UNITARY_TOL).any():  # |e_N - 1|
         raise DomainError(f"a word product does not have determinant 1 within {_UNITARY_TOL}")
+    one = as_complex(e[0, 0], e[0, 1])
     if not parts:
-        return e[0]
-    signed_e = [x if i % 2 else -x for i, x in enumerate(e[1:], 1)]  # (-1)^(i-1) e_i
-    er, ei = np.array([x.real for x in signed_e]), np.array([x.imag for x in signed_e])
+        return one
+    # (re, re) and (-im, im) of (-1)^(i-1) e_i, i = 1..N: times (h_re, h_im) and (h_im, h_re)
+    er, ei = np.empty((2, n, w)), np.empty((2, n, w))
+    np.multiply(e[1:, 0], sign, out=er[0])
+    er[1] = er[0]
+    np.multiply(e[1:, 1], sign, out=ei[1])
+    np.negative(ei[1], out=ei[0])
     ell = len(parts)
     index = [[parts[i] - i + j for j in range(ell)] for i in range(ell)]
     need = {k for row in index for k in row}
-    h = {0: e[0]}
-    # h_k is row pos of hist_re, hist_im, and h_(k-1), ..., h_(k-N) are the N rows below it
-    # (h_0 = 1, h_(-1) = ... = 0); every `ring` steps the last N rows move back to the top.
-    # A short ring keeps the rows in cache: at W = 4096, 16 rows took a third longer.
+    h = {0: one}
+    # h_k is row pos of both planes of hist, (re, im), and h_(k-1), ..., h_(k-N) are the N
+    # rows after it (h_0 = 1, h_(-1) = ... = 0); every `ring` steps the last N rows move back.
+    # A short ring keeps the rows in cache: at W = 4096, 16 of them took a third longer.
     ring = max(n, 4)
-    hist_re, hist_im = np.zeros((ring + n, w)), np.zeros((ring + n, w))
-    hist_re[ring] = 1.0
-    t, u = np.empty((n, w)), np.empty((n, w))
+    hist = np.zeros((2, ring + n, w))
+    hist[0, ring] = 1.0
+    # per row: h_k, and h_(k-1), ..., h_(k-N) as (re, im) and as (im, re)
+    views = [(hist[:, pos], hist[:, pos + 1:pos + 1 + n], hist[:, pos + 1:pos + 1 + n][::-1])
+             for pos in range(ring)]
+    t, u = np.empty((2, n, w)), np.empty((2, n, w))
     pos = ring
     for k in range(1, parts[0] + ell):
         if pos == 0:
-            hist_re[ring:], hist_im[ring:] = hist_re[:n], hist_im[:n]
+            hist[:, ring:] = hist[:, :n]
             pos = ring
         pos -= 1
-        hr, hi = hist_re[pos + 1:pos + 1 + n], hist_im[pos + 1:pos + 1 + n]
-        # term i is (-1)^(i-1) e_i h_(k-i) as `cmul` forms it; the terms add in order of i
-        np.subtract(np.multiply(er, hr, out=t), np.multiply(ei, hi, out=u), out=t)
-        np.add.reduce(t, axis=0, initial=0.0, out=hist_re[pos])
-        np.add(np.multiply(er, hi, out=t), np.multiply(ei, hr, out=u), out=t)
-        np.add.reduce(t, axis=0, initial=0.0, out=hist_im[pos])
+        out, window, swapped = views[pos]
+        # term i is (-1)^(i-1) e_i h_(k-i) as `cmul` forms it
+        np.multiply(er, window, out=t)
+        np.multiply(ei, swapped, out=u)
+        np.add(t, u, out=t)
+        np.add.reduce(t, axis=1, initial=0.0, out=out)  # in order of i from 0
         if k in need:
-            h[k] = as_complex(hist_re[pos], hist_im[pos])
+            h[k] = as_complex(out[0], out[1])
     zero = np.zeros(w, dtype=complex)
     entry = [[h[k] if k >= 0 else zero for k in row] for row in index]
     if ell == 1:
@@ -372,38 +444,18 @@ def _trace_characters(stack: np.ndarray, parts: tuple[int, ...], conj=False) -> 
     return chi.conj() if conj else chi
 
 
-@functools.lru_cache(maxsize=1024)  # every block of most moments: 243 for s = 3, m = 12
-def _necklaces(s: int, m: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """(offset, size): the words among lo..hi-1 that are the least of their rotations.
-
-    A word is its base-s code, first letter most significant; its rotation by
-    k letters, g_(k+1)...g_m g_1...g_k, has code (c mod s^(m-k)) s^k + c div
-    s^(m-k).  A rotation is a conjugate, g_1^-1 (g_1...g_m) g_1, so every word
-    of a cyclic class (a necklace) has one character.  offset lists the least
-    words as offsets from lo, in order, and size the number of words in each
-    one's class, its primitive period; over all of 0..s^m - 1 the sizes sum to
-    s^m (Ruskey, Savage & Wang, J. Algorithms 13, 1992, count the classes).
-    """
-    code = np.arange(lo, hi)
-    least = np.ones(hi - lo, dtype=bool)
-    size = np.full(hi - lo, m)
-    for k in range(m - 1, 0, -1):
-        rot = code % s ** (m - k) * s**k + code // s ** (m - k)
-        least &= code <= rot
-        size[rot == code] = k
-    offset = np.flatnonzero(least)
-    size = size[offset]
-    offset.flags.writeable = size.flags.writeable = False  # the cache hands them to every caller
-    return offset, size
-
-
 def moment_exact(rs: RootSystem, lam, gens: GeneratorSet, m: int) -> float:
     """m-th spectral moment as a sum over the cyclic classes of the s^m words.
 
-    The words' products come from `_word_blocks`, in lexicographic order;
-    of each block only the least word of each class (`_necklaces`) goes to
-    `_trace_characters`, weighted by its class size: about s^m / m
-    characters, and the terms are summed pairwise in the words' order.
+    A word's rotation g_2...g_m g_1 = g_1^-1 (g_1...g_m) g_1 is conjugate
+    to it, so each class has one character.  `_class_products` multiplies
+    only the least word of each class and the words that can begin one: at
+    s = 4, 1128 products for m = 6 and 342 for m = 5, against 5460 and 1364
+    for every prefix of every word.  The least words go to
+    `_trace_characters`, each ratio chi / d is taken part by part (the bits
+    of `cquot` by the integer d, in a fraction of its time) and weighted by
+    the class size, and the terms are summed pairwise in the words'
+    lexicographic order.
     """
     _check_su(rs, gens)
     lam = rs.validate_weight(lam)
@@ -416,15 +468,11 @@ def moment_exact(rs: RootSystem, lam, gens: GeneratorSet, m: int) -> float:
         raise CapacityError(
             f"{n_words} words exceed the cap {WORD_CAP}; use moment_sampled"
         )
-    d = dim_irrep(rs, lam)
-    kernel = _kernel_parts(rs, lam)
-    terms, lo = [], 0
-    for block in _word_blocks(gens, m):
-        hi = lo + block.shape[-1]
-        offset, size = _necklaces(gens.size, m, lo, hi)
-        ratio = cquot(_trace_characters(np.take(block, offset, axis=-1), *kernel), d)
-        terms.append(as_complex(size * ratio.real, size * ratio.imag))
-        lo = hi
+    d, *kernel = _weight_data(rs, lam)
+    terms = []
+    for words, size in _class_products(gens, m):
+        chi = _trace_characters(words, *kernel)
+        terms.append(as_complex(size * (chi.real / d), size * (chi.imag / d)))
     total = pairwise_sum(np.concatenate(terms)) / n_words
     if gens.symmetric and abs(total.imag) >= 1e-8:
         raise AssertionError(
@@ -464,8 +512,7 @@ def moment_sampled(
     if need > have:
         raise CapacityError(f"{n_samples} samples take about {need} bytes, above the "
                             f"{have} bytes of physical memory")
-    d = dim_irrep(rs, lam)
-    kernel = _kernel_parts(rs, lam)
+    d, *kernel = _weight_data(rs, lam)
     rng = np.random.Generator(np.random.Philox(seed))
     s, n = gens.size, gens.dim
     mats = np.stack(gens.elements, axis=-1)
@@ -482,7 +529,7 @@ def moment_sampled(
             stack = _mul(stack, np.take(pairs, chunk[:, i] * s + chunk[:, i + 1], axis=-1))
             if (i + 2) // UNITARIZE_EVERY > i // UNITARIZE_EVERY:
                 stack = _unitarize(stack)
-        vals[lo:lo + len(chunk)] = cquot(_trace_characters(stack, *kernel), d).real
+        vals[lo:lo + len(chunk)] = _trace_characters(stack, *kernel).real / d
     mean = pairwise_sum(vals) / n_samples
     var = pairwise_sum((vals - mean) ** 2) / (n_samples - 1)
     return mean, math.sqrt(var / n_samples)

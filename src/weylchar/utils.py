@@ -57,8 +57,14 @@ def ordered_dot(a, b) -> np.ndarray:
 
 
 def as_complex(re, im) -> np.ndarray:
-    """The complex array re + i*im, built without any arithmetic."""
-    re, im = np.broadcast_arrays(re, im)
+    """The complex array re + i*im, built without any arithmetic.
+
+    Parts of different shapes are broadcast together first; parts of one
+    shape are read as they are.
+    """
+    re, im = np.asarray(re), np.asarray(im)
+    if re.shape != im.shape:
+        re, im = np.broadcast_arrays(re, im)
     out = np.empty(re.shape, dtype=complex)
     out.real = re
     out.imag = im

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from weylchar import spectral
 from weylchar.charcalc import dim_irrep
 from weylchar.exactlin import common_denominator
 from weylchar.torus import exact_point
@@ -154,6 +155,24 @@ def reduce_word(word, inverse_of) -> tuple:
         else:
             stack.append(letter)
     return tuple(stack)
+
+
+def word_products(gens, m):
+    """Products of all s^m words of length m, in lexicographic order, as an (N, N, s^m) stack.
+
+    Each is the chain P_k = P_(k-1) g from the identity, one letter at a
+    time by `spectral._mul`, re-unitarized after every UNITARIZE_EVERY-th
+    letter: the all-words reference for the class walk of `moment_exact`,
+    which forms the same chains for the least words of the cyclic classes.
+    """
+    mats = np.stack(gens.elements, axis=-1)
+    n = gens.dim
+    stack = np.eye(n, dtype=complex)[:, :, None]
+    for i in range(m):
+        stack = spectral._mul(stack[:, :, :, None], mats[:, :, None, :]).reshape(n, n, -1)
+        if (i + 1) % spectral.UNITARIZE_EVERY == 0:
+            stack = spectral._unitarize(stack)
+    return stack
 
 
 def generator_set_to_json(gens) -> dict:

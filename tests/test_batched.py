@@ -19,6 +19,8 @@ from weylchar.errors import DomainError, SnapError
 from weylchar.torus import float_point
 from weylchar.utils import cquot, pairwise_sum
 
+from _helpers import word_products
+
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
 LAM1 = A1.weight_from_fundamental((20,))
@@ -32,7 +34,7 @@ def _a2_set(seed):
 
 
 def _bits(values):
-    return np.asarray(values, dtype=complex).view(np.uint64)
+    return np.ascontiguousarray(values, dtype=complex).view(np.uint64)
 
 
 def _product(gens, word):
@@ -145,14 +147,31 @@ def _all_words(gens, m):
     return list(itertools.product(range(gens.size), repeat=m))
 
 
-def test_word_blocks_are_lexicographic_chains(monkeypatch):
-    monkeypatch.setattr(spectral, "WORD_CHUNK", 8)  # 4^3 words over several blocks
+def test_class_products_are_lexicographic_chains(monkeypatch):
+    monkeypatch.setattr(spectral, "WORD_CHUNK", 8)  # the 70 classes of 4^4 words, several stacks
     gens = spectral.catalog_su2_free_pair()
-    blocks = list(spectral._word_blocks(gens, 3))
-    assert len(blocks) > 1 and all(b.shape[:2] == (2, 2) and b.shape[2] <= 8 for b in blocks)
-    stacked = np.concatenate(blocks, axis=-1)
-    singles = np.concatenate([_product(gens, w) for w in _all_words(gens, 3)], axis=-1)
-    assert (_bits(stacked) == _bits(singles)).all()
+    stacks = list(spectral._class_products(gens, 4))
+    assert len(stacks) > 1 and all(p.shape[:2] == (2, 2) and p.shape[2] <= 8 for p, _ in stacks)
+    classes = _classes(gens.size, 4)
+    products = np.concatenate([p for p, _ in stacks], axis=-1)
+    chains = np.concatenate([_product(gens, w) for w, _ in classes], axis=-1)
+    assert (_bits(products) == _bits(chains)).all()
+    assert np.concatenate([size for _, size in stacks]).tolist() == [k for _, k in classes]
+    # the same chains as in the all-words stack
+    codes = [int("".join(map(str, w)), gens.size) for w, _ in classes]
+    assert (_bits(products) == _bits(word_products(gens, 4)[:, :, codes])).all()
+
+
+def test_products_past_a_re_unitarization_are_chains():
+    # 7712 classes of 2^17 words: more than one stack, re-unitarized after letter 16
+    two = spectral.generator_set(spectral.catalog_su2_free_pair().elements[:2])  # a, a^-1
+    products = np.concatenate([p for p, _ in spectral._class_products(two, 17)], axis=-1)
+    least, _ = _least_rotations(2, 17)
+    assert products.shape[-1] == len(least) > spectral.WORD_CHUNK
+    picked = [0, 1, 100, len(least) // 2, len(least) - 1]
+    words = [tuple(map(int, np.binary_repr(least[i], 17))) for i in picked]
+    chains = np.concatenate([_product(two, w) for w in words], axis=-1)
+    assert (_bits(products[:, :, picked]) == _bits(chains)).all()
 
 
 def _classes(s, m):
@@ -180,8 +199,9 @@ def _word_sum(rs, lam, gens, m):
     """The moment as the plain sum over all s^m words, each with its own character."""
     d = dim_irrep(rs, lam)
     kernel = spectral._kernel_parts(rs, lam)
-    ratios = [cquot(spectral._trace_characters(block, *kernel), d)
-              for block in spectral._word_blocks(gens, m)]
+    words = word_products(gens, m)
+    ratios = [cquot(spectral._trace_characters(words[:, :, lo:lo + 4096], *kernel), d)
+              for lo in range(0, words.shape[-1], 4096)]
     return (pairwise_sum(np.concatenate(ratios)) / gens.size**m).real
 
 
@@ -189,23 +209,68 @@ def _totient(n):
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
+def _least_rotations(s, m):
+    """(codes, sizes): the base-s codes of the words that are the least of their rotations,
+    in order, and the class sizes, from the rotations of all s^m codes at once."""
+    code = np.arange(s**m)
+    least = np.ones(s**m, dtype=bool)
+    size = np.full(s**m, m)
+    for k in range(m - 1, 0, -1):
+        rot = code % s ** (m - k) * s**k + code // s ** (m - k)  # g_(k+1)...g_m g_1...g_k
+        least &= code <= rot
+        size[rot == code] = k
+    return np.flatnonzero(least), size[least]
+
+
 @pytest.mark.parametrize("s", [1, 2, 3, 4, 6])
-def test_class_table_counts_the_necklaces(s):
-    table = spectral._necklaces.__wrapped__  # uncached: the tables of 6^8 words are large
+def test_walk_forms_the_least_rotations_and_their_prefixes(s):
+    plan = spectral._prenecklace_plan.__wrapped__  # uncached: the plans of 6^8 words are large
     for m in range(1, 9):
-        offset, size = table(s, m, 0, s**m)
+        parent, letter, size, start = plan(s, m)
+        codes = [np.zeros(1, dtype=np.int64)]  # the words of each length, as base-s codes
+        for k in range(1, m + 1):
+            rows = slice(start[k - 1], start[k])
+            codes.append(codes[-1][parent[rows]] * s + letter[rows])
+        least, want = _least_rotations(s, m)
+        assert codes[m].tolist() == least.tolist() and size.tolist() == want.tolist(), m
         count = sum(_totient(d) * s ** (m // d) for d in range(1, m + 1) if m % d == 0) // m
-        assert len(offset) == count and size.sum() == s**m, m
-        if s**m <= 4**5:  # against the rotations of the words themselves
-            codes = [int("".join(map(str, w)), s) if s > 1 else 0 for w, _ in _classes(s, m)]
-            assert offset.tolist() == codes
-            assert size.tolist() == [k for _, k in _classes(s, m)]
-    # a block's table is the slice of the whole one
-    offset, size = table(s, 5, 0, s**5)
-    cut = s**5 // 2
-    first, last = table(s, 5, 0, cut), table(s, 5, cut, s**5)
-    assert np.concatenate([first[0], last[0] + cut]).tolist() == offset.tolist()
-    assert np.concatenate([first[1], last[1]]).tolist() == size.tolist()
+        assert len(size) == count and size.sum() == s**m, m
+        for k in range(1, m):
+            # the prenecklaces: the prefixes of the least words of lengths k..2k-1
+            if s ** (2 * k - 1) <= 10**4:
+                prefixes = np.concatenate([_least_rotations(s, n)[0] // s ** (n - k)
+                                           for n in range(k, 2 * k)])
+                assert codes[k].tolist() == np.unique(prefixes).tolist(), (m, k)
+
+
+@pytest.mark.parametrize("group, m, products", [("A1", 6, 1128), ("A2", 5, 342)])
+def test_the_walk_multiplies_only_the_classes_and_their_prefixes(monkeypatch, group, m,
+                                                                 products):
+    # against 5460 (m = 6) and 1364 (m = 5) prefixes of all 4^m words
+    gens = spectral.catalog_su2_free_pair() if group == "A1" else _a2_set(3)
+    widths, mul = [], spectral._mul
+
+    def counted(a, b):
+        out = mul(a, b)
+        widths.append(out.shape[-1])
+        return out
+
+    monkeypatch.setattr(spectral, "_mul", counted)
+    classes = sum(len(size) for _, size in spectral._class_products(gens, m))
+    assert sum(widths) == products and classes == len(_classes(4, m))
+
+
+def test_importing_spectral_builds_no_plan():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(spectral.__file__).resolve().parents[1]
+    code = ("import weylchar.spectral as s, weylchar.cli; "
+            "print(s._prenecklace_plan.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "0"
 
 
 @pytest.mark.parametrize("chunk", [4096, 64, 16])

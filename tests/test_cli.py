@@ -175,6 +175,32 @@ def test_sweep_document_and_plot_data(capsys):
     assert doc["result"]["plot_data"]
 
 
+def test_a_floating_point_is_read_once_per_evaluation(capsys, monkeypatch):
+    from weylchar import asymptotics, charcalc
+    from weylchar.rootsys import RootSystem
+
+    calls = {"snap": 0, "pairings": 0}
+    snap, pairings = charcalc.snap_to_exact, RootSystem.float_pairings
+
+    def counted_snap(*args):
+        calls["snap"] += 1
+        return snap(*args)
+
+    def counted_pairings(self, coords):
+        calls["pairings"] += 1
+        return pairings(self, coords)
+
+    for module in (charcalc, asymptotics):
+        monkeypatch.setattr(module, "snap_to_exact", counted_snap)
+    monkeypatch.setattr(RootSystem, "float_pairings", counted_pairings)
+    point = ("--group", "G2", "--weight", "1,1", "--point", "0.1:0.25")
+    assert run_cli(capsys, "char", *point)[0] == 0
+    assert calls == {"snap": 1, "pairings": 2}  # the snap's pass, then the evaluation's
+    calls.update(snap=0, pairings=0)
+    assert run_cli(capsys, "sweep", *point, "--kmax", "10")[0] == 0
+    assert calls == {"snap": 1, "pairings": 11}  # the snap's pass, then one a row
+
+
 def test_sweep_counterexample(capsys):
     code, doc = run_json(capsys, "sweep", "--group", "A1xA1", "--counterexample",
                          "--point", "pi/2;0:0", "--kmax", "6")

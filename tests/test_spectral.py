@@ -31,7 +31,7 @@ from weylchar.spectral import (
 )
 from weylchar.utils import as_complex, cmul, cquot, pairwise_sum, physical_memory
 
-from _helpers import generator_set_to_json, reduce_word, rng_for
+from _helpers import generator_set_to_json, reduce_word, rng_for, word_products
 
 RS1 = build_root_system("A1")
 
@@ -208,7 +208,7 @@ def test_trace_kernel_agrees_with_the_eigenphase_character(name, weight):
     else:
         haar = haar_generator_set(3, 2, 5)
         gens = generator_set(haar.elements + tuple(g.conj().T for g in haar.elements))
-    words = np.moveaxis(np.concatenate(list(spectral._word_blocks(gens, 4)), axis=-1), -1, 0)
+    words = np.moveaxis(word_products(gens, 4), -1, 0)
     got = spectral._trace_characters(np.moveaxis(words, 0, -1), *spectral._kernel_parts(rs, lam))
     dim = dim_irrep(rs, lam)
     for w, value in zip(words, got):
@@ -220,7 +220,7 @@ def test_small_weights_of_su5_to_su9_agree_with_the_eigenphase_character(n):
     rs = build_root_system(f"A{n - 1}")
     haar = haar_generator_set(n, 2, 3 * n)
     gens = generator_set(haar.elements + tuple(g.conj().T for g in haar.elements))
-    words = np.moveaxis(np.concatenate(list(spectral._word_blocks(gens, 2)), axis=-1), -1, 0)
+    words = np.moveaxis(word_products(gens, 2), -1, 0)
     words = words[1::3]  # g g^-1 at 7, 13
     for weight in ((1,), (0, 1), (2,), (0,) * (n - 2) + (1,), (1,) + (0,) * (n - 3) + (1,)):
         lam = rs.weight_from_fundamental(weight + (0,) * (n - 1 - len(weight)))
