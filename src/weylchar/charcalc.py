@@ -64,6 +64,11 @@ denominator and keeps one integer weight table per irrep
 Int division r / D is correctly rounded, so every float equals the one
 the Fraction form of the same rational gave, and the residues r / D in
 {0, 1/2, 1, 3/2} give the exact phases 1, i, -1 and -i.
+
+No value leaves the regular and singular paths unchecked: `_gate` keeps
+it only if its condition is at most TOL * max(1, |value|) and |value| <=
+dim * (1 + TOL), and otherwise the oracle answers at the same point
+(`_fallback`), or PrecisionError refuses a dimension above its cap.
 """
 
 from __future__ import annotations
@@ -77,7 +82,9 @@ from operator import mul
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, DomainError, SingularPointError, SnapError
+from .errors import (
+    CapacityError, ConfigError, DomainError, PrecisionError, SingularPointError, SnapError,
+)
 from .exactlin import Vec, common_denominator, int_dtype, int_matvec, vadd
 from .rootsys import (
     EPS_SNAP, DegenerateSplit, RootSystem, RootSystemSpec, _beyond_float_range, positive_root_count,
@@ -92,6 +99,10 @@ _MACHINE_EPS = 2.0 ** -52
 
 #: Largest dimension for which the weight-multiplicity oracle will run.
 ORACLE_DIM_CAP = 100_000
+
+#: A Weyl-formula value is returned only if its condition is at most
+#: TOL * max(1, |value|) and |value| <= dim * (1 + TOL) (`_gate`).
+TOL = 1e-8
 
 #: Denominator bound for rationalizing snapped floating points.
 SNAP_MAX_DENOMINATOR = 10**6
@@ -116,7 +127,13 @@ def dim_irrep(rs: RootSystem, lam) -> int:
     prod_a (lam + rho|a) / (rho|a) over the positive roots, on the
     root system's integer pairings (those of rho are built with it).
     """
-    lam = _dominant(rs, lam)
+    return _dim(rs, _dominant(rs, lam))
+
+
+# Every gated value reads it; a sweep's weights fit many times over.
+@lru_cache(maxsize=1024)
+def _dim(rs: RootSystem, lam: Vec) -> int:
+    """`dim_irrep` of a weight `_dominant` has already checked."""
     eta, eta_den = rs.root_pairings(vadd(lam, rs.weyl_vector))
     rho, rho_den = rs.rho_pairings
     d = Fraction(math.prod(eta) * rho_den ** len(eta), math.prod(rho) * eta_den ** len(eta))
@@ -426,8 +443,8 @@ def char_singular(
     stands for itself, a regular point.  An exact point with no degenerate
     root goes to the exact regular path (`_char_regular_exact`); every other
     point, h0 = 0 included, to the coset sum of the cached
-    `_SingularEvaluator`.  `split` is `rs.degenerate_split(h0)` when the
-    caller has it (exact h0 only).
+    `_SingularEvaluator`.  Either value passes `_gate`.  `split` is
+    `rs.degenerate_split(h0)` when the caller has it (exact h0 only).
     """
     lam = _dominant(rs, lam)
     if not h0.exact:
@@ -439,16 +456,25 @@ def char_singular(
     if split is None:
         split = rs.degenerate_split(h0)
     if not split.deg:
-        return _char_regular_exact(rs, vadd(lam, rs.weyl_vector), split)
-    return _cached_evaluator(rs, split).evaluate(lam)
+        cv = _char_regular_exact(rs, vadd(lam, rs.weyl_vector), split)
+    else:
+        cv = _cached_evaluator(rs, split).evaluate(lam)
+    return _gate(rs, lam, h0, cv)
 
 
 def character(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
     """Evaluate the character at any torus point, dispatching on degeneracy.
 
     The point is read by `snap_to_exact`, then evaluated by `char_snapped`.
+    A floating point near a wall whose snap fails is answered like a value
+    the precision gate rejects (`_fallback`).
     """
-    return char_snapped(rs, lam, snap_to_exact(rs, h))
+    try:
+        h_read = snap_to_exact(rs, h)
+    except SnapError as exc:
+        lam = _dominant(rs, lam)
+        return _fallback(rs, lam, h, str(exc))
+    return char_snapped(rs, lam, h_read)
 
 
 def char_snapped(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
@@ -456,12 +482,36 @@ def char_snapped(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
 
     An exact point goes to `char_singular`, which computes its degenerate
     split once and also serves regular points; a floating one, which stands
-    for itself, to `_char_regular_float`.  Callers that evaluate many
-    weights at one point snap it once and call this.
+    for itself, to `_char_regular_float`, whose value passes `_gate`.
+    Callers that evaluate many weights at one point snap it once and call
+    this.
     """
     if h.exact:
         return char_singular(rs, lam, h)
-    return _char_regular_float(rs, vadd(_dominant(rs, lam), rs.weyl_vector), h)
+    lam = _dominant(rs, lam)
+    return _gate(rs, lam, h, _char_regular_float(rs, vadd(lam, rs.weyl_vector), h))
+
+
+def _gate(rs: RootSystem, lam: Vec, h: TorusPoint, cv: CharacterValue) -> CharacterValue:
+    """cv if its own estimate accepts it, else `_fallback`'s answer at h.
+
+    Accepted: condition <= TOL * max(1, |value|), and |value| <= dim * (1 +
+    TOL), since |chi| <= dim on the whole torus.  A nan fails both.
+    """
+    size = abs(cv.value)
+    # size / (1 + TOL) <= dim compares a float with an int exactly, past 2**1024 too
+    if cv.condition <= TOL * max(1.0, size) and size / (1 + TOL) <= _dim(rs, lam):
+        return cv
+    return _fallback(rs, lam, h, f"value {cv.value} with condition {cv.condition:.3g}")
+
+
+def _fallback(rs: RootSystem, lam: Vec, h: TorusPoint, why: str) -> CharacterValue:
+    """The weight-sum oracle at h when dim <= ORACLE_DIM_CAP, else PrecisionError."""
+    dim = _dim(rs, lam)
+    if dim > ORACLE_DIM_CAP:
+        raise PrecisionError(f"no value within the precision gate at {h}: {why}, and dim "
+                             f"{dim} is above the oracle cap {ORACLE_DIM_CAP}")
+    return char_weightsum_oracle(rs, lam, h)
 
 
 # ---------------------------------------------------------------------------

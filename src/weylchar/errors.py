@@ -45,3 +45,7 @@ class SingularPointError(DomainError):
 
 class SnapError(DomainError):
     """A floating torus point near a singular stratum could not be rationalized."""
+
+
+class PrecisionError(DomainError):
+    """No value within the precision gate, and the dimension is above the oracle's cap."""

@@ -1,11 +1,14 @@
-"""Exact linear algebra over the rationals, and integer stacks over numpy.
+"""Exact vectors over the rationals, and integer stacks over numpy.
 
-Small dense systems only (rank <= 8 ambient spaces), so plain Gaussian
-elimination with `fractions.Fraction` entries is entirely adequate.  Bulk
+Vectors are tuples of `fractions.Fraction`, with the few operations the
+root data need on them: sums, scalings and the bilinear form.  No
+rational system is solved.  The one inverse the root data take, of the
+simple roots' integer Gram matrix, is the fraction-free `adjugate`, and
+root coefficients follow from it by integer products (`rootsys`).  Bulk
 work (a vector against every element of a Weyl group) runs on integer
-numpy arrays instead: rationals are scaled over one common denominator,
-and a bound check picks int64 when no intermediate can overflow it, or
-object arrays of Python ints otherwise, for the same code.
+numpy arrays: rationals are scaled over one common denominator, and a
+bound check picks int64 when no intermediate can overflow it, or object
+arrays of Python ints otherwise, for the same code.
 """
 
 from __future__ import annotations
@@ -48,59 +51,6 @@ def dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
 
 def mat_vec(m: Sequence[Sequence], x: Sequence[Fraction]) -> Vec:
     return tuple(dot(row, x) for row in m)
-
-
-def solve(a, b) -> list[Fraction]:
-    """Solve the square system a x = b exactly; raises on singular a."""
-    n = len(a)
-    m = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
-
-
-def _normal_solve(basis: Sequence[Vec], gram, v: Vec) -> tuple[list[Fraction], Vec]:
-    """The least-squares coefficients x of v in `basis`, and sum_i x_i basis_i.
-
-    Solves the normal equations (B^T G B) x = B^T G v exactly, G the
-    ambient bilinear form, so the combination is the orthogonal projection
-    of v onto span(basis).
-    """
-    k = len(basis)
-    gv = [mat_vec(gram, b) for b in basis]
-    a = [[dot(gv[i], basis[j]) for j in range(k)] for i in range(k)]
-    x = solve(a, [dot(gv[i], v) for i in range(k)])
-    out = vzero(len(v))
-    for c, b in zip(x, basis):
-        out = vadd(out, vscale(c, b))
-    return x, out
-
-
-def span_coefficients(basis: Sequence[Vec], gram, v: Vec) -> list[Fraction] | None:
-    """Coefficients of v in `basis`, or None if v lies outside the span.
-
-    `gram` is the ambient bilinear form; the normal equations are solved
-    exactly and the candidate verified.
-    """
-    x, recon = _normal_solve(basis, gram, v)
-    return x if recon == tuple(v) else None
-
-
-def in_integer_span(basis: Sequence[Vec], gram, v: Vec) -> bool:
-    """Whether v is an integer combination of `basis` (exact test)."""
-    coeffs = span_coefficients(basis, gram, v)
-    if coeffs is None:
-        return False
-    return all(c.denominator == 1 for c in coeffs)
 
 
 def adjugate(m) -> tuple[list[list[int]], int]:

@@ -25,11 +25,9 @@ from operator import mul
 
 import numpy as np
 
-from . import exactlin
 from .errors import CapacityError, ConfigError, DomainError, StructureError
 from .exactlin import (
-    EXACT_TYPES, Vec, adjugate, common_denominator, dot, int_matvec, mat_vec, vadd, vscale,
-    vzero,
+    EXACT_TYPES, Vec, adjugate, common_denominator, dot, int_matvec, mat_vec, vadd, vzero,
 )
 from .torus import TorusPoint
 from .utils import fold_angle, ordered_dot, physical_memory
@@ -335,14 +333,6 @@ class RootSystem:
             raise DomainError(f"expected {self.rank} fundamental coordinates")
         den *= self._fund_den
         return tuple(Fraction(sum(map(mul, col, nums)), den) for col in self._fund_cols)
-
-    def coroot(self, alpha) -> Vec:
-        return vscale(2 / self.norm2(alpha), alpha)
-
-    def in_coroot_lattice(self, v) -> bool:
-        """Exact membership of v in the integer span of the simple coroots."""
-        basis = tuple(self.coroot(a) for a in self.simple_roots)
-        return exactlin.in_integer_span(basis, self.gram, tuple(Fraction(x) for x in v))
 
     # -- torus pairings and degeneracy ---------------------------------------------
 

@@ -283,18 +283,20 @@ def _kernel_error(n: int, parts: tuple[int, ...]) -> float:
     mu / dim lambda = prod_(a != i) |beta_i - j - beta_a| / |beta_i - beta_a|.  The
     determinant's rounding is left out; against 40-digit arithmetic the error stays under a
     twelfth of the bound on SU(2)-SU(9), closest at identity-reducing words.  The empty
-    partition, whose character is exactly 1, has bound 0.  lambda_1 past 10**6, where no
-    bound is below 1e-4, and n with n 2**(n - 52) past the float range give inf without the
-    sums.  Each bead's product over a != i is one array product, in order of a, taken over
-    slices of j so that its temporaries stay near a MB.
+    partition, whose character is exactly 1, has bound 0.  Any other has a strip sum of at
+    least 1, from its one-box strips alone (n dim mu >= dim lambda for a corner mu, by
+    Pieri), so its bound is at least n 2**(n - 52), past KERNEL_TOL from n = 34 on; that
+    n, and lambda_1 past 10**6, where no bound is below 1e-4, give inf without the sums.
+    Each bead's product over a != i is one array product, in order of a, taken over slices
+    of j so that its temporaries stay near a MB.
     """
     if not parts:
         return 0.0
-    if parts[0] > 10**6 or n + n.bit_length() >= 1077:  # n 2**(n - 52) >= 2**1024
+    if parts[0] > 10**6 or math.log2(n) + n - 52 > math.log2(KERNEL_TOL):
         return math.inf
     beta = np.array([x + n - 1 - i for i, x in enumerate(list(parts) + [0] * (n - len(parts)))])
     h_one = np.ones(beta[0] + 1)
-    step = 2**17 // n  # at least 123 columns: n < 1066 here
+    step = 2**17 // n  # at least 3971 columns: n <= 33 here
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf or nan
         for _ in range(n - 1):
             h_one = np.cumsum(h_one)  # h_one[j] = C(j + n - 1, n - 1), h_j at the identity

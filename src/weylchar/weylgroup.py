@@ -39,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError, ConfigError, DomainError
-from .exactlin import Vec, mat_vec, vsub
+from .exactlin import Vec, vsub
 from .rootsys import DegenerateSplit, RootSystem, check_weyl_cap, weyl_order
 from .torus import TorusPoint
 from .utils import physical_memory
@@ -189,24 +189,6 @@ class Stabilizer:
 
     order: int
     roots: tuple
-
-
-def fixes_torus_point(rs: RootSystem, w, h0: TorusPoint) -> bool:
-    """Whether w(h0) and h0 are the same torus element.
-
-    w is an integer matrix (a row of a group's `stack`, say), applied to
-    h0's coordinates in Fractions.  Equality means the difference is a
-    period of the torus, i.e. lies in 2*pi times the coroot lattice (the
-    kernel of exp for the simply connected compact group, where every
-    dominant integral weight is a valid highest weight).
-    """
-    if not h0.exact:
-        raise DomainError("stabilizer computations need an exact torus point")
-    diff = vsub(mat_vec(w, h0.coords), h0.coords)
-    if all(x == 0 for x in diff):
-        return True
-    half = tuple(x / 2 for x in diff)
-    return rs.in_coroot_lattice(half)
 
 
 def stabilizer(

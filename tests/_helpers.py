@@ -7,11 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from weylchar import spectral
+from weylchar import charcalc, spectral
 from weylchar.charcalc import dim_irrep
 from weylchar.exactlin import common_denominator
 from weylchar.torus import exact_point
-from weylchar.weylgroup import TRANSVERSAL_BLOCK, coset_transversal, fixes_torus_point, reflect
+from weylchar.weylgroup import TRANSVERSAL_BLOCK, coset_transversal, reflect
 
 
 def random_dominant_weight(rs, rng, max_dim=5000, max_coeff=6, max_draws=10_000):
@@ -65,31 +65,24 @@ def reflection_matrix(rs, alpha):
     return [[int(cols[k][j]) for k in range(n)] for j in range(n)]
 
 
-def scan_stabilizer(rs, group, h0):
-    """Indices of the elements of `group` fixing h0, by an exhaustive scan.
+def fixed_members(rs, stack, h0):
+    """Indices of the elements of a (T, n, n) integer stack fixing h0, by one integer test.
 
-    The reference for `weylgroup.stabilizer`, which closes the degenerate
-    reflections instead: one exact fixed-point test per element of W.
-    """
-    return tuple(
-        i for i, w in enumerate(group.stack.tolist()) if fixes_torus_point(rs, w, h0)
-    )
-
-
-def fixed_members(rs, group, h0):
-    """Indices of the elements of `group` fixing h0, by one integer test of the stack.
-
-    The vectorized `fixes_torus_point`: w fixes h0 iff (w h0 - h0) / 2 lies
-    in the coroot lattice.  That difference lies in the span of the roots,
-    where the coroot lattice is the set of vectors pairing integrally with
-    every fundamental weight (the basis dual to the simple coroots).
+    The stabilizer reference.  w fixes the torus element of h0 iff
+    w h0 - h0 is a period, 2 pi times a coroot-lattice vector (the periods
+    of the simply connected compact group).  That difference lies in the
+    span of the roots, where the coroot lattice is the lattice dual to the
+    weights: the vectors pairing integrally with every fundamental weight.
+    With coordinates in units of pi the test is (omega_i|w h0 - h0) / 2
+    in Z for every i, one integer product of the stack.
     """
     y, d = common_denominator(h0.coords)
     forms = [rs.int_form(w) for w in rs.fundamental_weights()]
     den = math.lcm(*(f for _, f in forms))
     omega = np.array([[z * (den // f) for z in zs] for zs, f in forms], dtype=np.int64).T
     y = np.array(y, dtype=np.int64)
-    diff = group.stack.astype(np.int64) @ y - y
+    n = rs.ambient_dim
+    diff = np.asarray(stack, dtype=np.int64).reshape(-1, n, n) @ y - y
     return tuple(np.flatnonzero(((diff @ omega) % (2 * d * den) == 0).all(axis=1)).tolist())
 
 
@@ -129,13 +122,13 @@ def scan_transversal(group, w0):
 def check_stabilizer(rs, group, h0, w0, members):
     """Check `weylgroup.stabilizer`'s w0 at h0 against the elements fixing h0.
 
-    `members` are their indices (`scan_stabilizer` or `fixed_members`).
+    `members` are their indices (`fixed_members` of the group's stack).
     The order is their count, every reflection in w0's simple roots fixes
     h0, and the coset transversal times the members covers W exactly once.
     """
     assert w0.order == len(members)
-    for i in w0.roots:
-        assert fixes_torus_point(rs, reflection_matrix(rs, rs.positive_roots[i]), h0)
+    reflections = [reflection_matrix(rs, rs.positive_roots[i]) for i in w0.roots]
+    assert len(fixed_members(rs, reflections, h0)) == len(w0.roots)
     trans = coset_transversal(group, w0)
     stack = group.stack.astype(np.int64)
     products = stack[trans][:, None] @ stack[list(members)][None]
@@ -205,6 +198,24 @@ def unit_phase(num: int, den: int) -> complex:
     if 2 * r == 3 * den:
         return -1j
     return cmath.exp(1j * math.pi * (r / den))
+
+
+def spy_fallbacks(monkeypatch) -> list:
+    """A list of (group name, point) that gains an entry each time `charcalc._fallback` answers.
+
+    The precision gate's fallback, which answers with the weight-sum
+    oracle, or raises: a comparison of `character` with the oracle checks
+    the Weyl path only while this stays empty.
+    """
+    calls = []
+    fallback = charcalc._fallback
+
+    def spy(rs, lam, h, why):
+        calls.append((rs.spec.name, h))
+        return fallback(rs, lam, h, why)
+
+    monkeypatch.setattr(charcalc, "_fallback", spy)
+    return calls
 
 
 def rng_for(name: str) -> random.Random:

@@ -29,7 +29,6 @@ CALLERS = [p for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.p
 
 #: Public names without a library or benchmark caller, and why each stays.
 KEEP = {
-    "fixes_torus_point": "the definition of a stabilizer that the tests check stabilizer() against",
     "km_density": "the Kesten-McKay density that acceptance criteria 11 and 12 integrate",
     "char_regular": "the regular-point entry point that acceptance criteria 01, 03 and 04 call",
     "weight_multiplicities": "the Freudenthal weight diagram that acceptance criterion 05 sums",

@@ -18,7 +18,7 @@ from weylchar.asymptotics import (
 )
 from weylchar.charcalc import character, dim_irrep
 from weylchar.errors import DomainError, StructureError
-from weylchar.exactlin import vadd, vscale, vzero
+from weylchar.exactlin import adjugate, vadd, vscale, vzero
 
 from _helpers import random_dominant_weight, rng_for
 
@@ -201,14 +201,18 @@ def test_report_ratios_in_unit_interval_and_sorted_by_dim():
 
 
 def test_certificate_root_outside_degenerate_span():
-    from weylchar.exactlin import span_coefficients
-
+    # the root is independent of the degenerate simple roots: the Gram
+    # matrix of all of them is nonsingular (adjugate refuses a singular one)
     rs = build_root_system("A3")
     st = [s for s in alcove_stratum_points(rs) if s.walls == (0, 1)][0]
     split = rs.degenerate_split(st.point)
     deg_simple = [a for a in rs.simple_roots if a in set(split.deg)]
     cert = divergence_certificate(rs, split, rs.weyl_vector)
-    assert span_coefficients(tuple(deg_simple), rs.gram, cert.root) is None
+    vectors = [*deg_simple, cert.root]
+    assert len(vectors) == 3
+    gram = [[rs.inner(x, y) for y in vectors] for x in vectors]
+    assert all(g.denominator == 1 for row in gram for g in row)
+    assert adjugate(gram)[1] != 0
 
 
 def test_certificate_pairing_strictly_increasing():

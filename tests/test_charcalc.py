@@ -2,6 +2,7 @@
 
 import cmath
 import hashlib
+import json
 import math
 from fractions import Fraction as F
 
@@ -21,14 +22,19 @@ from weylchar.charcalc import (
     snap_to_exact,
     weight_multiplicities,
 )
-from weylchar.errors import CapacityError, DomainError, SingularPointError, SnapError
-from weylchar.exactlin import _normal_solve, vzero
+from weylchar import charcalc
+from weylchar.cli import main
+from weylchar.errors import (
+    CapacityError, DomainError, PrecisionError, SingularPointError, SnapError,
+)
+from weylchar.exactlin import vzero
 from weylchar.rootsys import weyl_order
 from weylchar.weylgroup import coset_transversal, generate_weyl_group, stabilizer
 from weylchar.asymptotics import alcove_stratum_points
 
 from _helpers import (
-    apply_matrix, random_dominant_weight, random_regular_exact_point, rng_for, scan_stabilizer,
+    apply_matrix, fixed_members, random_dominant_weight, random_regular_exact_point, rng_for,
+    spy_fallbacks,
 )
 
 
@@ -240,7 +246,7 @@ def test_transversal_independence(monkeypatch):
     trans = coset_transversal(group, w0)
     # twist every non-identity representative by a random stabilizer element
     index = {m.tobytes(): i for i, m in enumerate(group.stack)}
-    members = scan_stabilizer(rs, group, h0)
+    members = fixed_members(rs, group.stack, h0)
     twisted = np.array([trans[0]] + [
         index[(group.stack[b] @ group.stack[members[rng.randrange(len(members))]]).tobytes()]
         for b in trans[1:]
@@ -471,11 +477,14 @@ def test_char_singular_refuses_a_regular_float_point():
         char_weightsum_oracle(rs, lam, h).value, abs=1e-12 * dim_irrep(rs, lam))
 
 
-def test_snap_refuses_a_near_root_that_does_not_land():
-    # h0 = pi * (a/q, b/r, b/r, -(a/q + 2b/r)) with a r + b q = 1: e2 - e3 lands,
-    # and e1 - e4 pairs to 2 pi/(q r) = 1.46e-9, just outside the snap tolerance.
-    # Moving the last coordinate by 8e-10 brings e1 - e4 within it, while every
-    # coordinate still rationalizes back onto h0, where e1 - e4 is off its wall.
+def _a3_point_whose_snap_does_not_land():
+    """(A3, a floating point near the wall of e1 - e4 that its snap leaves).
+
+    h0 = pi * (a/q, b/r, b/r, -(a/q + 2b/r)) with a r + b q = 1: e2 - e3 lands,
+    and e1 - e4 pairs to 2 pi/(q r) = 1.46e-9, just outside the snap tolerance.
+    Moving the last coordinate by 8e-10 brings e1 - e4 within it, while every
+    coordinate still rationalizes back onto h0, where e1 - e4 is off its wall.
+    """
     q, r = 65537, 65539
     a = pow(r, -1, q)
     b = (1 - a * r) // q
@@ -486,8 +495,75 @@ def test_snap_refuses_a_near_root_that_does_not_land():
     assert not rs.near_walls(on)[e1_e4]
     moved = float_point(on[:3] + [on[3] + 8e-10])
     assert rs.near_walls(moved.coords)[e1_e4]
-    with pytest.raises(SnapError, match="does not land exactly"):
-        character(rs, rs.weight_from_fundamental((1, 0, 1)), moved)
+    return rs, moved
+
+
+def test_snap_refuses_a_near_root_that_does_not_land(monkeypatch):
+    # The snap and char_singular refuse the point; character answers there
+    # with the weight-sum oracle.
+    rs, moved = _a3_point_whose_snap_does_not_land()
+    lam = rs.weight_from_fundamental((1, 0, 1))
+    for refuse in (snap_to_exact, lambda rs, h: char_singular(rs, lam, h)):
+        with pytest.raises(SnapError, match="does not land exactly"):
+            refuse(rs, moved)
+    fallbacks = spy_fallbacks(monkeypatch)
+    cv = character(rs, lam, moved)
+    assert fallbacks == [("A3", moved)]
+    assert cv == char_weightsum_oracle(rs, lam, moved)
+    assert repr(cv.value) == "(-0.9999999908089026+0j)"
+
+
+# ---------------------------------------------------------------------------
+# The precision gate
+# ---------------------------------------------------------------------------
+
+#: E7 omega_1 points where the Weyl path's value fails its own condition: the
+#: exact regular path gives |value| 4179 with condition 8.7e6, the float path
+#: -7.4e24-4.2e24i; |chi| <= dim = 133.
+E7_REPROS = {
+    "exact": ("pi/7:-3pi/11:2pi/13:5pi/17:pi/19:2pi/23:-pi/29",
+              exact_point([F(1, 7), F(-3, 11), F(2, 13), F(5, 17), F(1, 19), F(2, 23),
+                           F(-1, 29)])),
+    "float": ("0.1137:0.2391:0.3517:0.4283:0.5651:0.6829:0.7919",
+              float_point([0.1137, 0.2391, 0.3517, 0.4283, 0.5651, 0.6829, 0.7919])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(E7_REPROS))
+def test_gate_answers_the_e7_repros_with_the_oracle(monkeypatch, capsys, kind):
+    text, h = E7_REPROS[kind]
+    rs = build_root_system("E7")
+    lam = rs.weight_from_fundamental((1, 0, 0, 0, 0, 0, 0))
+    want = char_weightsum_oracle(rs, lam, h).value
+    fallbacks = spy_fallbacks(monkeypatch)
+    assert abs(character(rs, lam, h).value - want) <= 1e-9 * 133
+    assert main(["char", "--group", "E7", "--weight", "1,0,0,0,0,0,0", f"--point={text}"]) == 0
+    value = json.loads(capsys.readouterr().out)["result"]["value"]
+    assert abs(complex(value["re"], value["im"]) - want) <= 1e-9 * 133
+    assert fallbacks == [("E7", h)] * 2
+
+
+def test_gate_raises_precision_error_above_the_oracle_cap(monkeypatch, capsys):
+    # values the gate rejects (a tiny Weyl denominator; a condition above
+    # TOL * |value|) and a near-wall point that does not snap, with dims 15,
+    # 8 and 20 above a lowered cap
+    monkeypatch.setattr(charcalc, "ORACLE_DIM_CAP", 7)
+    a2 = build_root_system("A2")
+    q = 1000000007
+    cases = [
+        (a2, (2, 1), exact_point([F(1, q), F(2, q), F(-3, q)]),
+         ["--group", "A2", "--weight", "2,1", f"--point=pi/{q}:2pi/{q}:-3pi/{q}"]),
+        (a2, (1, 1), float_point([0.3, 0.30000001, -0.60000001]),
+         ["--group", "A2", "--weight", "1,1", "--point", "0.3:0.30000001:-0.60000001"]),
+    ]
+    for rs, weight, h, argv in cases:
+        with pytest.raises(PrecisionError):
+            character(rs, rs.weight_from_fundamental(weight), h)
+        assert main(["char", *argv]) == 4
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "PrecisionError"
+    a3, moved = _a3_point_whose_snap_does_not_land()
+    with pytest.raises(PrecisionError):
+        character(a3, a3.weight_from_fundamental((1, 0, 1)), moved)
 
 
 def test_near_singular_detection():
@@ -559,9 +635,10 @@ def test_extrapolation_parallel_vs_generic_direction():
     lam = random_dominant_weight(rs, rng, max_dim=500)
     d = dim_irrep(rs, lam)
     generic = generic_direction(rs, rng)
-    basis = list(split.deg)
-    par = _normal_solve(basis, rs.gram, tuple(F(x).limit_denominator(10**6) for x in generic))[1]
-    par_f = [float(x) for x in par]
+    # a direction in the span of the degenerate roots: a combination of them
+    coeffs = [rng.uniform(0.5, 1.5) * rng.choice([-1, 1]) for _ in split.deg]
+    par_f = [sum(c * float(a[j]) for c, a in zip(coeffs, split.deg))
+             for j in range(rs.ambient_dim)]
     want = char_singular(rs, lam, st.point).value
     for delta in (generic, par_f):
         vals = [

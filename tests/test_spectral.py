@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -309,10 +310,24 @@ def _loop_kernel_error(n, parts):
 @pytest.mark.parametrize("n, parts", [
     (2, (581177,)), (2, (581178,)), (3, (10399,)), (3, (10400,)), (4, (1553,)), (5, (524,)),
     (6, (261,)), (7, (161,)), (8, (112,)), (9, (85,)), (9, (86,)), (3, (200, 100)),
-    (4, (200, 150, 3)), (9, (60,) * 8), (34, (1,)), (40, (5000,)),  # 2 slices of j
+    (4, (200, 150, 3)), (9, (60,) * 8), (33, (1,)), (33, (5000,)),  # 2 slices of j
 ])
 def test_kernel_error_has_the_bits_of_the_factor_by_factor_product(n, parts):
     assert spectral._kernel_error(n, parts) == _loop_kernel_error(n, parts)
+
+
+def test_kernel_error_refuses_past_n_33_without_the_sums():
+    # n 2**(n - 52) bounds the error bound from below from n = 34 on, and the
+    # full sums there exceed KERNEL_TOL too, so the early refusal refuses no
+    # weight the sums would admit
+    start = time.perf_counter()
+    assert spectral._kernel_error(1065, (1,)) == math.inf
+    assert time.perf_counter() - start < 0.1
+    assert spectral._kernel_error(33, (1,)) <= spectral.KERNEL_TOL
+    for n in range(34, 41):
+        assert spectral._kernel_error(n, (1,)) == math.inf
+        for parts in ((1,), (2, 1), (7,), (1,) * (n - 1)):
+            assert _loop_kernel_error(n, parts) > spectral.KERNEL_TOL
 
 
 def test_trace_kernel_of_the_trivial_weight_is_one():
