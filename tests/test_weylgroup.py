@@ -10,6 +10,7 @@ import pytest
 from weylchar import build_root_system, exact_point
 from weylchar.charcalc import cached_weyl_group, effective_subsystem
 from weylchar.errors import CapacityError, DomainError
+from weylchar.exactlin import adjugate, common_denominator, vscale, vsub
 from weylchar.asymptotics import alcove_stratum_points
 from weylchar import weylgroup
 from weylchar.weylgroup import (
@@ -181,6 +182,50 @@ def test_closure_stabilizer_equals_scan_off_the_alcove(name):
                                    for j in range(rs.ambient_dim)]))
     for h in points:
         check_stabilizer(rs, group, h, stabilizer(rs, h), fixed_members(rs, group.stack, h))
+
+
+def scan_stabilizer(rs, group, h0):
+    """Indices of the elements of `group` fixing h0, one exact test per element.
+
+    w fixes h0 iff x = (w h0 - h0) / 2 (coordinates in units of pi) lies in
+    the coroot lattice: its coordinates c in the simple coroots, read off
+    the coroots' Gram matrix G by c = G^-1 ((a_j^v | x))_j with the
+    fraction-free `adjugate`, are integers and sum back to x.  No
+    fundamental weight enters, unlike `fixed_members`.
+    """
+    coroots = [vscale(F(2) / rs.norm2(a), a) for a in rs.simple_roots]
+    gram_int, den = common_denominator(
+        [rs.inner(a, b) for a in coroots for b in coroots])
+    k = rs.rank
+    adj, det = adjugate([gram_int[i * k:(i + 1) * k] for i in range(k)])
+    members = []
+    for i, w in enumerate(group.stack.tolist()):
+        x = vscale(F(1, 2), vsub(apply_matrix(w, h0.coords), h0.coords))
+        b = [rs.inner(a, x) for a in coroots]
+        c = [den * sum(g * y for g, y in zip(row, b)) / det for row in adj]
+        back = tuple(sum(ci * a[j] for ci, a in zip(c, coroots)) for j in range(rs.ambient_dim))
+        if back == x and all(ci.denominator == 1 for ci in c):
+            members.append(i)
+    return tuple(members)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "D4", "F4"])
+def test_vectorized_fixed_point_test_equals_scan(name):
+    # fixed_members, the integer test of the whole stack through the
+    # fundamental weights, against a per-element scan in the coroot basis at
+    # alcove strata and Weyl images of them.  Large groups take a sample.
+    rs = build_root_system(name)
+    group = cached_weyl_group(rs)
+    rng = rng_for(f"fixed-members-{name}")
+    strata = alcove_stratum_points(rs)
+    if group.order > 100:
+        strata = rng.sample(strata, 2 if group.order > 1000 else 8)
+    points = [st.point for st in strata] + [
+        exact_point(apply_matrix(group.stack[rng.randrange(1, group.order)], st.point.coords))
+        for st in strata
+    ]
+    for h in points:
+        assert fixed_members(rs, group.stack, h) == scan_stabilizer(rs, group, h)
 
 
 def test_identity_stabilizer_of_e6_closes_over_its_six_simple_roots():
