@@ -26,17 +26,18 @@ rational vector x given by its integer form G x = y / y_den
 (`RootSystem.int_form`) and integer coefficients c_i.  It computes every
 exponent (v_i|x) mod 2 as one integer matvec reduced mod 2*D (D the
 product of the two denominators), and sums the coefficients of equal
-exponents with `np.unique`.  The result is two integer arrays, the
-distinct exponents r (so (v_i|x) = r / D mod 2) and their summed
-coefficients, and D; resonant cancellations give exact zeros.  The
-regular path feeds it the integer orbit W*h (from the Weyl group's int8
-stack) paired with eta and the signs of W; the singular path
-the coset representatives applied to h0, paired with eta, since
-(b^{-1} eta|h0) = (eta|b h0), with sgn(b) * subdim_b; the oracle the
-weights paired with h and their multiplicities.  Magnitudes are bounded
-before each product, by the largest entry of the integer array times its
-row length and max|y| (two reductions, no pass over row norms), and the
-same code runs on int64 or, past 2**62, on Python ints
+exponents after one in-place sort of the packed keys r * N + i, which
+groups equal r and keeps each group in row order (`np.unique` serves
+only keys past int64).  The result is two integer arrays, the distinct
+exponents r (so (v_i|x) = r / D mod 2) and their summed coefficients,
+and D; resonant cancellations give exact zeros.  The regular path feeds
+it the integer orbit W*h (from the Weyl group's int8 stack) paired with
+eta and the signs of W; the singular path the coset representatives
+applied to h0, paired with eta, since (b^{-1} eta|h0) = (eta|b h0), with
+sgn(b) * subdim_b; the oracle the weights paired with h and their
+multiplicities.  Magnitudes are bounded before each product, by the
+largest entry of the integer array times its row length and max|y|, and
+the same code runs on int64 or, past 2**62, on Python ints
 (`exactlin.int_matvec`).
 
 The front end around the kernel is fraction-free too: every per-call
@@ -85,7 +86,9 @@ import numpy as np
 from .errors import (
     CapacityError, ConfigError, DomainError, PrecisionError, SingularPointError, SnapError,
 )
-from .exactlin import Vec, common_denominator, int_dtype, int_matvec, vadd
+from .exactlin import (
+    INT64_SAFE, Vec, common_denominator, entry_bound, int_dtype, int_matvec, narrowest, vadd,
+)
 from .rootsys import (
     EPS_SNAP, DegenerateSplit, RootSystem, RootSystemSpec, _beyond_float_range, positive_root_count,
 )
@@ -127,19 +130,50 @@ def dim_irrep(rs: RootSystem, lam) -> int:
     prod_a (lam + rho|a) / (rho|a) over the positive roots, on the
     root system's integer pairings (those of rho are built with it).
     """
-    return _dim(rs, _dominant(rs, lam))
+    return _weight(rs, lam).dim
 
 
-# Every gated value reads it; a sweep's weights fit many times over.
+@dataclass(frozen=True, eq=False)
+class _Weight:
+    """A dominant integral weight lam, the integer form G(lam + rho) = eta / eta_den
+    (`RootSystem.int_form`) that every exact sum pairs with, and its dimension."""
+
+    lam: Vec
+    eta: list[int]
+    eta_den: int
+    dim: int
+
+
+def _weight(rs: RootSystem, lam) -> _Weight:
+    """The `_Weight` of lam, cached by its integers; DomainError unless it is dominant integral."""
+    nums, den = common_denominator(lam)
+    weight = _read_weight(rs, tuple(nums), den)
+    if weight is None:
+        lam = rs.validate_weight(lam)  # its DomainError, if lam is malformed
+        # repr(lam) unless a coordinate of b bits may pass the int-to-str digit limit
+        limit = sys.get_int_max_str_digits()
+        bits = max(max(abs(x.numerator), x.denominator).bit_length() for x in lam)
+        shown = lam if not limit or int(bits * math.log10(2)) + 1 <= limit else \
+            f"a weight with a coordinate of more than {limit} digits"
+        raise DomainError(f"{shown} is not a dominant integral weight for {rs.spec.name}")
+    return weight
+
+
+# Every evaluation reads it; a sweep's weights fit many times over.
 @lru_cache(maxsize=1024)
-def _dim(rs: RootSystem, lam: Vec) -> int:
-    """`dim_irrep` of a weight `_dominant` has already checked."""
-    eta, eta_den = rs.root_pairings(vadd(lam, rs.weyl_vector))
+def _read_weight(rs: RootSystem, nums: tuple, den: int) -> _Weight | None:
+    lam = tuple(Fraction(x, den) for x in nums)
+    if len(lam) != rs.ambient_dim or (rs.spec.family == "A" and sum(nums)) \
+            or not rs.is_dominant_integral(lam):
+        return None
+    eta = vadd(lam, rs.weyl_vector)
+    pairings, den = rs.root_pairings(eta)
     rho, rho_den = rs.rho_pairings
-    d = Fraction(math.prod(eta) * rho_den ** len(eta), math.prod(rho) * eta_den ** len(eta))
+    d = Fraction(math.prod(pairings) * rho_den ** len(pairings),
+                 math.prod(rho) * den ** len(pairings))
     if d.denominator != 1 or d <= 0:
         raise AssertionError(f"dimension formula gave non-positive-integer {d}")
-    return int(d)
+    return _Weight(lam, *rs.int_form(eta), int(d))
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +195,22 @@ def _exponent_map(
     2**62, and an object array of Python ints past that.
     """
     d = den * y_den
-    exps, where = np.unique(int_matvec(rows, y, 2 * d), return_inverse=True)
-    bound = int(np.abs(coeffs).max(initial=0)) * len(coeffs)
-    sums = np.zeros(len(exps), dtype=int_dtype(bound))
-    np.add.at(sums, where, coeffs.astype(sums.dtype))
-    return exps, sums, d
+    exps = int_matvec(rows, y, 2 * d)
+    n = len(exps)
+    dtype = int_dtype(entry_bound(coeffs, n))
+    if exps.dtype == object or 2 * d * n >= INT64_SAFE:
+        exps, where = np.unique(exps, return_inverse=True)
+        sums = np.zeros(len(exps), dtype=dtype)
+        np.add.at(sums, where, coeffs.astype(dtype))
+        return exps, sums, d
+    # one in-place sort of the keys r * n + i groups equal r, each group in row order
+    exps *= n
+    exps += np.arange(n)
+    exps.sort()
+    order = exps % n
+    exps //= n
+    first = np.flatnonzero(np.concatenate(([True], exps[1:] != exps[:-1])))
+    return exps[first], np.add.reduceat(coeffs[order], first, dtype=dtype), d
 
 
 def _apply(mats: np.ndarray, v) -> np.ndarray:
@@ -174,22 +219,32 @@ def _apply(mats: np.ndarray, v) -> np.ndarray:
     return out.reshape(*mats.shape[:2], *out.shape[1:])
 
 
+#: (cos, sin) of 1, i, -1 and -i (-1j has the real part -0.0), at the residues r / d = k / 2.
+_EXACT_PHASES = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (-0.0, -1.0))
+
+
 def _phase_sum(exps: np.ndarray, coeffs: np.ndarray, d: int) -> complex:
     """Deterministic sum of c * e^{i pi r / d} over the arrays of `_exponent_map`.
 
-    Zero coefficients are dropped and the terms summed by `pairwise_sum` in
-    exponent order.  r / d is correctly rounded: while 2d < 2**53, int64
-    true division turns r and d into floats exactly and rounds once; past
-    that it runs on Python ints.  The residues r / d = k / 2 give the exact
-    phases i^k.
+    Zero coefficients are dropped, and the terms c * (cos + i sin), with the bits
+    of `cmul`'s complex product, are summed by `pairwise_sum` in exponent order.
+    r / d is correctly rounded: while 2d < 2**53, int64 true division turns r and d
+    into floats exactly and rounds once; past that it runs on Python ints.  The
+    residues r / d = k / 2 give the exact phases i^k, found by one binary search.
     """
-    keep = coeffs != 0
-    r = exps[keep]
-    t = math.pi * ((r if 2 * d < 2**53 else r.astype(object)) / d).astype(float, copy=False)
-    phases = as_complex(np.cos(t), np.sin(t))
-    for k, exact in enumerate((1 + 0j, 1j, -1 + 0j, -1j)):
-        phases[2 * r == k * d] = exact
-    return pairwise_sum(cmul(coeffs[keep], phases))
+    if not coeffs.all():
+        keep = coeffs != 0
+        exps, coeffs = exps[keep], coeffs[keep]
+    t = ((exps if 2 * d < 2**53 else exps.astype(object)) / d).astype(float, copy=False)
+    t *= math.pi
+    cos, sin = np.cos(t), np.sin(t)
+    del t
+    residues = [k * d // 2 for k in range(4) if k * d % 2 == 0]
+    for r, i in zip(residues, np.searchsorted(exps, residues).tolist()):
+        if i < len(exps) and exps[i] == r:
+            cos[i], sin[i] = _EXACT_PHASES[2 * r // d]
+    c = coeffs.astype(float)
+    return pairwise_sum(as_complex(c * cos - 0.0 * sin, c * sin + 0.0 * cos))
 
 
 # ---------------------------------------------------------------------------
@@ -197,27 +252,15 @@ def _phase_sum(exps: np.ndarray, coeffs: np.ndarray, d: int) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _dominant(rs: RootSystem, lam) -> Vec:
-    lam = rs.validate_weight(lam)
-    if not rs.is_dominant_integral(lam):
-        # repr(lam) unless a coordinate of b bits may pass the int-to-str digit limit
-        limit = sys.get_int_max_str_digits()
-        bits = max(max(abs(x.numerator), x.denominator).bit_length() for x in lam)
-        shown = lam if not limit or int(bits * math.log10(2)) + 1 <= limit else \
-            f"a weight with a coordinate of more than {limit} digits"
-        raise DomainError(f"{shown} is not a dominant integral weight for {rs.spec.name}")
-    return lam
-
-
 # One entry: a sweep at one point still hits it; 64 distinct E7 orbits held ~10 GB.
 @lru_cache(maxsize=1)
-def _exact_orbit(rs: RootSystem, coords: tuple):
-    """(O, D, signs): O[i] = D * w_i(coords) as an integer (|W|, n) array.
+def _exact_orbit(rs: RootSystem, split: DegenerateSplit):
+    """(O, D, signs): O[i] = D * w_i(h) as an integer (|W|, n) array, h the split's point.
 
     Rows and signs are in enumeration order.
     """
     group = cached_weyl_group(rs)
-    h, den = common_denominator(coords)
+    h, den = common_denominator(split.torus_point.coords)
     return _apply(group.stack, h), den, group.signs
 
 
@@ -230,8 +273,7 @@ def char_regular(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
     the snap tolerance of a wall, are refused with a pointer to
     char_singular; any other point is evaluated by `character`.
     """
-    _dominant(rs, lam)
-    rs.validate_point(h)
+    _weight(rs, lam)
     split = rs.degenerate_split(h)
     if split.deg:
         raise SingularPointError(
@@ -255,13 +297,14 @@ def _weyl_denominator(sines) -> complex:
 
 def _ndeg_sines(split: DegenerateSplit) -> list[float]:
     """sin((a|h0)/2) over the non-degenerate positive roots a of an exact split, in order."""
-    return [sin_half_pi(p, split.den) for p in split.pairings if p % (2 * split.den)]
+    den = split.den
+    return [sin_half_pi(p, den) for p in split.pairings if p % (2 * den)]
 
 
-def _char_regular_exact(rs: RootSystem, eta: Vec, split: DegenerateSplit) -> CharacterValue:
-    """The Weyl formula at the exact regular point of `split`, for eta = lam + rho."""
-    orbit, den, signs = _exact_orbit(rs, split.torus_point.coords)
-    exps, coeffs, d = _exponent_map(orbit, den, *rs.int_form(eta), signs)
+def _char_regular_exact(rs: RootSystem, weight: _Weight, split: DegenerateSplit) -> CharacterValue:
+    """The Weyl formula at the exact regular point of `split`, for the weight's eta = lam + rho."""
+    orbit, den, signs = _exact_orbit(rs, split)
+    exps, coeffs, d = _exponent_map(orbit, den, weight.eta, weight.eta_den, signs)
     num = _phase_sum(exps, coeffs, d)
     weyl_den = _weyl_denominator(_ndeg_sines(split))
     value = num / weyl_den
@@ -357,10 +400,10 @@ class _SingularEvaluator:
     The coset sum runs over b^{-1} eta for the representatives b, given as
     an array of indices into the Weyl group (`coset_transversal`).  Since W
     preserves the form, (b^{-1} eta|x) = (eta|b x), so the representatives
-    are applied once (`_apply`), to the k degenerate roots in one product
-    and to h0 in another, and each weight then costs integer products only.
-    b h0 is an integer (T, n) array, and the images b a of the k degenerate
-    roots a are one int8 (T, k, n) table, `b_deg` (b a is a root, so its
+    are applied once (`_apply`), to the k degenerate roots and h0 in one
+    product, and each weight then costs integer products only.  b h0 is an
+    integer (T, n) array, and the images b a of the k degenerate roots a
+    are one root-major int8 (k, T, n) table, `b_deg` (b a is a root, so its
     entries are small; they are checked to fit int8).
     Everything else comes from the split's integer root pairings and the
     root system's integer root rows, with no rational arithmetic.
@@ -378,24 +421,25 @@ class _SingularEvaluator:
         k_total = sum(split.pairings[i] // (2 * split.den) for i in deg)
         self.eps = -1 if k_total % 2 else 1
         self.prefactor = _weyl_denominator(_ndeg_sines(split))
-        reps = group.stack[transversal]
-        self.b_signs = group.signs[transversal].astype(np.int64)
+        self.b_signs = group.signs[transversal]
         roots = rs._pos_rows[deg]
-        images = _apply(reps, roots.T)  # (T, n, k): column j is b a_j
-        if max(int(images.max()), -int(images.min())) > np.iinfo(np.int8).max:
-            raise AssertionError("image of a degenerate root does not fit int8")
-        self.b_deg = np.ascontiguousarray(images.transpose(0, 2, 1), dtype=np.int8)
-        del images  # so that the int64 images of the roots and of h0 are never held at once
         h, self.h0_den = common_denominator(h0.coords)
-        self.b_h0 = _apply(reps, h)
+        # (T, n, k + 1) images: column j < k is b a_j, column k is b h0
+        cols = np.array([a + [x] for a, x in zip(roots.T.tolist(), h)], dtype=object)
+        images = _apply(group.stack[transversal], cols)
+        b_deg = images[:, :, :-1]
+        if max(int(b_deg.max()), -int(b_deg.min())) > 127:
+            raise AssertionError("image of a degenerate root does not fit int8")
+        self.b_deg = np.ascontiguousarray(b_deg.transpose(2, 0, 1), dtype=np.int8)
+        self.b_h0 = np.ascontiguousarray(images[:, :, -1])
         # subdim_b = prod_a (eta|b a) / (rho_deg|a) = scale * prod_a (y . b a) / d^k
         # for G eta = y / d, on the integer root rows.  On those rows
-        # (G a) . b = F R (a|b), so 2 (rho_deg|a) = s_a / (F R) with s_a the
-        # row sums below, and the R of the root rows cancels.
-        s = (rs._pos_forms[deg] @ roots.T).sum(axis=1)
+        # (G a) . b = F R (a|b), so 2 (rho_deg|a) = s_a / (F R) with s_a = (G a)
+        # . (sum of the degenerate rows), and the R of the root rows cancels.
+        s = rs._pos_forms[deg] @ roots.sum(axis=0)
         self.scale = Fraction((2 * rs._pos_forms_den) ** len(deg), math.prod(s.tolist()))
 
-    def exponents(self, lam: Vec) -> tuple[np.ndarray, np.ndarray, int, float]:
+    def exponents(self, weight: _Weight) -> tuple[np.ndarray, np.ndarray, int, float]:
         """The coset sum's exponents, coefficients and D (`_exponent_map`), and sum |subdim_b|.
 
         The pairings y . b a of every representative and degenerate root are
@@ -403,15 +447,15 @@ class _SingularEvaluator:
         over k, int64 while |scale numerator| * prod_a max_b |y . b a| and
         the denominator are below 2**62, Python ints otherwise.
         """
-        y, y_den = self.rs.int_form(vadd(lam, self.rs.weyl_vector))
-        _, k, n = self.b_deg.shape
-        pairings = int_matvec(self.b_deg.reshape(-1, n), y).reshape(-1, k)
+        y, y_den = weight.eta, weight.eta_den
+        k, _, n = self.b_deg.shape
+        pairings = int_matvec(self.b_deg.reshape(-1, n), y).reshape(k, -1)
         denom = self.scale.denominator * y_den ** k
         bound = abs(self.scale.numerator)
-        for m in np.abs(pairings).max(axis=0).tolist():
+        for m in np.abs(pairings).max(axis=1).tolist():
             bound *= max(int(m), 1)
         dtype = int_dtype(max(bound, denom))
-        sub = pairings.astype(dtype).prod(axis=1) * self.scale.numerator
+        sub = pairings.astype(dtype).prod(axis=0) * self.scale.numerator
         if (sub % denom).any():
             raise AssertionError("effective dimension is not an integer")
         sub //= denom
@@ -421,8 +465,8 @@ class _SingularEvaluator:
         # cancellations across cosets produce exact zeros, not float dust.
         return (*_exponent_map(self.b_h0, self.h0_den, y, y_den, self.b_signs * sub), abs_sum)
 
-    def evaluate(self, lam: Vec) -> CharacterValue:
-        exps, coeffs, d, abs_sum = self.exponents(lam)
+    def evaluate(self, weight: _Weight) -> CharacterValue:
+        exps, coeffs, d, abs_sum = self.exponents(weight)
         value = self.eps * _phase_sum(exps, coeffs, d) / self.prefactor
         condition = abs_sum / abs(self.prefactor) * _MACHINE_EPS
         return CharacterValue(value, condition)
@@ -446,7 +490,7 @@ def char_singular(
     `_SingularEvaluator`.  Either value passes `_gate`.  `split` is
     `rs.degenerate_split(h0)` when the caller has it (exact h0 only).
     """
-    lam = _dominant(rs, lam)
+    weight = _weight(rs, lam)
     if not h0.exact:
         h0 = snap_to_exact(rs, h0)
         if not h0.exact:
@@ -456,10 +500,10 @@ def char_singular(
     if split is None:
         split = rs.degenerate_split(h0)
     if not split.deg:
-        cv = _char_regular_exact(rs, vadd(lam, rs.weyl_vector), split)
+        cv = _char_regular_exact(rs, weight, split)
     else:
-        cv = _cached_evaluator(rs, split).evaluate(lam)
-    return _gate(rs, lam, h0, cv)
+        cv = _cached_evaluator(rs, split).evaluate(weight)
+    return _gate(rs, weight, h0, cv)
 
 
 def character(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
@@ -472,8 +516,7 @@ def character(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
     try:
         h_read = snap_to_exact(rs, h)
     except SnapError as exc:
-        lam = _dominant(rs, lam)
-        return _fallback(rs, lam, h, str(exc))
+        return _fallback(rs, _weight(rs, lam), h, str(exc))
     return char_snapped(rs, lam, h_read)
 
 
@@ -488,11 +531,11 @@ def char_snapped(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
     """
     if h.exact:
         return char_singular(rs, lam, h)
-    lam = _dominant(rs, lam)
-    return _gate(rs, lam, h, _char_regular_float(rs, vadd(lam, rs.weyl_vector), h))
+    weight = _weight(rs, lam)
+    return _gate(rs, weight, h, _char_regular_float(rs, vadd(weight.lam, rs.weyl_vector), h))
 
 
-def _gate(rs: RootSystem, lam: Vec, h: TorusPoint, cv: CharacterValue) -> CharacterValue:
+def _gate(rs: RootSystem, weight: _Weight, h: TorusPoint, cv: CharacterValue) -> CharacterValue:
     """cv if its own estimate accepts it, else `_fallback`'s answer at h.
 
     Accepted: condition <= TOL * max(1, |value|), and |value| <= dim * (1 +
@@ -500,18 +543,18 @@ def _gate(rs: RootSystem, lam: Vec, h: TorusPoint, cv: CharacterValue) -> Charac
     """
     size = abs(cv.value)
     # size / (1 + TOL) <= dim compares a float with an int exactly, past 2**1024 too
-    if cv.condition <= TOL * max(1.0, size) and size / (1 + TOL) <= _dim(rs, lam):
+    if cv.condition <= TOL * max(1.0, size) and size / (1 + TOL) <= weight.dim:
         return cv
-    return _fallback(rs, lam, h, f"value {cv.value} with condition {cv.condition:.3g}")
+    return _fallback(rs, weight, h, f"value {cv.value} with condition {cv.condition:.3g}")
 
 
-def _fallback(rs: RootSystem, lam: Vec, h: TorusPoint, why: str) -> CharacterValue:
+def _fallback(rs: RootSystem, weight: _Weight, h: TorusPoint, why: str) -> CharacterValue:
     """The weight-sum oracle at h when dim <= ORACLE_DIM_CAP, else PrecisionError."""
-    dim = _dim(rs, lam)
+    dim = weight.dim
     if dim > ORACLE_DIM_CAP:
         raise PrecisionError(f"no value within the precision gate at {h}: {why}, and dim "
                              f"{dim} is above the oracle cap {ORACLE_DIM_CAP}")
-    return char_weightsum_oracle(rs, lam, h)
+    return char_weightsum_oracle(rs, weight.lam, h)
 
 
 # ---------------------------------------------------------------------------
@@ -615,14 +658,14 @@ class _WeightTable:
 
 
 @lru_cache(maxsize=128)
-def _multiplicities_cached(rs: RootSystem, lam: Vec) -> _WeightTable:
+def _multiplicities_cached(rs: RootSystem, weight: _Weight) -> _WeightTable:
     """Freudenthal's recursion (Humphreys, GTM 9, 22.3) for the dominant weight lam.
 
     The weights mu = lam - sum_j c_j alpha_j are visited level by level in
     c.  Every pairing is an integer over one common denominator q: those of
     lam, lam + rho and the simple roots with the positive roots.
     """
-    dim = dim_irrep(rs, lam)
+    lam, dim = weight.lam, weight.dim
     if dim > ORACLE_DIM_CAP:
         raise CapacityError(
             f"dim {dim} exceeds the weight-multiplicity cap {ORACLE_DIM_CAP}"
@@ -676,24 +719,24 @@ def _multiplicities_cached(rs: RootSystem, lam: Vec) -> _WeightTable:
 
     lam_row, den = common_denominator(lam)
     rows = np.array(lam_row) - den * (np.array(list(mult)) @ rs._pos_rows[rs._simple_index])
-    mults = np.array(list(mult.values()))
+    mults = narrowest(np.array(list(mult.values())))
     if sum(mult.values()) != dim:
         raise AssertionError("multiplicities do not sum to the dimension")
-    return _WeightTable(rows, den, mults)
+    return _WeightTable(narrowest(rows), den, mults)
 
 
 def weight_multiplicities(rs: RootSystem, lam) -> dict:
     """Weight -> multiplicity map of the irrep, by Freudenthal recursion."""
-    table = _multiplicities_cached(rs, _dominant(rs, lam))
+    table = _multiplicities_cached(rs, _weight(rs, lam))
     return {
         tuple(Fraction(x, table.den) for x in row): m
         for row, m in zip(table.rows.tolist(), table.mults.tolist())
     }
 
 
-def _weight_exponents(rs: RootSystem, lam: Vec, h: TorusPoint):
+def _weight_exponents(rs: RootSystem, weight: _Weight, h: TorusPoint):
     """The oracle's exponents and summed multiplicities, (mu|h) = pi r / D mod 2pi, and D."""
-    table = _multiplicities_cached(rs, lam)
+    table = _multiplicities_cached(rs, weight)
     return _exponent_map(table.rows, table.den, *rs.int_form(h.coords), table.mults)
 
 
@@ -703,14 +746,12 @@ def char_weightsum_oracle(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
     Valid at every torus point, regular or singular.  A floating point sums
     the weights in increasing order of their coordinates.
     """
-    lam = _dominant(rs, lam)
+    weight = _weight(rs, lam)
     rs.validate_point(h)
     if h.exact:
-        exps, mults, d = _weight_exponents(rs, lam, h)
-        value = _phase_sum(exps, mults, d)
-        dim = int(mults.sum())
+        value = _phase_sum(*_weight_exponents(rs, weight, h))
     else:
-        table = _multiplicities_cached(rs, lam)
+        table = _multiplicities_cached(rs, weight)
         order = np.lexsort(table.rows.T[::-1])
         # G mu = (rows @ G_int) / (gram_den * den); int64 / int64 rounds
         # correctly, like Python's int / int, while both are below 2**53.
@@ -722,5 +763,4 @@ def char_weightsum_oracle(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
         mults = table.mults[order]
         terms = cmul(mults, as_complex(np.cos(phase), np.sin(phase)))
         value = pairwise_sum(terms)
-        dim = sum(mults.tolist())
-    return CharacterValue(value, dim * _MACHINE_EPS)
+    return CharacterValue(value, weight.dim * _MACHINE_EPS)

@@ -24,6 +24,9 @@ Vec = tuple[Fraction, ...]
 #: Integer work whose magnitudes stay below this runs in int64.
 INT64_SAFE = 2**62
 
+#: Rows per block in which `int_matvec` casts a long narrower array (about 1 MB).
+MATVEC_BLOCK = 1 << 14
+
 #: Types whose values are exact rationals with `numerator` and `denominator`.
 EXACT_TYPES = (Fraction, int)
 
@@ -82,9 +85,9 @@ def common_denominator(v) -> tuple[list[int], int]:
     Entries that are already `Fraction` or `int` are read as they are;
     anything else (strings, floats, numpy integers) goes through `Fraction`.
     """
-    v = [x if type(x) in EXACT_TYPES else Fraction(x) for x in v]
-    d = math.lcm(*(x.denominator for x in v))
-    return [x.numerator * (d // x.denominator) for x in v], d
+    pairs = [(x if type(x) in EXACT_TYPES else Fraction(x)).as_integer_ratio() for x in v]
+    d = math.lcm(*[q for _, q in pairs])
+    return [p * (d // q) for p, q in pairs], d
 
 
 def int_dtype(bound: int):
@@ -92,33 +95,51 @@ def int_dtype(bound: int):
     return np.int64 if bound < INT64_SAFE else object
 
 
+def narrowest(a: np.ndarray) -> np.ndarray:
+    """An integer table in the narrowest of int8, int16, int32 that holds it, for `entry_bound`."""
+    entry = max(int(a.max()), -int(a.min())) if a.dtype.kind == "i" and a.size else 2**31
+    dtype = next((t for t in (np.int8, np.int16, np.int32) if entry <= np.iinfo(t).max), None)
+    return a if dtype is None else a.astype(dtype)
+
+
+def entry_bound(a: np.ndarray, scale: int) -> int:
+    """max|a| * scale, or a bound `int_dtype` reads the same way: the width of a narrower
+    dtype while that stays below 2**62, else two reductions (an int8 -128 counts as 128)."""
+    width = 1 << 8 * a.dtype.itemsize - 1 if a.dtype.kind == "i" else INT64_SAFE
+    if width * scale < INT64_SAFE:
+        return width * scale
+    return max(int(a.max()), -int(a.min()), 1) * scale if a.size else scale
+
+
 def int_matvec(rows: np.ndarray, y, modulus: int | None = None) -> np.ndarray:
     """rows @ y over the integers, exactly, optionally reduced mod `modulus`.
 
     `rows` is an integer (N, n) array and `y` a length-n sequence, for an
     (N,) result, or an (n, m) integer array, for (N, m).  The result is
-    int64 when the bound max|rows| * n * max|y|, and the modulus, are below
-    2**62, and an object array of Python ints otherwise.  The bound is two
-    reductions of `rows` (its largest and its smallest entry, read as
-    Python ints, so an int8 -128 counts as 128), and it is at least the
-    largest row 1-norm times max|y|, which bounds every partial sum.  int64
-    rows give one matrix product; any other dtype is accumulated a column
-    at a time through one reused column of terms, so an int8 `rows` is
-    never copied whole.
+    int64 when the bound max|rows| * n * max|y| (`entry_bound`), and the
+    modulus, are below 2**62, and an object array of Python ints otherwise.
+    The bound is at least the largest row 1-norm times max|y|, which bounds
+    every partial sum.  Rows of the result's dtype give one matrix product;
+    any other dtype is cast, MATVEC_BLOCK rows at a time past that length,
+    to float64 (BLAS) while the bound is below 2**53, where float64 holds
+    every partial sum exactly.  Residues come from a floor division, which
+    numpy runs without a hardware division per entry, unlike its remainder.
     """
     matrix = isinstance(y, np.ndarray) and y.ndim == 2
-    cols = [[int(c) for c in col] for col in (y.T if matrix else [y])]
-    entry = max(int(rows.max()), -int(rows.min())) if rows.size else 0
-    bound = max(entry, 1) * rows.shape[1] * max((abs(c) for col in cols for c in col), default=0)
+    flat = [int(c) for c in (y.ravel().tolist() if matrix else y)]
+    bound = entry_bound(rows, rows.shape[1] * max(map(abs, flat), default=0))
     dtype = int_dtype(max(bound, modulus or 0))
-    if dtype is np.int64 and rows.dtype == np.int64:
-        out = np.array(cols, dtype=np.int64) @ rows.T
+    cast = rows.dtype != dtype
+    work = np.float64 if cast and dtype is np.int64 and bound < 2**53 else dtype
+    rhs = np.array(flat, dtype=work).reshape(y.shape if matrix else -1)
+    if not cast:
+        out = rows @ rhs
+    elif len(rows) <= MATVEC_BLOCK:
+        out = (rows.astype(work) @ rhs).astype(dtype, copy=False)
     else:
-        out = np.zeros((len(cols), len(rows)), dtype=dtype)
-        term = np.empty(len(rows), dtype=dtype)
-        for col, acc in zip(cols, out):
-            for j, c in enumerate(col):
-                if c:
-                    acc += np.multiply(rows[:, j], c, out=term, dtype=dtype)
-    out = out.T if matrix else out[0]
-    return out if modulus is None else out % modulus
+        out = np.empty((len(rows), *rhs.shape[1:]), dtype=dtype)
+        for lo in range(0, len(rows), MATVEC_BLOCK):
+            out[lo:lo + MATVEC_BLOCK] = rows[lo:lo + MATVEC_BLOCK].astype(work) @ rhs
+    if modulus is not None:
+        out -= out // modulus * modulus
+    return out

@@ -21,13 +21,15 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from operator import mul
 
 import numpy as np
 
 from .errors import CapacityError, ConfigError, DomainError, StructureError
 from .exactlin import (
-    EXACT_TYPES, Vec, adjugate, common_denominator, dot, int_matvec, mat_vec, vadd, vzero,
+    EXACT_TYPES, Vec, adjugate, common_denominator, dot, int_matvec, mat_vec, narrowest, vadd,
+    vzero,
 )
 from .torus import TorusPoint
 from .utils import fold_angle, ordered_dot, physical_memory
@@ -133,9 +135,10 @@ class DegenerateSplit:
     """Positive roots split by (alpha|h0) = 0 mod 2*pi versus not.
 
     For an exact point, (alpha_i|h0) = pi * pairings[i] / den for the i-th
-    positive root in `RootSystem.positive_roots` order; a floating point
-    carries no pairings.  The hash is the point's: the rest is a function
-    of it.
+    positive root in `RootSystem.positive_roots` order and `deg_index` the
+    positions of the degenerate ones; a floating point carries neither.  The
+    rest is a function of the point, which the pairings fix (the roots span
+    the space), so they hash an exact split.
     """
 
     torus_point: TorusPoint
@@ -143,11 +146,10 @@ class DegenerateSplit:
     ndeg: tuple[Vec, ...] = field(hash=False)
     pairings: tuple[int, ...] | None = field(default=None, hash=False)
     den: int = field(default=1, hash=False)
+    deg_index: tuple[int, ...] | None = field(default=None, hash=False)
 
-    @property
-    def deg_index(self) -> tuple[int, ...]:
-        """Positions of the degenerate roots in `positive_roots` (exact points)."""
-        return tuple(i for i, p in enumerate(self.pairings) if p % (2 * self.den) == 0)
+    def __hash__(self):
+        return hash(self.torus_point if self.pairings is None else (self.pairings, self.den))
 
 
 class RootSystem:
@@ -227,6 +229,7 @@ class RootSystem:
         # 2(a_i|a_j)/(a_j|a_j) = a_i . c_j
         self.cartan_matrix = tuple(map(tuple, (simple @ simple_coroots.T).tolist()))
         self._check_invariants(g)
+        self._pos_forms = narrowest(self._pos_forms)  # read by every degenerate split
 
     # -- construction-time checks -------------------------------------------------
 
@@ -283,7 +286,7 @@ class RootSystem:
         v, den = common_denominator(v)
         if self._gram_is_identity:
             return v, den
-        return [sum(g * x for g, x in zip(row, v)) for row in self._gram_int], \
+        return [sum(map(mul, row, v)) for row in self._gram_int], \
             den * self._gram_den
 
     def validate_weight(self, lam) -> Vec:
@@ -352,15 +355,16 @@ class RootSystem:
         split keeps; floating points use the snap tolerance.
         """
         self.validate_point(h0)
-        deg, ndeg = [], []
-        if h0.exact:
-            pairings, den = self.root_pairings(h0.coords)
-            for a, p in zip(self.positive_roots, pairings):
-                (ndeg if p % (2 * den) else deg).append(a)
-            return DegenerateSplit(h0, tuple(deg), tuple(ndeg), tuple(pairings), den)
-        for a, d in zip(self.positive_roots, self.near_walls(h0.coords).tolist()):
-            (deg if d else ndeg).append(a)
-        return DegenerateSplit(h0, tuple(deg), tuple(ndeg))
+        roots = self.positive_roots
+        if not h0.exact:
+            flags = self.near_walls(h0.coords).tolist()
+            return DegenerateSplit(h0, tuple(compress(roots, flags)),
+                                   tuple(compress(roots, [not f for f in flags])))
+        pairings, den = self.root_pairings(h0.coords)
+        flags = [p % (2 * den) == 0 for p in pairings]
+        return DegenerateSplit(h0, tuple(compress(roots, flags)),
+                               tuple(compress(roots, [not f for f in flags])), tuple(pairings),
+                               den, tuple(compress(range(len(flags)), flags)))
 
     def near_walls(self, coords) -> np.ndarray:
         """Per positive root alpha: whether (alpha|h) lies within the snap

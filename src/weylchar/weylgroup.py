@@ -48,7 +48,7 @@ from .utils import physical_memory
 DEFAULT_WEYL_CAP = 3_000_000
 
 #: Elements per block of the coset transversal's positivity test; bounds
-#: its int64 working arrays at a few MB whatever the group order.
+#: its float64 working arrays at a few MB whatever the group order.
 TRANSVERSAL_BLOCK = 1 << 16
 
 
@@ -197,33 +197,27 @@ def stabilizer(
     """Stabilizer W0 of an exact torus point, with no element of W formed.
 
     Read off the degenerate roots Phi0+ (those with (a|h0) in 2*pi*Z), with
-    no group enumerated.  A degenerate root a is simple when s_a keeps
-    every other degenerate root b positive: (s_a b|2 rho) = (b|2 rho) -
-    (c_a . b)(a|2 rho) > 0, on G 2 rho (`RootSystem._two_rho_form`).  The order is
-    Macdonald's Poincare product at t = 1, |W0| = prod_a (ht0(a) + 1) /
-    ht0(a) over Phi0+, with ht0(a) = 1/2 sum_b c_b . a (b in Phi0+), the
-    pairing of a with half the sum of Phi0+'s coroots, which is a's height
-    in W0's own simple roots (Macdonald, Math. Ann. 199, 1972; Humphreys,
-    Reflection Groups and Coxeter Groups, 3.20).  Both come from one
-    product of the coroot rows with the root rows; |W0| must divide
-    `weyl_order`.  `split` is `rs.degenerate_split(h0)` when the caller has it.
+    no group enumerated.  Each a in Phi0+ has the height ht0(a) = 1/2 sum_b
+    c_b . a (b in Phi0+), its pairing with half the sum of Phi0+'s coroots,
+    which is a's height in W0's own simple roots: the simple roots are the
+    a with ht0(a) = 1.  The order is Macdonald's Poincare product at t = 1,
+    |W0| = prod_a (ht0(a) + 1) / ht0(a) over Phi0+ (Macdonald, Math. Ann.
+    199, 1972; Humphreys, Reflection Groups and Coxeter Groups, 3.20).
+    Both come from one product of the root rows with the sum of the coroot
+    rows; |W0| must divide `weyl_order`.  `split` is
+    `rs.degenerate_split(h0)` when the caller has it.
     """
     rs.validate_point(h0)
     if not h0.exact:
         raise DomainError("stabilizer requires an exact torus point")
     if split is None:
         split = rs.degenerate_split(h0)
-    deg = np.array(split.deg_index, dtype=np.intp)
-    roots = rs._pos_rows[deg]
-    pair = rs._coroot_rows[deg] @ roots.T  # pair[a, b] = c_a . b
-    height = roots @ rs._two_rho_form
-    moved = height[None, :] - pair * height[:, None]  # (s_a b|2 rho)
-    simple = ((moved > 0) | np.eye(len(deg), dtype=bool)).all(axis=1)
-    ht0 = (pair.sum(axis=0) // 2).tolist()
+    deg = split.deg_index
+    ht0 = (rs._pos_rows[list(deg)] @ rs._coroot_rows[list(deg)].sum(axis=0) // 2).tolist()
     order = math.prod(h + 1 for h in ht0) // math.prod(ht0)
     if weyl_order(rs.spec) % order != 0:
         raise AssertionError("stabilizer order does not divide the group order")
-    return Stabilizer(order, tuple(deg[simple].tolist()))
+    return Stabilizer(order, tuple(i for i, h in zip(deg, ht0) if h == 1))
 
 
 def coset_transversal(group: WeylGroup, w0: Stabilizer) -> np.ndarray:
@@ -237,20 +231,21 @@ def coset_transversal(group: WeylGroup, w0: Stabilizer) -> np.ndarray:
     root (Dyer, "Reflection subgroups of Coxeter systems", J. Algebra 135,
     1990), and enumeration order is by length first, so that element is
     the coset's first.  A root beta is positive iff (beta|2 rho) > 0, and
-    (w a|2 rho) = a . (w^T G 2 rho), so the test is one integer product of
-    those roots with the group's `positivity` table, filled by the
-    closure, taken `TRANSVERSAL_BLOCK` rows at a time so the table is never
-    cast to int64 whole.  When W0 = W the identity, element 0, is the one
+    (w a|2 rho) = a . (w^T G 2 rho), so the test is one float64 product
+    (exact: its integer terms stay far below 2**53) of those roots with the
+    group's `positivity` table, filled by the closure, taken
+    `TRANSVERSAL_BLOCK` rows at a time so the table is never cast whole.
+    When W0 = W the identity, element 0, is the one
     representative, and no scan is made.
     """
     if w0.order == group.order:
         return np.zeros(1, dtype=np.intp)
-    roots = group.rs._pos_rows[list(w0.roots)].T
+    roots = group.rs._pos_rows[list(w0.roots)].astype(float)
     table = group.positivity
     minimal = np.empty(group.order, dtype=bool)
     for lo in range(0, group.order, TRANSVERSAL_BLOCK):
-        block = table[lo:lo + TRANSVERSAL_BLOCK].astype(np.int64)
-        minimal[lo:lo + len(block)] = (block @ roots > 0).all(axis=1)
+        block = table[lo:lo + TRANSVERSAL_BLOCK].T.astype(float)
+        np.logical_and.reduce(roots @ block > 0, axis=0, out=minimal[lo:lo + block.shape[1]])
     reps = np.flatnonzero(minimal)
     if len(reps) * w0.order != group.order:
         raise AssertionError("transversal does not partition the group")

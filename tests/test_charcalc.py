@@ -13,6 +13,7 @@ from weylchar import build_root_system, exact_point, float_point, zero_point
 from weylchar.charcalc import (
     ORACLE_DIM_CAP,
     _SingularEvaluator,
+    _weight,
     char_regular,
     char_singular,
     char_weightsum_oracle,
@@ -195,7 +196,7 @@ def test_su3_coset_subdimensions_match_paper_structure():
     h0 = exact_point([F(1, 5), F(1, 5), F(-2, 5)])
     split = rs.degenerate_split(h0)
     sub = effective_subsystem(rs, split.deg)
-    exps, coeffs, d, abs_sum = _SingularEvaluator(rs, split).exponents(rs.weyl_vector)
+    exps, coeffs, d, abs_sum = _SingularEvaluator(rs, split).exponents(_weight(rs, rs.weyl_vector))
     assert (exps.tolist(), coeffs.tolist(), d, abs_sum) == ([0, 4, 6], [-4, 2, 2], 5, 8.0)
     assert sub.components[0].name == "A1"
 
@@ -230,7 +231,7 @@ def test_e7_singular_evaluator_matches_the_oracle(monkeypatch):
     lam = rs.fundamental_weights()[6]
     d = dim_irrep(rs, lam)
     assert d == 56
-    got = ev.evaluate(lam)
+    got = ev.evaluate(_weight(rs, lam))
     want = char_weightsum_oracle(rs, lam, h0)
     assert abs(got.value - want.value) <= 1e-8 * d
 
@@ -255,7 +256,7 @@ def test_transversal_independence(monkeypatch):
     d = dim_irrep(rs, lam)
     a = char_singular(rs, lam, h0).value
     monkeypatch.setattr(charcalc, "coset_transversal", lambda group, w0: twisted)
-    b = _SingularEvaluator(rs, rs.degenerate_split(h0)).evaluate(lam).value
+    b = _SingularEvaluator(rs, rs.degenerate_split(h0)).evaluate(_weight(rs, lam)).value
     assert abs(a - b) < 1e-12 * d
 
 

@@ -9,8 +9,10 @@ one-element-at-a-time BFS.  The kernel's arrays of exponents r and
 coefficients c over its denominator D are compared as the map {r/D: c}.
 """
 
+import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from weylchar.charcalc import (
     _exact_orbit,
     _exponent_map,
     _phase_sum,
+    _weight,
     _weight_exponents,
     cached_weyl_group,
     char_singular,
@@ -32,12 +35,13 @@ from weylchar.charcalc import (
     dim_irrep,
     weight_multiplicities,
 )
+from weylchar import exactlin
 from weylchar.exactlin import INT64_SAFE, common_denominator, int_matvec, vadd
 from weylchar.utils import pairwise_sum
 
 from _helpers import (
     apply_matrix, random_dominant_weight, random_regular_exact_point, reflection_matrix,
-    rng_for, unit_phase,
+    rng_for, spy_fallbacks, unit_phase,
 )
 
 #: Sample of W(E6) used where a Fraction reference over all 51840 elements
@@ -45,7 +49,7 @@ from _helpers import (
 E6_SAMPLE = 1500
 
 
-def _weight(rs, rng, max_dim):
+def _draw_weight(rs, rng, max_dim):
     # E6 dimensions grow fast: draw from 0/1 fundamental coordinates there.
     return random_dominant_weight(rs, rng, max_dim=max_dim, max_coeff=1 if rs.rank == 6 else 6)
 
@@ -110,10 +114,10 @@ def test_regular_map_matches_fraction_reference(name):
     if group.order > E6_SAMPLE:
         idx = np.sort(np.array(rng.sample(range(group.order), E6_SAMPLE)))
     for _ in range(2):
-        lam = _weight(rs, rng, 5000)
+        lam = _draw_weight(rs, rng, 5000)
         eta = vadd(lam, rs.weyl_vector)
         h = random_regular_exact_point(rs, rng)
-        orbit, den, signs = _exact_orbit(rs, h.coords)
+        orbit, den, signs = _exact_orbit(rs, rs.degenerate_split(h))
         exps, coeffs, d = _exponent_map(orbit[idx], den, *rs.int_form(eta), signs[idx])
         want = _reference_regular(rs, eta, h, group.stack[idx], group.signs[idx])
         assert _fractions(exps, coeffs, d) == want
@@ -128,8 +132,8 @@ def test_singular_map_matches_fraction_reference(name):
         split = rs.degenerate_split(h0)
         ev = _SingularEvaluator(rs, split)
         for _ in range(2):
-            lam = _weight(rs, rng, 3000)
-            exps, coeffs, d, got_abs = ev.exponents(lam)
+            lam = _draw_weight(rs, rng, 3000)
+            exps, coeffs, d, got_abs = ev.exponents(_weight(rs, lam))
             want, want_abs = _reference_singular(rs, split, ev.transversal, lam)
             assert _fractions(exps, coeffs, d) == want and got_abs == want_abs
 
@@ -138,10 +142,11 @@ def test_singular_map_matches_fraction_reference(name):
 def test_oracle_map_matches_fraction_reference(name):
     rng = rng_for(f"kernel-oracle-{name}")
     rs = build_root_system(name)
-    lam = _weight(rs, rng, 400)
+    lam = _draw_weight(rs, rng, 400)
     mults = weight_multiplicities(rs, lam)
     for h in [random_regular_exact_point(rs, rng)] + _singular_points(rs, rng, 1):
-        assert _fractions(*_weight_exponents(rs, lam, h)) == _reference_oracle(rs, mults, h)
+        want = _reference_oracle(rs, mults, h)
+        assert _fractions(*_weight_exponents(rs, _weight(rs, lam), h)) == want
 
 
 def _phase_map(rng, d, size, dtype):
@@ -231,6 +236,86 @@ def test_int_matvec_counts_int8_minus_128_at_full_magnitude():
     assert got.dtype == object and got.tolist() == [-13835058055282163712]
 
 
+@pytest.mark.parametrize("scale, dtype", [
+    (2**40, np.int64),  # 128 * n * max|y| below 2**53: float64 blocks
+    (2**50, np.int64),  # past 2**53: int64 blocks
+    (2**56, object),  # past 2**62: Python ints
+])
+def test_int_matvec_casts_int8_blocks_across_block_boundaries(monkeypatch, scale, dtype):
+    # blocks of 5 rows cut the 23 rows four times, with -128 entries on
+    # both sides of the cut after row 4; a vector y and a matrix y
+    monkeypatch.setattr(exactlin, "MATVEC_BLOCK", 5)
+    rng = rng_for(f"matvec-blocks-{scale}")
+    rows = np.array([[rng.randint(-128, 127) for _ in range(3)] for _ in range(23)], dtype=np.int8)
+    rows[4:6, 0] = -128
+    rows[9, :] = -128
+    y = [[rng.randint(-scale, scale) for _ in range(2)] for _ in range(3)]
+    want = [[sum(r * c for r, c in zip(row, col)) for col in zip(*y)] for row in rows.tolist()]
+    got = int_matvec(rows, np.array(y, dtype=object))
+    assert got.dtype == dtype and got.tolist() == want
+    got = int_matvec(rows, [c for c, _ in y], modulus=10**6 + 3)
+    assert got.dtype == dtype and got.tolist() == [w % (10**6 + 3) for w, _ in want]
+
+
+def test_int_matvec_crosses_the_real_block_size():
+    rows = np.ones((exactlin.MATVEC_BLOCK + 3, 2), dtype=np.int8)
+    rows[:, 1] = np.arange(len(rows)) % 256 - 128  # every int8 value, -128 included
+    y = [7, -(2**44 + 1)]
+    want = [r0 * y[0] + r1 * y[1] for r0, r1 in rows.tolist()]
+    assert int_matvec(rows, y).tolist() == want
+
+
+def _unique_map(rows, den, y, y_den, coeffs):
+    """`_exponent_map` by `np.unique` and `np.add.at` on Python ints, whatever the keys' range."""
+    d = den * y_den
+    exps, where = np.unique(int_matvec(rows, y, 2 * d).astype(object), return_inverse=True)
+    sums = np.zeros(len(exps), dtype=object)
+    np.add.at(sums, where, coeffs.astype(object))
+    return exps.tolist(), sums.tolist(), d
+
+
+@pytest.mark.parametrize("d, packed", [
+    (INT64_SAFE // 32 - 1, True),  # N * 2D just below 2**62: packed keys, one sort
+    (INT64_SAFE // 32, False),  # N * 2D = 2**62: np.unique
+    (INT64_SAFE // 32 + 1, False),
+    (2**70 + 1, False),  # exponents past int64: Python ints
+])
+def test_exponent_map_sort_matches_unique_around_the_int64_switch(d, packed):
+    # 16 rows with repeats, and rows that differ only where y is 2D, so
+    # distinct rows share exponents mod 2D too
+    rng = rng_for(f"expmap-switch-{d}")
+    base = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(6)]
+    rows = np.array([rng.choice(base)[:2] + [rng.randint(-3, 3)] for _ in range(16)])
+    assert len(rows) * 2 * d < INT64_SAFE if packed else len(rows) * 2 * d >= INT64_SAFE
+    y = [rng.randint(-d, d), rng.randint(-d, d), 2 * d]
+    coeffs = np.array([rng.randint(-50, 50) for _ in range(16)])
+    exps, sums, got_d = _exponent_map(rows, 1, y, d, coeffs)
+    assert (exps.dtype == np.int64) == (d < 2**62)
+    assert (exps.tolist(), sums.tolist(), got_d) == _unique_map(rows, 1, y, d, coeffs)
+    assert len(exps) < len(set(map(tuple, rows.tolist())))  # some distinct rows were grouped
+
+
+#: repr of `character` (value and condition) and of the oracle at 48 seeded
+#: F4 and B4 exact points, regular and singular, with weights of dim <= 400.
+EXACT_PINS = json.loads((Path(__file__).parent / "golden" / "exact_path_pins.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "pin", EXACT_PINS, ids=[f"{p['group']}-{p['kind']}-{i}" for i, p in enumerate(EXACT_PINS)]
+)
+def test_exact_paths_keep_their_pinned_bits(pin, monkeypatch):
+    # the Weyl path answers every pin, never the precision gate's oracle
+    fallbacks = spy_fallbacks(monkeypatch)
+    rs = build_root_system(pin["group"])
+    lam = rs.weight_from_fundamental(pin["weight"])
+    h = exact_point([F(s) for s in pin["point"]])
+    assert bool(rs.degenerate_split(h).deg) == (pin["kind"] == "singular")
+    cv = character(rs, lam, h)
+    assert (repr(cv.value), repr(cv.condition)) == (pin["character"], pin["condition"])
+    assert repr(char_weightsum_oracle(rs, lam, h).value) == pin["oracle"]
+    assert fallbacks == []
+
+
 def _per_root_exponents(ev, lam):
     """`_SingularEvaluator.exponents` with one `int_matvec` per degenerate root.
 
@@ -264,7 +349,7 @@ def _per_root_exponents(ev, lam):
 
 
 def _assert_same_exponents(ev, lam):
-    got, want = ev.exponents(lam), _per_root_exponents(ev, lam)
+    got, want = ev.exponents(_weight(ev.rs, lam)), _per_root_exponents(ev, lam)
     assert [got[0].tolist(), got[1].tolist(), *got[2:]] == \
         [want[0].tolist(), want[1].tolist(), *want[2:]]
 
@@ -302,10 +387,10 @@ def test_singular_exponents_match_the_per_root_reference_past_int64(q):
         for h in (exact_point([a, a, -2 * a]), exact_point([a, -2 * a, a])):
             ev = _SingularEvaluator(rs, rs.degenerate_split(h))
             for lam in (rs.weight_from_fundamental([2, 1]), huge):
-                assert ev.exponents(lam)[0].dtype == object
+                assert ev.exponents(_weight(rs, lam))[0].dtype == object
                 _assert_same_exponents(ev, lam)
     ev = _SingularEvaluator(rs, rs.degenerate_split(exact_point([0, 0, 0])))
-    exps, coeffs, d, _ = ev.exponents(huge)
+    exps, coeffs, d, _ = ev.exponents(_weight(rs, huge))
     assert coeffs.dtype == object and coeffs.tolist() == [dim_irrep(rs, huge)]
     _assert_same_exponents(ev, huge)
 
@@ -323,7 +408,7 @@ def test_huge_denominators_take_the_python_int_path():
     x, y, z = F(p // 3, p), F(2 * q // 7, q), F(3 * r // 11, r)
     h = exact_point([x, y, z, F(5, 7)])
     assert not rs.degenerate_split(h).deg
-    orbit, den, signs = _exact_orbit(rs, h.coords)
+    orbit, den, signs = _exact_orbit(rs, rs.degenerate_split(h))
     assert 2 * den > 2**62
     exps, coeffs, d = _exponent_map(orbit, den, *rs.int_form(eta), signs)
     assert exps.dtype == object
@@ -332,12 +417,12 @@ def test_huge_denominators_take_the_python_int_path():
     split = rs.degenerate_split(h0)
     assert split.deg
     ev = _SingularEvaluator(rs, split)
-    exps, coeffs, d, abs_sum = ev.exponents(lam)
+    exps, coeffs, d, abs_sum = ev.exponents(_weight(rs, lam))
     assert (_fractions(exps, coeffs, d), abs_sum) == \
         _reference_singular(rs, split, ev.transversal, lam)
     mults = weight_multiplicities(rs, lam)
     for point in (h, h0):
-        assert _fractions(*_weight_exponents(rs, lam, point)) == \
+        assert _fractions(*_weight_exponents(rs, _weight(rs, lam), point)) == \
             _reference_oracle(rs, mults, point)
         got, want = character(rs, lam, point), char_weightsum_oracle(rs, lam, point)
         assert got.condition < 1e-9
