@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charcalc import char_snapped, character, dim_irrep, snap_to_exact
+from .charcalc import char_at, character, dim_irrep, read_point
 from .errors import DomainError, StructureError
 from .exactlin import Vec, vadd, vscale, vzero
 from .rootsys import DegenerateSplit, RootSystem
@@ -84,22 +84,17 @@ def normalized_char_sweep(
 ) -> DecayReport:
     """Evaluate |chi_lambda(h0)| / dim along a weight path.
 
-    Works at regular and singular points alike (`char_snapped`); h0 is
-    read once, by `snap_to_exact`.  At the identity stratum every ratio is
-    exactly 1 and the report is flagged instead of fitted; a floating point
-    left by the snap is near no wall, so it is never there.
+    Works at regular and singular points alike: h0 is read once, by
+    `read_point`, and every row evaluates that reading (`char_at`).  At the
+    identity stratum, where every root is degenerate, every ratio is exactly
+    1 and the report is flagged instead of fitted.
     """
-    h0 = snap_to_exact(rs, h0)
-    identity_stratum = h0.exact and (
-        len(rs.degenerate_split(h0).deg) == len(rs.positive_roots))
+    split = read_point(rs, h0)
+    identity_stratum = not split.ndeg
     rows = []
     for k, lam in path.weights():
         d = dim_irrep(rs, lam)
-        if identity_stratum:
-            ratio = 1.0
-        else:
-            cv = char_snapped(rs, lam, h0)
-            ratio = abs(cv.value) / d
+        ratio = 1.0 if identity_stratum else abs(char_at(rs, lam, split).value) / d
         rows.append((k, lam, d, ratio))
     rows.sort(key=lambda r: r[2])
     report = DecayReport(tuple(rows), None, None, identity_stratum)
@@ -110,8 +105,8 @@ def normalized_char_sweep(
     return DecayReport(tuple(rows), slope, bound, identity_stratum)
 
 
-def _fit_slope(rows) -> float:
-    """Least-squares slope of log ratio against the ray parameter.
+def _fit_slope(rows) -> float | None:
+    """Least-squares slope of log ratio against the ray parameter, None below two points.
 
     Fits on the last half of the schedule only, against log(k+1): the
     Weyl-vector shift makes k*lambda0 pairings affine in k with unit
@@ -121,8 +116,8 @@ def _fit_slope(rows) -> float:
     """
     tail = rows[len(rows) // 2:]
     pts = [(math.log(k + 1), math.log(ratio)) for k, _, _, ratio in tail if ratio > 0]
-    if len(pts) < 2:
-        return float("nan")
+    if len(pts) < 2:  # fewer than two nonzero tail ratios fix no slope
+        return None
     n = len(pts)
     x, y = np.array(pts).T
     ones = np.ones(n)
@@ -313,7 +308,7 @@ def alcove_stratum_points(rs: RootSystem) -> list[AlcoveStratum]:
         for v in inactive_vertices:
             point = vadd(point, vscale(t, v))
         h = exact_point(point)
-        split = rs.degenerate_split(h)
+        split = read_point(rs, h)
         out.append(
             AlcoveStratum(
                 tuple(active),

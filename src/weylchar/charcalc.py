@@ -19,57 +19,47 @@ An independent ground-truth oracle evaluates the character as the
 multiplicity-weighted sum over all weights (Freudenthal recursion); it is
 valid at every torus point and anchors the test suite.
 
-All three exact sums (regular, singular, oracle) share one integer
-exponent kernel, `_exponent_map`.  Its input is a stack of rational
-vectors v_i held as one integer array over a common denominator, a
-rational vector x given by its integer form G x = y / y_den
-(`RootSystem.int_form`) and integer coefficients c_i.  It computes every
+Every evaluation reads its point once (`read_point`) into a
+`DegenerateSplit`: one pass over the positive roots gives the degenerate
+ones and the sines sin((alpha|h0)/2) of the others, whose product is the
+Weyl denominator or the singular prefactor (`_weyl_denominator`).  An
+exact point keeps its integer pairings (alpha|h0) = pi * p / D, which give
+the sines as sin(pi * ((p mod 4D) / D) / 2) and eps as a parity; a
+floating point near a wall is read as its snap.  From that reading one
+dispatcher (`char_at`, `_choose_path`) picks the path before any Weyl
+group is enumerated: "float" (the Weyl sum over W at a floating regular
+point), "regular" (the exact sum over W*h), "coset" (the coset sum),
+"central" (W0 = W: the one coset is the identity's, and W is never built)
+or "oracle" (a floating point whose condition, which its sines give, is
+certain to fail the gate).  `_gate` keeps a Weyl-path value only if its
+condition is at most TOL * max(1, |value|) and |value| <= dim * (1 +
+TOL); otherwise the oracle answers at the same point (`_fallback`), or
+PrecisionError refuses a dimension above its cap.
+
+The exact sums (regular, coset, oracle) share one integer exponent
+kernel, `_exponent_map`: for integer rows v_i over a common denominator,
+a vector x given by its integer form G x = y / y_den
+(`RootSystem.int_form`) and integer coefficients c_i, it computes every
 exponent (v_i|x) mod 2 as one integer matvec reduced mod 2*D (D the
-product of the two denominators), and sums the coefficients of equal
-exponents after one in-place sort of the packed keys r * N + i, which
-groups equal r and keeps each group in row order (`np.unique` serves
-only keys past int64).  The result is two integer arrays, the distinct
-exponents r (so (v_i|x) = r / D mod 2) and their summed coefficients,
-and D; resonant cancellations give exact zeros.  The regular path feeds
-it the integer orbit W*h (from the Weyl group's int8 stack) paired with
-eta and the signs of W; the singular path the coset representatives
-applied to h0, paired with eta, since (b^{-1} eta|h0) = (eta|b h0), with
-sgn(b) * subdim_b; the oracle the weights paired with h and their
-multiplicities.  Magnitudes are bounded before each product, by the
-largest entry of the integer array times its row length and max|y|, and
-the same code runs on int64 or, past 2**62, on Python ints
-(`exactlin.int_matvec`).
-
-The front end around the kernel is fraction-free too: every per-call
-quantity at an exact point is an integer product over data that `rootsys`
-and `weylgroup` build once per root system.  The degenerate split keeps
-the integer pairings (alpha|h0) = pi * p / D of all positive roots, which
-give the Weyl denominator and the singular prefactor as
-sin(pi * ((p mod 4D) / D) / 2), and eps as a parity; dominance checks are
-one matvec of the simple rows of the root system's coroot table
-(`RootSystem.dynkin_labels`); the stabilizer is the simple roots of the
-degenerate subsystem and its order, both read off the same table with no
-element of it formed (`weylgroup.stabilizer`); the coset transversal, one
-array of indices into the stack, comes from one positivity test of those
-simple roots against the group's int8 table of w^T G 2 rho, which its
-enumeration fills (`weylgroup.coset_transversal`); the representatives are
-applied to h0 and to the degenerate roots as to W*h (`_apply`), so a
-weight's pairings and effective dimensions are one product each
-(`_SingularEvaluator`); one product over the non-degenerate pairings is the
-Weyl denominator and the singular prefactor (`_weyl_denominator`); and the
-phases e^{i pi r / D} are taken from the kernel's arrays in one pass
-(`_phase_sum`).
-The oracle's Freudenthal recursion runs on integer root pairings over one
-denominator and keeps one integer weight table per irrep
-(`_multiplicities_cached`).
-Int division r / D is correctly rounded, so every float equals the one
-the Fraction form of the same rational gave, and the residues r / D in
-{0, 1/2, 1, 3/2} give the exact phases 1, i, -1 and -i.
-
-No value leaves the regular and singular paths unchecked: `_gate` keeps
-it only if its condition is at most TOL * max(1, |value|) and |value| <=
-dim * (1 + TOL), and otherwise the oracle answers at the same point
-(`_fallback`), or PrecisionError refuses a dimension above its cap.
+product of the denominators) and sums the coefficients of equal exponents
+after one in-place sort of the packed keys r * N + i (`np.unique` only
+past int64), so resonant cancellations give exact zeros.  The regular sum
+feeds it W*h (from the Weyl group's int8 stack) with eta = lambda + rho
+and the signs of W; the coset sum the representatives applied to h0, as
+(b^{-1} eta|h0) = (eta|b h0), with sgn(b) * subdim_b; the oracle the
+weights with their multiplicities.  Magnitudes are bounded before each
+product, and the same code runs on int64 or, past 2**62, on Python ints
+(`exactlin.int_matvec`).  Around it all is integer products over data
+built once per root system: dominance checks (`RootSystem.dynkin_labels`),
+the stabilizer, read off the degenerate roots with no element formed
+(`weylgroup.stabilizer`), the coset transversal, one positivity test
+against the group's int8 table of w^T G 2 rho
+(`weylgroup.coset_transversal`), the images of h0 and the degenerate
+roots under it (`_SingularEvaluator`), and the oracle's weight table
+(`_multiplicities_cached`).  Int division r / D is correctly rounded, so
+every float equals the one the Fraction form of the same rational gave,
+and the residues r / D in {0, 1/2, 1, 3/2} give the exact phases 1, i, -1
+and -i (`_phase_sum`).
 """
 
 from __future__ import annotations
@@ -91,11 +81,10 @@ from .exactlin import (
 )
 from .rootsys import (
     EPS_SNAP, DegenerateSplit, RootSystem, RootSystemSpec, _beyond_float_range, positive_root_count,
+    weyl_order,
 )
 from .torus import TorusPoint, exact_point
-from .utils import (
-    as_complex, cmul, cquot, fold_angle, ordered_dot, pairwise_sum, sin_half_angle, sin_half_pi,
-)
+from .utils import as_complex, cmul, cquot, fold_angle, ordered_dot, pairwise_sum
 from .weylgroup import WeylGroup, coset_transversal, generate_weyl_group, stabilizer
 
 _MACHINE_EPS = 2.0 ** -52
@@ -269,18 +258,18 @@ def char_regular(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
 
     Exact points keep the numerator exponents as rational multiples of pi
     (reduced mod 2 before any trigonometry) and collect equal exponents, so
-    large weights suffer no phase drift.  Singular points, exact or within
-    the snap tolerance of a wall, are refused with a pointer to
-    char_singular; any other point is evaluated by `character`.
+    large weights suffer no phase drift.  A point that `read_point` reads
+    as singular is refused with a pointer to char_singular (one whose snap
+    fails, with its SnapError); any other is evaluated by `char_at`.
     """
     _weight(rs, lam)
-    split = rs.degenerate_split(h)
+    split = read_point(rs, h)
     if split.deg:
         raise SingularPointError(
             f"point {h} is singular for {rs.spec.name} "
             f"({len(split.deg)} degenerate roots); use char_singular"
         )
-    return character(rs, lam, h)
+    return char_at(rs, lam, split)
 
 
 def _weyl_denominator(sines) -> complex:
@@ -295,38 +284,46 @@ def _weyl_denominator(sines) -> complex:
     return out
 
 
-def _ndeg_sines(split: DegenerateSplit) -> list[float]:
-    """sin((a|h0)/2) over the non-degenerate positive roots a of an exact split, in order."""
-    den = split.den
-    return [sin_half_pi(p, den) for p in split.pairings if p % (2 * den)]
-
-
 def _char_regular_exact(rs: RootSystem, weight: _Weight, split: DegenerateSplit) -> CharacterValue:
     """The Weyl formula at the exact regular point of `split`, for the weight's eta = lam + rho."""
     orbit, den, signs = _exact_orbit(rs, split)
     exps, coeffs, d = _exponent_map(orbit, den, weight.eta, weight.eta_den, signs)
     num = _phase_sum(exps, coeffs, d)
-    weyl_den = _weyl_denominator(_ndeg_sines(split))
+    weyl_den = _weyl_denominator(split.sines)
     value = num / weyl_den
     terms_abs = int(np.abs(coeffs).sum())
     condition = terms_abs / abs(weyl_den) * _MACHINE_EPS
     return CharacterValue(value, condition)
 
 
-def _char_regular_float(rs: RootSystem, eta: Vec, h: TorusPoint) -> CharacterValue:
-    """Weyl character formula at one regular floating point h.
+def _float_condition(rs: RootSystem, split: DegenerateSplit) -> tuple[complex, float]:
+    """The Weyl denominator at the floating point of `split`, from its sines, and the
+    float path's condition |W| 2**-52 / |denominator| (inf if the product underflows to 0),
+    both before W is enumerated."""
+    den = _weyl_denominator(split.sines)
+    return den, weyl_order(rs.spec) / abs(den) * _MACHINE_EPS if den else math.inf
 
-    The sines of half its root pairings give the Weyl denominator.  The W*h
-    products and the phases are summed coordinate by coordinate
+
+def _phases_in_range(rs: RootSystem, weight: _Weight, split: DegenerateSplit) -> bool:
+    """Whether the float path's phases (eta|w h), sums over n coordinates of (G eta)_i (w h)_i
+    with |(w h)_i| <= 127 n max|h| (w is int8), are certain to stay below 2**1000."""
+    bound = Fraction(max(map(abs, weight.eta)), weight.eta_den) * 127 * rs.ambient_dim ** 2
+    return bound * Fraction(max(map(abs, split.torus_point.coords))) < 2**1000
+
+
+def _char_regular_float(rs: RootSystem, weight: _Weight, split: DegenerateSplit) -> CharacterValue:
+    """Weyl character formula at the regular floating point h of `split`.
+
+    The W*h products and the phases are summed coordinate by coordinate
     (`ordered_dot`), the signed terms by `pairwise_sum` over W in
     enumeration order, and complex products and the quotient follow
-    Python's arithmetic.  A point whose phases (eta|w h) leave the float
-    range is refused with a DomainError.
+    Python's arithmetic; the sines give the denominator (`_float_condition`).
+    A point whose phases (eta|w h) leave the float range is refused with a
+    DomainError.
     """
-    point = np.array(h.coords)
-    pairings = rs.float_pairings(point)
+    point = np.array(split.torus_point.coords)
     group = cached_weyl_group(rs)
-    eta_f = [float(x) for x in eta]
+    eta_f = [float(x) for x in vadd(weight.lam, rs.weyl_vector)]
     if rs._gram_is_identity:
         geta = eta_f
     else:
@@ -337,10 +334,8 @@ def _char_regular_float(rs: RootSystem, eta: Vec, h: TorusPoint) -> CharacterVal
         raise _beyond_float_range("a phase (eta|w h)")
     phase = fold_angle(phase)
     num = pairwise_sum(cmul(group.signs.astype(float), as_complex(np.cos(phase), np.sin(phase))))
-    den = _weyl_denominator(sin_half_angle(pairings).tolist())
-    value = complex(cquot(num, den))
-    condition = group.order / abs(den) * _MACHINE_EPS
-    return CharacterValue(value, condition)
+    den, condition = _float_condition(rs, split)
+    return CharacterValue(complex(cquot(num, den)), condition)
 
 
 # ---------------------------------------------------------------------------
@@ -348,29 +343,36 @@ def _char_regular_float(rs: RootSystem, eta: Vec, h: TorusPoint) -> CharacterVal
 # ---------------------------------------------------------------------------
 
 
-def snap_to_exact(rs: RootSystem, h: TorusPoint) -> TorusPoint:
-    """The point h stands for: its snap within EPS_SNAP of a wall, else h itself.
+def read_point(rs: RootSystem, h: TorusPoint) -> DegenerateSplit:
+    """The one reading of a torus point: its split, from one pass over its roots.
 
-    A floating point with some root pairing within EPS_SNAP of 2*pi*Z
-    (`RootSystem.near_walls`) is rationalized, denominators at most
-    SNAP_MAX_DENOMINATOR (type A reconstructs the last coordinate from the
-    sum-zero constraint), and SnapError is raised unless that moves every
-    coordinate by less than EPS_SNAP and lands every near pairing exactly.
+    A floating point with no root pairing within EPS_SNAP of a wall
+    (`RootSystem.degenerate_split`) stands for itself, a regular point, and
+    one with some stands for its snap (`_snap`).
     """
-    if h.exact:
-        return h
-    rs.validate_point(h)
+    split = rs.degenerate_split(h)
+    return _snap(rs, split) if split.deg and not h.exact else split
+
+
+def snap_to_exact(rs: RootSystem, h: TorusPoint) -> TorusPoint:
+    """The point h stands for (`read_point`): its snap within EPS_SNAP of a wall, else h itself."""
+    return h if h.exact else read_point(rs, h).torus_point
+
+
+def _snap(rs: RootSystem, split: DegenerateSplit) -> DegenerateSplit:
+    """The exact split of the stratum that the floating point of `split`, near a wall, stands for.
+
+    The point is rationalized, denominators at most SNAP_MAX_DENOMINATOR
+    (type A reconstructs the last coordinate from the sum-zero constraint),
+    and SnapError is raised unless that moves every coordinate by less than
+    EPS_SNAP and lands every near root (`split.deg`) exactly on its wall.
+    The integer pairings that check the landing give the snapped split.
+    """
+    h = split.torus_point
     rad = h.coords
-    near = rs.near_walls(rad)
-    if not near.any():
-        return h
+    coeffs = [Fraction(x / math.pi).limit_denominator(SNAP_MAX_DENOMINATOR) for x in rad]
     if rs.spec.family == "A":
-        head = [Fraction(x / math.pi).limit_denominator(SNAP_MAX_DENOMINATOR)
-                for x in rad[:-1]]
-        coeffs = head + [-sum(head, Fraction(0))]
-    else:
-        coeffs = [Fraction(x / math.pi).limit_denominator(SNAP_MAX_DENOMINATOR)
-                  for x in rad]
+        coeffs[-1] = -sum(coeffs[:-1], Fraction(0))
     for c, x in zip(coeffs, rad):
         if abs(math.pi * float(c) - x) > EPS_SNAP:
             raise SnapError(
@@ -380,13 +382,13 @@ def snap_to_exact(rs: RootSystem, h: TorusPoint) -> TorusPoint:
             )
     snapped = exact_point(coeffs)
     pairings, den = rs.root_pairings(snapped.coords)
-    for a, d, p in zip(rs.positive_roots, near.tolist(), pairings):
-        if d and p % (2 * den):
+    for i, a in zip(split.deg_index, split.deg):
+        if pairings[i] % (2 * den):
             raise SnapError(
                 f"cannot rationalize {h}: near-degenerate root {a} does not "
                 "land exactly on the stratum after reconstruction"
             )
-    return snapped
+    return rs._exact_split(snapped, pairings, den)
 
 
 # ---------------------------------------------------------------------------
@@ -410,23 +412,26 @@ class _SingularEvaluator:
     """
 
     def __init__(self, rs: RootSystem, split: DegenerateSplit):
-        self.rs = rs
+        self.rs, self.split = rs, split
         h0 = split.torus_point
-        self.split = split
-        w0 = stabilizer(rs, h0, split=split)
-        group = cached_weyl_group(rs)
-        self.transversal = transversal = coset_transversal(group, w0)
+        if split.ndeg:
+            group = cached_weyl_group(rs)
+            self.transversal = transversal = coset_transversal(group, stabilizer(rs, split))
+            mats, self.b_signs = group.stack[transversal], group.signs[transversal]
+        else:  # W0 = W: one coset, the identity's, of sign +1, and no group is enumerated
+            self.transversal = np.zeros(1, dtype=np.intp)
+            mats = np.eye(rs.ambient_dim, dtype=np.int8)[None]
+            self.b_signs = np.ones(1, dtype=np.int8)
         deg = list(split.deg_index)
         # (-1)^{sum k_a}: degenerate pairings may sit at nonzero multiples of 2*pi
         k_total = sum(split.pairings[i] // (2 * split.den) for i in deg)
         self.eps = -1 if k_total % 2 else 1
-        self.prefactor = _weyl_denominator(_ndeg_sines(split))
-        self.b_signs = group.signs[transversal]
+        self.prefactor = _weyl_denominator(split.sines)
         roots = rs._pos_rows[deg]
         h, self.h0_den = common_denominator(h0.coords)
         # (T, n, k + 1) images: column j < k is b a_j, column k is b h0
         cols = np.array([a + [x] for a, x in zip(roots.T.tolist(), h)], dtype=object)
-        images = _apply(group.stack[transversal], cols)
+        images = _apply(mats, cols)
         b_deg = images[:, :, :-1]
         if max(int(b_deg.max()), -int(b_deg.min())) > 127:
             raise AssertionError("image of a degenerate root does not fit int8")
@@ -478,61 +483,70 @@ def _cached_evaluator(rs: RootSystem, split: DegenerateSplit) -> _SingularEvalua
     return _SingularEvaluator(rs, split)
 
 
-def char_singular(
-    rs: RootSystem, lam, h0: TorusPoint, *, split: DegenerateSplit | None = None
-) -> CharacterValue:
+def char_singular(rs: RootSystem, lam, h0: TorusPoint) -> CharacterValue:
     """Exact character at a singular torus point via stabilizer factorization.
 
-    A floating h0 is read by `snap_to_exact`, and SnapError refuses one that
-    stands for itself, a regular point.  An exact point with no degenerate
-    root goes to the exact regular path (`_char_regular_exact`); every other
-    point, h0 = 0 included, to the coset sum of the cached
-    `_SingularEvaluator`.  Either value passes `_gate`.  `split` is
-    `rs.degenerate_split(h0)` when the caller has it (exact h0 only).
+    The point is read by `read_point`, and SnapError refuses a floating one
+    that stands for itself, a regular point.  Every other point is
+    evaluated by `char_at`: an exact point with no degenerate root on the
+    exact regular path, any other on the coset sum.
     """
-    weight = _weight(rs, lam)
-    if not h0.exact:
-        h0 = snap_to_exact(rs, h0)
-        if not h0.exact:
-            raise SnapError(f"{h0} has no root pairing within {EPS_SNAP} of 2*pi*Z: "
-                            "it is a regular point; use character")
-    rs.validate_point(h0)
-    if split is None:
-        split = rs.degenerate_split(h0)
-    if not split.deg:
-        cv = _char_regular_exact(rs, weight, split)
-    else:
-        cv = _cached_evaluator(rs, split).evaluate(weight)
-    return _gate(rs, weight, h0, cv)
+    _weight(rs, lam)
+    split = read_point(rs, h0)
+    if not split.torus_point.exact:
+        raise SnapError(f"{h0} has no root pairing within {EPS_SNAP} of 2*pi*Z: "
+                        "it is a regular point; use character")
+    return char_at(rs, lam, split)
 
 
 def character(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
-    """Evaluate the character at any torus point, dispatching on degeneracy.
+    """Evaluate the character at any torus point: `char_at` on its `read_point` reading.
 
-    The point is read by `snap_to_exact`, then evaluated by `char_snapped`.
     A floating point near a wall whose snap fails is answered like a value
     the precision gate rejects (`_fallback`).
     """
     try:
-        h_read = snap_to_exact(rs, h)
+        split = read_point(rs, h)
     except SnapError as exc:
         return _fallback(rs, _weight(rs, lam), h, str(exc))
-    return char_snapped(rs, lam, h_read)
+    return char_at(rs, lam, split)
 
 
-def char_snapped(rs: RootSystem, lam, h: TorusPoint) -> CharacterValue:
-    """The character at a point `snap_to_exact` has already read, which is not read again.
+def char_at(rs: RootSystem, lam, split: DegenerateSplit) -> CharacterValue:
+    """The character at a point that `read_point` has read: the one dispatcher.
 
-    An exact point goes to `char_singular`, which computes its degenerate
-    split once and also serves regular points; a floating one, which stands
-    for itself, to `_char_regular_float`, whose value passes `_gate`.
-    Callers that evaluate many weights at one point snap it once and call
-    this.
+    `_choose_path` picks the path from the reading and the weight, before
+    any Weyl group is enumerated, and every value of a Weyl path passes
+    `_gate`.  Callers that evaluate many weights at one point read it once
+    and call this for each.
     """
-    if h.exact:
-        return char_singular(rs, lam, h)
     weight = _weight(rs, lam)
-    return _gate(rs, weight, h, _char_regular_float(rs, vadd(weight.lam, rs.weyl_vector), h))
+    path = _choose_path(rs, weight, split)
+    if path == "oracle":
+        why = f"the float path's condition {_float_condition(rs, split)[1]:.3g} exceeds TOL * 2 * dim"
+        return _fallback(rs, weight, split.torus_point, why)
+    cv = (_char_regular_float(rs, weight, split) if path == "float" else
+          _char_regular_exact(rs, weight, split) if path == "regular" else
+          _cached_evaluator(rs, split).evaluate(weight))  # "coset", or "central" with no group
+    return _gate(rs, weight, split.torus_point, cv)
+
+
+def _choose_path(rs: RootSystem, weight: _Weight, split: DegenerateSplit) -> str:
+    """The path of a read point, chosen before any Weyl group is enumerated.
+
+    A floating point takes "oracle" when its sines give the float path a
+    condition above TOL * max(1, 2 dim), which `_gate` rejects whatever the
+    value (one it keeps has size at most dim (1 + TOL)), unless the float
+    path's phases could leave the float range, which it refuses; else
+    "float".  An exact point takes "regular", "central" (every root
+    degenerate) or "coset".
+    """
+    if not split.torus_point.exact:
+        doomed = _float_condition(rs, split)[1] / TOL > max(1, 2 * weight.dim)
+        return "oracle" if doomed and _phases_in_range(rs, weight, split) else "float"
+    if not split.deg:
+        return "regular"
+    return "coset" if split.ndeg else "central"
 
 
 def _gate(rs: RootSystem, weight: _Weight, h: TorusPoint, cv: CharacterValue) -> CharacterValue:

@@ -226,13 +226,9 @@ def _run_char(cfg: RunConfig, factors, weights, points):
     condition = 0.0
     deg_count = 0
     for rs, lam, h in zip(factors, weights, points):
-        h = charcalc.snap_to_exact(rs, h)
-        if h.exact:
-            split = rs.degenerate_split(h)
-            cv = charcalc.char_singular(rs, lam, h, split=split)
-            deg_count += len(split.deg)
-        else:
-            cv = charcalc.char_snapped(rs, lam, h)
+        split = charcalc.read_point(rs, h)
+        cv = charcalc.char_at(rs, lam, split)
+        deg_count += len(split.deg)
         condition = abs(value) * cv.condition + abs(cv.value) * condition
         value *= cv.value
     result = {
@@ -300,7 +296,7 @@ def _run_certificate(cfg: RunConfig, factors, weights, points):
     from . import asymptotics, charcalc
 
     rs = factors[0]
-    split = rs.degenerate_split(charcalc.snap_to_exact(rs, points[0]))
+    split = charcalc.read_point(rs, points[0])
     cert = asymptotics.divergence_certificate(rs, split, weights[0])
     result = {
         "root": list(map(Fraction, cert.root)),

@@ -32,7 +32,7 @@ from .exactlin import (
     vzero,
 )
 from .torus import TorusPoint
-from .utils import fold_angle, ordered_dot, physical_memory
+from .utils import fold_angle, ordered_dot, physical_memory, sin_half_angle, sin_half_pi
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -134,19 +134,22 @@ def check_weyl_cap(spec: RootSystemSpec, cap: int) -> int:
 class DegenerateSplit:
     """Positive roots split by (alpha|h0) = 0 mod 2*pi versus not.
 
-    For an exact point, (alpha_i|h0) = pi * pairings[i] / den for the i-th
-    positive root in `RootSystem.positive_roots` order and `deg_index` the
-    positions of the degenerate ones; a floating point carries neither.  The
-    rest is a function of the point, which the pairings fix (the roots span
-    the space), so they hash an exact split.
+    `deg_index` holds the positions of the degenerate roots in
+    `RootSystem.positive_roots` order and `sines` the sin((alpha|h0)/2) of
+    the non-degenerate ones, in order.  For an exact point, (alpha_i|h0) =
+    pi * pairings[i] / den for the i-th positive root; a floating point
+    carries no pairings, and its degenerate roots are those within the snap
+    tolerance of a wall.  The rest is a function of the point, which the
+    pairings fix (the roots span the space), so they hash an exact split.
     """
 
     torus_point: TorusPoint
     deg: tuple[Vec, ...] = field(hash=False)
     ndeg: tuple[Vec, ...] = field(hash=False)
-    pairings: tuple[int, ...] | None = field(default=None, hash=False)
-    den: int = field(default=1, hash=False)
-    deg_index: tuple[int, ...] | None = field(default=None, hash=False)
+    deg_index: tuple[int, ...] = field(hash=False)
+    sines: tuple[float, ...] = field(hash=False)
+    pairings: tuple[int, ...] | None = field(hash=False)
+    den: int = field(hash=False)
 
     def __hash__(self):
         return hash(self.torus_point if self.pairings is None else (self.pairings, self.den))
@@ -352,24 +355,26 @@ class RootSystem:
         """Split positive roots by whether (alpha|h0) lies in 2*pi*Z.
 
         Exact points split exactly, on their integer pairings, which the
-        split keeps; floating points use the snap tolerance.
+        split keeps; floating points use the snap tolerance.  Either kind
+        reads its pairings in one pass, which also gives the sines.
         """
         self.validate_point(h0)
-        roots = self.positive_roots
-        if not h0.exact:
-            flags = self.near_walls(h0.coords).tolist()
-            return DegenerateSplit(h0, tuple(compress(roots, flags)),
-                                   tuple(compress(roots, [not f for f in flags])))
-        pairings, den = self.root_pairings(h0.coords)
-        flags = [p % (2 * den) == 0 for p in pairings]
-        return DegenerateSplit(h0, tuple(compress(roots, flags)),
-                               tuple(compress(roots, [not f for f in flags])), tuple(pairings),
-                               den, tuple(compress(range(len(flags)), flags)))
+        if h0.exact:
+            return self._exact_split(h0, *self.root_pairings(h0.coords))
+        pairings = self.float_pairings(h0.coords)
+        return self._split(h0, np.abs(fold_angle(pairings)) < EPS_SNAP,
+                           sin_half_angle(pairings).tolist())
 
-    def near_walls(self, coords) -> np.ndarray:
-        """Per positive root alpha: whether (alpha|h) lies within the snap
-        tolerance of 2*pi*Z, for the floating point h of radians `coords`."""
-        return np.abs(fold_angle(self.float_pairings(coords))) < EPS_SNAP
+    def _exact_split(self, h0: TorusPoint, pairings, den: int) -> DegenerateSplit:
+        """The split of the exact point h0 from its integer root pairings (`root_pairings`)."""
+        return self._split(h0, [p % (2 * den) == 0 for p in pairings],
+                           [sin_half_pi(p, den) for p in pairings], tuple(pairings), den)
+
+    def _split(self, h0: TorusPoint, flags, sines, pairings=None, den=1) -> DegenerateSplit:
+        roots, keep = self.positive_roots, [not f for f in flags]
+        return DegenerateSplit(h0, tuple(compress(roots, flags)), tuple(compress(roots, keep)),
+                               tuple(compress(range(len(keep)), flags)),
+                               tuple(compress(sines, keep)), pairings, den)
 
     def float_pairings(self, coords) -> np.ndarray:
         """(alpha|h) for the floating point h of radians `coords`, per positive root alpha.

@@ -41,7 +41,6 @@ import numpy as np
 from .errors import CapacityError, ConfigError, DomainError
 from .exactlin import Vec, vsub
 from .rootsys import DegenerateSplit, RootSystem, check_weyl_cap, weyl_order
-from .torus import TorusPoint
 from .utils import physical_memory
 
 #: Default cap on enumerated group order; admits E7, refuses E8.
@@ -191,10 +190,8 @@ class Stabilizer:
     roots: tuple
 
 
-def stabilizer(
-    rs: RootSystem, h0: TorusPoint, *, split: DegenerateSplit | None = None
-) -> Stabilizer:
-    """Stabilizer W0 of an exact torus point, with no element of W formed.
+def stabilizer(rs: RootSystem, split: DegenerateSplit) -> Stabilizer:
+    """Stabilizer W0 of the exact torus point of `split`, with no element of W formed.
 
     Read off the degenerate roots Phi0+ (those with (a|h0) in 2*pi*Z), with
     no group enumerated.  Each a in Phi0+ has the height ht0(a) = 1/2 sum_b
@@ -204,14 +201,10 @@ def stabilizer(
     |W0| = prod_a (ht0(a) + 1) / ht0(a) over Phi0+ (Macdonald, Math. Ann.
     199, 1972; Humphreys, Reflection Groups and Coxeter Groups, 3.20).
     Both come from one product of the root rows with the sum of the coroot
-    rows; |W0| must divide `weyl_order`.  `split` is
-    `rs.degenerate_split(h0)` when the caller has it.
+    rows; |W0| must divide `weyl_order`.  `split` is `rs.degenerate_split(h0)`.
     """
-    rs.validate_point(h0)
-    if not h0.exact:
+    if not split.torus_point.exact:
         raise DomainError("stabilizer requires an exact torus point")
-    if split is None:
-        split = rs.degenerate_split(h0)
     deg = split.deg_index
     ht0 = (rs._pos_rows[list(deg)] @ rs._coroot_rows[list(deg)].sum(axis=0) // 2).tolist()
     order = math.prod(h + 1 for h in ht0) // math.prod(ht0)
@@ -235,11 +228,7 @@ def coset_transversal(group: WeylGroup, w0: Stabilizer) -> np.ndarray:
     (exact: its integer terms stay far below 2**53) of those roots with the
     group's `positivity` table, filled by the closure, taken
     `TRANSVERSAL_BLOCK` rows at a time so the table is never cast whole.
-    When W0 = W the identity, element 0, is the one
-    representative, and no scan is made.
     """
-    if w0.order == group.order:
-        return np.zeros(1, dtype=np.intp)
     roots = group.rs._pos_rows[list(w0.roots)].astype(float)
     table = group.positivity
     minimal = np.empty(group.order, dtype=bool)

@@ -28,25 +28,30 @@ def su2_point(theta_coeff: F):
 
 
 def test_near_wall_sweep_snaps_once(monkeypatch):
-    # the sweep reads its point once, and every row evaluates that snap
-    from weylchar import asymptotics, charcalc
+    # the sweep reads its point once, one split and one snap, and every row
+    # evaluates that reading
+    from weylchar import charcalc, rootsys
     from weylchar.torus import float_point
 
-    calls = []
-    snap = charcalc.snap_to_exact
+    calls = {"snap": 0, "split": 0}
+    snap, split = charcalc._snap, rootsys.RootSystem.degenerate_split
 
-    def counting_snap(rs, h):
-        calls.append(h)
-        return snap(rs, h)
+    def counting_snap(rs, s):
+        calls["snap"] += 1
+        return snap(rs, s)
 
-    monkeypatch.setattr(asymptotics, "snap_to_exact", counting_snap)
-    monkeypatch.setattr(charcalc, "snap_to_exact", counting_snap)
+    def counting_split(self, h0):
+        calls["split"] += 1
+        return split(self, h0)
+
+    monkeypatch.setattr(charcalc, "_snap", counting_snap)
+    monkeypatch.setattr(rootsys.RootSystem, "degenerate_split", counting_split)
     rs = build_root_system("A2")
     path = WeightPath.ray(rs, rs.weyl_vector, range(1, 7))
     got = normalized_char_sweep(rs, path, float_point([0.3, 0.3, -0.6]))
-    assert len(calls) == 1
-    want = normalized_char_sweep(rs, path, snap(rs, float_point([0.3, 0.3, -0.6])))
-    assert got == want
+    assert calls == {"snap": 1, "split": 1}
+    snapped = charcalc.snap_to_exact(rs, float_point([0.3, 0.3, -0.6]))
+    assert got == normalized_char_sweep(rs, path, snapped)
 
 
 def test_su2_sweep_bound_and_rate():

@@ -243,7 +243,7 @@ def test_transversal_independence(monkeypatch):
     rs = build_root_system("A3")
     group = generate_weyl_group(rs)
     h0 = exact_point([F(1, 5), F(1, 5), F(-1, 10), F(-3, 10)])
-    w0 = stabilizer(rs, h0)
+    w0 = stabilizer(rs, rs.degenerate_split(h0))
     trans = coset_transversal(group, w0)
     # twist every non-identity representative by a random stabilizer element
     index = {m.tobytes(): i for i, m in enumerate(group.stack)}
@@ -268,7 +268,7 @@ def test_effective_weight_integrality_over_all_cosets():
         strata = [s for s in alcove_stratum_points(rs) if not s.central]
         for st in strata:
             split = rs.degenerate_split(st.point)
-            w0 = stabilizer(rs, st.point)
+            w0 = stabilizer(rs, rs.degenerate_split(st.point))
             trans = coset_transversal(group, w0)
             for b in trans.tolist():
                 image = [apply_matrix(group.stack[b], a) for a in split.deg]
@@ -285,7 +285,7 @@ def test_effective_subsystem_orders_are_the_stabilizer_orders_on_every_alcove_st
     rs = build_root_system(name)
     for st in alcove_stratum_points(rs):
         split = rs.degenerate_split(st.point)
-        w0 = stabilizer(rs, st.point, split=split)
+        w0 = stabilizer(rs, split)
         sub = effective_subsystem(rs, split.deg)
         assert math.prod(weyl_order(c) for c in sub.components) == w0.order
         assert sum(c.rank for c in sub.components) == len(w0.roots)
@@ -493,9 +493,9 @@ def _a3_point_whose_snap_does_not_land():
     on = [math.pi * float(x) for x in c]
     rs = build_root_system("A3")
     e1_e4 = rs.positive_roots.index((1, 0, 0, -1))
-    assert not rs.near_walls(on)[e1_e4]
+    assert e1_e4 not in rs.degenerate_split(float_point(on)).deg_index
     moved = float_point(on[:3] + [on[3] + 8e-10])
-    assert rs.near_walls(moved.coords)[e1_e4]
+    assert e1_e4 in rs.degenerate_split(moved).deg_index
     return rs, moved
 
 
@@ -655,3 +655,100 @@ def test_condition_estimate_scales_near_singularity():
     mild = char_regular(rs, lam, float_point([0.5, -0.5]))
     harsh = char_regular(rs, lam, float_point([0.5e-4, -0.5e-4]))
     assert harsh.condition > mild.condition
+
+
+# ---------------------------------------------------------------------------
+# Paths that need no Weyl group
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def no_weyl_group(monkeypatch):
+    """Any enumeration of a Weyl group raises, through the cache or past it."""
+    from weylchar import weylgroup
+
+    def refuse(*args):
+        raise AssertionError("a Weyl group was enumerated")
+
+    monkeypatch.setattr(charcalc, "cached_weyl_group", refuse)
+    monkeypatch.setattr(weylgroup, "_closure", refuse)
+    charcalc._cached_evaluator.cache_clear()  # an evaluator cached earlier holds its group's rows
+    yield
+    charcalc._cached_evaluator.cache_clear()
+
+
+E7_FLOAT_REPRO = (0.1137, 0.2391, 0.3517, 0.4283, 0.5651, 0.6829, 0.7919)
+
+
+def test_central_points_take_one_coset_and_no_weyl_group(no_weyl_group, monkeypatch):
+    # E7 at the identity and at its nontrivial central element 2 pi w_7 (w_7
+    # the minuscule coweight), with the values and conditions pinned where the
+    # coset sum ran over the enumerated group's one representative
+    rs = build_root_system("E7")
+    omega1, omega7 = rs.fundamental_weights()[0], rs.fundamental_weights()[6]
+    center = exact_point([2 * x for x in rs.fundamental_coweights()[6]])
+    fallbacks = spy_fallbacks(monkeypatch)
+    for lam, h, want in [
+        (omega1, zero_point(7), "CharacterValue(value=(133+0j), condition=2.9531932455029164e-14)"),
+        (omega7, center, "CharacterValue(value=(-56+0j), condition=1.2434497875801753e-14)"),
+        (omega1, center, "CharacterValue(value=(133-0j), condition=2.9531932455029164e-14)"),
+    ]:
+        assert charcalc._choose_path(rs, _weight(rs, lam), charcalc.read_point(rs, h)) \
+            == "central"
+        assert repr(character(rs, lam, h)) == want
+    assert fallbacks == []
+
+
+def test_a_float_point_the_gate_would_reject_skips_the_weyl_group(no_weyl_group, monkeypatch):
+    # the E7 repro's float-path condition, from its sines alone, is far above
+    # TOL * 2 * dim, so the oracle answers at once with the value it gave
+    # after the gate rejected the Weyl sum over W
+    rs = build_root_system("E7")
+    lam, h = rs.fundamental_weights()[0], float_point(E7_FLOAT_REPRO)
+    split = charcalc.read_point(rs, h)
+    assert charcalc._float_condition(rs, split)[1] > charcalc.TOL * 2 * 133
+    fallbacks = spy_fallbacks(monkeypatch)
+    cv = character(rs, lam, h)
+    assert fallbacks == [("E7", h)]
+    assert repr(cv.value) == "(121.60478815874339+0j)" and cv == char_weightsum_oracle(rs, lam, h)
+
+
+def test_a_weyl_denominator_that_underflows_goes_to_the_oracle(no_weyl_group, monkeypatch):
+    # 63 sines near 1e-8 multiply to below the least float: the condition is
+    # infinite, not a ZeroDivisionError after the sum over W
+    rs = build_root_system("E7")
+    lam, h = rs.fundamental_weights()[0], float_point([3e-8 * k**1.5 for k in range(1, 8)])
+    split = charcalc.read_point(rs, h)
+    assert not split.deg and charcalc._float_condition(rs, split) == (0j, math.inf)
+    fallbacks = spy_fallbacks(monkeypatch)
+    assert character(rs, lam, h) == char_weightsum_oracle(rs, lam, h)
+    assert fallbacks == [("E7", h)]
+
+
+def test_the_weyl_cap_guards_enumeration_only(no_weyl_group, capsys):
+    # |W(A9)| = 10! is above the default cap; the identity needs no W
+    rs = build_root_system("A9")
+    lam = rs.fundamental_weights()[0]
+    assert repr(character(rs, lam, zero_point(10))) == \
+        "CharacterValue(value=(10+0j), condition=2.220446049250313e-15)"
+    assert main(["char", "--group", "A9", "--weight", "1" + ",0" * 8, "--point",
+                 ":".join(["0"] * 10)]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["value"] == {"re": 10.0, "im": 0.0}
+
+
+def test_other_a9_points_still_meet_the_cap(capsys):
+    argv = ["char", "--group", "A9", "--weight", "1" + ",0" * 8,
+            "--point", ":".join(["1/2pi"] + ["0"] * 8 + ["-1/2pi"])]
+    assert main(argv) == 3
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "CapacityError"
+
+
+def test_a_floating_point_whose_phases_may_overflow_is_not_sent_to_the_oracle():
+    # the float path refuses a point whose phases (eta|w h) leave the float
+    # range; such a point is never routed past it, whatever its condition
+    rs = build_root_system("A1")
+    weight = _weight(rs, su2_weight(1))
+    far = charcalc.read_point(rs, float_point([1e306, -1e306]))
+    near = charcalc.read_point(rs, float_point([1e-9 + 2e-10, -1e-9 - 2e-10]))
+    assert not charcalc._phases_in_range(rs, weight, far)
+    assert charcalc._phases_in_range(rs, weight, near)

@@ -176,29 +176,31 @@ def test_sweep_document_and_plot_data(capsys):
 
 
 def test_a_floating_point_is_read_once_per_evaluation(capsys, monkeypatch):
+    # one pass of float pairings gives the near-wall test and the sines that
+    # the float path's denominator and condition read, for every row of a sweep
     from weylchar import asymptotics, charcalc
     from weylchar.rootsys import RootSystem
 
-    calls = {"snap": 0, "pairings": 0}
-    snap, pairings = charcalc.snap_to_exact, RootSystem.float_pairings
+    calls = {"read": 0, "pairings": 0}
+    read, pairings = charcalc.read_point, RootSystem.float_pairings
 
-    def counted_snap(*args):
-        calls["snap"] += 1
-        return snap(*args)
+    def counted_read(*args):
+        calls["read"] += 1
+        return read(*args)
 
     def counted_pairings(self, coords):
         calls["pairings"] += 1
         return pairings(self, coords)
 
     for module in (charcalc, asymptotics):
-        monkeypatch.setattr(module, "snap_to_exact", counted_snap)
+        monkeypatch.setattr(module, "read_point", counted_read)
     monkeypatch.setattr(RootSystem, "float_pairings", counted_pairings)
     point = ("--group", "G2", "--weight", "1,1", "--point", "0.1:0.25")
     assert run_cli(capsys, "char", *point)[0] == 0
-    assert calls == {"snap": 1, "pairings": 2}  # the snap's pass, then the evaluation's
-    calls.update(snap=0, pairings=0)
+    assert calls == {"read": 1, "pairings": 1}
+    calls.update(read=0, pairings=0)
     assert run_cli(capsys, "sweep", *point, "--kmax", "10")[0] == 0
-    assert calls == {"snap": 1, "pairings": 11}  # the snap's pass, then one a row
+    assert calls == {"read": 1, "pairings": 1}
 
 
 def test_sweep_counterexample(capsys):
@@ -432,14 +434,11 @@ def test_missing_or_malformed_options_give_typed_errors(capsys, argv, field):
     jsonschema.validate(doc, json.loads((schema_dir / "error.schema.json").read_text()))
 
 
-def test_near_wall_char_snaps_once_and_splits_once(capsys, monkeypatch):
-    # A near-wall floating point is snapped once onto its stratum, and that
-    # exact point's one split gives both the value and the degenerate count.
+def _count_snaps_and_splits(monkeypatch):
     from weylchar import charcalc, rootsys
-    from weylchar.torus import float_point
 
     calls = {"snap": 0, "split": 0}
-    snap, split = charcalc.snap_to_exact, rootsys.RootSystem.degenerate_split
+    snap, split = charcalc._snap, rootsys.RootSystem.degenerate_split
 
     def counting_snap(*args, **kwargs):
         calls["snap"] += 1
@@ -449,8 +448,18 @@ def test_near_wall_char_snaps_once_and_splits_once(capsys, monkeypatch):
         calls["split"] += 1
         return split(self, h0)
 
-    monkeypatch.setattr(charcalc, "snap_to_exact", counting_snap)
+    monkeypatch.setattr(charcalc, "_snap", counting_snap)
     monkeypatch.setattr(rootsys.RootSystem, "degenerate_split", counting_split)
+    return calls
+
+
+def test_near_wall_char_snaps_once_and_splits_once(capsys, monkeypatch):
+    # A near-wall floating point is snapped once onto its stratum, and that
+    # reading gives both the value and the degenerate count.
+    from weylchar import charcalc
+    from weylchar.torus import float_point
+
+    calls = _count_snaps_and_splits(monkeypatch)
     code, doc = run_json(capsys, "char", "--group", "A2", "--weight", "3,2",
                          "--point", "0.3:0.3:-0.6")
     assert code == 0 and doc["result"]["degenerate_roots"] == 1
@@ -459,6 +468,16 @@ def test_near_wall_char_snaps_once_and_splits_once(capsys, monkeypatch):
     cv = charcalc.character(rs, rs.weight_from_fundamental((3, 2)),
                             float_point([0.3, 0.3, -0.6]))
     assert doc["result"]["value"] == {"re": cv.value.real, "im": cv.value.imag}
+
+
+@pytest.mark.parametrize("argv", [
+    ["certificate", "--group", "A2", "--weight", "1,1"],
+    ["sweep", "--group", "A2", "--weight", "1,1", "--kmax", "6"],
+])
+def test_near_wall_certificate_and_sweep_snap_once_and_split_once(capsys, monkeypatch, argv):
+    calls = _count_snaps_and_splits(monkeypatch)
+    assert run_cli(capsys, *argv, "--point", "0.3:0.3:-0.6")[0] == 0
+    assert calls == {"snap": 1, "split": 1}
 
 
 def test_certificate_reads_its_point_like_char(capsys):

@@ -183,6 +183,93 @@ def test_cli_document_is_byte_identical(i, golden, monkeypatch):
     assert run_argv(ARGV[i]) == (golden[i]["exit"], golden[i]["stdout"])
 
 
+def _strict_json(text):
+    """json.loads refusing NaN, Infinity and -Infinity, which are not JSON (jq refuses them too)."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_every_json_document_is_strict_json(golden):
+    # a sweep whose tail has fewer than two nonzero ratios fits no slope: null, not NaN
+    code, out = run_argv(["sweep", "--group", "B3", "--weight", "1,1,1",
+                          "--point", "3pi/2:1pi/2:1pi/2", "--kmax", "5"])
+    assert code == 0 and _strict_json(out)["result"]["fitted_slope"] is None
+    docs = [doc["stdout"] for doc in golden if not {"csv", "table"} & set(doc["argv"])]
+    assert len(docs) == 94
+    for text in docs:
+        _strict_json(text)
+
+
+#: For each golden `char` document that evaluates, per factor: the path that
+#: `charcalc._choose_path` names, and the step that produced the factor's
+#: value when the documents were pinned ("oracle" where the precision gate
+#: replaced a Weyl-path value by the oracle's).  They differ only where the
+#: gate rejects a value; the last floating point's condition was certain to
+#: fail it, so the dispatcher names the oracle, which produced that value.
+CHAR_PATHS = {
+    "char --group A1 --weight 2 --point pi": [("regular", "regular")],
+    "char --group A2 --weight 1,1 --point pi/5:pi/5:-2pi/5": [("coset", "coset")],
+    "char --group F4 --weight 0,0,1,0 --point=6pi/11:1pi/1:39pi/29:52pi/29":
+        [("regular", "regular")],
+    "char --group D5 --weight 1,1,3,3,3 --point=-13pi/29:24pi/13:72pi/37:45pi/47:84pi/47":
+        [("regular", "regular")],
+    "char --group B4 --weight 0,3,2,2 --point=1pi/1:1pi/3:1pi/3:1pi/3": [("coset", "coset")],
+    "char --group F4 --weight 1,0,0,0 --point=12pi/31:10pi/17:-74pi/41:-73pi/43":
+        [("regular", "regular")],
+    "char --group D5 --weight 3,2,0,2,4 --point=1pi/1:-22pi/13:-7pi/17:23pi/37:-52pi/31":
+        [("regular", "regular")],
+    "char --group B4 --weight 0,3,3,4 --point=1pi/1:1pi/1:1pi/1:1pi/2": [("coset", "coset")],
+    "char --group A2 --weight 2,1 --point pi/5:pi/5:-2pi/5 --threads 1": [("coset", "coset")],
+    "char --group A2 --weight 2,1 --point pi/5:pi/5:-2pi/5 --threads 5": [("coset", "coset")],
+    "char --group F4 --weight 1,0,0,0 --point=pi/7:pi/11:pi/13:pi/17 --format csv":
+        [("regular", "oracle")],
+    "char --group B3 --weight 1,1,0 --point=pi/2:0:0 --format table": [("coset", "coset")],
+    "char --group A1xB2 --weight 2,1,1 --point=pi/3;pi/5:pi/7":
+        [("regular", "regular"), ("regular", "regular")],
+    "char --group A2 --weight 3,2 "
+    "--point=0.6283185307179586:0.6283185307179587:-1.2566370614359172": [("coset", "coset")],
+    "char --group A2 --weight 3,2 --point 0.3:0.3:-0.6": [("coset", "coset")],
+    "char --group G2 --weight 1,1 --point 0.1:0.25": [("float", "float")],
+    "char --group A2 --weight 2,1 --point=pi/1000000007:2pi/1000000007:-3pi/1000000007":
+        [("regular", "oracle")],
+    "char --group A2 --weight 2,1 "
+    "--point=pi/9007199254740997:2pi/9007199254740997:-3pi/9007199254740997":
+        [("regular", "oracle")],
+    "char --group A2 --weight 2,1 --point=pi/1152921504606847009:2pi/1152921504606847009:"
+    "-3pi/1152921504606847009": [("regular", "oracle")],
+    "char --group A2 --weight 1,1 --point 0.3:0.30000001:-0.60000001": [("oracle", "oracle")],
+}
+
+
+def test_the_dispatcher_names_the_path_that_produced_each_char_document(golden, monkeypatch):
+    from weylchar import charcalc
+
+    choose, fallback, log = charcalc._choose_path, charcalc._fallback, []
+
+    def named(*args):
+        log.append([choose(*args), None])
+        return log[-1][0]
+
+    def fell_back(*args):
+        log[-1][1] = "oracle"
+        return fallback(*args)
+
+    monkeypatch.setattr(charcalc, "_choose_path", named)
+    monkeypatch.setattr(charcalc, "_fallback", fell_back)
+    seen = set()
+    for doc in golden:
+        if doc["argv"][0] != "char":
+            continue
+        log.clear()
+        assert run_argv(doc["argv"]) == (doc["exit"], doc["stdout"])
+        key = " ".join(doc["argv"])
+        seen.add(key)
+        assert [(path, produced or path) for path, produced in log] == CHAR_PATHS.get(key, [])
+    assert set(CHAR_PATHS) <= seen
+
+
 if __name__ == "__main__":
     os.chdir(ROOT)
     docs = []

@@ -122,7 +122,7 @@ def test_stabilizer_su3_paper_example():
     rs = build_root_system("A2")
     group = generate_weyl_group(rs)
     h0 = exact_point([F(1, 5), F(1, 5), F(-2, 5)])
-    w0 = stabilizer(rs, h0)
+    w0 = stabilizer(rs, rs.degenerate_split(h0))
     members = fixed_members(rs, group.stack, h0)
     check_stabilizer(rs, group, h0, w0, members)
     assert w0.order == 2
@@ -135,7 +135,7 @@ def test_stabilizer_regular_point_is_trivial():
     rs = build_root_system("A2")
     group = generate_weyl_group(rs)
     h = exact_point([F(1, 7), F(2, 7), F(-3, 7)])
-    w0 = stabilizer(rs, h)
+    w0 = stabilizer(rs, rs.degenerate_split(h))
     check_stabilizer(rs, group, h, w0, fixed_members(rs, group.stack, h))
     assert w0.order == 1 and w0.roots == ()
 
@@ -144,7 +144,7 @@ def test_stabilizer_su5_stratum_is_s3_x_s2():
     rs = build_root_system("A4")
     group = generate_weyl_group(rs)
     h = exact_point([F(1, 7), F(1, 7), F(1, 7), F(-3, 14), F(-3, 14)])
-    w0 = stabilizer(rs, h)
+    w0 = stabilizer(rs, rs.degenerate_split(h))
     check_stabilizer(rs, group, h, w0, fixed_members(rs, group.stack, h))
     assert w0.order == 12
 
@@ -156,7 +156,7 @@ def test_stabilizer_matches_component_weyl_orders_on_all_strata(name):
     rs = build_root_system(name)
     group = generate_weyl_group(rs)
     for st in alcove_stratum_points(rs):
-        w0 = stabilizer(rs, st.point)
+        w0 = stabilizer(rs, rs.degenerate_split(st.point))
         check_stabilizer(rs, group, st.point, w0, fixed_members(rs, group.stack, st.point))
         split = rs.degenerate_split(st.point)
         sub = effective_subsystem(rs, split.deg)
@@ -181,7 +181,8 @@ def test_closure_stabilizer_equals_scan_off_the_alcove(name):
         points.append(exact_point([sum(c * a[j] for c, a in zip(coeffs, rs.simple_roots))
                                    for j in range(rs.ambient_dim)]))
     for h in points:
-        check_stabilizer(rs, group, h, stabilizer(rs, h), fixed_members(rs, group.stack, h))
+        check_stabilizer(rs, group, h, stabilizer(rs, rs.degenerate_split(h)),
+                         fixed_members(rs, group.stack, h))
 
 
 def scan_stabilizer(rs, group, h0):
@@ -230,7 +231,7 @@ def test_vectorized_fixed_point_test_equals_scan(name):
 
 def test_identity_stabilizer_of_e6_closes_over_its_six_simple_roots():
     rs = build_root_system("E6")
-    w0 = stabilizer(rs, exact_point([0] * 6))
+    w0 = stabilizer(rs, rs.degenerate_split(exact_point([0] * 6)))
     assert w0.roots == tuple(sorted(rs._simple_index)) and w0.order == 51840
 
 
@@ -241,7 +242,7 @@ def test_identity_stabilizer_order_is_the_weyl_order_without_enumeration():
              for n in range(1 if fam == "A" else 2, top + 1)] + ["E6", "E7", "E8", "F4", "G2"]
     for name in names:
         rs = build_root_system(name)
-        w0 = stabilizer(rs, exact_point([0] * rs.ambient_dim))
+        w0 = stabilizer(rs, rs.degenerate_split(exact_point([0] * rs.ambient_dim)))
         assert w0.order == weyl_order(rs.spec)
         assert w0.roots == tuple(sorted(rs._simple_index))
 
@@ -255,7 +256,7 @@ def test_stabilizer_checks_against_the_fixed_point_test(name):
     for st in alcove_stratum_points(rs)[::3 if name == "E6" else 1]:
         w = group.stack[rng.randrange(group.order)]
         for h in (st.point, exact_point(apply_matrix(w, st.point.coords))):
-            check_stabilizer(rs, group, h, stabilizer(rs, h),
+            check_stabilizer(rs, group, h, stabilizer(rs, rs.degenerate_split(h)),
                              fixed_members(rs, group.stack, h))
 
 
@@ -263,7 +264,7 @@ def test_stabilizer_checks_against_the_fixed_point_test(name):
 def test_stabilizer_roots_are_the_simple_roots_of_the_degenerate_subsystem(name):
     rs = build_root_system(name)
     for st in alcove_stratum_points(rs):
-        w0 = stabilizer(rs, st.point)
+        w0 = stabilizer(rs, rs.degenerate_split(st.point))
         assert {rs.positive_roots[i] for i in w0.roots} == set(
             subsystem_simple_roots(rs.degenerate_split(st.point).deg))
 
@@ -285,7 +286,7 @@ def test_transversal_maps_every_degenerate_root_to_a_positive_root(name):
             images = np.einsum("wij,dj->wdi", stack, rs._pos_rows[list(split.deg_index)])
             want = tuple(i for i, rows in enumerate(images.tolist())
                          if all(tuple(r) in positive for r in rows))
-            w0 = stabilizer(rs, h, split=split)
+            w0 = stabilizer(rs, split)
             assert tuple(coset_transversal(group, w0).tolist()) == want
 
 
@@ -300,7 +301,7 @@ def test_transversal_from_the_positivity_table_equals_the_stack_scan(name):
     for st in alcove_stratum_points(rs):
         images = [group.stack[rng.randrange(group.order)] for _ in range(2)]
         for h in [st.point] + [exact_point(apply_matrix(w, st.point.coords)) for w in images]:
-            w0 = stabilizer(rs, h)
+            w0 = stabilizer(rs, rs.degenerate_split(h))
             assert tuple(coset_transversal(group, w0).tolist()) == scan_transversal(group, w0)
 
 
@@ -322,14 +323,14 @@ def test_positivity_table_and_transversal_across_block_boundaries(monkeypatch):
     # the same representatives as one block
     rs = build_root_system("F4")
     whole = cached_weyl_group(rs)
-    points = [st.point for st in alcove_stratum_points(rs)]
-    want = [coset_transversal(whole, stabilizer(rs, h)).tolist() for h in points]
+    splits = [rs.degenerate_split(st.point) for st in alcove_stratum_points(rs)]
+    want = [coset_transversal(whole, stabilizer(rs, split)).tolist() for split in splits]
     assert len(set(map(len, want))) > 3
     monkeypatch.setattr(weylgroup, "TRANSVERSAL_BLOCK", 100)
     blocked = generate_weyl_group(rs)
     assert blocked.positivity.tolist() == whole.positivity.tolist()
-    assert [coset_transversal(blocked, stabilizer(rs, h)).tolist()
-            for h in points] == want
+    assert [coset_transversal(blocked, stabilizer(rs, split)).tolist()
+            for split in splits] == want
 
 
 def test_every_stabilizer_element_fixes_point():
@@ -338,7 +339,7 @@ def test_every_stabilizer_element_fixes_point():
     rs = build_root_system("B2")
     group = generate_weyl_group(rs)
     h0 = exact_point([F(1, 3), F(1, 3)])
-    w0 = stabilizer(rs, h0)
+    w0 = stabilizer(rs, rs.degenerate_split(h0))
     members = fixed_members(rs, group.stack, h0)
     omegas = [[float(x) for x in w] for w in rs.fundamental_weights()]
     gram = np.array([[float(g) for g in row] for row in rs.gram])
@@ -355,7 +356,7 @@ def test_coset_transversal_su3():
     rs = build_root_system("A2")
     group = generate_weyl_group(rs)
     h0 = exact_point([F(1, 5), F(1, 5), F(-2, 5)])
-    w0 = stabilizer(rs, h0)
+    w0 = stabilizer(rs, rs.degenerate_split(h0))
     trans = coset_transversal(group, w0)
     assert len(trans) == 3
     assert trans[0] == 0
@@ -364,7 +365,7 @@ def test_coset_transversal_su3():
 def test_coset_transversal_full_group_is_identity():
     rs = build_root_system("A2")
     group = generate_weyl_group(rs)
-    w0 = stabilizer(rs, exact_point([0, 0, 0]))
+    w0 = stabilizer(rs, rs.degenerate_split(exact_point([0, 0, 0])))
     trans = coset_transversal(group, w0)
     assert trans.tolist() == [0] and trans.dtype == np.intp
 
@@ -373,7 +374,7 @@ def test_coset_transversal_partitions_group():
     rs = build_root_system("A3")
     group = generate_weyl_group(rs)
     h0 = exact_point([F(1, 5), F(1, 5), F(-1, 5), F(-1, 5)])
-    w0 = stabilizer(rs, h0)
+    w0 = stabilizer(rs, rs.degenerate_split(h0))
     trans = coset_transversal(group, w0)
     assert len(trans) * w0.order == group.order == 24
     stack = group.stack.astype(np.int64)
@@ -394,7 +395,7 @@ def test_conjugated_stabilizer_is_reflection_group_of_image_roots():
             if st.central:
                 continue
             split = rs.degenerate_split(st.point)
-            w0 = stabilizer(rs, st.point)
+            w0 = stabilizer(rs, rs.degenerate_split(st.point))
             members = stack[list(fixed_members(rs, group.stack, st.point))]
             for b in coset_transversal(group, w0).tolist():
                 left = {index[m.tobytes()] for m in stack[b] @ members}
@@ -416,7 +417,7 @@ def test_stabilizer_requires_exact_point():
     from weylchar.torus import float_point
 
     with pytest.raises(DomainError):
-        stabilizer(rs, float_point([0.1, 0.1, -0.2]))
+        stabilizer(rs, rs.degenerate_split(float_point([0.1, 0.1, -0.2])))
 
 
 # ---------------------------------------------------------------------------
